@@ -44,17 +44,14 @@ class HPoint:
 def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     """Distance between two interior points.
 
-    Computed as ``2 ath(|z - w| / |z - conj(w)|)``: the Euclidean gap over
-    the gap to the mirror image.  The ratio is strictly below 1 for any
-    pair of interior points, so the formula is total.  Horizontal segments
+    Computed as ``2 ash(|z - w| / (2 sqrt(y1 y2)))``, which equals
+    ``2 ath(|z - w| / |z - conj(w)|)`` but stays well conditioned for far
+    apart points, where that ratio rounds towards 1.  Horizontal segments
     at height y have length (gap)/y to first order; vertical segments give
     exactly ``|ln(y1/y2)|``.
     """
-    gap2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-    if gap2 == 0.0:
-        return 0.0
-    mirror2 = (p.x - q.x) ** 2 + (p.y + q.y) ** 2
-    return 2.0 * math.atanh(math.sqrt(gap2 / mirror2))
+    gap = math.hypot(p.x - q.x, p.y - q.y)
+    return 2.0 * math.asinh(gap / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
 
 
 class TransversalKind(str, Enum):

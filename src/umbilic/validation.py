@@ -54,20 +54,26 @@ def lipschitz_profile(phi: float, h: float) -> float:
 
 
 def profile_inverse(phi: float, y: float) -> float:
-    """Solve F(phi, h) = y for h by bisection (F is strictly decreasing)."""
+    """Solve F(phi, h) = y for h in closed form.
+
+    With h = -cos(beta), F = y reads -R cos(beta + delta) = sin(phi),
+    where R e^{i delta} = 1 + e^{y + i phi}; so beta = arccos(-sin(phi) / R)
+    - delta.  For y > 0 the factor e^y is divided out of 1 + e^{y + i phi},
+    so only e^{-|y|} is ever formed and no finite y overflows.  The result
+    is clipped to the band [-sin phi, sin phi].
+    """
     b = _check_phi(phi)
     if phi == math.pi / 2:
         return -math.tanh(y)
     if math.isinf(y):
         return -b if y > 0 else b
-    lo, hi = -b, b
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if lipschitz_profile(phi, mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    e = math.exp(-abs(y))
+    if y > 0:
+        re, im, num = e + math.cos(phi), b, e * b
+    else:
+        re, im, num = 1.0 + e * math.cos(phi), e * b, b
+    beta = math.acos(-num / math.hypot(re, im)) - math.atan2(im, re)
+    return min(max(-math.cos(beta), -b), b)
 
 
 def min_curvature_rate(phi: float, h: float) -> float:
@@ -302,39 +308,27 @@ def validate_c0(route: Route) -> Verdict:
     The slack of a pair (t1, t2) is ``L (t2 - t1) - (F(h(t2)) - F(h(t1)))``;
     the route is valid when no slack drops below -tol and the pinned
     samples follow the leading/trailing zone pattern.
+
+    Runs in O(n + recomputed columns), see ``_pair_scan``: O(n) for
+    generic routes, O(n^2) only when the pairs of every column tie within
+    rounding (the extremal families on uniform grids).  The verdict is
+    bit-identical to evaluating every pair by the formula above.
     """
     phi_eff = _effective_phi(route)
     bound = route.transversal.curvature_bound
-    L = bound
-    tol = route.tol
     violations, interior = _structure_violations(route, bound)
     worst = math.inf if not violations else min(v.slack for v in violations)
 
     tt = route.t[interior]
     ff = _profile_vector(phi_eff, route.h[interior], bound)
-    worst_two_sided = math.inf
-    two_sided_at: tuple[float, float] | None = None
-    for i in range(tt.size - 1):
-        dt = tt[i + 1 :] - tt[i]
-        df = ff[i + 1 :] - ff[i]
-        slack = L * dt - df
-        m = float(slack.min())
-        if m < worst:
-            worst = m
-        for j in np.flatnonzero(slack < -tol):
-            violations.append(
-                Violation(
-                    "pair", float(tt[i]), float(tt[i + 1 + j]), float(slack[j])
-                )
-            )
-        other = L * dt + df
-        m2 = float(other.min())
-        if m2 < worst_two_sided:
-            worst_two_sided = m2
-            two_sided_at = (float(tt[i]), float(tt[i + 1 + int(other.argmin())]))
+    pairs, pair_worst, worst_two_sided, two_sided_at = _pair_scan(
+        tt, ff, bound, route.tol
+    )
+    violations.extend(pairs)
+    worst = min(worst, pair_worst)
 
     notes = [_WINDOW_NOTE, "one-sided growth condition is the normative check"]
-    if worst_two_sided < -tol:
+    if worst_two_sided < -route.tol:
         notes.append(
             "two-sided Lipschitz estimate fails by "
             f"{-worst_two_sided:.6g} at pair {two_sided_at}; this does not "
@@ -352,6 +346,66 @@ def validate_c0(route: Route) -> Verdict:
         notes=tuple(notes),
         mode="c0",
     )
+
+
+def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
+    """The pair checks of ``validate_c0`` by prefix scans.
+
+    Returns the pair violations in (t1, t2) order, the worst pair slack,
+    the worst two-sided slack ``L (t2 - t1) + (F2 - F1)``, and the first
+    pair in (t1, t2) order that attains it (``inf`` and ``None`` when
+    there are no pairs).
+
+    The slack of pair (i, j) is g_i - g_j with g = F - L t, up to
+    rounding, so a running minimum of g bounds every column j from below
+    in O(n); a running maximum of w = F + L t does the same for the
+    two-sided slack.  The two ways of rounding differ by at most
+    eps (6A + 4B) with A = L max|t| and B = max|F| (plus underflow,
+    which ``tiny`` covers), well inside ``guard``.  Only the columns
+    whose bound comes within the guard of -tol, or within twice the
+    guard of the best column, can hold a violation or the minimum; those
+    are recomputed with the pairwise formula, so every float matches
+    evaluating all n^2 / 2 pairs.
+    """
+    if tt.size < 2:
+        return [], math.inf, math.inf, None
+    g = ff - L * tt
+    w = ff + L * tt
+    scale = L * np.abs(tt).max() + np.abs(ff).max()
+    guard = 16 * np.finfo(float).eps * scale + np.finfo(float).tiny
+    low = np.minimum.accumulate(g)[:-1] - g[1:]
+    low2 = w[1:] - np.maximum.accumulate(w)[:-1]
+
+    # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
+    one = ~(low >= guard - tol) | (low <= low.min() + 2 * guard)
+    two = low2 <= low2.min() + 2 * guard
+    worst = math.inf
+    best = (math.inf, 0, 0)
+    rows, cols, slacks = [], [], []
+    for j in np.flatnonzero(one | two) + 1:
+        rise = L * (tt[j] - tt[:j])
+        df = ff[j] - ff[:j]
+        if one[j - 1]:
+            slack = rise - df
+            worst = min(worst, float(slack.min()))
+            i = np.flatnonzero(slack < -tol)
+            rows.append(i)
+            cols.append(np.full(i.size, j))
+            slacks.append(slack[i])
+        if two[j - 1]:
+            other = rise + df
+            i = int(other.argmin())
+            best = min(best, (float(other[i]), i, int(j)))
+    i, j, s = (np.concatenate(x) for x in (rows, cols, slacks))
+    order = np.lexsort((j, i))
+    violations = [
+        Violation("pair", t1, t2, slack)
+        for t1, t2, slack in zip(
+            tt[i[order]].tolist(), tt[j[order]].tolist(), s[order].tolist()
+        )
+    ]
+    worst_two_sided, i, j = best
+    return violations, worst, worst_two_sided, (float(tt[i]), float(tt[j]))
 
 
 def validate_c1(route: Route) -> Verdict:

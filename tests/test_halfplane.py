@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from umbilic import (
     INFINITY,
@@ -182,6 +182,11 @@ class TestMobius:
         st.floats(-5, 5, allow_nan=False),
         points(),
         points(),
+    )
+    # Far-apart points, where the ath form of the distance lost 1e-10.
+    @example(
+        0.0, 0.9204960655083392, -2.7109375, 0.0,
+        HPoint(0.0, 0.001953125), HPoint(43.0, 0.03125),
     )
     def test_isometry(self, a, b, c, d, p, q):
         det = a * d - b * c

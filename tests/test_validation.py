@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from umbilic import (
     DomainError,
@@ -16,6 +16,14 @@ from umbilic import (
     validate_c0,
     validate_c1,
     validate_horocycle,
+)
+from umbilic.validation import (
+    _WINDOW_NOTE,
+    Verdict,
+    Violation,
+    _effective_phi,
+    _profile_vector,
+    _structure_violations,
 )
 
 PHI_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
@@ -70,6 +78,18 @@ class TestProfile:
             )
 
 
+def _bisect_inverse(phi, y):
+    """Reference inverse of the strictly decreasing profile, by bisection."""
+    lo, hi = -math.sin(phi), math.sin(phi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if lipschitz_profile(phi, mid) > y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestProfileInverse:
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_roundtrip(self, phi):
@@ -80,10 +100,35 @@ class TestProfileInverse:
     # Beyond |y| ~ 12 the profile is so steep near the pins that one ulp
     # of h moves y by more than 1e-9, so the forward roundtrip can only
     # be tight on a moderate range.
-    @given(st.floats(-12, 12, allow_nan=False))
-    def test_forward_roundtrip(self, y):
-        h = profile_inverse(0.7, y)
-        assert lipschitz_profile(0.7, h) == pytest.approx(y, abs=1e-9, rel=1e-9)
+    @given(
+        st.sampled_from([0.3, 0.7, 1.2]), st.floats(-12, 12, allow_nan=False)
+    )
+    def test_forward_roundtrip(self, phi, y):
+        h = profile_inverse(phi, y)
+        assert lipschitz_profile(phi, h) == pytest.approx(y, abs=1e-9, rel=1e-9)
+
+    @given(
+        st.floats(0.05, math.pi / 2, exclude_max=True),
+        st.floats(-745, 745, allow_nan=False),
+    )
+    def test_stays_in_band(self, phi, y):
+        b = math.sin(phi)
+        assert -b <= profile_inverse(phi, y) <= b
+
+    @given(
+        st.floats(0.1, math.pi / 2, exclude_max=True),
+        st.floats(-20, 20, allow_nan=False),
+    )
+    def test_matches_bisection(self, phi, y):
+        assert abs(profile_inverse(phi, y) - _bisect_inverse(phi, y)) <= 1e-15
+
+    @pytest.mark.parametrize("phi", [0.2, 0.7, 1.3])
+    @pytest.mark.parametrize("y", [-745.0, -709.0, -40.0, 40.0, 709.0, 745.0])
+    def test_no_overflow_far_out(self, phi, y):
+        # e^y overflows past 709; the closed form only ever forms e^-|y|.
+        b = math.sin(phi)
+        expected = -b if y > 0 else b
+        assert profile_inverse(phi, y) == pytest.approx(expected, abs=1e-15)
 
     def test_infinite_targets(self):
         b = math.sin(0.7)
@@ -293,6 +338,193 @@ class TestValidateC0:
     def test_window_note_always_present(self):
         verdict = validate_c0(geodesic_route([0.0, 1.0], [0.0, 0.0]))
         assert any("window" in note for note in verdict.notes)
+
+
+def _reference_validate_c0(route: Route) -> Verdict:
+    """The pairwise definition of validate_c0: every interior pair, one
+    numpy row per first sample, O(n^2)."""
+    phi_eff = _effective_phi(route)
+    bound = route.transversal.curvature_bound
+    L = bound
+    tol = route.tol
+    violations, interior = _structure_violations(route, bound)
+    worst = math.inf if not violations else min(v.slack for v in violations)
+
+    tt = route.t[interior]
+    ff = _profile_vector(phi_eff, route.h[interior], bound)
+    worst_two_sided = math.inf
+    two_sided_at: tuple[float, float] | None = None
+    for i in range(tt.size - 1):
+        dt = tt[i + 1 :] - tt[i]
+        df = ff[i + 1 :] - ff[i]
+        slack = L * dt - df
+        m = float(slack.min())
+        if m < worst:
+            worst = m
+        for j in np.flatnonzero(slack < -tol):
+            violations.append(
+                Violation(
+                    "pair", float(tt[i]), float(tt[i + 1 + j]), float(slack[j])
+                )
+            )
+        other = L * dt + df
+        m2 = float(other.min())
+        if m2 < worst_two_sided:
+            worst_two_sided = m2
+            two_sided_at = (float(tt[i]), float(tt[i + 1 + int(other.argmin())]))
+
+    notes = [_WINDOW_NOTE, "one-sided growth condition is the normative check"]
+    if worst_two_sided < -tol:
+        notes.append(
+            "two-sided Lipschitz estimate fails by "
+            f"{-worst_two_sided:.6g} at pair {two_sided_at}; this does not "
+            "affect validity"
+        )
+    elif math.isfinite(worst_two_sided):
+        notes.append("two-sided Lipschitz estimate also holds on this window")
+
+    violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
+    return Verdict(
+        valid=not violations,
+        zones=detect_zones(route),
+        worst_slack=worst,
+        violations=tuple(violations),
+        notes=tuple(notes),
+        mode="c0",
+    )
+
+
+def _pair_slacks(route: Route) -> np.ndarray:
+    """Every interior pair's slack, by the reference formula."""
+    bound = route.transversal.curvature_bound
+    _, interior = _structure_violations(route, bound)
+    tt = route.t[interior]
+    ff = _profile_vector(_effective_phi(route), route.h[interior], bound)
+    i, j = np.triu_indices(tt.size, 1)
+    return bound * (tt[j] - tt[i]) - (ff[j] - ff[i])
+
+
+def _transversal(phi):
+    return Transversal.geodesic() if phi == math.pi / 2 else Transversal.hypercycle(phi)
+
+
+@st.composite
+def c0_routes(draw):
+    """Routes for the differential test: random walks in profile
+    coordinates with over-steep steps, noisy levels with bound violations,
+    uniform-grid constant and pencil routes, each optionally shifted in t,
+    with pinned runs at either end, and a tolerance that may sit within a
+    few ulps of one pair's slack."""
+    phi = draw(st.one_of(st.just(math.pi / 2), st.floats(0.2, 1.4)))
+    tr = _transversal(phi)
+    b = tr.curvature_bound
+    n = draw(st.integers(2, 60))
+    shift = draw(st.sampled_from([-40.0, 0.0, 40.0]))
+    family = draw(st.sampled_from(["walk", "jump", "noise", "constant", "pencil"]))
+    if family == "pencil":
+        tr, b = Transversal.geodesic(), 1.0
+        lo, hi = draw(st.sampled_from([(-3, 3), (-3, 10), (-12, 12), (-30, 30)]))
+        t = np.linspace(lo, hi, n)
+        h = -np.tanh(t)
+        shift = 0.0
+    else:
+        if draw(st.booleans()):
+            t = np.linspace(-2.0, 2.0, n)
+        else:
+            steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+            t = np.cumsum(steps) - 2.0
+        if family == "jump":
+            # F + L t constant but for one drop: the two-sided slack fails
+            # on every pair across the drop, all equal up to rounding.
+            k = draw(st.integers(0, n - 1))
+            y = -b * t - draw(st.floats(0.0, 2.0)) * (t >= t[k])
+            h = np.array([profile_inverse(phi, v) for v in y])
+        elif family == "walk":
+            # Runs of slope exactly -b or +b make column bounds tie within
+            # rounding, in the two-sided and in the one-sided slack.
+            slope = st.one_of(
+                st.sampled_from([-b, 0.0, b]), st.floats(-1.5 * b, 1.5 * b)
+            )
+            slopes = draw(st.lists(slope, min_size=n - 1, max_size=n - 1))
+            y = np.concatenate(([0.0], np.cumsum(np.array(slopes) * np.diff(t))))
+            h = np.array([profile_inverse(phi, v) for v in y])
+        elif family == "noise":
+            levels = draw(
+                st.lists(st.floats(-1.1 * b, 1.1 * b), min_size=n, max_size=n)
+            )
+            h = np.array(levels)
+        else:
+            h = np.full(n, draw(st.floats(-0.99 * b, 0.99 * b)))
+    t = t + shift
+    lead = draw(st.integers(0, 3))
+    trail = draw(st.integers(0, 3))
+    if lead or trail:
+        before = t[0] - 0.1 * np.arange(lead, 0, -1)
+        after = t[-1] + 0.1 * np.arange(1, trail + 1)
+        t = np.concatenate((before, t, after))
+        h = np.concatenate((np.full(lead, -b), h, np.full(trail, b)))
+    route = Route(tr, t, h)
+    if draw(st.booleans()):
+        slacks = _pair_slacks(route)
+        negative = np.unique(slacks[slacks < 0])
+        if negative.size:
+            s = float(draw(st.sampled_from(negative.tolist())))
+            tol = -s + draw(st.integers(-4, 4)) * math.ulp(s)
+            route = Route(tr, t, h, tol=tol)
+    return route
+
+
+class TestValidateC0Differential:
+    """validate_c0 must match the pairwise definition float for float."""
+
+    @settings(max_examples=400)
+    @given(c0_routes())
+    def test_matches_pairwise_definition(self, route):
+        assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+    @pytest.mark.parametrize(
+        "window", [(-3, 3), (-3, 10), (-3, 12), (-12, 3), (-12, 12), (-30, 30)]
+    )
+    @pytest.mark.parametrize("n", [121, 400])
+    def test_pencil_windows(self, window, n):
+        t = np.linspace(*window, n)
+        route = geodesic_route(t, -np.tanh(t))
+        assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+    @pytest.mark.parametrize("shift", [-40.0, 0.0, 40.0])
+    @pytest.mark.parametrize("phi", [0.5, 0.9, 1.1, math.pi / 2])
+    def test_random_routes_shifted(self, phi, shift):
+        from umbilic import perturbed_invalid_route, random_valid_route
+
+        tr = _transversal(phi)
+        window = (-2.0 + shift, 2.0 + shift)
+        for seed in range(3):
+            routes = [
+                random_valid_route(tr, window=window, n=241, seed=seed),
+                perturbed_invalid_route(tr, window=window, n=241, seed=seed)[0],
+            ]
+            for route in routes:
+                assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+    @pytest.mark.parametrize("phi", [0.5, 1.1, math.pi / 2])
+    @pytest.mark.parametrize("n", [40, 60, 121, 200])
+    @pytest.mark.parametrize("drop", [0.1, 0.5, 1.0])
+    def test_two_sided_ties(self, phi, n, drop):
+        # F + L t is constant but for one drop at t = 0: the two-sided
+        # slack fails on every pair across it, all equal up to rounding,
+        # and the note must name the first pair of the exact minimum.
+        tr = _transversal(phi)
+        t = np.linspace(-2, 2, n)
+        y = -tr.curvature_bound * t - drop * (t >= 0)
+        route = Route(tr, t, np.array([profile_inverse(phi, v) for v in y]))
+        assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+    def test_constant_and_totally_geodesic_grids(self):
+        for tr in (Transversal.geodesic(), Transversal.hypercycle(0.8)):
+            for c in (-0.3, 0.0, 0.6):
+                h = np.full(300, c * tr.curvature_bound)
+                route = Route(tr, np.linspace(-30, -25, 300), h)
+                assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
 
 
 class TestValidateC1:
