@@ -28,10 +28,9 @@ from .foliation import (
     synthesize,
     verify_disjoint,
 )
-from .halfplane import TransversalKind
 from .render import Viewport, render_svg
 from .routes_io import document_to_route, dumps_document, validate_document
-from .validation import Route, validate_c0, validate_c1, validate_horocycle
+from .validation import Route, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
 
@@ -151,15 +150,9 @@ def _load_route(args) -> Route:
     return document_to_route(doc)
 
 
-def _validate_by_kind(route: Route, c1: bool = False):
-    if route.transversal.kind == TransversalKind.HOROCYCLE:
-        return validate_horocycle(route)
-    return validate_c1(route) if c1 else validate_c0(route)
-
-
 def _cmd_validate(args) -> int:
     route = _load_route(args)
-    verdict = _validate_by_kind(route, c1=args.c1)
+    verdict = validate(route, c1=args.c1)
     _print_json(_verdict_report(verdict))
     return 0 if verdict.valid else 2
 
@@ -170,10 +163,7 @@ def _cmd_leaves(args) -> int:
     print("index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus")
     from .leaves import Circle, ideal_endpoints
 
-    rows = [(t, leaf, False) for t, leaf in slice_.leaves]
-    rows += [(t, leaf, True) for t, leaf in slice_.extension_leaves]
-    rows.sort(key=lambda r: r[0])
-    for i, (t, leaf, ext) in enumerate(rows):
+    for i, (t, leaf, ext) in enumerate(slice_.all_entries()):
         ends = ideal_endpoints(leaf)
         if isinstance(leaf.shape, Circle):
             s = leaf.shape

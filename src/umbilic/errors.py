@@ -9,10 +9,6 @@ class DomainError(GeometryError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class DegenerateInputError(GeometryError):
-    """Input is degenerate: coincident endpoints, vanishing determinant, etc."""
-
-
 class NotALeafError(GeometryError):
     """The requested circle or line cannot bound a leaf in the upper half-plane."""
 

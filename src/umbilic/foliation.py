@@ -13,16 +13,13 @@ from .leaves import (
     Circle,
     Leaf,
     Line,
+    _geodesic_slack,
+    _hypercycle_slack,
     carrier_contact,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
 )
-from .validation import (
-    Route,
-    profile_inverse,
-    validate_c0,
-    validate_horocycle,
-)
+from .validation import Route, _effective_phi, profile_inverse, validate
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,14 @@ class FoliationSlice:
     transversal: Transversal
     leaves: tuple[tuple[float, Leaf], ...]
     extension_leaves: tuple[tuple[float, Leaf], ...] = ()
-    audit: DisjointnessReport | None = None
 
-    def all_entries(self) -> tuple[tuple[float, Leaf], ...]:
-        return tuple(sorted(self.leaves + self.extension_leaves, key=lambda e: e[0]))
+    def all_entries(self) -> list[tuple[float, Leaf, bool]]:
+        """Every leaf as ``(t, leaf, is_extension)`` in t order, sampled
+        leaves first on ties."""
+        tagged = [(t, leaf, False) for t, leaf in self.leaves]
+        tagged += [(t, leaf, True) for t, leaf in self.extension_leaves]
+        tagged.sort(key=lambda e: e[0])
+        return tagged
 
 
 def synthesize(route: Route, force: bool = False) -> FoliationSlice:
@@ -67,21 +68,13 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
     rejected with the verdict attached unless ``force`` is set, in which
     case the (self-intersecting) family is built anyway for diagnostics.
     """
-    kind = route.transversal.kind
-    if kind == TransversalKind.HOROCYCLE:
-        verdict = validate_horocycle(route)
-        if not verdict.valid and not force:
-            raise InvalidRouteError(
-                "route failed horocycle validation", verdict=verdict
-            )
-        return FoliationSlice(
-            route.transversal, _horocycle_leaves(route), audit=None
-        )
-
     if not force:
-        verdict = validate_c0(route)
+        verdict = validate(route)
         if not verdict.valid:
             raise InvalidRouteError("route failed validation", verdict=verdict)
+    kind = route.transversal.kind
+    if kind == TransversalKind.HOROCYCLE:
+        return FoliationSlice(route.transversal, _horocycle_leaves(route))
 
     bound = route.transversal.curvature_bound
     if np.any(np.abs(route.h) > bound + route.tol):
@@ -102,7 +95,7 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
             entries.append(
                 (float(t), leaf_orthogonal_to_hypercycle(phi, s, math.acos(-h)))
             )
-    return FoliationSlice(route.transversal, tuple(entries), audit=None)
+    return FoliationSlice(route.transversal, tuple(entries))
 
 
 def _horocycle_leaves(route: Route) -> tuple[tuple[float, Leaf], ...]:
@@ -143,9 +136,9 @@ def verify_disjoint(
     tangent = []
     pair_count = 0
     for i in range(len(entries)):
-        t1, leaf1 = entries[i]
+        t1, leaf1, _ = entries[i]
         for j in range(i + 1, len(entries)):
-            t2, leaf2 = entries[j]
+            t2, leaf2, _ = entries[j]
             pair_count += 1
             contact = carrier_contact(leaf1, leaf2, tangency_tol)
             if contact.kind == "coincident":
@@ -167,11 +160,6 @@ def verify_disjoint(
         intersecting=tuple(intersecting),
         tangent=tuple(tangent),
     )
-
-
-def attach_audit(slice_: FoliationSlice, **tolerances) -> FoliationSlice:
-    """Return the slice with a fresh audit report attached."""
-    return replace(slice_, audit=verify_disjoint(slice_, **tolerances))
 
 
 def extend_slice(
@@ -309,7 +297,7 @@ def random_valid_route(
     below the cap gives a valid route; the range used here keeps the
     profile values moderate so no sample lands on a pin by accident.
     """
-    phi_eff, L = _phi_and_bound(transversal)
+    phi_eff, L = _effective_phi(transversal), transversal.curvature_bound
     rng = np.random.default_rng(seed)
     t = np.linspace(window[0], window[1], n)
     slopes = rng.uniform(-0.8 * L, L - margin, n - 1)
@@ -332,7 +320,7 @@ def perturbed_invalid_route(
     burst pushes local slopes to L + bump, so validation must fail with a
     violating pair inside (or overlapping) that window.
     """
-    phi_eff, L = _phi_and_bound(transversal)
+    phi_eff, L = _effective_phi(transversal), transversal.curvature_bound
     rng = np.random.default_rng(seed)
     t = np.linspace(window[0], window[1], n)
     slopes = rng.uniform(-0.8 * L, L - margin, n - 1)
@@ -343,14 +331,6 @@ def perturbed_invalid_route(
     g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
     h = np.array([profile_inverse(phi_eff, y) for y in g])
     return Route(transversal, t, h), (float(t[start]), float(t[stop]))
-
-
-def _phi_and_bound(transversal: Transversal) -> tuple[float, float]:
-    if transversal.kind == TransversalKind.GEODESIC:
-        return math.pi / 2, 1.0
-    if transversal.kind == TransversalKind.HYPERCYCLE:
-        return transversal.phi, math.sin(transversal.phi)
-    raise DomainError("random routes are drawn over geodesics and hypercycles")
 
 
 @dataclass(frozen=True)
@@ -446,24 +426,3 @@ def _draw_betas(rng, lo: float, hi: float) -> tuple[float, float]:
         else:
             betas.append(rng.uniform(lo + 0.02, hi - 0.02))
     return betas[0], betas[1]
-
-
-def _geodesic_slack(s1, beta1, s2, beta2) -> float:
-    if beta2 >= math.pi - 1e-12:
-        return math.inf
-    if beta1 >= math.pi - 1e-12:
-        return -math.inf
-    return s2 * math.tan(beta2 / 2.0) - s1 * math.tan(beta1 / 2.0)
-
-
-def _hypercycle_slack(phi, s1, beta1, s2, beta2) -> float:
-    sphi = math.sin(phi)
-    line1 = sphi + math.cos(beta1) <= 1e-12
-    line2 = sphi + math.cos(beta2) <= 1e-12
-    if line1:
-        return math.inf if line2 else -math.inf
-    if line2:
-        return math.inf
-    a1 = s1 * math.cos(phi + beta1) / (sphi + math.cos(beta1))
-    a2 = s2 * math.cos(phi + beta2) / (sphi + math.cos(beta2))
-    return a1 - a2

@@ -255,11 +255,18 @@ def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) ->
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     _check_beta(beta1)
     _check_beta(beta2)
+    return _geodesic_slack(s1, beta1, s2, beta2) >= 0.0
+
+
+def _geodesic_slack(s1, beta1, s2, beta2) -> float:
+    """``s2 tan(beta2/2) - s1 tan(beta1/2)``, the gap between the right
+    ideal endpoints; +inf for a horizontal upper leaf and -inf for a
+    horizontal lower one."""
     if beta2 >= math.pi - 1e-12:
-        return True
+        return math.inf
     if beta1 >= math.pi - 1e-12:
-        return False
-    return s1 * math.tan(beta1 / 2.0) <= s2 * math.tan(beta2 / 2.0)
+        return -math.inf
+    return s2 * math.tan(beta2 / 2.0) - s1 * math.tan(beta1 / 2.0)
 
 
 def disjoint_along_hypercycle(
@@ -285,15 +292,22 @@ def disjoint_along_hypercycle(
             raise DomainError(
                 f"angle {beta!r} is not admissible for the phi={phi!r} ray"
             )
+    return _hypercycle_slack(phi, s1, beta1, s2, beta2) >= 0.0
+
+
+def _hypercycle_slack(phi, s1, beta1, s2, beta2) -> float:
+    """``a1- - a2-``, the gap between the left ideal endpoints; +inf when
+    the upper leaf is a line and -inf when only the lower one is."""
+    sphi = math.sin(phi)
     line1 = sphi + math.cos(beta1) <= 1e-12
     line2 = sphi + math.cos(beta2) <= 1e-12
     if line1:
-        return line2
+        return math.inf if line2 else -math.inf
     if line2:
-        return True
+        return math.inf
     a1 = s1 * math.cos(phi + beta1) / (sphi + math.cos(beta1))
     a2 = s2 * math.cos(phi + beta2) / (sphi + math.cos(beta2))
-    return a2 <= a1
+    return a1 - a2
 
 
 @dataclass(frozen=True)

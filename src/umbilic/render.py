@@ -18,6 +18,16 @@ from .leaves import Circle, Leaf, Line
 
 _SVG_DECIMALS = 3
 
+_BACKGROUND = "#ffffff"
+_BOUNDARY_COLOR = "#1a1a1a"
+_TRANSVERSAL_COLOR = "#b03030"
+_LEAF_COLOR = "#1f5f8b"
+_EXTENSION_COLOR = "#7aa8c4"
+_PINNED_DASH = "6,4"
+_LEAF_WIDTH = 1.5
+_TRANSVERSAL_WIDTH = 2.0
+_BOUNDARY_WIDTH = 2.0
+
 
 @dataclass(frozen=True)
 class Viewport:
@@ -49,19 +59,6 @@ class Viewport:
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         return (x - self.x_min) * self.x_scale, self.height_px - y * self.y_scale
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    background: str = "#ffffff"
-    boundary_color: str = "#1a1a1a"
-    transversal_color: str = "#b03030"
-    leaf_color: str = "#1f5f8b"
-    extension_color: str = "#7aa8c4"
-    pinned_dash: str = "6,4"
-    leaf_width: float = 1.5
-    transversal_width: float = 2.0
-    boundary_width: float = 2.0
 
 
 def _fmt(v: float) -> str:
@@ -130,11 +127,7 @@ def _transversal_path(slice_: FoliationSlice, vp: Viewport) -> str:
     return f"M {_fmt(x1)},{_fmt(y1)} L {_fmt(x2)},{_fmt(y2)}"
 
 
-def render_svg(
-    slice_: FoliationSlice,
-    viewport: Viewport | None = None,
-    style: RenderStyle | None = None,
-) -> str:
+def render_svg(slice_: FoliationSlice, viewport: Viewport | None = None) -> str:
     """Render a slice to an SVG document string.
 
     Pinned leaves (horospheres and the degenerate line leaves) are dashed,
@@ -142,7 +135,6 @@ def render_svg(
     along the bottom edge of the frame.
     """
     vp = viewport if viewport is not None else Viewport()
-    st = style if style is not None else RenderStyle()
     bound = slice_.transversal.curvature_bound
 
     parts = [
@@ -151,40 +143,33 @@ def render_svg(
         f'width="{vp.width_px}" height="{vp.height_px}" '
         f'viewBox="0 0 {vp.width_px} {vp.height_px}">',
         f'<rect class="frame" x="0" y="0" width="{vp.width_px}" '
-        f'height="{vp.height_px}" fill="{st.background}"/>',
+        f'height="{vp.height_px}" fill="{_BACKGROUND}"/>',
     ]
     bx1, by1 = vp.to_px(vp.x_min, 0.0)
     bx2, by2 = vp.to_px(vp.x_max, 0.0)
     parts.append(
         f'<line class="ideal-boundary" x1="{_fmt(bx1)}" y1="{_fmt(by1)}" '
-        f'x2="{_fmt(bx2)}" y2="{_fmt(by2)}" stroke="{st.boundary_color}" '
-        f'stroke-width="{st.boundary_width}"/>'
+        f'x2="{_fmt(bx2)}" y2="{_fmt(by2)}" stroke="{_BOUNDARY_COLOR}" '
+        f'stroke-width="{_BOUNDARY_WIDTH}"/>'
     )
     parts.append(
         f'<path class="transversal" d="{_transversal_path(slice_, vp)}" '
-        f'fill="none" stroke="{st.transversal_color}" '
-        f'stroke-width="{st.transversal_width}"/>'
+        f'fill="none" stroke="{_TRANSVERSAL_COLOR}" '
+        f'stroke-width="{_TRANSVERSAL_WIDTH}"/>'
     )
-    for t, leaf, is_ext in _ordered_leaves(slice_):
+    for _, leaf, is_ext in slice_.all_entries():
         classes = "leaf"
-        color = st.leaf_color
+        color = _LEAF_COLOR
         if is_ext:
             classes += " extension"
-            color = st.extension_color
+            color = _EXTENSION_COLOR
         dash = ""
         if bound > 0 and bound - abs(leaf.h) <= 1e-9:
             classes += " pinned"
-            dash = f' stroke-dasharray="{st.pinned_dash}"'
+            dash = f' stroke-dasharray="{_PINNED_DASH}"'
         parts.append(
             f'<path class="{classes}" d="{_leaf_path(leaf, vp)}" fill="none" '
-            f'stroke="{color}" stroke-width="{st.leaf_width}"{dash}/>'
+            f'stroke="{color}" stroke-width="{_LEAF_WIDTH}"{dash}/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _ordered_leaves(slice_: FoliationSlice):
-    tagged = [(t, leaf, False) for t, leaf in slice_.leaves]
-    tagged += [(t, leaf, True) for t, leaf in slice_.extension_leaves]
-    tagged.sort(key=lambda e: e[0])
-    return tagged

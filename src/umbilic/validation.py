@@ -37,20 +37,22 @@ _PIN_EPS = 1e-15  # |h| within this of the bound counts as exactly pinned
 _WINDOW_NOTE = "window only: behavior outside the sampled interval is unchecked"
 
 
-def lipschitz_profile(phi: float, h: float) -> float:
+def lipschitz_profile(phi: float, h):
     """The strictly decreasing profile transform F(phi, .).
 
     F(phi, h) = ln[ (sin phi - h) / (h cos phi + sqrt(1 - h^2) sin phi) ]
     on |h| < sin phi, with F(pi/2, h) = -ath(h).  Arguments at or beyond
     the bound return the divergence signal: +inf at the lower end, -inf
-    at the upper end.
+    at the upper end, as does a level so close to the lower end that the
+    denominator rounds to 0.  ``h`` may be a float or an array; the
+    result has the same shape.
     """
     b = _check_phi(phi)
-    if h >= b:
-        return -math.inf
-    if h <= -b:
-        return math.inf
-    return math.log((b - h) / (h * math.cos(phi) + math.sqrt(1.0 - h * h) * b))
+    hc = np.clip(h, -b, b)
+    with np.errstate(divide="ignore"):
+        f = np.log((b - hc) / (hc * math.cos(phi) + np.sqrt(1.0 - hc * hc) * b))
+    f = np.where(hc >= b, -math.inf, np.where(hc <= -b, math.inf, f))
+    return f if np.ndim(h) else float(f)
 
 
 def profile_inverse(phi: float, y: float) -> float:
@@ -76,7 +78,7 @@ def profile_inverse(phi: float, y: float) -> float:
     return min(max(-math.cos(beta), -b), b)
 
 
-def min_curvature_rate(phi: float, h: float) -> float:
+def min_curvature_rate(phi: float, h):
     """Lower bound on dh/dt for a differentiable valid route at level h.
 
     Equals sin(phi) / F'(h), written in closed form:
@@ -86,18 +88,20 @@ def min_curvature_rate(phi: float, h: float) -> float:
               1 - h sin phi + sqrt(1-h^2) cos phi
 
     Nonpositive on the admissible band, zero exactly at |h| = sin phi,
-    and equal to h^2 - 1 at phi = pi/2.
+    and equal to h^2 - 1 at phi = pi/2.  ``h`` may be a float or an
+    array; the result has the same shape.
     """
     b = _check_phi(phi)
-    if abs(h) > b + 1e-12:
-        raise DomainError(f"|h| must not exceed sin(phi)={b!r}, got h={h!r}")
-    h = min(max(h, -b), b)
-    if b - abs(h) <= _PIN_EPS:
-        return 0.0
-    root = math.sqrt(1.0 - h * h)
-    num = (h - b) * (h * math.cos(phi) + root * b) * root
-    den = 1.0 - h * b + root * math.cos(phi)
-    return num / den
+    worst = float(np.max(np.abs(h)))
+    if worst > b + 1e-12:
+        raise DomainError(f"|h| must not exceed sin(phi)={b!r}, got |h|={worst!r}")
+    hc = np.clip(h, -b, b)
+    root = np.sqrt(1.0 - hc * hc)
+    num = (hc - b) * (hc * math.cos(phi) + root * b) * root
+    den = 1.0 - hc * b + root * math.cos(phi)
+    # den reaches 0 only at the upper pin of the geodesic, where the rate is 0.
+    rate = np.where(b - np.abs(hc) <= _PIN_EPS, 0.0, num / np.maximum(den, 1e-300))
+    return rate if np.ndim(h) else float(rate)
 
 
 def min_angle_rate(phi: float, beta: float) -> float:
@@ -131,9 +135,9 @@ class Route:
     """Sampled curvature course along a transversal.
 
     ``t`` must be strictly increasing; ``h`` has matching length, as does
-    the optional derivative track ``dh``.  Curvature bound violations are
-    reported by the validators rather than rejected here, so diagnostic
-    routes stay representable.
+    the optional derivative track ``dh``; neither may hold nan.  Curvature
+    bound violations are reported by the validators rather than rejected
+    here, so diagnostic routes stay representable.
     """
 
     transversal: Transversal
@@ -151,12 +155,16 @@ class Route:
             raise DomainError(f"h has shape {h.shape}, expected {t.shape}")
         if not np.all(np.diff(t) > 0):
             raise DomainError("t must be strictly increasing")
+        if np.isnan(h).any():
+            raise DomainError("h must not contain nan")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "h", h)
         if self.dh is not None:
             dh = np.asarray(self.dh, dtype=float)
             if dh.shape != t.shape:
                 raise DomainError(f"dh has shape {dh.shape}, expected {t.shape}")
+            if np.isnan(dh).any():
+                raise DomainError("dh must not contain nan")
             object.__setattr__(self, "dh", dh)
         if not self.tol > 0:
             raise DomainError(f"tolerance must be positive, got {self.tol!r}")
@@ -217,30 +225,20 @@ def _classify_samples(h: np.ndarray, bound: float, tol: float):
 
 
 def detect_zones(route: Route) -> Zones:
-    """Scan the pinned runs.  Pure bookkeeping: violations of the zone
-    pattern are reported by the validators, not here."""
+    """The pinned-run boundaries of a route.  Pure bookkeeping: violations
+    of the zone pattern are reported by the validators, not here."""
     if route.transversal.kind == TransversalKind.HOROCYCLE:
         return Zones(-math.inf, math.inf)
-    bound = route.transversal.curvature_bound
-    _, low, high, _ = _classify_samples(route.h, bound, route.tol)
-    t_minus = -math.inf
-    for i in range(route.n):
-        if not low[i]:
-            break
-        t_minus = float(route.t[i])
-    t_plus = math.inf
-    for i in range(route.n - 1, -1, -1):
-        if not high[i]:
-            break
-        t_plus = float(route.t[i])
-    return Zones(t_minus, t_plus)
+    return _structure_violations(route, route.transversal.curvature_bound)[2]
 
 
 def _structure_violations(route: Route, bound: float):
     """Bound and zone-pattern violations shared by both validators.
 
-    Returns (violations, usable) where ``usable`` masks the samples that
-    take part in the interior checks.
+    Returns (violations, usable, zones) where ``usable`` masks the samples
+    that take part in the interior checks and ``zones`` bounds the leading
+    run of lows (samples before k0) and the trailing run of highs (samples
+    after k1).
     """
     t, h, tol = route.t, route.h, route.tol
     bad, low, high, interior = _classify_samples(h, bound, tol)
@@ -252,54 +250,28 @@ def _structure_violations(route: Route, bound: float):
     # Leading run of lows is legal; any low after the first non-low sample
     # forces an intersection with everything from that sample on.
     not_low = np.flatnonzero(~low)
-    if not_low.size:
-        k0 = int(not_low[0])
-        for j in np.flatnonzero(low[k0:]) + k0:
-            violations.append(
-                Violation("zone", float(t[k0]), float(t[j]), -math.inf)
-            )
+    k0 = int(not_low[0]) if not_low.size else t.size
+    for j in np.flatnonzero(low[k0:]) + k0:
+        violations.append(Violation("zone", float(t[k0]), float(t[j]), -math.inf))
     # Mirror image for the trailing run of highs.
     not_high = np.flatnonzero(~high)
-    if not_high.size:
-        k1 = int(not_high[-1])
-        for i in np.flatnonzero(high[:k1]):
-            violations.append(
-                Violation("zone", float(t[i]), float(t[k1]), -math.inf)
-            )
-    return violations, interior
-
-
-def _profile_vector(phi_eff: float, h: np.ndarray, bound: float) -> np.ndarray:
-    b = bound
-    hc = np.clip(h, -b, b)
-    out = np.empty_like(hc)
-    inner = np.abs(hc) < b
-    hi = hc[inner]
-    out[inner] = np.log(
-        (b - hi) / (hi * math.cos(phi_eff) + np.sqrt(1.0 - hi * hi) * b)
+    k1 = int(not_high[-1]) if not_high.size else -1
+    for i in np.flatnonzero(high[: max(k1, 0)]):
+        violations.append(Violation("zone", float(t[i]), float(t[k1]), -math.inf))
+    zones = Zones(
+        float(t[k0 - 1]) if k0 > 0 else -math.inf,
+        float(t[k1 + 1]) if k1 < t.size - 1 else math.inf,
     )
-    out[hc >= b] = -math.inf
-    out[hc <= -b] = math.inf
-    return out
+    return violations, interior, zones
 
 
-def _rate_vector(phi_eff: float, h: np.ndarray, bound: float) -> np.ndarray:
-    b = bound
-    hc = np.clip(h, -b, b)
-    root = np.sqrt(np.maximum(1.0 - hc * hc, 0.0))
-    num = (hc - b) * (hc * math.cos(phi_eff) + root * b) * root
-    den = 1.0 - hc * b + root * math.cos(phi_eff)
-    out = np.where(b - np.abs(hc) <= _PIN_EPS, 0.0, num / np.maximum(den, 1e-300))
-    return out
-
-
-def _effective_phi(route: Route) -> float:
-    kind = route.transversal.kind
-    if kind == TransversalKind.HOROCYCLE:
+def _effective_phi(transversal: Transversal) -> float:
+    """The angle phi of the profile transform: pi/2 on the geodesic."""
+    if transversal.kind == TransversalKind.HOROCYCLE:
         raise DomainError("horizontal transversals are handled by validate_horocycle")
-    if kind == TransversalKind.GEODESIC:
+    if transversal.kind == TransversalKind.GEODESIC:
         return math.pi / 2
-    return route.transversal.phi
+    return transversal.phi
 
 
 def validate_c0(route: Route) -> Verdict:
@@ -314,13 +286,13 @@ def validate_c0(route: Route) -> Verdict:
     rounding (the extremal families on uniform grids).  The verdict is
     bit-identical to evaluating every pair by the formula above.
     """
-    phi_eff = _effective_phi(route)
+    phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
-    violations, interior = _structure_violations(route, bound)
+    violations, interior, zones = _structure_violations(route, bound)
     worst = math.inf if not violations else min(v.slack for v in violations)
 
     tt = route.t[interior]
-    ff = _profile_vector(phi_eff, route.h[interior], bound)
+    ff = lipschitz_profile(phi_eff, route.h[interior])
     pairs, pair_worst, worst_two_sided, two_sided_at = _pair_scan(
         tt, ff, bound, route.tol
     )
@@ -340,7 +312,7 @@ def validate_c0(route: Route) -> Verdict:
     violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
     return Verdict(
         valid=not violations,
-        zones=detect_zones(route),
+        zones=zones,
         worst_slack=worst,
         violations=tuple(violations),
         notes=tuple(notes),
@@ -415,10 +387,10 @@ def validate_c1(route: Route) -> Verdict:
     Uses the supplied derivative track when present, otherwise central
     differences (one-sided at the ends).
     """
-    phi_eff = _effective_phi(route)
+    phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
     tol = route.tol
-    violations, interior = _structure_violations(route, bound)
+    violations, _, zones = _structure_violations(route, bound)
     worst = math.inf if not violations else min(v.slack for v in violations)
 
     if route.dh is not None:
@@ -431,7 +403,7 @@ def validate_c1(route: Route) -> Verdict:
         hp = np.zeros(1)
         source = "single sample, derivative taken as 0"
 
-    rhs = _rate_vector(phi_eff, route.h, bound)
+    rhs = min_curvature_rate(phi_eff, np.clip(route.h, -bound, bound))
     ok = ~(np.abs(route.h) > bound + tol)
     slack = hp - rhs
     for i in np.flatnonzero(ok & (slack < -tol)):
@@ -444,12 +416,21 @@ def validate_c1(route: Route) -> Verdict:
     violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
     return Verdict(
         valid=not violations,
-        zones=detect_zones(route),
+        zones=zones,
         worst_slack=worst,
         violations=tuple(violations),
         notes=(_WINDOW_NOTE, f"derivatives: {source}"),
         mode="c1",
     )
+
+
+def validate(route: Route, c1: bool = False) -> Verdict:
+    """The validator for the route's transversal: ``validate_horocycle``
+    over a horocycle, otherwise ``validate_c1`` if ``c1`` is set and
+    ``validate_c0`` if not."""
+    if route.transversal.kind == TransversalKind.HOROCYCLE:
+        return validate_horocycle(route)
+    return validate_c1(route) if c1 else validate_c0(route)
 
 
 def validate_horocycle(route: Route) -> Verdict:

@@ -141,7 +141,7 @@ class TestRender:
         )
         assert code == 0
         assert f"wrote {out_path}: 41 leaf paths" in out
-        text = open(out_path, encoding="utf-8").read()
+        text = (tmp_path / "fig.svg").read_text(encoding="utf-8")
         assert text.startswith('<?xml version="1.0"')
         assert text.count('class="leaf') == 41
 
@@ -180,7 +180,8 @@ class TestRender:
             ],
         )
         assert code == 0
-        assert 'width="400" height="200"' in open(out_path, encoding="utf-8").read()
+        svg = (tmp_path / "fig.svg").read_text(encoding="utf-8")
+        assert 'width="400" height="200"' in svg
 
     def test_bad_viewport(self, route_file, tmp_path, capsys):
         code, _, err = run(

@@ -13,7 +13,6 @@ from umbilic import (
     Line,
     Route,
     Transversal,
-    attach_audit,
     builtin_route,
     extend_slice,
     ideal_endpoints,
@@ -45,9 +44,9 @@ class TestSynthesize:
     def test_horospherical_family_audits_clean(self):
         # All leaves are tangent at the origin, which sits on the ideal
         # boundary and therefore does not count as a contact.
-        slice_ = attach_audit(synthesize(builtin_route("horospherical", n=31)))
+        slice_ = synthesize(builtin_route("horospherical", n=31))
         assert all(l.kind is LeafKind.HOROSPHERE for _, l in slice_.leaves)
-        assert slice_.audit.clean
+        assert verify_disjoint(slice_).clean
 
     def test_constant_max_family_is_parallel_lines(self):
         slice_ = synthesize(builtin_route("custom_constant_max", n=15))
@@ -73,10 +72,11 @@ class TestSynthesize:
 
     def test_force_builds_a_dirty_family(self):
         route, window = perturbed_invalid_route(Transversal.geodesic(), seed=3)
-        slice_ = attach_audit(synthesize(route, force=True))
+        slice_ = synthesize(route, force=True)
         assert len(slice_.leaves) == route.n
-        assert not slice_.audit.clean
-        assert slice_.audit.intersecting
+        report = verify_disjoint(slice_)
+        assert not report.clean
+        assert report.intersecting
 
     def test_curvature_beyond_bound_is_unrealizable_even_forced(self):
         r = Route(Transversal.geodesic(), [0.0, 1.0], [0.0, 1.5])
@@ -210,7 +210,7 @@ class TestExtendSlice:
 
     def test_extension_spacing_defaults_to_sample_spacing(self):
         out = extend_slice(self.make_slice(n=9), 2)
-        ts = [t for t, _ in out.all_entries()]
+        ts = [t for t, _, _ in out.all_entries()]
         assert ts == sorted(ts)
         diffs = np.diff(ts)
         assert diffs == pytest.approx(np.full(12, 0.25))
@@ -275,8 +275,8 @@ class TestBuiltinRoutes:
 
     @pytest.mark.parametrize("name,tr,c", LEGAL_COMBOS)
     def test_every_builtin_synthesizes_clean(self, name, tr, c):
-        slice_ = attach_audit(synthesize(builtin_route(name, transversal=tr, c=c, n=21)))
-        assert slice_.audit.clean
+        slice_ = synthesize(builtin_route(name, transversal=tr, c=c, n=21))
+        assert verify_disjoint(slice_).clean
 
     def test_unknown_family(self):
         with pytest.raises(DomainError, match="unknown family"):
@@ -322,8 +322,7 @@ class TestRandomRoutes:
     @pytest.mark.parametrize("tr", TRANSVERSALS)
     def test_draws_synthesize_clean(self, tr):
         for seed in range(3):
-            slice_ = attach_audit(synthesize(random_valid_route(tr, seed=seed)))
-            assert slice_.audit.clean
+            assert verify_disjoint(synthesize(random_valid_route(tr, seed=seed))).clean
 
     @pytest.mark.parametrize("tr", TRANSVERSALS)
     def test_perturbed_draws_fail_inside_the_window(self, tr):

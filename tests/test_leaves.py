@@ -340,6 +340,74 @@ class TestDisjointHypercycle:
         assert oracle_overlap(l1, l2) is True
 
 
+def _reference_disjoint_geodesic(s1, beta1, s2, beta2):
+    """The predicate as an inline comparison of right endpoints."""
+    if beta2 >= math.pi - 1e-12:
+        return True
+    if beta1 >= math.pi - 1e-12:
+        return False
+    return s1 * math.tan(beta1 / 2.0) <= s2 * math.tan(beta2 / 2.0)
+
+
+def _reference_disjoint_hypercycle(phi, s1, beta1, s2, beta2):
+    """The predicate as an inline comparison of left endpoints."""
+    sphi = math.sin(phi)
+    line1 = sphi + math.cos(beta1) <= 1e-12
+    line2 = sphi + math.cos(beta2) <= 1e-12
+    if line1:
+        return line2
+    if line2:
+        return True
+    a1 = s1 * math.cos(phi + beta1) / (sphi + math.cos(beta1))
+    a2 = s2 * math.cos(phi + beta2) / (sphi + math.cos(beta2))
+    return a2 <= a1
+
+
+def _ordered_crossings():
+    return st.tuples(
+        st.floats(1e-3, 1e3, allow_nan=False),
+        st.floats(1e-3, 1e3, allow_nan=False),
+    ).filter(lambda p: p[0] != p[1]).map(sorted)
+
+
+def _range_angles(lo, hi):
+    """Angles in [lo, hi], weighted towards the ends and the line case."""
+    return st.one_of(
+        st.floats(lo, hi, allow_nan=False),
+        st.sampled_from([lo, hi, math.nextafter(hi, lo), hi - 1e-12, hi - 2e-12]),
+    )
+
+
+class TestSlackPredicatesMatchReference:
+    """The slack-based predicates against the inline comparisons."""
+
+    @given(_ordered_crossings(), _range_angles(0.0, math.pi), _range_angles(0.0, math.pi))
+    def test_geodesic(self, s, beta1, beta2):
+        s1, s2 = s
+        assert disjoint_along_geodesic(s1, beta1, s2, beta2) == (
+            _reference_disjoint_geodesic(s1, beta1, s2, beta2)
+        )
+
+    @given(_ordered_crossings(), interior_angles)
+    def test_geodesic_near_ties(self, s, beta1):
+        # beta2 puts the right endpoints within rounding of each other.
+        s1, s2 = s
+        beta2 = 2.0 * math.atan(s1 * math.tan(beta1 / 2.0) / s2)
+        assert disjoint_along_geodesic(s1, beta1, s2, beta2) == (
+            _reference_disjoint_geodesic(s1, beta1, s2, beta2)
+        )
+
+    @given(st.data(), st.floats(0.05, math.pi / 2 - 1e-3), _ordered_crossings())
+    def test_hypercycle(self, data, phi, s):
+        s1, s2 = s
+        lo, hi = math.pi / 2 - phi, math.pi / 2 + phi
+        beta1 = data.draw(_range_angles(lo, hi))
+        beta2 = data.draw(_range_angles(lo, hi))
+        assert disjoint_along_hypercycle(phi, s1, beta1, s2, beta2) == (
+            _reference_disjoint_hypercycle(phi, s1, beta1, s2, beta2)
+        )
+
+
 class TestCarrierContact:
     def test_transverse_circles_frozen(self):
         # Two axis-orthogonal leaves chosen to cross: the intersection row

@@ -7,7 +7,6 @@ from umbilic import (
     DomainError,
     FoliationSlice,
     Leaf,
-    RenderStyle,
     Transversal,
     Viewport,
     builtin_route,
@@ -132,7 +131,6 @@ class TestRenderSvg:
             assert "pinned" not in path
 
     def test_extension_leaves_get_their_own_class_and_color(self):
-        style = RenderStyle()
         slice_ = extend_slice(
             synthesize(
                 builtin_route(
@@ -141,10 +139,10 @@ class TestRenderSvg:
             ),
             2,
         )
-        svg = render_svg(slice_, style=style)
+        svg = render_svg(slice_)
         ext = [ln for ln in leaf_paths(svg) if "extension" in ln]
         assert len(ext) == 4
-        assert all(style.extension_color in ln for ln in ext)
+        assert all('stroke="#7aa8c4"' in ln for ln in ext)
 
     def test_no_negative_zero_in_output(self):
         slice_ = synthesize(builtin_route("pencil", window=(-2, 2), n=41))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from umbilic.validation import (
     Verdict,
     Violation,
     _effective_phi,
-    _profile_vector,
     _structure_violations,
 )
 
@@ -57,6 +57,27 @@ class TestProfile:
         assert lipschitz_profile(0.8, -b) == math.inf
         assert lipschitz_profile(0.8, b + 0.1) == -math.inf
         assert lipschitz_profile(0.8, -b - 0.1) == math.inf
+
+    def test_one_ulp_above_the_lower_pin(self):
+        # The denominator rounds to exactly 0 at this level.
+        phi = 0.43742266719028233
+        h = math.nextafter(-math.sin(phi), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_profile(phi, h) == math.inf
+
+    def test_arrays_keep_their_shape(self):
+        phi = 0.7
+        b = math.sin(phi)
+        h = np.array([[-b, -0.3], [0.2, b]])
+        f = lipschitz_profile(phi, h)
+        rate = min_curvature_rate(phi, h)
+        assert f.shape == rate.shape == h.shape
+        for k in np.ndindex(h.shape):
+            assert f[k] == pytest.approx(lipschitz_profile(phi, float(h[k])), abs=5e-16)
+            assert rate[k] == pytest.approx(
+                min_curvature_rate(phi, float(h[k])), abs=5e-16
+            )
 
     def test_phi_domain(self):
         with pytest.raises(DomainError):
@@ -169,6 +190,8 @@ class TestCurvatureRate:
     def test_domain(self):
         with pytest.raises(DomainError):
             min_curvature_rate(0.5, 0.9)
+        with pytest.raises(DomainError):
+            min_curvature_rate(0.5, np.array([0.0, 0.9]))
 
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_duality_with_profile(self, phi):
@@ -226,6 +249,19 @@ class TestRoute:
         with pytest.raises(DomainError):
             Route(tr, [], [])
 
+    def test_nan_level_rejected(self):
+        # A nan level would pass as an interior sample with no defined F.
+        with pytest.raises(DomainError, match="nan"):
+            Route(Transversal.geodesic(), [0.0, 1.0, 2.0], [0.1, math.nan, 0.2])
+
+    def test_nan_derivative_rejected(self):
+        # A nan derivative would compare false against every rate bound.
+        with pytest.raises(DomainError, match="nan"):
+            Route(
+                Transversal.geodesic(), [0.0, 1.0, 2.0], [0.1, 0.0, -0.1],
+                dh=[0.0, math.nan, 0.0],
+            )
+
     def test_out_of_bound_h_is_representable(self):
         # Bound violations are a validation verdict, not a constructor error.
         r = Route(Transversal.horocycle(1.0), [0.0, 1.0], [0.5, 0.5])
@@ -259,6 +295,10 @@ class TestDetectZones:
         zones = detect_zones(geodesic_route([0.0, 1.0], [0.2, 0.3]))
         assert zones.t_minus == -math.inf
         assert zones.t_plus == math.inf
+
+    def test_runs_of_one_sample(self):
+        zones = detect_zones(geodesic_route([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]))
+        assert (zones.t_minus, zones.t_plus) == (0.0, 2.0)
 
     def test_all_pinned_low(self):
         zones = detect_zones(geodesic_route([0.0, 1.0], [-1.0, -1.0]))
@@ -343,15 +383,15 @@ class TestValidateC0:
 def _reference_validate_c0(route: Route) -> Verdict:
     """The pairwise definition of validate_c0: every interior pair, one
     numpy row per first sample, O(n^2)."""
-    phi_eff = _effective_phi(route)
+    phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
     L = bound
     tol = route.tol
-    violations, interior = _structure_violations(route, bound)
+    violations, interior, _ = _structure_violations(route, bound)
     worst = math.inf if not violations else min(v.slack for v in violations)
 
     tt = route.t[interior]
-    ff = _profile_vector(phi_eff, route.h[interior], bound)
+    ff = lipschitz_profile(phi_eff, route.h[interior])
     worst_two_sided = math.inf
     two_sided_at: tuple[float, float] | None = None
     for i in range(tt.size - 1):
@@ -397,9 +437,9 @@ def _reference_validate_c0(route: Route) -> Verdict:
 def _pair_slacks(route: Route) -> np.ndarray:
     """Every interior pair's slack, by the reference formula."""
     bound = route.transversal.curvature_bound
-    _, interior = _structure_violations(route, bound)
+    _, interior, _ = _structure_violations(route, bound)
     tt = route.t[interior]
-    ff = _profile_vector(_effective_phi(route), route.h[interior], bound)
+    ff = lipschitz_profile(_effective_phi(route.transversal), route.h[interior])
     i, j = np.triu_indices(tt.size, 1)
     return bound * (tt[j] - tt[i]) - (ff[j] - ff[i])
 
