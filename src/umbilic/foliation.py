@@ -119,6 +119,19 @@ def _horocycle_leaves(route: Route) -> tuple[tuple[float, Leaf], ...]:
     return tuple(entries)
 
 
+#: Leaf pairs screened per numpy block by ``verify_disjoint``; bounds the
+#: audit's working memory at a few MB whatever the family's size.
+_AUDIT_BLOCK_CELLS = 1 << 14
+
+#: Relative slack of the screen, 512 unit roundoffs: a generous bound on
+#: how far numpy's value of each quantity the screen tests can sit from
+#: the one ``carrier_contact`` computes, relative to the pair's sizes.
+#: The two differ through ``np.hypot`` against ``math.hypot``, ``r*r``
+#: against ``r**2`` and the grouping of the crossing's height, each a few
+#: ulps, and through the rounding that follows.
+_SCREEN_SLACK = 2.0**-44
+
+
 def verify_disjoint(
     slice_: FoliationSlice,
     boundary_tol: float = 1e-9,
@@ -130,17 +143,53 @@ def verify_disjoint(
     disjointness predicates, so its verdicts are independent evidence.
     A report is clean when no pair has a transverse or tangent contact
     above the boundary (ideal tangencies at y <= boundary_tol are fine).
+
+    Each pair is intersected after scaling both leaves by 2**-k, where
+    2**k is the scale of the lower leaf: its crossing with the
+    transversal, e^(t L) rounded to a power of two (L = 1 on the
+    geodesic, sin phi on a hypercycle), or the height of a horocycle.
+    Both tolerances are therefore relative to that scale, and the verdict
+    does not change when the route is shifted in t.  Scaling by a power
+    of two is exact, so the witness points, scaled back, carry the same
+    bits as an unscaled intersection would.
+
+    Every circle pair is screened in numpy, in blocks of at most
+    ``_AUDIT_BLOCK_CELLS`` pairs.  Only the pairs the screen flags, the
+    pairs within a rounding guard of one of ``carrier_contact``'s
+    decisions, and the pairs with a line carrier go through
+    ``carrier_contact``.  So the report is, bit for bit, the one a
+    pair-by-pair loop over the scaled pairs gives.  Cost: O(n^2) numpy
+    work in blocks of bounded memory, plus O(r) Python, where r counts
+    the recomputed pairs (on most valid routes, none).
     """
     entries = slice_.all_entries()
+    n = len(entries)
+    k = _scale_exponents(slice_.transversal, [t for t, _, _ in entries])
+    # Lines enter the columns as nan, which the screen never settles.
+    shapes = [leaf.shape for _, leaf, _ in entries]
+    cx, cy, r = (
+        np.array([getattr(s, name, math.nan) for s in shapes], dtype=float)
+        for name in ("cx", "cy", "radius")
+    )
     intersecting = []
     tangent = []
-    pair_count = 0
-    for i in range(len(entries)):
-        t1, leaf1, _ = entries[i]
-        for j in range(i + 1, len(entries)):
-            t2, leaf2, _ = entries[j]
-            pair_count += 1
-            contact = carrier_contact(leaf1, leaf2, tangency_tol)
+    lo = 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, _AUDIT_BLOCK_CELLS // (n - 1 - lo)))
+        i, j = _upper_pairs(n, lo, hi)
+        e = -k[i]
+        settled = _screen(
+            *(np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r)),
+            boundary_tol,
+            tangency_tol,
+        )
+        for p in np.flatnonzero(~settled):
+            t1, leaf1, _ = entries[i[p]]
+            t2, leaf2, _ = entries[j[p]]
+            scale = int(k[i[p]])
+            contact = carrier_contact(
+                _scaled(leaf1, -scale), _scaled(leaf2, -scale), tangency_tol
+            )
             if contact.kind == "coincident":
                 intersecting.append(
                     PairContact(t1, t2, "coincident", math.nan, math.nan)
@@ -149,17 +198,89 @@ def verify_disjoint(
             upper = [(x, y) for x, y in contact.points if y > boundary_tol]
             if not upper:
                 continue
-            x, y = upper[0]
+            x, y = (math.ldexp(v, scale) for v in upper[0])
             if contact.kind == "tangent":
                 tangent.append(PairContact(t1, t2, "tangent", x, y))
             else:
                 intersecting.append(PairContact(t1, t2, "transverse", x, y))
+        lo = hi
     return DisjointnessReport(
         clean=not intersecting and not tangent,
-        pair_count=pair_count,
+        pair_count=n * (n - 1) // 2,
         intersecting=tuple(intersecting),
         tangent=tuple(tangent),
     )
+
+
+def _scale_exponents(transversal: Transversal, ts) -> np.ndarray:
+    """The power-of-two scale k of each leaf: the leaf at t crosses the
+    transversal at about 2**k."""
+    if transversal.kind == TransversalKind.HOROCYCLE:
+        return np.full(len(ts), math.frexp(transversal.height)[1], dtype=np.intc)
+    L = transversal.curvature_bound
+    return np.rint(np.asarray(ts, dtype=float) * L / math.log(2.0)).astype(np.intc)
+
+
+def _upper_pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with lo <= i < hi and i < j < n, ordered by
+    i, then j."""
+    rows = np.arange(lo, hi)
+    counts = n - 1 - rows
+    i = np.repeat(rows, counts)
+    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
+    return i, j
+
+
+def _scaled(leaf: Leaf, e: int) -> Leaf:
+    """``leaf`` scaled about the origin by 2**e, bit for bit.
+
+    The constructors are bypassed: ``Line`` would renormalise its
+    direction, and ``Leaf`` checks its carrier against absolute
+    tolerances that mean nothing at another scale.
+    """
+    s = leaf.shape
+    if isinstance(s, Circle):
+        fields = {name: math.ldexp(getattr(s, name), e) for name in ("cx", "cy", "radius")}
+    else:
+        fields = {"x0": math.ldexp(s.x0, e), "y0": math.ldexp(s.y0, e), "dx": s.dx, "dy": s.dy}
+    shape = object.__new__(type(s))
+    shape.__dict__.update(fields)
+    scaled = object.__new__(Leaf)
+    scaled.__dict__.update(shape=shape, beta=leaf.beta)
+    return scaled
+
+
+def _screen(x1, y1, r1, x2, y2, r2, boundary_tol, tol) -> np.ndarray:
+    """Which circle pairs ``carrier_contact`` certainly leaves unflagged.
+
+    Follows ``leaves._circle_circle`` step by step: not coincident, and
+    either concentric, or neither tangent nor crossing above
+    ``boundary_tol``.  A decision is settled only when numpy's value
+    clears its threshold by more than a bound on the rounding gap
+    between the two computations; nan and inf settle nothing.
+    """
+    g = _SCREEN_SLACK
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx, dy = x2 - x1, y2 - y1
+        d = np.hypot(dx, dy)
+        rdiff = np.abs(r1 - r2)
+        gap = np.minimum(np.abs(d - (r1 + r2)), np.abs(d - rdiff))
+        err_d = g * (d + r1 + r2)
+        coincident = (d <= tol + err_d) & (rdiff <= tol)
+        near_tangent = gap <= tol + err_d
+        # The chord's foot a along the centre line, and disc = r1^2 - a^2;
+        # q = (r1^2 + r2^2 + d^2) / d bounds 2|a|.
+        r1r1, r2r2, dd = r1 * r1, r2 * r2, d * d
+        a = (r1r1 - r2r2 + dd) / (2.0 * d)
+        q = (r1r1 + r2r2 + dd) / d
+        disc = r1r1 - a * a
+        err_disc = 2.0 * g * (r1r1 + q * q)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        top = y1 + (a * dy + root * np.abs(dx)) / d
+        err_top = err_disc / root + g * (np.abs(y1) + 2.0 * q + 2.0 * root)
+        apart = disc < -err_disc
+        low_crossing = (disc > err_disc) & (top < boundary_tol - err_top)
+    return ~coincident & ((d == 0.0) | (~near_tangent & (apart | low_crossing)))
 
 
 def extend_slice(
