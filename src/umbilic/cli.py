@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .errors import GeometryError, InvalidRouteError, RouteParseError
 from .foliation import (
@@ -28,8 +29,9 @@ from .foliation import (
     synthesize,
     verify_disjoint,
 )
+from .leaves import Circle, ideal_endpoints
 from .render import Viewport, render_svg
-from .routes_io import document_to_route, dumps_document, validate_document
+from .routes_io import dumps_document, load_route, validate_document
 from .validation import Route, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
@@ -107,47 +109,42 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="umbilic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_, with_file=True):
-        p = sub.add_parser(name, help=help_)
-        if with_file:
-            p.add_argument("file", help="route document (JSON)")
-        p.add_argument("--tol", type=float, default=None, help="validation tolerance")
-        return p
-
-    p = add("validate", "check a route file")
-    p.add_argument("--c1", action="store_true", help="pointwise derivative check")
-
-    p = add("leaves", "list the synthesized leaf family")
-    p.add_argument("--force", action="store_true", help="build even if invalid")
-
-    p = add("audit", "cross-check pairwise disjointness")
-    p.add_argument("--force", action="store_true", help="build even if invalid")
-
-    p = add("render", "write an SVG figure")
-    p.add_argument("--force", action="store_true", help="build even if invalid")
-    p.add_argument("--out", default="slice.svg", help="output path")
-    p.add_argument("--extend", type=int, default=0, metavar="N",
-                   help="add N extension leaves on each side (hypercycles)")
-    p.add_argument("--viewport", default=None,
-                   help="xmin,xmax,ymax,width_px,height_px")
-
-    add("examples", "list built-in families", with_file=False)
-
-    p = add("lemma-check", "predicate vs oracle agreement", with_file=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=10000)
+    p = {
+        name: sub.add_parser(name, help=help_)
+        for name, help_ in (
+            ("validate", "check a route file"),
+            ("leaves", "list the synthesized leaf family"),
+            ("audit", "cross-check pairwise disjointness"),
+            ("render", "write an SVG figure"),
+            ("examples", "list built-in families"),
+            ("lemma-check", "predicate vs oracle agreement"),
+        )
+    }
+    for name in ("validate", "leaves", "audit", "render"):
+        p[name].add_argument("file", help="route document (JSON)")
+        p[name].add_argument("--tol", type=float, default=None, help="route tolerance")
+    for name in ("leaves", "audit", "render"):
+        p[name].add_argument("--force", action="store_true",
+                             help="build even if invalid")
+    p["validate"].add_argument("--c1", action="store_true",
+                               help="pointwise derivative check")
+    p["render"].add_argument("--out", default="slice.svg", help="output path")
+    p["render"].add_argument("--extend", type=int, default=0, metavar="N",
+                             help="add N extension leaves on each side (hypercycles)")
+    p["render"].add_argument("--viewport", default=None,
+                             help="xmin,xmax,ymax,width_px,height_px")
+    p["lemma-check"].add_argument("--seed", type=int, default=0)
+    p["lemma-check"].add_argument("--n", type=int, default=10000)
     return parser
 
 
 def _load_route(args) -> Route:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        doc = validate_document(json.load(fh))
-    if args.tol is not None:
-        if not args.tol > 0:
-            raise _UsageError(f"--tol must be positive, got {args.tol}")
-        doc["tol"] = args.tol
-    return document_to_route(doc)
+    route = load_route(args.file)
+    if args.tol is None:
+        return route
+    if not args.tol > 0:
+        raise _UsageError(f"--tol must be positive, got {args.tol}")
+    return replace(route, tol=args.tol)
 
 
 def _cmd_validate(args) -> int:
@@ -161,15 +158,12 @@ def _cmd_leaves(args) -> int:
     route = _load_route(args)
     slice_ = synthesize(route, force=args.force)
     print("index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus")
-    from .leaves import Circle, ideal_endpoints
-
     for i, (t, leaf, ext) in enumerate(slice_.all_entries()):
         ends = ideal_endpoints(leaf)
-        if isinstance(leaf.shape, Circle):
-            s = leaf.shape
+        s = leaf.shape
+        if isinstance(s, Circle):
             shape = f"circle {s.cx:.12g} {s.cy:.12g} {s.radius:.12g}"
         else:
-            s = leaf.shape
             shape = f"line {s.x0:.12g} {s.y0:.12g} {s.dx:.12g} {s.dy:.12g}"
         print(
             f"{i}\t{t:.12g}\t{leaf.kind.value}\t{leaf.beta:.12g}\t"
@@ -264,9 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"umbilic: {exc}", file=sys.stderr)
-        return 1
     except InvalidRouteError as exc:
         print(f"umbilic: {exc}", file=sys.stderr)
         if exc.verdict is not None:
@@ -275,10 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except RouteParseError as exc:
         print(f"umbilic: route file invalid: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"umbilic: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
+    except (_UsageError, OSError, GeometryError) as exc:
         print(f"umbilic: {exc}", file=sys.stderr)
         return 1
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, InvalidRouteError
 from .halfplane import Transversal, TransversalKind
 from .leaves import (
+    BOUNDARY_TOL,
+    TANGENCY_TOL,
     Circle,
     Leaf,
     Line,
@@ -72,8 +75,7 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
         verdict = validate(route)
         if not verdict.valid:
             raise InvalidRouteError("route failed validation", verdict=verdict)
-    kind = route.transversal.kind
-    if kind == TransversalKind.HOROCYCLE:
+    if route.transversal.kind == TransversalKind.HOROCYCLE:
         return FoliationSlice(route.transversal, _horocycle_leaves(route))
 
     bound = route.transversal.curvature_bound
@@ -81,21 +83,24 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
         raise DomainError(
             f"curvature beyond the bound {bound!r} is not realizable by any leaf"
         )
-    hs = np.clip(route.h, -bound, bound)
-
-    entries = []
-    if kind == TransversalKind.GEODESIC:
-        for t, h in zip(route.t, hs):
-            s = math.exp(t)
-            entries.append((float(t), leaf_orthogonal_to_geodesic(s, math.acos(-h))))
-    else:
-        phi = route.transversal.phi
-        for t, h in zip(route.t, hs):
-            s = math.exp(t * math.sin(phi))
-            entries.append(
-                (float(t), leaf_orthogonal_to_hypercycle(phi, s, math.acos(-h)))
-            )
+    betas = [math.acos(-h) for h in np.clip(route.h, -bound, bound)]
+    entries = _orthogonal_leaves(route.transversal, route.t.tolist(), betas)
     return FoliationSlice(route.transversal, tuple(entries))
+
+
+def _orthogonal_leaves(
+    transversal: Transversal, ts, betas
+) -> list[tuple[float, Leaf]]:
+    """``(t, leaf)`` for each leaf crossing a geodesic or hypercycle
+    transversal orthogonally at parameter t (at s = e^(t L)), with boundary
+    angle beta.  The transversal is read once per call: its properties
+    cost more than a leaf's arithmetic."""
+    L = transversal.curvature_bound
+    if transversal.kind == TransversalKind.GEODESIC:
+        leaf = leaf_orthogonal_to_geodesic
+    else:
+        leaf = partial(leaf_orthogonal_to_hypercycle, transversal.phi)
+    return [(t, leaf(math.exp(t * L), beta)) for t, beta in zip(ts, betas)]
 
 
 def _horocycle_leaves(route: Route) -> tuple[tuple[float, Leaf], ...]:
@@ -132,17 +137,14 @@ _AUDIT_BLOCK_CELLS = 1 << 14
 _SCREEN_SLACK = 2.0**-44
 
 
-def verify_disjoint(
-    slice_: FoliationSlice,
-    boundary_tol: float = 1e-9,
-    tangency_tol: float = 1e-9,
-) -> DisjointnessReport:
+def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     """Check every leaf pair of the slice by direct carrier intersection.
 
     This is the audit route: it never consults the closed-form
     disjointness predicates, so its verdicts are independent evidence.
     A report is clean when no pair has a transverse or tangent contact
-    above the boundary (ideal tangencies at y <= boundary_tol are fine).
+    above the boundary (ideal tangencies at y <= ``leaves.BOUNDARY_TOL``
+    are fine); gaps up to ``leaves.TANGENCY_TOL`` count as tangencies.
 
     Each pair is intersected after scaling both leaves by 2**-k, where
     2**k is the scale of the lower leaf: its crossing with the
@@ -179,23 +181,19 @@ def verify_disjoint(
         i, j = _upper_pairs(n, lo, hi)
         e = -k[i]
         settled = _screen(
-            *(np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r)),
-            boundary_tol,
-            tangency_tol,
+            *(np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r))
         )
         for p in np.flatnonzero(~settled):
             t1, leaf1, _ = entries[i[p]]
             t2, leaf2, _ = entries[j[p]]
             scale = int(k[i[p]])
-            contact = carrier_contact(
-                _scaled(leaf1, -scale), _scaled(leaf2, -scale), tangency_tol
-            )
+            contact = carrier_contact(_scaled(leaf1, -scale), _scaled(leaf2, -scale))
             if contact.kind == "coincident":
                 intersecting.append(
                     PairContact(t1, t2, "coincident", math.nan, math.nan)
                 )
                 continue
-            upper = [(x, y) for x, y in contact.points if y > boundary_tol]
+            upper = [(x, y) for x, y in contact.points if y > BOUNDARY_TOL]
             if not upper:
                 continue
             x, y = (math.ldexp(v, scale) for v in upper[0])
@@ -250,16 +248,16 @@ def _scaled(leaf: Leaf, e: int) -> Leaf:
     return scaled
 
 
-def _screen(x1, y1, r1, x2, y2, r2, boundary_tol, tol) -> np.ndarray:
+def _screen(x1, y1, r1, x2, y2, r2) -> np.ndarray:
     """Which circle pairs ``carrier_contact`` certainly leaves unflagged.
 
     Follows ``leaves._circle_circle`` step by step: not coincident, and
     either concentric, or neither tangent nor crossing above
-    ``boundary_tol``.  A decision is settled only when numpy's value
+    ``BOUNDARY_TOL``.  A decision is settled only when numpy's value
     clears its threshold by more than a bound on the rounding gap
     between the two computations; nan and inf settle nothing.
     """
-    g = _SCREEN_SLACK
+    g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx, dy = x2 - x1, y2 - y1
         d = np.hypot(dx, dy)
@@ -279,7 +277,7 @@ def _screen(x1, y1, r1, x2, y2, r2, boundary_tol, tol) -> np.ndarray:
         top = y1 + (a * dy + root * np.abs(dx)) / d
         err_top = err_disc / root + g * (np.abs(y1) + 2.0 * q + 2.0 * root)
         apart = disc < -err_disc
-        low_crossing = (disc > err_disc) & (top < boundary_tol - err_top)
+        low_crossing = (disc > err_disc) & (top < BOUNDARY_TOL - err_top)
     return ~coincident & ((d == 0.0) | (~near_tangent & (apart | low_crossing)))
 
 
@@ -312,7 +310,6 @@ def extend_slice(
         raise DomainError(
             "only hypercycle slices leave residual regions to extend into"
         )
-    phi = slice_.transversal.phi
     ts = [t for t, _ in slice_.leaves]
     if step is None:
         step = float(np.median(np.diff(ts))) if len(ts) > 1 else 0.5
@@ -321,18 +318,13 @@ def extend_slice(
 
     t_lo, leaf_lo = slice_.leaves[0]
     t_hi, leaf_hi = slice_.leaves[-1]
-    added = []
+    new_ts, betas = [], []
     for k in range(1, count + 1):
-        t = t_lo - k * step
-        s = math.exp(t * math.sin(phi))
-        added.append((t, leaf_orthogonal_to_hypercycle(phi, s, leaf_lo.beta)))
-        t = t_hi + k * step
-        s = math.exp(t * math.sin(phi))
-        added.append((t, leaf_orthogonal_to_hypercycle(phi, s, leaf_hi.beta)))
+        new_ts += [t_lo - k * step, t_hi + k * step]
+        betas += [leaf_lo.beta, leaf_hi.beta]
+    added = _orthogonal_leaves(slice_.transversal, new_ts, betas)
     added.sort(key=lambda e: e[0])
-    return replace(
-        slice_, extension_leaves=slice_.extension_leaves + tuple(added)
-    )
+    return replace(slice_, extension_leaves=slice_.extension_leaves + tuple(added))
 
 
 #: Built-in closed-form families, by name.
@@ -375,15 +367,14 @@ def builtin_route(
     tr = transversal if transversal is not None else Transversal.geodesic()
     bound = tr.curvature_bound
     t = np.linspace(window[0], window[1], n)
+    dh = np.zeros(n)
 
     if name == "totally_geodesic":
         h = np.zeros(n)
-        dh = np.zeros(n)
     elif name == "horospherical":
         if tr.kind != TransversalKind.GEODESIC:
             raise DomainError("the horospherical family lives on the geodesic")
         h = np.full(n, -1.0)
-        dh = np.zeros(n)
     elif name == "pencil":
         if tr.kind != TransversalKind.GEODESIC:
             raise DomainError("the pencil family lives on the geodesic")
@@ -397,10 +388,8 @@ def builtin_route(
                 f"constant level {c!r} exceeds the curvature bound {bound!r}"
             )
         h = np.full(n, float(c))
-        dh = np.zeros(n)
     else:  # custom_constant_max
         h = np.full(n, bound)
-        dh = np.zeros(n)
     return Route(tr, t, h, dh=dh, tol=tol)
 
 
@@ -418,13 +407,7 @@ def random_valid_route(
     below the cap gives a valid route; the range used here keeps the
     profile values moderate so no sample lands on a pin by accident.
     """
-    phi_eff, L = _effective_phi(transversal), transversal.curvature_bound
-    rng = np.random.default_rng(seed)
-    t = np.linspace(window[0], window[1], n)
-    slopes = rng.uniform(-0.8 * L, L - margin, n - 1)
-    g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
-    h = np.array([profile_inverse(phi_eff, y) for y in g])
-    return Route(transversal, t, h)
+    return _drawn_route(transversal, window, n, margin, seed, None)[0]
 
 
 def perturbed_invalid_route(
@@ -441,17 +424,25 @@ def perturbed_invalid_route(
     burst pushes local slopes to L + bump, so validation must fail with a
     violating pair inside (or overlapping) that window.
     """
+    return _drawn_route(transversal, window, n, margin, seed, bump)
+
+
+def _drawn_route(transversal, window, n, margin, seed, bump):
+    """The drawers' body: the route, and the burst window when ``bump`` is
+    set.  Draws the slopes, the burst's start and length, then the offset."""
     phi_eff, L = _effective_phi(transversal), transversal.curvature_bound
     rng = np.random.default_rng(seed)
     t = np.linspace(window[0], window[1], n)
     slopes = rng.uniform(-0.8 * L, L - margin, n - 1)
-    start = int(rng.integers(n // 4, n // 2))
-    length = int(rng.integers(2, 6))
-    stop = min(start + length, n - 1)
-    slopes[start:stop] = L + bump
+    burst = None
+    if bump is not None:
+        start = int(rng.integers(n // 4, n // 2))
+        stop = min(start + int(rng.integers(2, 6)), n - 1)
+        slopes[start:stop] = L + bump
+        burst = (float(t[start]), float(t[stop]))
     g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
     h = np.array([profile_inverse(phi_eff, y) for y in g])
-    return Route(transversal, t, h), (float(t[start]), float(t[stop]))
+    return Route(transversal, t, h), burst
 
 
 @dataclass(frozen=True)
@@ -467,23 +458,22 @@ class AgreementStats:
     mismatches: tuple[tuple, ...]
 
 
+#: Sweep pairs whose predicate slack lies within this of 0 are too close
+#: to tangency for float arithmetic to decide, and are skipped.
+_SLACK_MARGIN = 1e-7
+
+
 def run_disjointness_agreement(
-    family: str,
-    n: int = 10000,
-    seed: int = 0,
-    slack_margin: float = 1e-7,
-    tangency_tol: float = 1e-9,
+    family: str, n: int = 10000, seed: int = 0
 ) -> AgreementStats:
     """Compare a closed-form disjointness predicate against the direct
     carrier-intersection oracle on random admissible leaf pairs.
 
-    Tuples whose predicate slack falls inside ``slack_margin`` (too close
-    to tangency for float arithmetic to mean anything) and tuples the
-    oracle itself flags as tangent are skipped; everything else must
-    agree exactly.
+    The predicates read ``slack >= 0`` past their domain checks, which
+    every draw passes.  Tuples whose slack falls inside ``_SLACK_MARGIN``
+    and tuples the oracle itself flags as tangent are skipped; everything
+    else must agree exactly.
     """
-    from .leaves import disjoint_along_geodesic, disjoint_along_hypercycle
-
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
     rng = np.random.default_rng(seed)
@@ -495,7 +485,6 @@ def run_disjointness_agreement(
         if family == "geodesic":
             beta1, beta2 = _draw_betas(rng, 0.0, math.pi)
             slack = _geodesic_slack(s1, beta1, s2, beta2)
-            predicted = disjoint_along_geodesic(s1, beta1, s2, beta2)
             leaf1 = leaf_orthogonal_to_geodesic(s1, beta1)
             leaf2 = leaf_orthogonal_to_geodesic(s2, beta2)
             params = (s1, beta1, s2, beta2)
@@ -505,23 +494,21 @@ def run_disjointness_agreement(
                 rng, math.pi / 2 - phi, math.pi / 2 + phi
             )
             slack = _hypercycle_slack(phi, s1, beta1, s2, beta2)
-            predicted = disjoint_along_hypercycle(phi, s1, beta1, s2, beta2)
             leaf1 = leaf_orthogonal_to_hypercycle(phi, s1, beta1)
             leaf2 = leaf_orthogonal_to_hypercycle(phi, s2, beta2)
             params = (phi, s1, beta1, s2, beta2)
-        if math.isfinite(slack) and abs(slack) < slack_margin:
+        if math.isfinite(slack) and abs(slack) < _SLACK_MARGIN:
             skipped_margin += 1
             continue
-        contact = carrier_contact(leaf1, leaf2, tangency_tol)
+        contact = carrier_contact(leaf1, leaf2)
         if contact.kind == "tangent":
             skipped_tangent += 1
             continue
-        if contact.kind == "coincident":
-            observed = True
-        else:
-            observed = any(y > 1e-9 for _, y in contact.points)
+        observed = contact.kind == "coincident" or any(
+            y > BOUNDARY_TOL for _, y in contact.points
+        )
         compared += 1
-        if predicted == (not observed):
+        if (slack >= 0.0) == (not observed):
             agreements += 1
         else:
             mismatches.append(params)

@@ -26,6 +26,15 @@ TANGENCY_TOL = 1e-9
 #: Points with |y| at or below this sit on the ideal boundary.
 BOUNDARY_TOL = 1e-9
 
+#: Boundary angles within this of 0, pi/2 or pi take that leaf kind.
+_KIND_TOL = 1e-12
+
+#: A leaf within this of the line limit (pi - beta on the geodesic,
+#: sin phi + cos beta on a hypercycle) is a line.  The constructors and
+#: the pair slacks share it, so the predicates and the contact oracle
+#: agree on which leaves are lines.
+_LINE_TOL = 1e-12
+
 _ANGLE_MATCH_TOL = 1e-6
 
 
@@ -35,13 +44,13 @@ class LeafKind(str, Enum):
     TOTALLY_GEODESIC = "totally_geodesic"
 
 
-def classify_leaf(beta: float, tol: float = 1e-12) -> LeafKind:
+def classify_leaf(beta: float) -> LeafKind:
     """Classify a boundary angle: horosphere at 0 or pi, totally geodesic
     at pi/2, hypersphere in between."""
     _check_beta(beta)
-    if beta <= tol or beta >= math.pi - tol:
+    if beta <= _KIND_TOL or beta >= math.pi - _KIND_TOL:
         return LeafKind.HOROSPHERE
-    if abs(beta - math.pi / 2) <= tol:
+    if abs(beta - math.pi / 2) <= _KIND_TOL:
         return LeafKind.TOTALLY_GEODESIC
     return LeafKind.HYPERSPHERE
 
@@ -198,7 +207,7 @@ def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:
     if not s > 0:
         raise DomainError(f"crossing height must be positive, got {s!r}")
     _check_beta(beta)
-    if math.pi - beta <= 1e-12:
+    if math.pi - beta <= _LINE_TOL:
         return Leaf(Line(0.0, s, 1.0, 0.0), math.pi)
     radius = s / (1.0 + math.cos(beta))
     return Leaf(Circle(0.0, s - radius, radius), beta)
@@ -231,7 +240,7 @@ def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
             f"no leaf with angle {beta!r} crosses the phi={phi!r} ray orthogonally"
         )
     den = sphi + cbeta
-    if den <= 1e-12:
+    if den <= _LINE_TOL:
         return Leaf(
             Line(s * math.cos(phi), s * sphi, -sphi, math.cos(phi)), beta
         )
@@ -262,9 +271,9 @@ def _geodesic_slack(s1, beta1, s2, beta2) -> float:
     """``s2 tan(beta2/2) - s1 tan(beta1/2)``, the gap between the right
     ideal endpoints; +inf for a horizontal upper leaf and -inf for a
     horizontal lower one."""
-    if beta2 >= math.pi - 1e-12:
+    if beta2 >= math.pi - _LINE_TOL:
         return math.inf
-    if beta1 >= math.pi - 1e-12:
+    if beta1 >= math.pi - _LINE_TOL:
         return -math.inf
     return s2 * math.tan(beta2 / 2.0) - s1 * math.tan(beta1 / 2.0)
 
@@ -299,8 +308,8 @@ def _hypercycle_slack(phi, s1, beta1, s2, beta2) -> float:
     """``a1- - a2-``, the gap between the left ideal endpoints; +inf when
     the upper leaf is a line and -inf when only the lower one is."""
     sphi = math.sin(phi)
-    line1 = sphi + math.cos(beta1) <= 1e-12
-    line2 = sphi + math.cos(beta2) <= 1e-12
+    line1 = sphi + math.cos(beta1) <= _LINE_TOL
+    line2 = sphi + math.cos(beta2) <= _LINE_TOL
     if line1:
         return math.inf if line2 else -math.inf
     if line2:
@@ -323,35 +332,35 @@ class CarrierContact:
     points: tuple[tuple[float, float], ...] = ()
 
 
-def carrier_contact(
-    leaf1: Leaf, leaf2: Leaf, tangency_tol: float = TANGENCY_TOL
-) -> CarrierContact:
+def carrier_contact(leaf1: Leaf, leaf2: Leaf) -> CarrierContact:
     """Full contact analysis of two leaf carriers in the whole plane.
 
     This is the explicit geometric route, kept deliberately independent of
     the closed-form disjointness predicates so each can check the other.
+    Carriers within ``TANGENCY_TOL`` of touching count as tangent, or as
+    coincident when they also share their size and position.
     """
     s1, s2 = leaf1.shape, leaf2.shape
     if isinstance(s1, Circle) and isinstance(s2, Circle):
-        return _circle_circle(s1, s2, tangency_tol)
+        return _circle_circle(s1, s2)
     if isinstance(s1, Circle):
-        return _circle_line(s1, s2, tangency_tol)
+        return _circle_line(s1, s2)
     if isinstance(s2, Circle):
-        return _circle_line(s2, s1, tangency_tol)
-    return _line_line(s1, s2, tangency_tol)
+        return _circle_line(s2, s1)
+    return _line_line(s1, s2)
 
 
-def _circle_circle(c1: Circle, c2: Circle, tol: float) -> CarrierContact:
+def _circle_circle(c1: Circle, c2: Circle) -> CarrierContact:
     dx, dy = c2.cx - c1.cx, c2.cy - c1.cy
     d = math.hypot(dx, dy)
-    if d <= tol and abs(c1.radius - c2.radius) <= tol:
+    if d <= TANGENCY_TOL and abs(c1.radius - c2.radius) <= TANGENCY_TOL:
         return CarrierContact("coincident")
     gap = min(abs(d - (c1.radius + c2.radius)), abs(d - abs(c1.radius - c2.radius)))
     if d == 0.0:
         return CarrierContact("none")
     ux, uy = dx / d, dy / d
     a = (c1.radius**2 - c2.radius**2 + d * d) / (2.0 * d)
-    if gap <= tol:
+    if gap <= TANGENCY_TOL:
         px, py = c1.cx + a * ux, c1.cy + a * uy
         return CarrierContact("tangent", ((px, py),))
     disc = c1.radius**2 - a * a
@@ -365,13 +374,13 @@ def _circle_circle(c1: Circle, c2: Circle, tol: float) -> CarrierContact:
     )
 
 
-def _circle_line(c: Circle, ln: Line, tol: float) -> CarrierContact:
+def _circle_line(c: Circle, ln: Line) -> CarrierContact:
     # Project the center onto the line; the offset decides everything.
     relx, rely = c.cx - ln.x0, c.cy - ln.y0
     u = relx * ln.dx + rely * ln.dy
     fx, fy = ln.x0 + u * ln.dx, ln.y0 + u * ln.dy
     dist = math.hypot(c.cx - fx, c.cy - fy)
-    if abs(dist - c.radius) <= tol:
+    if abs(dist - c.radius) <= TANGENCY_TOL:
         return CarrierContact("tangent", ((fx, fy),))
     if dist >= c.radius:
         return CarrierContact("none")
@@ -385,22 +394,20 @@ def _circle_line(c: Circle, ln: Line, tol: float) -> CarrierContact:
     )
 
 
-def _line_line(l1: Line, l2: Line, tol: float) -> CarrierContact:
+def _line_line(l1: Line, l2: Line) -> CarrierContact:
     cross = l1.dx * l2.dy - l1.dy * l2.dx
     if abs(cross) <= 1e-14:
         # Parallel: separation is the cross product of the offset with the direction.
         off = (l2.x0 - l1.x0) * l1.dy - (l2.y0 - l1.y0) * l1.dx
-        if abs(off) <= tol:
+        if abs(off) <= TANGENCY_TOL:
             return CarrierContact("coincident")
         return CarrierContact("none")
     u = ((l2.x0 - l1.x0) * l2.dy - (l2.y0 - l1.y0) * l2.dx) / cross
     return CarrierContact("transverse", ((l1.x0 + u * l1.dx, l1.y0 + u * l1.dy),))
 
 
-def intersects_upper_halfplane(
-    leaf1: Leaf, leaf2: Leaf, tol: float = BOUNDARY_TOL
-) -> bool:
-    """True iff the carriers share a point with y > tol.
+def intersects_upper_halfplane(leaf1: Leaf, leaf2: Leaf) -> bool:
+    """True iff the carriers share a point with y > BOUNDARY_TOL.
 
     Coincident carriers share their whole upper arc and count as
     intersecting.  Boundary tangencies (horospheres touching at an ideal
@@ -409,4 +416,4 @@ def intersects_upper_halfplane(
     contact = carrier_contact(leaf1, leaf2)
     if contact.kind == "coincident":
         return True
-    return any(y > tol for _, y in contact.points)
+    return any(y > BOUNDARY_TOL for _, y in contact.points)

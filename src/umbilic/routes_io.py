@@ -27,6 +27,10 @@ from .validation import DEFAULT_TOL, Route
 
 SCHEMA_VERSION = "1"
 
+#: Most samples a closed-form document may ask for; bounds the arrays a
+#: document can make the library allocate.
+MAX_CLOSED_FORM_N = 10**6
+
 _ROOT_KEYS = {"transversal", "closed_form", "samples", "window", "n", "tol"}
 _TRANSVERSAL_KEYS = {"kind", "phi", "height"}
 _CLOSED_FORM_KEYS = {"name", "params"}
@@ -77,6 +81,10 @@ def validate_document(doc: Any) -> dict:
                 raise RouteParseError(f"expected an integer, got {n!r}", "n")
             if n < 2:
                 raise RouteParseError(f"need at least 2 samples, got {n}", "n")
+            if n > MAX_CLOSED_FORM_N:
+                raise RouteParseError(
+                    f"at most {MAX_CLOSED_FORM_N} samples, got {n}", "n"
+                )
             out["n"] = n
     else:
         for key in ("window", "n"):

@@ -104,26 +104,6 @@ def min_curvature_rate(phi: float, h):
     return rate if np.ndim(h) else float(rate)
 
 
-def min_angle_rate(phi: float, beta: float) -> float:
-    """The curvature rate bound expressed for the boundary angle:
-
-        (sin phi + cos beta) cos(phi + beta) / (1 + sin(phi + beta)),
-
-    which is min_curvature_rate(phi, -cos beta) / sin(beta), and -sin(beta)
-    at phi = pi/2.
-    """
-    b = _check_phi(phi)
-    if not 0.0 <= beta <= math.pi:
-        raise DomainError(f"boundary angle must lie in [0, pi], got {beta!r}")
-    if abs(math.cos(beta)) > b + 1e-12:
-        raise DomainError(f"angle {beta!r} is not admissible for phi={phi!r}")
-    den = 1.0 + math.sin(phi + beta)
-    if den <= 1e-15:
-        # Only reachable at phi = pi/2, beta = pi, where the rate is -sin(beta) = 0.
-        return 0.0
-    return (b + math.cos(beta)) * math.cos(phi + beta) / den
-
-
 def _check_phi(phi: float) -> float:
     if not 0.0 < phi <= math.pi / 2:
         raise DomainError(f"transversal angle must lie in (0, pi/2], got {phi!r}")
@@ -308,7 +288,12 @@ def validate_c0(route: Route) -> Verdict:
         )
     elif math.isfinite(worst_two_sided):
         notes.append("two-sided Lipschitz estimate also holds on this window")
+    return _verdict("c0", zones, worst, violations, notes)
 
+
+def _verdict(mode: str, zones: Zones, worst: float, violations: list, notes) -> Verdict:
+    """The validators' shared tail: violations in (t1, t2) order, with a
+    missing t2 sorting as t1, and valid when there are none."""
     violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
     return Verdict(
         valid=not violations,
@@ -316,7 +301,7 @@ def validate_c0(route: Route) -> Verdict:
         worst_slack=worst,
         violations=tuple(violations),
         notes=tuple(notes),
-        mode="c0",
+        mode=mode,
     )
 
 
@@ -412,16 +397,8 @@ def validate_c1(route: Route) -> Verdict:
         )
     if np.any(ok):
         worst = min(worst, float(slack[ok].min()))
-
-    violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
-    return Verdict(
-        valid=not violations,
-        zones=zones,
-        worst_slack=worst,
-        violations=tuple(violations),
-        notes=(_WINDOW_NOTE, f"derivatives: {source}"),
-        mode="c1",
-    )
+    notes = (_WINDOW_NOTE, f"derivatives: {source}")
+    return _verdict("c1", zones, worst, violations, notes)
 
 
 def validate(route: Route, c1: bool = False) -> Verdict:
@@ -438,20 +415,14 @@ def validate_horocycle(route: Route) -> Verdict:
     the slack at each sample is -|h(t)|."""
     if route.transversal.kind != TransversalKind.HOROCYCLE:
         raise DomainError("validate_horocycle requires a horocycle transversal")
-    tol = route.tol
     slack = -np.abs(route.h)
-    violations = tuple(
+    violations = [
         Violation("pointwise", float(route.t[i]), math.nan, float(slack[i]))
-        for i in np.flatnonzero(slack < -tol)
+        for i in np.flatnonzero(slack < -route.tol)
+    ]
+    notes = (
+        _WINDOW_NOTE,
+        "only the zero course is realizable over a horizontal transversal",
     )
-    return Verdict(
-        valid=not violations,
-        zones=Zones(-math.inf, math.inf),
-        worst_slack=float(slack.min()),
-        violations=violations,
-        notes=(
-            _WINDOW_NOTE,
-            "only the zero course is realizable over a horizontal transversal",
-        ),
-        mode="horocycle",
-    )
+    zones = Zones(-math.inf, math.inf)
+    return _verdict("horocycle", zones, float(slack.min()), violations, notes)

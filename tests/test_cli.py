@@ -203,6 +203,14 @@ class TestExamples:
         assert doc["closed_form"]["name"] == "pencil"
 
 
+class TestOptionScope:
+    @pytest.mark.parametrize("argv", [["examples"], ["lemma-check", "--n", "10"]])
+    def test_tol_is_only_for_commands_that_read_a_file(self, capsys, argv):
+        code, _, err = run(capsys, argv + ["--tol", "1"])
+        assert code == 1
+        assert "--tol" in err
+
+
 class TestLemmaCheck:
     def test_small_run_agrees(self, capsys):
         code, out, _ = run(capsys, ["lemma-check", "--n", "300", "--seed", "7"])
@@ -238,6 +246,12 @@ class TestErrorPaths:
         p.write_text("{oops", encoding="utf-8")
         code, _, err = run(capsys, ["validate", str(p)])
         assert code == 1
+
+    def test_huge_closed_form_n_is_rejected(self, route_file, capsys):
+        # Sampling 10^12 points would ask numpy for terabytes.
+        code, _, err = run(capsys, ["validate", route_file({**PENCIL, "n": 10**12})])
+        assert code == 1
+        assert "route file invalid: n:" in err
 
     def test_schema_violation_names_the_field(self, route_file, capsys):
         doc = {

@@ -412,7 +412,7 @@ def _reference_verify_disjoint(slice_, boundary_tol=1e-9, tangency_tol=1e-9):
             for index, leaf in ((i, leaf1), (j, leaf2)):
                 if (index, k) not in scaled:
                     scaled[index, k] = _scaled_leaf(leaf, -k)
-            contact = carrier_contact(scaled[i, k], scaled[j, k], tangency_tol)
+            contact = carrier_contact(scaled[i, k], scaled[j, k])
             if contact.kind == "coincident":
                 intersecting.append(
                     PairContact(t1, t2, "coincident", math.nan, math.nan)

@@ -5,7 +5,8 @@ with ``validate``, ``leaves``, ``audit`` and ``render``.  A digest covers the ex
 the full stdout (for ``render``, the SVG bytes instead of stdout, which
 names the output path).  Any change to a verdict, report, leaf table or
 figure changes a digest, so refactors that must keep outputs identical
-are checked against these.
+are checked against these.  ``examples`` and a seeded ``lemma-check``
+sweep, which read no document, are pinned the same way.
 
 To print the table for a deliberate output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -237,6 +238,23 @@ GOLDEN = {
 }
 
 
+#: Commands that read no route document, digested like the cases above.
+STANDALONE = {
+    "examples": ["examples"],
+    "lemma-check": ["lemma-check", "--n", "2000", "--seed", "0"],
+}
+
+GOLDEN_STANDALONE = {
+    "examples": "97aea8e072088d2624613f707d599baa65a9803ab2e434bfde17995d1c2a1fad",
+    "lemma-check": "8011ad32cb4be6100092c35ac782b7866598b2695b757a68fc5c864ddce16713",
+}
+
+
+def _standalone(name: str) -> str:
+    code, stdout = _run(STANDALONE[name])
+    return _digest(f"{code}\n{stdout}")
+
+
 CASES = _cases()
 
 
@@ -247,7 +265,14 @@ def test_outputs_match_golden(name):
     assert got == want
 
 
+@pytest.mark.parametrize("name", sorted(STANDALONE))
+def test_standalone_outputs_match_golden(name):
+    assert _standalone(name) == GOLDEN_STANDALONE[name]
+
+
 if __name__ == "__main__":
     for name, text in sorted(CASES.items()):
         for key, value in _outputs(name, text).items():
             print(f'    "{key}": "{value}",')
+    for name in sorted(STANDALONE):
+        print(f'    "{name}": "{_standalone(name)}",')

@@ -11,7 +11,6 @@ from umbilic import (
     Transversal,
     detect_zones,
     lipschitz_profile,
-    min_angle_rate,
     min_curvature_rate,
     profile_inverse,
     validate_c0,
@@ -205,31 +204,6 @@ class TestCurvatureRate:
             assert dF * min_curvature_rate(phi, h) == pytest.approx(
                 math.sin(phi), abs=1e-6
             )
-
-
-class TestAngleRate:
-    @pytest.mark.parametrize("phi", [0.4, 0.9, 1.3])
-    def test_matches_curvature_rate_through_the_angle(self, phi):
-        for beta in np.linspace(
-            math.pi / 2 - phi + 0.01, math.pi / 2 + phi - 0.01, 80
-        ):
-            expected = min_curvature_rate(phi, -math.cos(beta)) / math.sin(beta)
-            assert min_angle_rate(phi, beta) == pytest.approx(
-                expected, abs=1e-10, rel=1e-10
-            )
-
-    def test_geodesic_value(self):
-        for beta in np.linspace(0.05, math.pi - 0.05, 50):
-            assert min_angle_rate(math.pi / 2, beta) == pytest.approx(
-                -math.sin(beta), abs=1e-12
-            )
-
-    def test_corner_case(self):
-        assert min_angle_rate(math.pi / 2, math.pi) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            min_angle_rate(0.4, 0.1)
 
 
 class TestRoute:
