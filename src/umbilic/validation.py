@@ -44,13 +44,14 @@ def lipschitz_profile(phi: float, h):
     on |h| < sin phi, with F(pi/2, h) = -ath(h).  Arguments at or beyond
     the bound return the divergence signal: +inf at the lower end, -inf
     at the upper end, as does a level so close to the lower end that the
-    denominator rounds to 0.  ``h`` may be a float or an array; the
-    result has the same shape.
+    denominator rounds to 0 or below.  ``h`` may be a float or an array;
+    the result has the same shape.
     """
     b = _check_phi(phi)
     hc = np.clip(h, -b, b)
+    den = hc * math.cos(phi) + np.sqrt(1.0 - hc * hc) * b
     with np.errstate(divide="ignore"):
-        f = np.log((b - hc) / (hc * math.cos(phi) + np.sqrt(1.0 - hc * hc) * b))
+        f = np.log((b - hc) / np.where(den > 0.0, den, 0.0))
     f = np.where(hc >= b, -math.inf, np.where(hc <= -b, math.inf, f))
     return f if np.ndim(h) else float(f)
 

@@ -65,6 +65,17 @@ class TestProfile:
             warnings.simplefilter("error")
             assert lipschitz_profile(phi, h) == math.inf
 
+    def test_lower_pin_where_the_denominator_rounds_negative(self):
+        # sin(phi) rounds to 1, so at h = -1 the denominator is -cos(phi).
+        phi = math.nextafter(math.pi / 2, 0.0)
+        h = np.array([-1.0, math.nextafter(-1.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_profile(phi, -1.0) == math.inf
+            f = lipschitz_profile(phi, h)
+        assert f[0] == math.inf
+        assert not np.isnan(f).any()
+
     def test_arrays_keep_their_shape(self):
         phi = 0.7
         b = math.sin(phi)
