@@ -17,7 +17,6 @@ from .halfplane import (
     HPoint,
     Transversal,
     TransversalKind,
-    ath,
     hyperbolic_distance,
 )
 from .leaves import (
@@ -27,24 +26,21 @@ from .leaves import (
     Leaf,
     LeafKind,
     Line,
-    angle_from_mean_curvature,
     carrier_contact,
     classify_leaf,
     disjoint_along_geodesic,
     disjoint_along_hypercycle,
     equidistant_offset,
     ideal_endpoints,
-    intersects_upper_halfplane,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
-    mean_curvature_from_angle,
+    upper_contact,
 )
 from .validation import (
     Route,
     Verdict,
     Violation,
     Zones,
-    detect_zones,
     lipschitz_profile,
     min_curvature_rate,
     profile_inverse,
@@ -104,12 +100,9 @@ __all__ = [
     "Viewport",
     "Violation",
     "Zones",
-    "angle_from_mean_curvature",
-    "ath",
     "builtin_route",
     "carrier_contact",
     "classify_leaf",
-    "detect_zones",
     "disjoint_along_geodesic",
     "disjoint_along_hypercycle",
     "document_to_route",
@@ -118,13 +111,11 @@ __all__ = [
     "extend_slice",
     "hyperbolic_distance",
     "ideal_endpoints",
-    "intersects_upper_halfplane",
     "leaf_orthogonal_to_geodesic",
     "leaf_orthogonal_to_hypercycle",
     "lipschitz_profile",
     "load_route",
     "loads_route",
-    "mean_curvature_from_angle",
     "min_curvature_rate",
     "perturbed_invalid_route",
     "profile_inverse",
@@ -133,6 +124,7 @@ __all__ = [
     "route_to_document",
     "run_disjointness_agreement",
     "synthesize",
+    "upper_contact",
     "validate",
     "validate_c0",
     "validate_c1",

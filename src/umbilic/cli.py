@@ -31,7 +31,7 @@ from .foliation import (
 )
 from .leaves import Circle, ideal_endpoints
 from .render import Viewport, render_svg
-from .routes_io import dumps_document, load_route, validate_document
+from .routes_io import MAX_CLOSED_FORM_N, dumps_document, load_route, validate_document
 from .validation import Route, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
@@ -142,8 +142,8 @@ def _load_route(args) -> Route:
     route = load_route(args.file)
     if args.tol is None:
         return route
-    if not args.tol > 0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
     return replace(route, tol=args.tol)
 
 
@@ -195,6 +195,8 @@ def _parse_viewport(text: str) -> Viewport:
 
 
 def _cmd_render(args) -> int:
+    if args.extend > MAX_CLOSED_FORM_N:
+        raise _UsageError(f"--extend is capped at {MAX_CLOSED_FORM_N}, got {args.extend}")
     route = _load_route(args)
     slice_ = synthesize(route, force=args.force)
     if args.extend:
@@ -226,6 +228,8 @@ def _cmd_examples(args) -> int:
 def _cmd_lemma_check(args) -> int:
     if args.n <= 0:
         raise _UsageError(f"--n must be positive, got {args.n}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must not be negative, got {args.seed}")
     all_ok = True
     for family in ("geodesic", "hypercycle"):
         stats = run_disjointness_agreement(family, n=args.n, seed=args.seed)

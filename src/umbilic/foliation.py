@@ -21,6 +21,7 @@ from .leaves import (
     carrier_contact,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
+    upper_contact,
 )
 from .validation import Route, _effective_phi, profile_inverse, validate
 
@@ -142,9 +143,9 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
 
     This is the audit route: it never consults the closed-form
     disjointness predicates, so its verdicts are independent evidence.
-    A report is clean when no pair has a transverse or tangent contact
-    above the boundary (ideal tangencies at y <= ``leaves.BOUNDARY_TOL``
-    are fine); gaps up to ``leaves.TANGENCY_TOL`` count as tangencies.
+    A report is clean when no pair has a contact above the boundary, by
+    ``leaves.upper_contact`` (ideal tangencies are fine); gaps up to
+    ``leaves.TANGENCY_TOL`` count as tangencies.
 
     Each pair is intersected after scaling both leaves by 2**-k, where
     2**k is the scale of the lower leaf: its crossing with the
@@ -188,19 +189,12 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
             t2, leaf2, _ = entries[j[p]]
             scale = int(k[i[p]])
             contact = carrier_contact(_scaled(leaf1, -scale), _scaled(leaf2, -scale))
-            if contact.kind == "coincident":
-                intersecting.append(
-                    PairContact(t1, t2, "coincident", math.nan, math.nan)
-                )
+            point = upper_contact(contact)
+            if point is None:
                 continue
-            upper = [(x, y) for x, y in contact.points if y > BOUNDARY_TOL]
-            if not upper:
-                continue
-            x, y = (math.ldexp(v, scale) for v in upper[0])
-            if contact.kind == "tangent":
-                tangent.append(PairContact(t1, t2, "tangent", x, y))
-            else:
-                intersecting.append(PairContact(t1, t2, "transverse", x, y))
+            x, y = (math.ldexp(v, scale) for v in point)
+            flagged = tangent if contact.kind == "tangent" else intersecting
+            flagged.append(PairContact(t1, t2, contact.kind, x, y))
         lo = hi
     return DisjointnessReport(
         clean=not intersecting and not tangent,
@@ -282,10 +276,7 @@ def _screen(x1, y1, r1, x2, y2, r2) -> np.ndarray:
 
 
 def extend_slice(
-    slice_: FoliationSlice,
-    count: int,
-    step: float | None = None,
-    allow_noop: bool = False,
+    slice_: FoliationSlice, count: int, allow_noop: bool = False
 ) -> FoliationSlice:
     """Prolong a hypercycle slice past both ends of its window.
 
@@ -293,8 +284,8 @@ def extend_slice(
     regions uncovered; scaling the first and last leaves toward 0 and
     infinity fills them with equal-angle copies that stay disjoint from
     the whole family.  ``count`` leaves are added on each side, spaced
-    ``step`` apart in the route parameter (default: the median sample
-    spacing, or 0.5 for a single leaf).
+    by the median sample spacing in the route parameter (0.5 for a single
+    leaf).
 
     An empty slice is a no-op.  Geodesic and horocycle slices have no
     residual region; they raise unless ``allow_noop`` is set, in which
@@ -311,10 +302,7 @@ def extend_slice(
             "only hypercycle slices leave residual regions to extend into"
         )
     ts = [t for t, _ in slice_.leaves]
-    if step is None:
-        step = float(np.median(np.diff(ts))) if len(ts) > 1 else 0.5
-    if not step > 0:
-        raise DomainError(f"extension step must be positive, got {step!r}")
+    step = float(np.median(np.diff(ts))) if len(ts) > 1 else 0.5
 
     t_lo, leaf_lo = slice_.leaves[0]
     t_hi, leaf_hi = slice_.leaves[-1]
@@ -407,7 +395,7 @@ def random_valid_route(
     below the cap gives a valid route; the range used here keeps the
     profile values moderate so no sample lands on a pin by accident.
     """
-    return _drawn_route(transversal, window, n, margin, seed, None)[0]
+    return _drawn_route(transversal, window, n, margin, seed, burst=False)[0]
 
 
 def perturbed_invalid_route(
@@ -416,33 +404,33 @@ def perturbed_invalid_route(
     n: int = 61,
     margin: float = 1e-3,
     seed: int = 0,
-    bump: float = 0.5,
 ) -> tuple[Route, tuple[float, float]]:
     """A valid draw with one burst of over-steep profile growth injected.
 
     Returns the route and the parameter window of the injected burst; the
-    burst pushes local slopes to L + bump, so validation must fail with a
+    burst pushes local slopes to L + 0.5, so validation must fail with a
     violating pair inside (or overlapping) that window.
     """
-    return _drawn_route(transversal, window, n, margin, seed, bump)
+    return _drawn_route(transversal, window, n, margin, seed, burst=True)
 
 
-def _drawn_route(transversal, window, n, margin, seed, bump):
-    """The drawers' body: the route, and the burst window when ``bump`` is
-    set.  Draws the slopes, the burst's start and length, then the offset."""
+def _drawn_route(transversal, window, n, margin, seed, burst):
+    """The drawers' body: the route, and the burst window when ``burst``
+    is set (else None).  Draws the slopes, the burst's start and length,
+    then the offset."""
     phi_eff, L = _effective_phi(transversal), transversal.curvature_bound
     rng = np.random.default_rng(seed)
     t = np.linspace(window[0], window[1], n)
     slopes = rng.uniform(-0.8 * L, L - margin, n - 1)
-    burst = None
-    if bump is not None:
+    span = None
+    if burst:
         start = int(rng.integers(n // 4, n // 2))
         stop = min(start + int(rng.integers(2, 6)), n - 1)
-        slopes[start:stop] = L + bump
-        burst = (float(t[start]), float(t[stop]))
+        slopes[start:stop] = L + 0.5
+        span = (float(t[start]), float(t[stop]))
     g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
     h = np.array([profile_inverse(phi_eff, y) for y in g])
-    return Route(transversal, t, h), burst
+    return Route(transversal, t, h), span
 
 
 @dataclass(frozen=True)
@@ -504,11 +492,8 @@ def run_disjointness_agreement(
         if contact.kind == "tangent":
             skipped_tangent += 1
             continue
-        observed = contact.kind == "coincident" or any(
-            y > BOUNDARY_TOL for _, y in contact.points
-        )
         compared += 1
-        if (slack >= 0.0) == (not observed):
+        if (slack >= 0.0) == (upper_contact(contact) is None):
             agreements += 1
         else:
             mismatches.append(params)

@@ -16,13 +16,6 @@ from enum import Enum
 from .errors import DomainError
 
 
-def ath(t: float) -> float:
-    """Inverse hyperbolic tangent, ``ln sqrt((1+t)/(1-t))``, for |t| < 1."""
-    if not -1.0 < t < 1.0:
-        raise DomainError(f"ath is defined on (-1, 1), got {t!r}")
-    return math.atanh(t)
-
-
 @dataclass(frozen=True)
 class HPoint:
     """Interior point of the half-plane.  ``y`` must be strictly positive."""
@@ -39,7 +32,7 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     """Distance between two interior points.
 
     Computed as ``2 ash(|z - w| / (2 sqrt(y1 y2)))``, which equals
-    ``2 ath(|z - w| / |z - conj(w)|)`` but stays well conditioned for far
+    ``2 atanh(|z - w| / |z - conj(w)|)`` but stays well conditioned for far
     apart points, where that ratio rounds towards 1.  Horizontal segments
     at height y have length (gap)/y to first order; vertical segments give
     exactly ``|ln(y1/y2)|``.
@@ -61,7 +54,7 @@ class Transversal:
     * ``geodesic``        -- the positive vertical axis, ``t -> (0, e^t)``.
     * ``hypercycle(phi)`` -- the ray at angle phi from the boundary,
       ``t -> e^(t sin phi) (cos phi, sin phi)``, with phi in (0, pi/2).
-      Its points keep constant distance ath(cos phi) from the vertical axis.
+      Its points keep constant distance atanh(cos phi) from the vertical axis.
     * ``horocycle(a)``    -- the horizontal line ``t -> (t, a)`` at height
       a > 0.  Note this chart is unit-speed only at a = 1; the geodesic
       and hypercycle charts are unit-speed everywhere.

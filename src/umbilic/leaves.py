@@ -55,19 +55,6 @@ def classify_leaf(beta: float) -> LeafKind:
     return LeafKind.HYPERSPHERE
 
 
-def mean_curvature_from_angle(beta: float) -> float:
-    """h = -cos(beta) for beta in [0, pi]."""
-    _check_beta(beta)
-    return -math.cos(beta)
-
-
-def angle_from_mean_curvature(h: float) -> float:
-    """Inverse of :func:`mean_curvature_from_angle`; needs |h| <= 1."""
-    if not -1.0 <= h <= 1.0:
-        raise DomainError(f"mean curvature of a leaf satisfies |h| <= 1, got {h!r}")
-    return math.acos(-h)
-
-
 def equidistant_offset(beta: float) -> float:
     """Signed distance from a leaf with boundary angle beta to the geodesic
     sharing its ideal endpoints.
@@ -406,14 +393,14 @@ def _line_line(l1: Line, l2: Line) -> CarrierContact:
     return CarrierContact("transverse", ((l1.x0 + u * l1.dx, l1.y0 + u * l1.dy),))
 
 
-def intersects_upper_halfplane(leaf1: Leaf, leaf2: Leaf) -> bool:
-    """True iff the carriers share a point with y > BOUNDARY_TOL.
+def upper_contact(contact: CarrierContact) -> tuple[float, float] | None:
+    """The first contact point above the boundary (y > ``BOUNDARY_TOL``),
+    or None when the carriers do not meet above it.
 
-    Coincident carriers share their whole upper arc and count as
-    intersecting.  Boundary tangencies (horospheres touching at an ideal
-    point) do not.
+    Coincident carriers share their whole upper arc and count, with the
+    witness (nan, nan).  Boundary tangencies (horospheres touching at an
+    ideal point) do not count.
     """
-    contact = carrier_contact(leaf1, leaf2)
     if contact.kind == "coincident":
-        return True
-    return any(y > BOUNDARY_TOL for _, y in contact.points)
+        return math.nan, math.nan
+    return next(((x, y) for x, y in contact.points if y > BOUNDARY_TOL), None)

@@ -33,7 +33,8 @@ _BOUNDARY_WIDTH = 2.0
 class Viewport:
     """Axis-aligned window [x_min, x_max] x [0, y_max] mapped onto a
     width_px by height_px pixel canvas (y flipped, boundary at the
-    bottom edge)."""
+    bottom edge).  Both pixels-per-unit scales must be finite and
+    positive."""
 
     x_min: float = -3.0
     x_max: float = 3.0
@@ -48,6 +49,9 @@ class Viewport:
             raise DomainError(f"y_max must be positive, got {self.y_max!r}")
         if self.width_px <= 0 or self.height_px <= 0:
             raise DomainError("pixel dimensions must be positive")
+        for scale in (self.x_scale, self.y_scale):
+            if not 0 < scale < math.inf:
+                raise DomainError(f"scale must be finite and positive, got {scale!r}")
 
     @property
     def x_scale(self) -> float:

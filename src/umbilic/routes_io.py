@@ -25,8 +25,6 @@ from .foliation import BUILTIN_FAMILIES, builtin_route
 from .halfplane import Transversal, TransversalKind
 from .validation import DEFAULT_TOL, Route
 
-SCHEMA_VERSION = "1"
-
 #: Most samples a closed-form document may ask for; bounds the arrays a
 #: document can make the library allocate.
 MAX_CLOSED_FORM_N = 10**6

@@ -41,7 +41,7 @@ def lipschitz_profile(phi: float, h):
     """The strictly decreasing profile transform F(phi, .).
 
     F(phi, h) = ln[ (sin phi - h) / (h cos phi + sqrt(1 - h^2) sin phi) ]
-    on |h| < sin phi, with F(pi/2, h) = -ath(h).  Arguments at or beyond
+    on |h| < sin phi, with F(pi/2, h) = -atanh(h).  Arguments at or beyond
     the bound return the divergence signal: +inf at the lower end, -inf
     at the upper end, as does a level so close to the lower end that the
     denominator rounds to 0 or below.  ``h`` may be a float or an array;
@@ -116,9 +116,10 @@ class Route:
     """Sampled curvature course along a transversal.
 
     ``t`` must be strictly increasing; ``h`` has matching length, as does
-    the optional derivative track ``dh``; neither may hold nan.  Curvature
-    bound violations are reported by the validators rather than rejected
-    here, so diagnostic routes stay representable.
+    the optional derivative track ``dh``; neither may hold nan.  ``tol``
+    must be positive and finite.  Curvature bound violations are reported
+    by the validators rather than rejected here, so diagnostic routes stay
+    representable.
     """
 
     transversal: Transversal
@@ -147,16 +148,12 @@ class Route:
             if np.isnan(dh).any():
                 raise DomainError("dh must not contain nan")
             object.__setattr__(self, "dh", dh)
-        if not self.tol > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tol!r}")
+        if not 0 < self.tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got {self.tol!r}")
 
     @property
     def n(self) -> int:
         return int(self.t.size)
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return float(self.t[0]), float(self.t[-1])
 
 
 @dataclass(frozen=True)
@@ -203,14 +200,6 @@ def _classify_samples(h: np.ndarray, bound: float, tol: float):
     high = (~bad) & (np.abs(h - bound) <= tol)
     interior = ~(bad | low | high)
     return bad, low, high, interior
-
-
-def detect_zones(route: Route) -> Zones:
-    """The pinned-run boundaries of a route.  Pure bookkeeping: violations
-    of the zone pattern are reported by the validators, not here."""
-    if route.transversal.kind == TransversalKind.HOROCYCLE:
-        return Zones(-math.inf, math.inf)
-    return _structure_violations(route, route.transversal.curvature_bound)[2]
 
 
 def _structure_violations(route: Route, bound: float):

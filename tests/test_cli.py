@@ -30,6 +30,13 @@ TOO_STEEP = {
     ],
 }
 
+HYPERCYCLE_CONSTANT = {
+    "transversal": {"kind": "hypercycle", "phi": 0.8},
+    "closed_form": {"name": "constant", "params": {"c": 0.2}},
+    "window": [-1.0, 1.0],
+    "n": 9,
+}
+
 HOROCYCLE_FLAT = {
     "transversal": {"kind": "horocycle", "height": 1.0},
     "samples": [{"t": -1.0, "h": 0.0}, {"t": 0.0, "h": 0.0}, {"t": 1.0, "h": 0.0}],
@@ -83,6 +90,13 @@ class TestValidate:
         code, _, err = run(capsys, ["validate", "--tol", "-1", route_file(PENCIL)])
         assert code == 1
         assert "--tol" in err
+
+    def test_infinite_tol_is_a_usage_error(self, route_file, capsys):
+        # An infinite tolerance would pass every route, this steep one too.
+        code, out, err = run(capsys, ["validate", "--tol", "inf", route_file(TOO_STEEP)])
+        assert code == 1
+        assert "--tol" in err
+        assert out == ""
 
 
 class TestLeaves:
@@ -146,16 +160,10 @@ class TestRender:
         assert text.count('class="leaf') == 41
 
     def test_extend_flag(self, route_file, tmp_path, capsys):
-        doc = {
-            "transversal": {"kind": "hypercycle", "phi": 0.8},
-            "closed_form": {"name": "constant", "params": {"c": 0.2}},
-            "window": [-1.0, 1.0],
-            "n": 9,
-        }
         out_path = str(tmp_path / "fig.svg")
         code, out, _ = run(
             capsys,
-            ["render", route_file(doc), "--out", out_path, "--extend", "3"],
+            ["render", route_file(HYPERCYCLE_CONSTANT), "--out", out_path, "--extend", "3"],
         )
         assert code == 0
         assert "15 leaf paths" in out
@@ -182,6 +190,34 @@ class TestRender:
         assert code == 0
         svg = (tmp_path / "fig.svg").read_text(encoding="utf-8")
         assert 'width="400" height="200"' in svg
+
+    def test_viewport_with_infinite_scale_is_rejected(self, route_file, tmp_path, capsys):
+        out_path = tmp_path / "fig.svg"
+        code, _, err = run(
+            capsys,
+            [
+                "render", route_file(PENCIL), "--out", str(out_path),
+                "--viewport=-inf,inf,2,400,200",
+            ],
+        )
+        assert code == 1
+        assert "viewport" in err
+        assert not out_path.exists()
+
+    def test_extend_above_the_sample_cap_is_rejected(self, route_file, tmp_path, capsys):
+        # Checked before synthesis: 10^6 + 1 extension leaves a side would
+        # be 2 * 10^6 + 2 leaves.
+        out_path = tmp_path / "fig.svg"
+        code, _, err = run(
+            capsys,
+            [
+                "render", route_file(HYPERCYCLE_CONSTANT), "--out", str(out_path),
+                "--extend", str(10**6 + 1),
+            ],
+        )
+        assert code == 1
+        assert "--extend" in err
+        assert not out_path.exists()
 
     def test_bad_viewport(self, route_file, tmp_path, capsys):
         code, _, err = run(
@@ -225,6 +261,11 @@ class TestLemmaCheck:
         code, _, err = run(capsys, ["lemma-check", "--n", "0"])
         assert code == 1
         assert "--n" in err
+
+    def test_negative_seed(self, capsys):
+        code, _, err = run(capsys, ["lemma-check", "--n", "10", "--seed", "-1"])
+        assert code == 1
+        assert "--seed" in err
 
 
 class TestErrorPaths:

@@ -9,7 +9,6 @@ from umbilic import (
     DomainError,
     HPoint,
     Transversal,
-    ath,
     hyperbolic_distance,
 )
 
@@ -71,19 +70,6 @@ class TestDistance:
         assert dpr <= dpq + dqr + 1e-9
 
 
-class TestAth:
-    @given(st.floats(-4, 4, allow_nan=False))
-    def test_roundtrip(self, x):
-        # Beyond |x| ~ 4 the float image of tanh is too close to 1 for the
-        # inverse to recover 12 digits, so the contract stops there.
-        assert ath(math.tanh(x)) == pytest.approx(x, abs=1e-12, rel=1e-12)
-
-    @pytest.mark.parametrize("t", [-1.0, 1.0, 2.0, -3.5])
-    def test_domain(self, t):
-        with pytest.raises(DomainError):
-            ath(t)
-
-
 def test_hpoint_requires_positive_height():
     with pytest.raises(DomainError):
         HPoint(0.0, 0.0)
@@ -138,7 +124,7 @@ class TestTransversal:
         assert (p.x, p.y) == (0.0, math.e)
 
     def test_hypercycle_constant_distance_to_axis(self):
-        # Every point of the phi-ray is at distance ath(cos phi) from the
+        # Every point of the phi-ray is at distance atanh(cos phi) from the
         # vertical axis; the nearest axis point sits at the same radius.
         phi = 0.9
         tr = Transversal.hypercycle(phi)
@@ -159,7 +145,7 @@ class TestMobius:
         points(),
         points(),
     )
-    # Far-apart points, where the ath form of the distance lost 1e-10.
+    # Far-apart points, where the atanh form of the distance lost 1e-10.
     @example(
         0.0, 0.9204960655083392, -2.7109375, 0.0,
         HPoint(0.0, 0.001953125), HPoint(43.0, 0.03125),

@@ -5,24 +5,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from umbilic import (
+    CarrierContact,
     Circle,
     DomainError,
     Leaf,
     LeafKind,
     Line,
     NotALeafError,
-    angle_from_mean_curvature,
     carrier_contact,
     classify_leaf,
     disjoint_along_geodesic,
     disjoint_along_hypercycle,
     equidistant_offset,
     ideal_endpoints,
-    intersects_upper_halfplane,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
-    mean_curvature_from_angle,
+    upper_contact,
 )
+from umbilic.leaves import BOUNDARY_TOL
 
 # Frozen expected values for the hypercycle leaf (phi=pi/4, s=1, beta=2pi/3),
 # derived from the closed forms R = s sin(phi)/(sin(phi) + cos(beta)) etc.
@@ -37,30 +37,11 @@ FROZEN_A_MINUS = -4.663902460147014
 FROZEN_A_PLUS = 1.2496888977739187
 
 
-angles = st.floats(0.0, math.pi, allow_nan=False)
 interior_angles = st.floats(0.01, math.pi - 0.01, allow_nan=False)
 crossings = st.floats(0.05, 20.0, allow_nan=False)
 
 
 class TestAngleCurvature:
-    def test_frozen(self):
-        assert angle_from_mean_curvature(0.3) == pytest.approx(
-            1.8754889808102941, abs=1e-12
-        )
-        assert mean_curvature_from_angle(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-
-    @given(angles)
-    def test_roundtrip(self, beta):
-        assert angle_from_mean_curvature(
-            mean_curvature_from_angle(beta)
-        ) == pytest.approx(beta, abs=1e-7)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            angle_from_mean_curvature(1.5)
-        with pytest.raises(DomainError):
-            mean_curvature_from_angle(-0.1)
-
     def test_classify(self):
         assert classify_leaf(0.0) == LeafKind.HOROSPHERE
         assert classify_leaf(math.pi) == LeafKind.HOROSPHERE
@@ -71,7 +52,7 @@ class TestAngleCurvature:
 
 class TestEquidistantOffset:
     def test_frozen(self):
-        # cos(pi/3) = 1/2, so the offset is ath(1/2) = ln(3)/2.
+        # cos(pi/3) = 1/2, so the offset is atanh(1/2) = ln(3)/2.
         assert equidistant_offset(math.pi / 3) == pytest.approx(
             0.5493061443340549, abs=1e-15
         )
@@ -284,7 +265,7 @@ class TestDisjointGeodesic:
             contact = carrier_contact(l1, l2)
             if contact.kind == "tangent":
                 continue
-            observed_disjoint = not intersects_upper_halfplane(l1, l2)
+            observed_disjoint = upper_contact(contact) is None
             assert disjoint_along_geodesic(s1, b1, s2, b2) == observed_disjoint
             checked += 1
         assert checked > 2500
@@ -325,7 +306,7 @@ class TestDisjointHypercycle:
             contact = carrier_contact(l1, l2)
             if contact.kind == "tangent":
                 continue
-            observed_disjoint = not intersects_upper_halfplane(l1, l2)
+            observed_disjoint = upper_contact(contact) is None
             assert (
                 disjoint_along_hypercycle(phi, s1, b1, s2, b2) == observed_disjoint
             )
@@ -423,7 +404,7 @@ class TestCarrierContact:
         assert xs == pytest.approx(
             [-0.31523800532124437, 0.31523800532124437], abs=1e-9
         )
-        assert intersects_upper_halfplane(l1, l2) is True
+        assert upper_contact(carrier_contact(l1, l2)) is not None
 
     def test_tangent_horospheres(self):
         l1 = leaf_orthogonal_to_geodesic(1.0, 0.0)
@@ -432,13 +413,13 @@ class TestCarrierContact:
         assert contact.kind == "tangent"
         assert contact.points[0][1] == pytest.approx(0.0, abs=1e-12)
         # Boundary tangency does not count as an interior intersection.
-        assert intersects_upper_halfplane(l1, l2) is False
+        assert upper_contact(carrier_contact(l1, l2)) is None
 
     def test_coincident_circles(self):
         l1 = leaf_orthogonal_to_geodesic(1.0, 1.0)
         l2 = leaf_orthogonal_to_geodesic(1.0, 1.0)
         assert carrier_contact(l1, l2).kind == "coincident"
-        assert intersects_upper_halfplane(l1, l2) is True
+        assert upper_contact(carrier_contact(l1, l2)) is not None
 
     def test_disjoint_nested_circles(self):
         l1 = leaf_orthogonal_to_geodesic(1.0, 1.0)
@@ -458,13 +439,24 @@ class TestCarrierContact:
         l1 = leaf_orthogonal_to_geodesic(1.0, math.pi)
         l2 = leaf_orthogonal_to_geodesic(2.0, math.pi)
         assert carrier_contact(l1, l2).kind == "none"
-        assert intersects_upper_halfplane(l1, l2) is False
+        assert upper_contact(carrier_contact(l1, l2)) is None
 
     def test_coincident_lines(self):
         l1 = leaf_orthogonal_to_geodesic(1.5, math.pi)
         l2 = leaf_orthogonal_to_geodesic(1.5, math.pi)
         assert carrier_contact(l1, l2).kind == "coincident"
-        assert intersects_upper_halfplane(l1, l2) is True
+        assert upper_contact(carrier_contact(l1, l2)) is not None
+
+    def test_upper_contact_coincident_witness_is_nan(self):
+        x, y = upper_contact(CarrierContact("coincident"))
+        assert math.isnan(x) and math.isnan(y)
+
+    def test_upper_contact_is_the_first_point_above_the_boundary(self):
+        contact = CarrierContact("transverse", ((1.0, -0.5), (2.0, 0.5), (3.0, 1.0)))
+        assert upper_contact(contact) == (2.0, 0.5)
+        # A contact at BOUNDARY_TOL itself is on the boundary.
+        assert upper_contact(CarrierContact("tangent", ((0.0, BOUNDARY_TOL),))) is None
+        assert upper_contact(CarrierContact("none")) is None
 
     def test_crossing_lines(self):
         phi = 0.5

@@ -36,6 +36,18 @@ class TestViewport:
         with pytest.raises(DomainError):
             Viewport(width_px=0)
 
+    @pytest.mark.parametrize(
+        "x_min, x_max, y_max",
+        [
+            (-math.inf, math.inf, 2.0),  # x scale 0: every x maps to nan
+            (-1e308, 1e308, 2.0),  # the x span overflows to inf
+            (-2.0, 2.0, 1e-320),  # the y scale overflows to inf
+        ],
+    )
+    def test_rejects_non_finite_scales(self, x_min, x_max, y_max):
+        with pytest.raises(DomainError):
+            Viewport(x_min, x_max, y_max, 400, 200)
+
 
 def leaf_paths(svg):
     return [ln for ln in svg.splitlines() if 'class="leaf' in ln]

@@ -9,7 +9,6 @@ from umbilic import (
     DomainError,
     Route,
     Transversal,
-    detect_zones,
     lipschitz_profile,
     min_curvature_rate,
     profile_inverse,
@@ -247,6 +246,11 @@ class TestRoute:
                 dh=[0.0, math.nan, 0.0],
             )
 
+    def test_infinite_tol_rejected(self):
+        # An infinite tolerance would forgive every violation.
+        with pytest.raises(DomainError):
+            Route(Transversal.geodesic(), [0.0, 1.0], [0.9, -0.9], tol=math.inf)
+
     def test_out_of_bound_h_is_representable(self):
         # Bound violations are a validation verdict, not a constructor error.
         r = Route(Transversal.horocycle(1.0), [0.0, 1.0], [0.5, 0.5])
@@ -254,39 +258,39 @@ class TestRoute:
 
     def test_window(self):
         r = Route(Transversal.geodesic(), [-1.0, 0.0, 2.0], [0.0, 0.0, 0.0])
-        assert r.window == (-1.0, 2.0)
+        assert (r.t[0], r.t[-1]) == (-1.0, 2.0)
 
 
 def geodesic_route(t, h, **kw):
     return Route(Transversal.geodesic(), t, h, **kw)
 
 
-class TestDetectZones:
+class TestVerdictZones:
     def test_leading_low_run(self):
         t = np.array([-3.0, -2.5, -2.0, -1.0, 0.0])
         h = np.array([-1.0, -1.0, -1.0, -0.3, 0.0])
-        zones = detect_zones(geodesic_route(t, h))
+        zones = validate_c0(geodesic_route(t, h)).zones
         assert zones.t_minus == -2.0
         assert zones.t_plus == math.inf
 
     def test_trailing_high_run(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
         h = np.array([0.1, 0.5, 1.0, 1.0])
-        zones = detect_zones(geodesic_route(t, h))
+        zones = validate_c0(geodesic_route(t, h)).zones
         assert zones.t_minus == -math.inf
         assert zones.t_plus == 2.0
 
     def test_interior_only(self):
-        zones = detect_zones(geodesic_route([0.0, 1.0], [0.2, 0.3]))
+        zones = validate_c0(geodesic_route([0.0, 1.0], [0.2, 0.3])).zones
         assert zones.t_minus == -math.inf
         assert zones.t_plus == math.inf
 
     def test_runs_of_one_sample(self):
-        zones = detect_zones(geodesic_route([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]))
+        zones = validate_c0(geodesic_route([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0])).zones
         assert (zones.t_minus, zones.t_plus) == (0.0, 2.0)
 
     def test_all_pinned_low(self):
-        zones = detect_zones(geodesic_route([0.0, 1.0], [-1.0, -1.0]))
+        zones = validate_c0(geodesic_route([0.0, 1.0], [-1.0, -1.0])).zones
         assert zones.t_minus == 1.0
 
 
@@ -372,7 +376,7 @@ def _reference_validate_c0(route: Route) -> Verdict:
     bound = route.transversal.curvature_bound
     L = bound
     tol = route.tol
-    violations, interior, _ = _structure_violations(route, bound)
+    violations, interior, zones = _structure_violations(route, bound)
     worst = math.inf if not violations else min(v.slack for v in violations)
 
     tt = route.t[interior]
@@ -411,7 +415,7 @@ def _reference_validate_c0(route: Route) -> Verdict:
     violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
     return Verdict(
         valid=not violations,
-        zones=detect_zones(route),
+        zones=zones,
         worst_slack=worst,
         violations=tuple(violations),
         notes=tuple(notes),
