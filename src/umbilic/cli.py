@@ -32,7 +32,7 @@ from .foliation import (
 from .leaves import Circle, ideal_endpoints
 from .render import Viewport, render_svg
 from .routes_io import MAX_CLOSED_FORM_N, dumps_document, load_route, validate_document
-from .validation import Route, validate
+from .validation import Route, tol_limit, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
 
@@ -142,8 +142,9 @@ def _load_route(args) -> Route:
     route = load_route(args.file)
     if args.tol is None:
         return route
-    if not 0 < args.tol < math.inf:
-        raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
+    limit = tol_limit(route.transversal)
+    if not 0 < args.tol < limit:
+        raise _UsageError(f"--tol must lie in (0, {limit!r}), got {args.tol}")
     return replace(route, tol=args.tol)
 
 

@@ -18,6 +18,8 @@ from .leaves import (
     Line,
     _geodesic_slack,
     _hypercycle_slack,
+    _math_map,
+    _orthogonal_carriers,
     carrier_contact,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
@@ -125,8 +127,9 @@ def _horocycle_leaves(route: Route) -> tuple[tuple[float, Leaf], ...]:
     return tuple(entries)
 
 
-#: Leaf pairs screened per numpy block by ``verify_disjoint``; bounds the
-#: audit's working memory at a few MB whatever the family's size.
+#: Leaf pairs per numpy block of ``verify_disjoint`` and of the lemma
+#: sweep; bounds their working memory at a few MB whatever the family's
+#: size or the sweep's length.
 _AUDIT_BLOCK_CELLS = 1 << 14
 
 #: Relative slack of the screen, 512 unit roundoffs: a generous bound on
@@ -181,7 +184,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         hi = min(n - 1, lo + max(1, _AUDIT_BLOCK_CELLS // (n - 1 - lo)))
         i, j = _upper_pairs(n, lo, hi)
         e = -k[i]
-        settled = _screen(
+        settled, _ = _screen(
             *(np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r))
         )
         for p in np.flatnonzero(~settled):
@@ -242,14 +245,17 @@ def _scaled(leaf: Leaf, e: int) -> Leaf:
     return scaled
 
 
-def _screen(x1, y1, r1, x2, y2, r2) -> np.ndarray:
-    """Which circle pairs ``carrier_contact`` certainly leaves unflagged.
+def _screen(x1, y1, r1, x2, y2, r2) -> tuple[np.ndarray, np.ndarray]:
+    """Which circle pairs ``carrier_contact`` certainly leaves unflagged,
+    and which it certainly finds crossing above the boundary.
 
-    Follows ``leaves._circle_circle`` step by step: not coincident, and
-    either concentric, or neither tangent nor crossing above
-    ``BOUNDARY_TOL``.  A decision is settled only when numpy's value
-    clears its threshold by more than a bound on the rounding gap
-    between the two computations; nan and inf settle nothing.
+    Follows ``leaves._circle_circle`` step by step.  Unflagged: not
+    coincident, and either concentric, or neither tangent nor crossing
+    above ``BOUNDARY_TOL``.  Crossing: not coincident, not tangent, and
+    the higher crossing point above ``BOUNDARY_TOL``.  A decision is
+    settled only when numpy's value clears its threshold by more than a
+    bound on the rounding gap between the two computations; nan and inf
+    settle nothing.
     """
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -271,8 +277,12 @@ def _screen(x1, y1, r1, x2, y2, r2) -> np.ndarray:
         top = y1 + (a * dy + root * np.abs(dx)) / d
         err_top = err_disc / root + g * (np.abs(y1) + 2.0 * q + 2.0 * root)
         apart = disc < -err_disc
-        low_crossing = (disc > err_disc) & (top < BOUNDARY_TOL - err_top)
-    return ~coincident & ((d == 0.0) | (~near_tangent & (apart | low_crossing)))
+        crossing = disc > err_disc
+        low_crossing = crossing & (top < BOUNDARY_TOL - err_top)
+        high_crossing = crossing & (top > BOUNDARY_TOL + err_top)
+    distinct, clear = ~coincident, ~near_tangent
+    unflagged = distinct & ((d == 0.0) | (clear & (apart | low_crossing)))
+    return unflagged, distinct & clear & high_crossing
 
 
 def extend_slice(
@@ -461,61 +471,136 @@ def run_disjointness_agreement(
     every draw passes.  Tuples whose slack falls inside ``_SLACK_MARGIN``
     and tuples the oracle itself flags as tangent are skipped; everything
     else must agree exactly.
+
+    The pairs are drawn by ``_draw_blocks`` and judged a block at a time.
+    The oracle's verdict on a circle pair comes from the audit's numpy
+    ``_screen`` when the screen settles it either way; the pairs with a
+    line carrier and those within a rounding guard of one of
+    ``carrier_contact``'s decisions go through ``carrier_contact`` on the
+    leaves the constructors build.  Margin-skipped pairs never reach the
+    oracle.  Cost: O(n) numpy work in blocks of at most
+    ``_AUDIT_BLOCK_CELLS`` pairs, plus O(r) ``carrier_contact`` calls for
+    the r pairs the screen leaves open (about 8 % of the draws).
     """
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
-    rng = np.random.default_rng(seed)
-    compared = agreements = skipped_margin = skipped_tangent = 0
+    if n < 0:
+        raise DomainError(f"pair count must be nonnegative, got {n!r}")
+    compared = skipped_margin = skipped_tangent = 0
     mismatches = []
-    for _ in range(n):
-        s1 = math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
-        s2 = s1 * math.exp(rng.uniform(math.log(1.001), math.log(3.0)))
+    for params in _draw_blocks(family, n, seed):
         if family == "geodesic":
-            beta1, beta2 = _draw_betas(rng, 0.0, math.pi)
-            slack = _geodesic_slack(s1, beta1, s2, beta2)
-            leaf1 = leaf_orthogonal_to_geodesic(s1, beta1)
-            leaf2 = leaf_orthogonal_to_geodesic(s2, beta2)
-            params = (s1, beta1, s2, beta2)
+            s1, beta1, s2, beta2 = params
+            phi, slack, leaf = None, _geodesic_slack(*params), leaf_orthogonal_to_geodesic
         else:
-            phi = rng.uniform(0.1, math.pi / 2 - 0.02)
-            beta1, beta2 = _draw_betas(
-                rng, math.pi / 2 - phi, math.pi / 2 + phi
-            )
-            slack = _hypercycle_slack(phi, s1, beta1, s2, beta2)
-            leaf1 = leaf_orthogonal_to_hypercycle(phi, s1, beta1)
-            leaf2 = leaf_orthogonal_to_hypercycle(phi, s2, beta2)
-            params = (phi, s1, beta1, s2, beta2)
-        if math.isfinite(slack) and abs(slack) < _SLACK_MARGIN:
-            skipped_margin += 1
-            continue
-        contact = carrier_contact(leaf1, leaf2)
-        if contact.kind == "tangent":
-            skipped_tangent += 1
-            continue
-        compared += 1
-        if (slack >= 0.0) == (upper_contact(contact) is None):
-            agreements += 1
-        else:
-            mismatches.append(params)
+            phi, s1, beta1, s2, beta2 = params
+            slack, leaf = _hypercycle_slack(*params), leaf_orthogonal_to_hypercycle
+        margin = np.isfinite(slack) & (np.abs(slack) < _SLACK_MARGIN)
+        disjoint, crossing = _screen(
+            *_orthogonal_carriers(s1, beta1, phi), *_orthogonal_carriers(s2, beta2, phi)
+        )
+        tangent = np.zeros_like(margin)
+        open_ = np.flatnonzero(~margin & ~disjoint & ~crossing)
+        for p, (*head, a1, b1, a2, b2) in zip(
+            open_.tolist(), zip(*(col[open_].tolist() for col in params))
+        ):
+            contact = carrier_contact(leaf(*head, a1, b1), leaf(*head, a2, b2))
+            tangent[p] = contact.kind == "tangent"
+            disjoint[p] = upper_contact(contact) is None
+        judged = ~margin & ~tangent
+        wrong = np.flatnonzero(judged & ((slack >= 0.0) != disjoint))
+        compared += int(np.count_nonzero(judged))
+        skipped_margin += int(np.count_nonzero(margin))
+        skipped_tangent += int(np.count_nonzero(tangent))
+        mismatches += zip(*(col[wrong].tolist() for col in params))
     return AgreementStats(
         family=family,
         total=n,
         compared=compared,
-        agreements=agreements,
+        agreements=compared - len(mismatches),
         skipped_margin=skipped_margin,
         skipped_tangent=skipped_tangent,
         mismatches=tuple(mismatches),
     )
 
 
-def _draw_betas(rng, lo: float, hi: float) -> tuple[float, float]:
-    betas = []
-    for _ in range(2):
-        r = rng.uniform()
-        if r < 0.04:
-            betas.append(lo)
-        elif r < 0.08:
-            betas.append(hi)
+#: A sweep angle's first double picks its range's lower end below
+#: ``_PICK_LO``, its upper end below ``_PICK_HI``, and else a second
+#: double places it inside the range, 0.02 clear of both ends.
+_PICK_LO, _PICK_HI = 0.04, 0.08
+
+
+def _draw_blocks(family: str, n: int, seed: int):
+    """The sweep's n draws, as blocks of columns ``(phi,) s1, beta1, s2,
+    beta2`` of at most ``_AUDIT_BLOCK_CELLS`` pairs each.
+
+    The stream is the one a pair-by-pair loop on ``default_rng(seed)``
+    reads: log-uniform s1 in [0.2, 2] and s2 / s1 in [1.001, 3], a
+    uniform phi in [0.1, pi/2 - 0.02] on the hypercycle, then beta1 and
+    beta2, each taking one or two doubles (see ``_PICK_LO``) in
+    [0, pi] on the geodesic and [pi/2 - phi, pi/2 + phi] on the
+    hypercycle.  Raw doubles replay it (see ``_uniform``), and the
+    exponential comes from ``math``, which numpy's may differ from in the
+    last bit.  A pair takes at most ``base + 4`` doubles; what a block
+    leaves unread starts the next one, as consecutive ``rng.random``
+    calls continue one stream.
+    """
+    rng = np.random.default_rng(seed)
+    base = 2 if family == "geodesic" else 3
+    tail = np.empty(0)
+    for lo in range(0, n, _AUDIT_BLOCK_CELLS):
+        count = min(_AUDIT_BLOCK_CELLS, n - lo)
+        need = count * (base + 4) - tail.size
+        raw = np.concatenate((tail, rng.random(max(need, 0))))
+        start, end = _pair_starts(raw, base, count)
+        tail = raw[end:]
+        s1 = _math_map(math.exp, _uniform(math.log(0.2), math.log(2.0), raw[start]))
+        ratio = _math_map(math.exp, _uniform(math.log(1.001), math.log(3.0), raw[start + 1]))
+        if family == "geodesic":
+            head, ends = (), (0.0, math.pi)
         else:
-            betas.append(rng.uniform(lo + 0.02, hi - 0.02))
-    return betas[0], betas[1]
+            phi = _uniform(0.1, math.pi / 2 - 0.02, raw[start + 2])
+            head, ends = (phi,), (math.pi / 2 - phi, math.pi / 2 + phi)
+        at = start + base
+        beta1 = _angle(raw, at, *ends)
+        beta2 = _angle(raw, at + _angle_width(raw[at]), *ends)
+        yield (*head, s1, beta1, s1 * ratio, beta2)
+
+
+def _uniform(lo, hi, u):
+    """``rng.uniform(lo, hi)`` when u is the stream's next double."""
+    return lo + (hi - lo) * u
+
+
+def _angle_width(first: np.ndarray) -> np.ndarray:
+    """Doubles an angle draw takes, from its first double."""
+    return np.where(first < _PICK_HI, 1, 2)
+
+
+def _angle(raw: np.ndarray, at: np.ndarray, lo, hi) -> np.ndarray:
+    """The angles in [lo, hi] whose first double sits at ``at``."""
+    first = raw[at]
+    inside = _uniform(lo + 0.02, hi - 0.02, raw.take(at + 1, mode="clip"))
+    return np.where(first < _PICK_LO, lo, np.where(first < _PICK_HI, hi, inside))
+
+
+def _pair_starts(raw: np.ndarray, base: int, count: int) -> tuple[np.ndarray, int]:
+    """Where each of the first ``count`` pairs starts in ``raw``, and where
+    the last one ends.
+
+    ``after[p]`` is where the next pair starts if one starts at p; the
+    starts are the orbit of 0 under it, listed by pointer doubling in
+    O(m log count) numpy work on m = ``raw.size``.  Past the end of
+    ``raw``, widths read 1 and ``after`` stops at m.
+    """
+    m = raw.size
+    width = np.concatenate((_angle_width(raw), np.ones(base + 2, dtype=int)))
+    at = np.arange(base, m + base)
+    at += width[at]
+    after = np.append(np.minimum(at + width[at], m), m)
+    starts, jump = np.zeros(1, dtype=np.intp), after
+    while starts.size < count:
+        starts = np.concatenate((starts, jump[starts]))
+        jump = jump[jump]
+    starts = starts[:count]
+    return starts, int(after[starts[-1]])

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, NotALeafError
 
 #: Carrier contacts with gap below this are classified as tangencies.
@@ -235,6 +237,42 @@ def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
     return Leaf(Circle(scale * math.cos(phi), scale * sphi, s * sphi / den), beta)
 
 
+def _orthogonal_carriers(s, beta, phi=None):
+    """Columns ``(cx, cy, radius)`` of the carriers that
+    ``leaf_orthogonal_to_geodesic(s, beta)`` (``phi`` None) or
+    ``leaf_orthogonal_to_hypercycle(phi, s, beta)`` builds, for arrays
+    ``s``, ``beta`` and ``phi``; nan where the leaf is a line.
+
+    The values are the constructors' bit for bit: the same arithmetic,
+    with ``math``'s cos and sin, which numpy's may differ from in the
+    last bit.
+    """
+    cbeta = _math_map(math.cos, beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if phi is None:
+            line = math.pi - beta <= _LINE_TOL
+            radius = s / (1.0 + cbeta)
+            cx, cy = np.zeros_like(radius), s - radius
+        else:
+            sphi = _math_map(math.sin, phi)
+            den = sphi + cbeta
+            line = den <= _LINE_TOL
+            scale = s * cbeta / den
+            radius = s * sphi / den
+            cx, cy = scale * _math_map(math.cos, phi), scale * sphi
+    return tuple(np.where(line, math.nan, col) for col in (cx, cy, radius))
+
+
+def _math_map(f, x):
+    """``f`` from ``math`` on a float, or on each element of a 1-d array,
+    as numpy values.  numpy's own cos, sin, tan and exp may differ from
+    ``math``'s in the last bit; the predicates and the leaf constructors
+    use ``math``'s."""
+    if np.ndim(x) == 0:
+        return np.float64(f(x))
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
 def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) -> bool:
     """Whether the axis-orthogonal leaves (s1, beta1) and (s2, beta2) with
     0 < s1 < s2 avoid each other in the open half-plane.
@@ -254,15 +292,15 @@ def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) ->
     return _geodesic_slack(s1, beta1, s2, beta2) >= 0.0
 
 
-def _geodesic_slack(s1, beta1, s2, beta2) -> float:
+def _geodesic_slack(s1, beta1, s2, beta2):
     """``s2 tan(beta2/2) - s1 tan(beta1/2)``, the gap between the right
     ideal endpoints; +inf for a horizontal upper leaf and -inf for a
-    horizontal lower one."""
-    if beta2 >= math.pi - _LINE_TOL:
-        return math.inf
-    if beta1 >= math.pi - _LINE_TOL:
-        return -math.inf
-    return s2 * math.tan(beta2 / 2.0) - s1 * math.tan(beta1 / 2.0)
+    horizontal lower one.  The arguments may be floats or arrays; the
+    result has their shape."""
+    gap = s2 * _math_map(math.tan, beta2 / 2.0) - s1 * _math_map(math.tan, beta1 / 2.0)
+    line = math.pi - _LINE_TOL
+    slack = np.where(beta2 >= line, math.inf, np.where(beta1 >= line, -math.inf, gap))
+    return slack if np.ndim(slack) else float(slack)
 
 
 def disjoint_along_hypercycle(
@@ -291,19 +329,17 @@ def disjoint_along_hypercycle(
     return _hypercycle_slack(phi, s1, beta1, s2, beta2) >= 0.0
 
 
-def _hypercycle_slack(phi, s1, beta1, s2, beta2) -> float:
+def _hypercycle_slack(phi, s1, beta1, s2, beta2):
     """``a1- - a2-``, the gap between the left ideal endpoints; +inf when
-    the upper leaf is a line and -inf when only the lower one is."""
-    sphi = math.sin(phi)
-    line1 = sphi + math.cos(beta1) <= _LINE_TOL
-    line2 = sphi + math.cos(beta2) <= _LINE_TOL
-    if line1:
-        return math.inf if line2 else -math.inf
-    if line2:
-        return math.inf
-    a1 = s1 * math.cos(phi + beta1) / (sphi + math.cos(beta1))
-    a2 = s2 * math.cos(phi + beta2) / (sphi + math.cos(beta2))
-    return a1 - a2
+    the upper leaf is a line and -inf when only the lower one is.  The
+    arguments may be floats or arrays; the result has their shape."""
+    sphi = _math_map(math.sin, phi)
+    den1, den2 = sphi + _math_map(math.cos, beta1), sphi + _math_map(math.cos, beta2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = s1 * _math_map(math.cos, phi + beta1) / den1
+        gap = a1 - s2 * _math_map(math.cos, phi + beta2) / den2
+    slack = np.where(den2 <= _LINE_TOL, math.inf, np.where(den1 <= _LINE_TOL, -math.inf, gap))
+    return slack if np.ndim(slack) else float(slack)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Any
 from .errors import RouteParseError
 from .foliation import BUILTIN_FAMILIES, builtin_route
 from .halfplane import Transversal, TransversalKind
-from .validation import DEFAULT_TOL, Route
+from .validation import DEFAULT_TOL, Route, tol_limit
 
 #: Most samples a closed-form document may ask for; bounds the arrays a
 #: document can make the library allocate.
@@ -215,6 +215,11 @@ def document_to_route(ndoc: dict) -> Route:
         height=tr.get("height"),
     )
     tol = ndoc.get("tol", DEFAULT_TOL)
+    limit = tol_limit(transversal)
+    if not tol < limit:
+        raise RouteParseError(
+            f"tolerance must stay below the curvature bound {limit!r}, got {tol}", "tol"
+        )
     if "closed_form" in ndoc:
         cf = ndoc["closed_form"]
         window = tuple(ndoc.get("window", (-3.0, 3.0)))

@@ -156,6 +156,22 @@ class Route:
         return int(self.t.size)
 
 
+def tol_limit(transversal: Transversal) -> float:
+    """The exclusive upper limit on a route tolerance read from outside
+    the program (a document's ``tol``, the CLI's ``--tol``).
+
+    On a geodesic or hypercycle it is the curvature bound: at or above it
+    the pinned-low and pinned-high bands of ``_classify_samples``
+    overlap, and at twice the bound every sample is a pinned low, so
+    every route would pass.  Horocycle routes have no limit.  ``Route``
+    itself accepts any positive finite tolerance, so diagnostic routes
+    stay representable.
+    """
+    if transversal.kind == TransversalKind.HOROCYCLE:
+        return math.inf
+    return transversal.curvature_bound
+
+
 @dataclass(frozen=True)
 class Zones:
     """Pinned-run boundaries: the route may sit at h = -bound up to

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from umbilic import Transversal, dumps_document, perturbed_invalid_route, route_to_document
 from umbilic.cli import main
 
 
@@ -90,6 +91,20 @@ class TestValidate:
         code, _, err = run(capsys, ["validate", "--tol", "-1", route_file(PENCIL)])
         assert code == 1
         assert "--tol" in err
+
+    @pytest.mark.parametrize("tol", ["1", "2"])
+    def test_tol_at_or_above_the_curvature_bound_is_a_usage_error(
+        self, tmp_path, capsys, tol
+    ):
+        # At tol >= 1 the pinned bands overlap: this route, with five pair
+        # violations at the default tol, would pass with t_minus > t_plus.
+        route, _ = perturbed_invalid_route(Transversal.geodesic(), seed=3)
+        path = tmp_path / "route.json"
+        path.write_text(dumps_document(route_to_document(route)), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", "--tol", tol, str(path)])
+        assert code == 1
+        assert "--tol" in err
+        assert out == ""
 
     def test_infinite_tol_is_a_usage_error(self, route_file, capsys):
         # An infinite tolerance would pass every route, this steep one too.

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,12 +28,17 @@ from umbilic import (
 )
 from umbilic import foliation
 from umbilic.cli import main
-from umbilic.foliation import DisjointnessReport, PairContact
+from umbilic.foliation import AgreementStats, DisjointnessReport, PairContact
 from umbilic.halfplane import TransversalKind
 from umbilic.leaves import (
+    BOUNDARY_TOL,
+    _geodesic_slack,
+    _hypercycle_slack,
+    _orthogonal_carriers,
     carrier_contact,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
+    upper_contact,
 )
 
 
@@ -364,6 +370,193 @@ class TestAgreementSweep:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             run_disjointness_agreement("horocycle")
+
+    def test_negative_count(self):
+        with pytest.raises(DomainError):
+            run_disjointness_agreement("geodesic", n=-5)
+
+
+# --------------------------------------------------------------------------
+# The sweep against its pair-by-pair definition
+
+
+def _reference_run_disjointness_agreement(
+    family: str, n: int = 10000, seed: int = 0
+) -> AgreementStats:
+    """The sweep as a loop over pairs, one draw at a time."""
+    if family not in ("geodesic", "hypercycle"):
+        raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
+    rng = np.random.default_rng(seed)
+    compared = agreements = skipped_margin = skipped_tangent = 0
+    mismatches = []
+    for _ in range(n):
+        s1 = math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
+        s2 = s1 * math.exp(rng.uniform(math.log(1.001), math.log(3.0)))
+        if family == "geodesic":
+            beta1, beta2 = _reference_draw_betas(rng, 0.0, math.pi)
+            slack = _geodesic_slack(s1, beta1, s2, beta2)
+            leaf1 = leaf_orthogonal_to_geodesic(s1, beta1)
+            leaf2 = leaf_orthogonal_to_geodesic(s2, beta2)
+            params = (s1, beta1, s2, beta2)
+        else:
+            phi = rng.uniform(0.1, math.pi / 2 - 0.02)
+            beta1, beta2 = _reference_draw_betas(
+                rng, math.pi / 2 - phi, math.pi / 2 + phi
+            )
+            slack = _hypercycle_slack(phi, s1, beta1, s2, beta2)
+            leaf1 = leaf_orthogonal_to_hypercycle(phi, s1, beta1)
+            leaf2 = leaf_orthogonal_to_hypercycle(phi, s2, beta2)
+            params = (phi, s1, beta1, s2, beta2)
+        if math.isfinite(slack) and abs(slack) < foliation._SLACK_MARGIN:
+            skipped_margin += 1
+            continue
+        contact = carrier_contact(leaf1, leaf2)
+        if contact.kind == "tangent":
+            skipped_tangent += 1
+            continue
+        compared += 1
+        if (slack >= 0.0) == (upper_contact(contact) is None):
+            agreements += 1
+        else:
+            mismatches.append(params)
+    return AgreementStats(
+        family=family,
+        total=n,
+        compared=compared,
+        agreements=agreements,
+        skipped_margin=skipped_margin,
+        skipped_tangent=skipped_tangent,
+        mismatches=tuple(mismatches),
+    )
+
+
+def _reference_draw_betas(rng, lo: float, hi: float) -> tuple[float, float]:
+    betas = []
+    for _ in range(2):
+        r = rng.uniform()
+        if r < 0.04:
+            betas.append(lo)
+        elif r < 0.08:
+            betas.append(hi)
+        else:
+            betas.append(rng.uniform(lo + 0.02, hi - 0.02))
+    return betas[0], betas[1]
+
+
+def _reference_draws(family: str, n: int, seed: int) -> list[tuple]:
+    """The loop's draws alone, as rows ``(phi,) s1, beta1, s2, beta2``."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        s1 = math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
+        s2 = s1 * math.exp(rng.uniform(math.log(1.001), math.log(3.0)))
+        if family == "geodesic":
+            beta1, beta2 = _reference_draw_betas(rng, 0.0, math.pi)
+            rows.append((s1, beta1, s2, beta2))
+        else:
+            phi = rng.uniform(0.1, math.pi / 2 - 0.02)
+            beta1, beta2 = _reference_draw_betas(rng, math.pi / 2 - phi, math.pi / 2 + phi)
+            rows.append((phi, s1, beta1, s2, beta2))
+    return rows
+
+
+FAMILIES = ["geodesic", "hypercycle"]
+
+
+class TestAgreementSweepDifferential:
+    """The blocked sweep must give the loop's stats, field for field."""
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3000), st.integers(min_value=0))
+    def test_matches_the_loop(self, family, n, seed):
+        assert run_disjointness_agreement(family, n, seed) == (
+            _reference_run_disjointness_agreement(family, n, seed)
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_across_block_boundaries(self, family):
+        n = 2 * foliation._AUDIT_BLOCK_CELLS + 1
+        assert run_disjointness_agreement(family, n, 9) == (
+            _reference_run_disjointness_agreement(family, n, 9)
+        )
+
+    @pytest.mark.parametrize("cells", [1, 7, 100])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_size_does_not_change_the_stats(self, family, cells, monkeypatch):
+        expected = _reference_run_disjointness_agreement(family, 500, 3)
+        monkeypatch.setattr(foliation, "_AUDIT_BLOCK_CELLS", cells)
+        assert run_disjointness_agreement(family, 500, 3) == expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_draws_replay_the_loop_bit_for_bit(self, family):
+        n = foliation._AUDIT_BLOCK_CELLS + 3000
+        blocks = list(foliation._draw_blocks(family, n, 11))
+        assert [b[0].size for b in blocks] == [foliation._AUDIT_BLOCK_CELLS, 3000]
+        got = np.concatenate([np.column_stack(b) for b in blocks])
+        want = np.array(_reference_draws(family, n, 11))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_carrier_columns_are_the_constructors(self, family):
+        *head, s1, beta1, s2, beta2 = next(foliation._draw_blocks(family, 3000, 2))
+        phi = head[0] if head else None
+        leaf = leaf_orthogonal_to_geodesic if phi is None else leaf_orthogonal_to_hypercycle
+        for s, beta in ((s1, beta1), (s2, beta2)):
+            got = np.column_stack(_orthogonal_carriers(s, beta, phi))
+            shapes = [leaf(*row).shape for row in zip(*head, s.tolist(), beta.tolist())]
+            want = np.array([
+                [getattr(sh, name, math.nan) for name in ("cx", "cy", "radius")]
+                for sh in shapes
+            ])
+            assert any(isinstance(sh, Line) for sh in shapes)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_screen_leaves_few_pairs_to_carrier_contact(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return carrier_contact(*args)
+
+        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        for family in FAMILIES:
+            run_disjointness_agreement(family, 2000, 0)
+        # The line pairs (about 8 % of the draws) and the near cases.
+        assert len(calls) < 0.1 * 2 * 2000
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # Drawing all 200 000 pairs at once takes about 130 MB.
+        tracemalloc.start()
+        try:
+            run_disjointness_agreement("hypercycle", 200_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_screen_verdicts_hold_at_the_boundary_tolerance(self):
+        # Circles through a common point at y = BOUNDARY_TOL: numpy's
+        # height for the upper crossing and carrier_contact's differ in
+        # the last bits, and only the screen's rounding guard keeps its
+        # verdicts carrier_contact's.
+        rng = np.random.default_rng(1)
+        m = 5000
+        x1, x2, px = rng.uniform(-1.0, 1.0, (3, m))
+        y1, y2 = rng.uniform(-1.0, 0.0, (2, m))
+        r1, r2 = np.hypot(px - x1, BOUNDARY_TOL - y1), np.hypot(px - x2, BOUNDARY_TOL - y2)
+        unflagged, crossing = foliation._screen(x1, y1, r1, x2, y2, r2)
+        assert crossing.sum() > m // 10
+        for k in range(m):
+            contact = carrier_contact(
+                *(Leaf(Circle(x, y, r), math.acos(y / r))
+                  for x, y, r in ((x1[k], y1[k], r1[k]), (x2[k], y2[k], r2[k])))
+            )
+            if crossing[k]:
+                assert contact.kind == "transverse"
+                assert upper_contact(contact) is not None
+            if unflagged[k]:
+                assert contact.kind != "tangent"
+                assert upper_contact(contact) is None
 
 
 # --------------------------------------------------------------------------

@@ -242,11 +242,14 @@ GOLDEN = {
 STANDALONE = {
     "examples": ["examples"],
     "lemma-check": ["lemma-check", "--n", "2000", "--seed", "0"],
+    # Three blocks of the sweep (at most 2**14 pairs each).
+    "lemma-check-blocks": ["lemma-check", "--n", "40000", "--seed", "1"],
 }
 
 GOLDEN_STANDALONE = {
     "examples": "97aea8e072088d2624613f707d599baa65a9803ab2e434bfde17995d1c2a1fad",
     "lemma-check": "8011ad32cb4be6100092c35ac782b7866598b2695b757a68fc5c864ddce16713",
+    "lemma-check-blocks": "4ca4fa723dacf316adfe0d936c1719b8f186d3d1a1098c5d548fe26cc3b3d665",
 }
 
 

@@ -255,6 +255,20 @@ class TestRoundTrips:
         route = loads_route(json.dumps(geodesic_doc(tol=0.5)))
         assert route.tol == 0.5
 
+    @pytest.mark.parametrize(
+        "transversal, tol",
+        [
+            ({"kind": "geodesic"}, 1.0),
+            ({"kind": "geodesic"}, 2.0),
+            ({"kind": "hypercycle", "phi": 0.3}, math.sin(0.3)),
+        ],
+    )
+    def test_tol_at_the_curvature_bound_is_rejected(self, transversal, tol):
+        # The pinned-low and pinned-high bands of the validators overlap.
+        with pytest.raises(RouteParseError) as exc:
+            loads_route(json.dumps(geodesic_doc(transversal=transversal, tol=tol)))
+        assert exc.value.path == "tol"
+
     def test_default_tol(self):
         route = loads_route(json.dumps(geodesic_doc()))
         assert route.tol == 1e-9
