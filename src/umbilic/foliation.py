@@ -25,7 +25,7 @@ from .leaves import (
     leaf_orthogonal_to_hypercycle,
     upper_contact,
 )
-from .validation import Route, _effective_phi, profile_inverse, validate
+from .validation import Route, _beyond_bound, _effective_phi, profile_inverse, validate
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
         return FoliationSlice(route.transversal, _horocycle_leaves(route))
 
     bound = route.transversal.curvature_bound
-    if np.any(np.abs(route.h) > bound + route.tol):
+    if np.any(_beyond_bound(route.h, bound, route.tol)):
         raise DomainError(
             f"curvature beyond the bound {bound!r} is not realizable by any leaf"
         )
@@ -109,15 +109,13 @@ def _orthogonal_leaves(
 def _horocycle_leaves(route: Route) -> tuple[tuple[float, Leaf], ...]:
     height = route.transversal.height
     entries = []
-    for t, h in zip(route.t, route.h):
+    for t, h in zip(route.t.tolist(), route.h.tolist()):
         if abs(h) <= route.tol:
-            entries.append((float(t), Leaf(Line(float(t), height, 0.0, 1.0), math.pi / 2)))
+            entries.append((t, Leaf(Line(t, height, 0.0, 1.0), math.pi / 2)))
         elif -1.0 - route.tol <= h < 0:
             # Orthogonality to a horizontal line puts the center on it.
             hm = min(abs(h), 1.0)
-            entries.append(
-                (float(t), Leaf(Circle(float(t), height, height / hm), math.acos(hm)))
-            )
+            entries.append((t, Leaf(Circle(t, height, height / hm), math.acos(hm))))
         elif h < 0:
             raise DomainError(f"no leaf carries mean curvature {h!r}")
         else:
@@ -157,7 +155,10 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     Both tolerances are therefore relative to that scale, and the verdict
     does not change when the route is shifted in t.  Scaling by a power
     of two is exact, so the witness points, scaled back, carry the same
-    bits as an unscaled intersection would.
+    bits as an unscaled intersection would.  A pair whose carriers, or
+    their squares, leave the float range at that scale raises
+    ``DomainError``: a horocycle slice with t / height near 1e308, or
+    leaves whose crossings lie more than about 2**511 apart.
 
     Every circle pair is screened in numpy, in blocks of at most
     ``_AUDIT_BLOCK_CELLS`` pairs.  Only the pairs the screen flags, the
@@ -184,14 +185,20 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         hi = min(n - 1, lo + max(1, _AUDIT_BLOCK_CELLS // (n - 1 - lo)))
         i, j = _upper_pairs(n, lo, hi)
         e = -k[i]
-        settled, _ = _screen(
-            *(np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r))
-        )
+        with np.errstate(over="ignore"):
+            scaled = [np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r)]
+        settled, _ = _screen(*scaled)
         for p in np.flatnonzero(~settled):
             t1, leaf1, _ = entries[i[p]]
             t2, leaf2, _ = entries[j[p]]
             scale = int(k[i[p]])
-            contact = carrier_contact(_scaled(leaf1, -scale), _scaled(leaf2, -scale))
+            try:
+                contact = carrier_contact(_scaled(leaf1, -scale), _scaled(leaf2, -scale))
+            except OverflowError:
+                raise DomainError(
+                    f"the leaves at t={t1!r} and t={t2!r} leave the float range "
+                    f"at the audit's scale 2**{scale}"
+                ) from None
             point = upper_contact(contact)
             if point is None:
                 continue
@@ -362,7 +369,11 @@ def builtin_route(
         raise DomainError(f"need at least 2 samples, got {n!r}")
     if not window[0] < window[1]:
         raise DomainError(f"window must be increasing, got {window!r}")
+    if not math.isfinite(float(window[1]) - float(window[0])):
+        raise DomainError(f"window must span a finite length, got {window!r}")
     tr = transversal if transversal is not None else Transversal.geodesic()
+    if name in ("horospherical", "pencil") and tr.kind != TransversalKind.GEODESIC:
+        raise DomainError(f"the {name} family lives on the geodesic")
     bound = tr.curvature_bound
     t = np.linspace(window[0], window[1], n)
     dh = np.zeros(n)
@@ -370,12 +381,8 @@ def builtin_route(
     if name == "totally_geodesic":
         h = np.zeros(n)
     elif name == "horospherical":
-        if tr.kind != TransversalKind.GEODESIC:
-            raise DomainError("the horospherical family lives on the geodesic")
         h = np.full(n, -1.0)
     elif name == "pencil":
-        if tr.kind != TransversalKind.GEODESIC:
-            raise DomainError("the pencil family lives on the geodesic")
         h = -np.tanh(t)
         dh = h * h - 1.0
     elif name == "constant":
@@ -489,15 +496,12 @@ def run_disjointness_agreement(
     compared = skipped_margin = skipped_tangent = 0
     mismatches = []
     for params in _draw_blocks(family, n, seed):
-        if family == "geodesic":
-            s1, beta1, s2, beta2 = params
-            phi, slack, leaf = None, _geodesic_slack(*params), leaf_orthogonal_to_geodesic
-        else:
-            phi, s1, beta1, s2, beta2 = params
-            slack, leaf = _hypercycle_slack(*params), leaf_orthogonal_to_hypercycle
+        *head, s1, beta1, s2, beta2 = params  # head is (phi,) on the hypercycle
+        slack = (_hypercycle_slack if head else _geodesic_slack)(*params)
+        leaf = leaf_orthogonal_to_hypercycle if head else leaf_orthogonal_to_geodesic
         margin = np.isfinite(slack) & (np.abs(slack) < _SLACK_MARGIN)
         disjoint, crossing = _screen(
-            *_orthogonal_carriers(s1, beta1, phi), *_orthogonal_carriers(s2, beta2, phi)
+            *_orthogonal_carriers(s1, beta1, *head), *_orthogonal_carriers(s2, beta2, *head)
         )
         tangent = np.zeros_like(margin)
         open_ = np.flatnonzero(~margin & ~disjoint & ~crossing)

@@ -41,6 +41,12 @@ def hyperbolic_distance(p: HPoint, q: HPoint) -> float:
     return 2.0 * math.asinh(gap / (2.0 * math.sqrt(p.y) * math.sqrt(q.y)))
 
 
+def _check_ray_angle(phi: float | None) -> None:
+    """Raise ``DomainError`` unless the hypercycle's ray angle is in (0, pi/2)."""
+    if phi is None or not 0.0 < phi < math.pi / 2:
+        raise DomainError(f"hypercycle angle must lie in (0, pi/2), got {phi!r}")
+
+
 class TransversalKind(str, Enum):
     GEODESIC = "geodesic"
     HYPERCYCLE = "hypercycle"
@@ -66,10 +72,7 @@ class Transversal:
 
     def __post_init__(self) -> None:
         if self.kind == TransversalKind.HYPERCYCLE:
-            if self.phi is None or not 0.0 < self.phi < math.pi / 2:
-                raise DomainError(
-                    f"hypercycle angle must lie in (0, pi/2), got {self.phi!r}"
-                )
+            _check_ray_angle(self.phi)
             if self.height is not None:
                 raise DomainError("height applies to horocycles only")
         elif self.kind == TransversalKind.HOROCYCLE:

@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NotALeafError
+from .halfplane import _check_ray_angle
 
 #: Carrier contacts with gap below this are classified as tangencies.
 TANGENCY_TOL = 1e-9
@@ -80,20 +81,26 @@ def _check_beta(beta: float) -> None:
 
 @dataclass(frozen=True)
 class Circle:
-    """Euclidean circle carrier.  Center may lie on or below the boundary."""
+    """Euclidean circle carrier.  Center may lie on or below the boundary;
+    every field is finite."""
 
     cx: float
     cy: float
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise DomainError(f"circle radius must be positive, got {self.radius!r}")
+        if not 0 < self.radius < math.inf:
+            raise DomainError(
+                f"circle radius must be positive and finite, got {self.radius!r}"
+            )
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise DomainError(f"circle center must be finite, got {(self.cx, self.cy)!r}")
 
 
 @dataclass(frozen=True)
 class Line:
-    """Straight carrier through (x0, y0) with unit direction (dx, dy), dy >= 0."""
+    """Straight carrier through (x0, y0) with unit direction (dx, dy), dy >= 0;
+    every field is finite."""
 
     x0: float
     y0: float
@@ -102,8 +109,10 @@ class Line:
 
     def __post_init__(self) -> None:
         norm = math.hypot(self.dx, self.dy)
-        if not norm > 0:
-            raise DomainError("line direction must be nonzero")
+        if not 0 < norm < math.inf:
+            raise DomainError("line direction must be nonzero and finite")
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise DomainError(f"line point must be finite, got {(self.x0, self.y0)!r}")
         dx, dy = self.dx / norm, self.dy / norm
         if dy < 0 or (dy == 0 and dx < 0):
             dx, dy = -dx, -dy
@@ -177,11 +186,9 @@ def ideal_endpoints(leaf: Leaf) -> IdealEndpoints:
     if s.dy == 0.0:
         return IdealEndpoints(-math.inf, math.inf)
     crossing = s.x0 - s.y0 * s.dx / s.dy
-    if s.dx > 0:
-        return IdealEndpoints(crossing, math.inf)
     if s.dx < 0:
         return IdealEndpoints(-math.inf, crossing)
-    return IdealEndpoints(crossing, math.inf)  # vertical line
+    return IdealEndpoints(crossing, math.inf)
 
 
 def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:
@@ -198,8 +205,7 @@ def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:
     _check_beta(beta)
     if math.pi - beta <= _LINE_TOL:
         return Leaf(Line(0.0, s, 1.0, 0.0), math.pi)
-    radius = s / (1.0 + math.cos(beta))
-    return Leaf(Circle(0.0, s - radius, radius), beta)
+    return Leaf(Circle(*_circle_carrier(s, math.cos(beta))), beta)
 
 
 def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
@@ -217,24 +223,39 @@ def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
     ``s (cos phi, sin phi)`` with direction ``(-sin phi, cos phi)``,
     crossing the boundary at ``s / cos phi``.
     """
-    if not 0.0 < phi < math.pi / 2:
-        raise DomainError(f"hypercycle angle must lie in (0, pi/2), got {phi!r}")
+    _check_ray_angle(phi)
     if not s > 0:
         raise DomainError(f"crossing distance must be positive, got {s!r}")
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    cbeta = _admissible_cos(phi, sphi, beta)
+    if sphi + cbeta <= _LINE_TOL:
+        return Leaf(Line(s * cphi, s * sphi, -sphi, cphi), beta)
+    return Leaf(Circle(*_circle_carrier(s, cbeta, (sphi, cphi))), beta)
+
+
+def _admissible_cos(phi: float, sphi: float, beta: float) -> float:
+    """cos beta, once beta is checked to be admissible on the phi-ray
+    (sin phi = ``sphi``): ``|cos beta| <= sin phi``, up to 1e-12."""
     _check_beta(beta)
-    sphi = math.sin(phi)
     cbeta = math.cos(beta)
     if abs(cbeta) > sphi + 1e-12:
         raise DomainError(
             f"no leaf with angle {beta!r} crosses the phi={phi!r} ray orthogonally"
         )
+    return cbeta
+
+
+def _circle_carrier(s, cbeta, ray=None):
+    """``(cx, cy, radius)`` of the carrier through s with cos beta = ``cbeta``
+    on the geodesic (``ray`` None) or the ray with (sin phi, cos phi) = ``ray``,
+    for floats or arrays; the caller picks the trig source."""
+    if ray is None:
+        radius = s / (1.0 + cbeta)
+        return 0.0, s - radius, radius
+    sphi, cphi = ray
     den = sphi + cbeta
-    if den <= _LINE_TOL:
-        return Leaf(
-            Line(s * math.cos(phi), s * sphi, -sphi, math.cos(phi)), beta
-        )
     scale = s * cbeta / den
-    return Leaf(Circle(scale * math.cos(phi), scale * sphi, s * sphi / den), beta)
+    return scale * cphi, scale * sphi, s * sphi / den
 
 
 def _orthogonal_carriers(s, beta, phi=None):
@@ -243,24 +264,18 @@ def _orthogonal_carriers(s, beta, phi=None):
     ``leaf_orthogonal_to_hypercycle(phi, s, beta)`` builds, for arrays
     ``s``, ``beta`` and ``phi``; nan where the leaf is a line.
 
-    The values are the constructors' bit for bit: the same arithmetic,
-    with ``math``'s cos and sin, which numpy's may differ from in the
-    last bit.
+    The values are the constructors' bit for bit: the same
+    ``_circle_carrier``, with ``math``'s cos and sin, which numpy's may
+    differ from in the last bit.
     """
     cbeta = _math_map(math.cos, beta)
+    if phi is None:
+        ray, line = None, math.pi - beta <= _LINE_TOL
+    else:
+        ray = _math_map(math.sin, phi), _math_map(math.cos, phi)
+        line = ray[0] + cbeta <= _LINE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        if phi is None:
-            line = math.pi - beta <= _LINE_TOL
-            radius = s / (1.0 + cbeta)
-            cx, cy = np.zeros_like(radius), s - radius
-        else:
-            sphi = _math_map(math.sin, phi)
-            den = sphi + cbeta
-            line = den <= _LINE_TOL
-            scale = s * cbeta / den
-            radius = s * sphi / den
-            cx, cy = scale * _math_map(math.cos, phi), scale * sphi
-    return tuple(np.where(line, math.nan, col) for col in (cx, cy, radius))
+        return tuple(np.where(line, math.nan, c) for c in _circle_carrier(s, cbeta, ray))
 
 
 def _math_map(f, x):
@@ -315,17 +330,12 @@ def disjoint_along_hypercycle(
     leaf exactly when that leaf is a line too; a circle leaf below a line
     leaf is always clear of it.
     """
-    if not 0.0 < phi < math.pi / 2:
-        raise DomainError(f"hypercycle angle must lie in (0, pi/2), got {phi!r}")
+    _check_ray_angle(phi)
     if not 0.0 < s1 < s2:
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     sphi = math.sin(phi)
-    for beta in (beta1, beta2):
-        _check_beta(beta)
-        if abs(math.cos(beta)) > sphi + 1e-12:
-            raise DomainError(
-                f"angle {beta!r} is not admissible for the phi={phi!r} ray"
-            )
+    _admissible_cos(phi, sphi, beta1)
+    _admissible_cos(phi, sphi, beta2)
     return _hypercycle_slack(phi, s1, beta1, s2, beta2) >= 0.0
 
 

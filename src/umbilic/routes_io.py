@@ -169,6 +169,8 @@ def _canon_window(obj: Any) -> list:
     t1 = _require_number(obj[1], "window[1]")
     if not t0 < t1:
         raise RouteParseError(f"window must be increasing, got [{t0}, {t1}]", "window")
+    if not math.isfinite(t1 - t0):
+        raise RouteParseError(f"window must span a finite length, got [{t0}, {t1}]", "window")
     return [t0, t1]
 
 
@@ -199,6 +201,12 @@ def _canon_samples(obj: Any) -> list:
             entry["dh"] = _require_number(item["dh"], f"{path}.dh")
             with_dh += 1
         out.append(entry)
+    first, last = out[0]["t"], out[-1]["t"]
+    if not math.isfinite(last - first):
+        raise RouteParseError(
+            f"t values must span a finite length, got {first} to {last}",
+            f"samples[{len(out) - 1}].t",
+        )
     if with_dh not in (0, len(out)):
         raise RouteParseError(
             "dh must be present on every sample or on none", "samples"

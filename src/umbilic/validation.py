@@ -115,11 +115,11 @@ def _check_phi(phi: float) -> float:
 class Route:
     """Sampled curvature course along a transversal.
 
-    ``t`` must be strictly increasing; ``h`` has matching length, as does
-    the optional derivative track ``dh``; neither may hold nan.  ``tol``
-    must be positive and finite.  Curvature bound violations are reported
-    by the validators rather than rejected here, so diagnostic routes stay
-    representable.
+    ``t`` must be strictly increasing, over a finite span; ``h`` has
+    matching length, as does the optional derivative track ``dh``; neither
+    may hold nan.  ``tol`` must be positive and below ``tol_limit``.
+    Curvature bound violations are reported by the validators rather than
+    rejected here, so diagnostic routes stay representable.
     """
 
     transversal: Transversal
@@ -130,26 +130,24 @@ class Route:
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float)
-        h = np.asarray(self.h, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise DomainError("t must be a nonempty 1-d array")
-        if h.shape != t.shape:
-            raise DomainError(f"h has shape {h.shape}, expected {t.shape}")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise DomainError("t must be strictly increasing")
-        if np.isnan(h).any():
-            raise DomainError("h must not contain nan")
+        first, last = float(t[0]), float(t[-1])
+        if not math.isfinite(last - first):
+            raise DomainError(f"t must span a finite length, got [{first!r}, {last!r}]")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "h", h)
-        if self.dh is not None:
-            dh = np.asarray(self.dh, dtype=float)
-            if dh.shape != t.shape:
-                raise DomainError(f"dh has shape {dh.shape}, expected {t.shape}")
-            if np.isnan(dh).any():
-                raise DomainError("dh must not contain nan")
-            object.__setattr__(self, "dh", dh)
-        if not 0 < self.tol < math.inf:
-            raise DomainError(f"tol must be positive and finite, got {self.tol!r}")
+        for name in ("h", "dh") if self.dh is not None else ("h",):
+            track = np.asarray(getattr(self, name), dtype=float)
+            if track.shape != t.shape:
+                raise DomainError(f"{name} has shape {track.shape}, expected {t.shape}")
+            if np.isnan(track).any():
+                raise DomainError(f"{name} must not contain nan")
+            object.__setattr__(self, name, track)
+        limit = tol_limit(self.transversal)
+        if not 0 < self.tol < limit:
+            raise DomainError(f"tol must lie in (0, {limit!r}), got {self.tol!r}")
 
     @property
     def n(self) -> int:
@@ -157,15 +155,13 @@ class Route:
 
 
 def tol_limit(transversal: Transversal) -> float:
-    """The exclusive upper limit on a route tolerance read from outside
-    the program (a document's ``tol``, the CLI's ``--tol``).
+    """The exclusive upper limit on a route tolerance.
 
     On a geodesic or hypercycle it is the curvature bound: at or above it
     the pinned-low and pinned-high bands of ``_classify_samples``
     overlap, and at twice the bound every sample is a pinned low, so
-    every route would pass.  Horocycle routes have no limit.  ``Route``
-    itself accepts any positive finite tolerance, so diagnostic routes
-    stay representable.
+    every route would pass.  Horocycle routes have no limit but
+    finiteness.
     """
     if transversal.kind == TransversalKind.HOROCYCLE:
         return math.inf
@@ -209,9 +205,15 @@ class Verdict:
     mode: str
 
 
+def _beyond_bound(h: np.ndarray, bound: float, tol: float) -> np.ndarray:
+    """Which levels lie beyond the curvature bound by more than tol: no
+    leaf carries them."""
+    return np.abs(h) > bound + tol
+
+
 def _classify_samples(h: np.ndarray, bound: float, tol: float):
     """Boolean masks (bad, low, high, interior) for the sample levels."""
-    bad = np.abs(h) > bound + tol
+    bad = _beyond_bound(h, bound, tol)
     low = (~bad) & (np.abs(h + bound) <= tol)
     high = (~bad) & (np.abs(h - bound) <= tol)
     interior = ~(bad | low | high)
@@ -275,15 +277,10 @@ def validate_c0(route: Route) -> Verdict:
     phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
     violations, interior, zones = _structure_violations(route, bound)
-    worst = math.inf if not violations else min(v.slack for v in violations)
-
     tt = route.t[interior]
     ff = lipschitz_profile(phi_eff, route.h[interior])
-    pairs, pair_worst, worst_two_sided, two_sided_at = _pair_scan(
-        tt, ff, bound, route.tol
-    )
+    pairs, worst, worst_two_sided, two_sided_at = _pair_scan(tt, ff, bound, route.tol)
     violations.extend(pairs)
-    worst = min(worst, pair_worst)
 
     notes = [_WINDOW_NOTE, "one-sided growth condition is the normative check"]
     if worst_two_sided < -route.tol:
@@ -299,12 +296,13 @@ def validate_c0(route: Route) -> Verdict:
 
 def _verdict(mode: str, zones: Zones, worst: float, violations: list, notes) -> Verdict:
     """The validators' shared tail: violations in (t1, t2) order, with a
-    missing t2 sorting as t1, and valid when there are none."""
+    missing t2 sorting as t1, and valid when there are none.  The worst
+    slack is the lower of ``worst`` and every violation's slack."""
     violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
     return Verdict(
         valid=not violations,
         zones=zones,
-        worst_slack=worst,
+        worst_slack=min([worst, *(v.slack for v in violations)]),
         violations=tuple(violations),
         notes=tuple(notes),
         mode=mode,
@@ -382,8 +380,6 @@ def validate_c1(route: Route) -> Verdict:
     bound = route.transversal.curvature_bound
     tol = route.tol
     violations, _, zones = _structure_violations(route, bound)
-    worst = math.inf if not violations else min(v.slack for v in violations)
-
     if route.dh is not None:
         hp = route.dh
         source = "supplied derivative track"
@@ -395,14 +391,13 @@ def validate_c1(route: Route) -> Verdict:
         source = "single sample, derivative taken as 0"
 
     rhs = min_curvature_rate(phi_eff, np.clip(route.h, -bound, bound))
-    ok = ~(np.abs(route.h) > bound + tol)
+    ok = ~_beyond_bound(route.h, bound, tol)
     slack = hp - rhs
     for i in np.flatnonzero(ok & (slack < -tol)):
         violations.append(
             Violation("pointwise", float(route.t[i]), math.nan, float(slack[i]))
         )
-    if np.any(ok):
-        worst = min(worst, float(slack[ok].min()))
+    worst = float(slack[ok].min()) if np.any(ok) else math.inf
     notes = (_WINDOW_NOTE, f"derivatives: {source}")
     return _verdict("c1", zones, worst, violations, notes)
 

@@ -326,3 +326,85 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["leaves", "--force", route_file(doc)])
         assert code == 1
         assert "no leaf" in err
+
+
+class TestFloatRange:
+    """Documents at the edge of the float range end in exit 1 and a
+    message, never a traceback, a warning or nan/inf geometry."""
+
+    # e^(t L) is finite here, but the carrier radius s / (1 + cos beta) is not.
+    HUGE_CARRIER = {
+        "transversal": {"kind": "geodesic"},
+        "samples": [{"t": 708.0, "h": 0.9}, {"t": 709.0, "h": 0.9}],
+    }
+
+    @pytest.mark.parametrize("command", ["leaves", "audit", "render"])
+    def test_non_finite_carriers_are_refused(self, route_file, capsys, tmp_path, command):
+        svg = tmp_path / "x.svg"
+        argv = [command, route_file(self.HUGE_CARRIER), "--out", str(svg)]
+        code, out, err = run(capsys, argv if command == "render" else argv[:2])
+        assert code == 1
+        assert "finite" in err
+        assert "inf" not in out and "nan" not in out
+        assert not svg.exists()
+
+    def test_non_finite_horocycle_radius_is_refused(self, route_file, capsys):
+        doc = {
+            "transversal": {"kind": "horocycle", "height": 1e308},
+            "samples": [{"t": 0.0, "h": -0.5}, {"t": 1.0, "h": -0.5}],
+        }
+        code, _, err = run(capsys, ["leaves", "--force", route_file(doc)])
+        assert code == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "height, ts", [(1e-300, [0.0, 1e10]), (1e-320, [0.0, 1.0])]
+    )
+    def test_horocycle_audit_beyond_its_scale_is_refused(
+        self, route_file, capsys, height, ts
+    ):
+        doc = {
+            "transversal": {"kind": "horocycle", "height": height},
+            "samples": [{"t": t, "h": 0.0} for t in ts],
+        }
+        assert run(capsys, ["validate", route_file(doc)])[0] == 0
+        code, _, err = run(capsys, ["audit", route_file(doc)])
+        assert code == 1
+        assert "float range" in err
+
+    def test_geodesic_audit_beyond_its_scale_is_refused(self, route_file, capsys):
+        # The upper carrier's squared radius overflows at the lower leaf's scale.
+        doc = {
+            "transversal": {"kind": "geodesic"},
+            "samples": [{"t": -350.0, "h": 0.5}, {"t": 350.0, "h": 0.5}],
+        }
+        code, _, err = run(capsys, ["audit", route_file(doc)])
+        assert code == 1
+        assert "float range" in err
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (
+                {
+                    "transversal": {"kind": "geodesic"},
+                    "closed_form": {"name": "totally_geodesic"},
+                    "window": [-1e308, 1e308],
+                },
+                "window:",
+            ),
+            (
+                {
+                    "transversal": {"kind": "geodesic"},
+                    "samples": [{"t": -1e308, "h": 0.0}, {"t": 1e308, "h": 0.0}],
+                },
+                "samples[1].t:",
+            ),
+        ],
+    )
+    def test_infinite_t_span_is_refused(self, route_file, capsys, doc, path):
+        # Warnings are errors under pytest, so a numpy overflow would fail here.
+        code, _, err = run(capsys, ["validate", route_file(doc)])
+        assert code == 1
+        assert f"route file invalid: {path}" in err
+        assert "finite" in err

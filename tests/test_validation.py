@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from umbilic import (
     DomainError,
     Route,
     Transversal,
+    builtin_route,
     lipschitz_profile,
     min_curvature_rate,
+    perturbed_invalid_route,
     profile_inverse,
     validate_c0,
     validate_c1,
@@ -250,6 +253,22 @@ class TestRoute:
         # An infinite tolerance would forgive every violation.
         with pytest.raises(DomainError):
             Route(Transversal.geodesic(), [0.0, 1.0], [0.9, -0.9], tol=math.inf)
+
+    def test_tol_at_the_curvature_bound_rejected(self):
+        # At tol >= bound every route passes, with t_minus > t_plus.
+        route = perturbed_invalid_route(Transversal.geodesic(), seed=3)[0]
+        for tol in (1.0, 2.0):
+            with pytest.raises(DomainError, match="tol"):
+                replace(route, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            Route(Transversal.hypercycle(0.5), [0.0], [0.0], tol=math.sin(0.5))
+        assert Route(Transversal.horocycle(1.0), [0.0], [0.0], tol=5.0).tol == 5.0
+
+    def test_infinite_t_span_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            Route(Transversal.geodesic(), [-1e308, 1e308], [0.0, 0.0])
+        with pytest.raises(DomainError, match="finite"):
+            builtin_route("totally_geodesic", window=(-1e308, 1e308))
 
     def test_out_of_bound_h_is_representable(self):
         # Bound violations are a validation verdict, not a constructor error.
@@ -495,7 +514,8 @@ def c0_routes(draw):
     route = Route(tr, t, h)
     if draw(st.booleans()):
         slacks = _pair_slacks(route)
-        negative = np.unique(slacks[slacks < 0])
+        # Route takes tolerances below the curvature bound only.
+        negative = np.unique(slacks[(slacks < 0) & (slacks > -b / 2)])
         if negative.size:
             s = float(draw(st.sampled_from(negative.tolist())))
             tol = -s + draw(st.integers(-4, 4)) * math.ulp(s)
