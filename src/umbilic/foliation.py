@@ -16,6 +16,7 @@ from .leaves import (
     Circle,
     Leaf,
     Line,
+    _beyond_bound,
     _geodesic_slack,
     _hypercycle_slack,
     _math_map,
@@ -25,7 +26,7 @@ from .leaves import (
     leaf_orthogonal_to_hypercycle,
     upper_contact,
 )
-from .validation import Route, _beyond_bound, _effective_phi, profile_inverse, validate
+from .validation import Route, _effective_phi, profile_inverse, validate
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,42 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     ``DomainError``: a horocycle slice with t / height near 1e308, or
     leaves whose crossings lie more than about 2**511 apart.
 
-    Every circle pair is screened in numpy, in blocks of at most
-    ``_AUDIT_BLOCK_CELLS`` pairs.  Only the pairs the screen flags, the
-    pairs within a rounding guard of one of ``carrier_contact``'s
-    decisions, and the pairs with a line carrier go through
-    ``carrier_contact``.  So the report is, bit for bit, the one a
-    pair-by-pair loop over the scaled pairs gives.  Cost: O(n^2) numpy
-    work in blocks of bounded memory, plus O(r) Python, where r counts
-    the recomputed pairs (on most valid routes, none).
+    Consecutive leaves certify the pairs they span.  A leaf orthogonal to
+    a geodesic or hypercycle crosses it once in the half-plane, so it
+    bounds a region R_t (its disc) holding the transversal below t.  When
+    the leaves at t_i <= t_(i+1) share no point of the closed half-plane,
+    leaf i lies inside R_(i+1), so R_i is inside R_(i+1), and by
+    transitivity leaves i and j are disjoint whenever every link (pair
+    of consecutive leaves) from i to j is.  So the links, each scaled by
+    2**-k_i of its lower leaf, are screened first, and a link is cleared
+    only when the screen finds its carriers concentric, certainly apart
+    or crossing below the axis by more than the rounding guard, and not
+    within ``TANGENCY_TOL`` plus that guard (distinct concentric circles
+    never meet, so the ``totally_geodesic`` family clears every link).
+    A crossing up to ``BOUNDARY_TOL`` above the axis, which the pair
+    screen tolerates, does not clear a link, because each link measures
+    it against its own lower scale: axis-orthogonal leaves at heights 1,
+    4 and 16 whose links cross 0.7e-9 of that scale above the axis have
+    the outer pair crossing at 2.3e-9 of the first leaf's scale.  The
+    tangency tolerance carries over: a pair (i, j) within ``TANGENCY_TOL`` of
+    touching in the half-plane squeezes leaf i+1 between its nearest
+    points, so link (i, i+1), scaled by the same 2**-k_i, is at least as
+    close and not cleared.  Links with a line carrier, and every link of
+    a horocycle slice (whose leaves cross it twice), stay open.
+
+    Only the pairs whose span holds an open link are then screened in
+    numpy, in blocks of at most ``_AUDIT_BLOCK_CELLS`` pairs, rows in
+    order of i and then j; rows with a leaf beyond about 2**500 at their
+    scale are screened in full, so the float range is refused as before.
+    Only the pairs the screen flags, the pairs within a rounding guard of
+    one of ``carrier_contact``'s decisions, and the pairs with a line
+    carrier go through ``carrier_contact``.  So the report is, bit for
+    bit, the one a pair-by-pair loop over the scaled pairs gives, and
+    ``pair_count`` still counts all n (n - 1) / 2 pairs.  Cost: O(n)
+    numpy for a family whose links all clear (most valid routes), plus
+    numpy over the pairs that span an open link (all of them on a
+    horocycle), in blocks of bounded memory, plus O(r) Python, where r
+    counts the recomputed pairs.
     """
     entries = slice_.all_entries()
     n = len(entries)
@@ -178,16 +207,17 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         np.array([getattr(s, name, math.nan) for s in shapes], dtype=float)
         for name in ("cx", "cy", "radius")
     )
+    first = _first_open_columns(slice_.transversal, cx, cy, r, k)
+    rows = np.flatnonzero(first < n)
+    ends = np.cumsum(n - first[rows])
     intersecting = []
     tangent = []
     lo = 0
-    while lo < n - 1:
-        hi = min(n - 1, lo + max(1, _AUDIT_BLOCK_CELLS // (n - 1 - lo)))
-        i, j = _upper_pairs(n, lo, hi)
-        e = -k[i]
-        with np.errstate(over="ignore"):
-            scaled = [np.ldexp(col[idx], e) for idx in (i, j) for col in (cx, cy, r)]
-        settled, _ = _screen(*scaled)
+    while lo < rows.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _AUDIT_BLOCK_CELLS, "right")))
+        i, j = _upper_pairs(n, rows[lo:hi], first)
+        settled, _ = _screen(*_scaled_columns((cx, cy, r), i, j, k[i]))
         for p in np.flatnonzero(~settled):
             t1, leaf1, _ = entries[i[p]]
             t2, leaf2, _ = entries[j[p]]
@@ -223,13 +253,47 @@ def _scale_exponents(transversal: Transversal, ts) -> np.ndarray:
     return np.rint(np.asarray(ts, dtype=float) * L / math.log(2.0)).astype(np.intc)
 
 
-def _upper_pairs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j) with lo <= i < hi and i < j < n, ordered by
-    i, then j."""
-    rows = np.arange(lo, hi)
-    counts = n - 1 - rows
+def _scaled_columns(columns, i, j, k) -> list[np.ndarray]:
+    """The carrier columns of leaves i, then of leaves j, scaled by 2**-k."""
+    with np.errstate(over="ignore"):
+        return [np.ldexp(col[idx], -k) for idx in (i, j) for col in columns]
+
+
+#: A row whose later leaves reach past this at its scale is screened in
+#: full: squared, they may leave the float range, which only a screened
+#: pair can report.
+_REACH_LIMIT = 2.0**500
+
+
+def _first_open_columns(transversal: Transversal, cx, cy, r, k) -> np.ndarray:
+    """For each row i < n - 1 of the audit, the first j whose pair (i, j)
+    must be screened: l + 1 for the first link (l, l + 1) with l >= i
+    that is not cleared, or n when every link from i on is cleared.
+
+    See ``verify_disjoint``: a link is cleared when ``_screen`` with the
+    boundary at 0 finds it unflagged, which settles no line.  No link of
+    a horocycle slice is cleared.
+    """
+    n = cx.size
+    links = np.arange(n - 1)
+    if transversal.kind == TransversalKind.HOROCYCLE:
+        return links + 1
+    scaled = _scaled_columns((cx, cy, r), links, links + 1, k[:-1])
+    cleared, _ = _screen(*scaled, boundary=0.0)
+    reach = np.fmax.accumulate(np.fmax(np.fmax(np.abs(cx), np.abs(cy)), r)[::-1])[::-1]
+    with np.errstate(over="ignore"):
+        cleared &= ~(np.ldexp(reach[1:], -k[:-1]) > _REACH_LIMIT)
+    open_at = np.where(cleared, n - 1, links)
+    return np.minimum.accumulate(open_at[::-1])[::-1] + 1
+
+
+def _upper_pairs(n: int, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with i in ``rows`` and first[i] <= j < n,
+    ordered by i, then j."""
+    start = first[rows]
+    counts = n - start
     i = np.repeat(rows, counts)
-    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
+    j = np.arange(i.size) + np.repeat(start - np.cumsum(counts) + counts, counts)
     return i, j
 
 
@@ -252,17 +316,20 @@ def _scaled(leaf: Leaf, e: int) -> Leaf:
     return scaled
 
 
-def _screen(x1, y1, r1, x2, y2, r2) -> tuple[np.ndarray, np.ndarray]:
+def _screen(
+    x1, y1, r1, x2, y2, r2, boundary: float = BOUNDARY_TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Which circle pairs ``carrier_contact`` certainly leaves unflagged,
     and which it certainly finds crossing above the boundary.
 
-    Follows ``leaves._circle_circle`` step by step.  Unflagged: not
-    coincident, and either concentric, or neither tangent nor crossing
-    above ``BOUNDARY_TOL``.  Crossing: not coincident, not tangent, and
-    the higher crossing point above ``BOUNDARY_TOL``.  A decision is
-    settled only when numpy's value clears its threshold by more than a
-    bound on the rounding gap between the two computations; nan and inf
-    settle nothing.
+    Follows ``leaves._circle_circle`` step by step.  Unflagged: neither
+    coincident nor tangent, and either concentric, apart or crossing no
+    higher than ``boundary`` (``BOUNDARY_TOL`` for the audit's pairs, 0
+    for its links).  Crossing: not coincident, not tangent, and the
+    higher crossing point above ``boundary``.  A decision is settled only
+    when numpy's value clears its threshold by more than a bound on the
+    rounding gap between the two computations; nan and inf settle
+    nothing, so neither do lines.
     """
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -270,9 +337,8 @@ def _screen(x1, y1, r1, x2, y2, r2) -> tuple[np.ndarray, np.ndarray]:
         d = np.hypot(dx, dy)
         rdiff = np.abs(r1 - r2)
         gap = np.minimum(np.abs(d - (r1 + r2)), np.abs(d - rdiff))
-        err_d = g * (d + r1 + r2)
-        coincident = (d <= tol + err_d) & (rdiff <= tol)
-        near_tangent = gap <= tol + err_d
+        # Coincident carriers (d and rdiff within tol) are near tangent too.
+        near_tangent = gap <= tol + g * (d + r1 + r2)
         # The chord's foot a along the centre line, and disc = r1^2 - a^2;
         # q = (r1^2 + r2^2 + d^2) / d bounds 2|a|.
         r1r1, r2r2, dd = r1 * r1, r2 * r2, d * d
@@ -285,11 +351,10 @@ def _screen(x1, y1, r1, x2, y2, r2) -> tuple[np.ndarray, np.ndarray]:
         err_top = err_disc / root + g * (np.abs(y1) + 2.0 * q + 2.0 * root)
         apart = disc < -err_disc
         crossing = disc > err_disc
-        low_crossing = crossing & (top < BOUNDARY_TOL - err_top)
-        high_crossing = crossing & (top > BOUNDARY_TOL + err_top)
-    distinct, clear = ~coincident, ~near_tangent
-    unflagged = distinct & ((d == 0.0) | (clear & (apart | low_crossing)))
-    return unflagged, distinct & clear & high_crossing
+        low_crossing = crossing & (top < boundary - err_top)
+        high_crossing = crossing & (top > boundary + err_top)
+    clear = ~near_tangent
+    return clear & ((d == 0.0) | apart | low_crossing), clear & high_crossing
 
 
 def extend_slice(

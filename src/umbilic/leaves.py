@@ -40,6 +40,10 @@ _LINE_TOL = 1e-12
 
 _ANGLE_MATCH_TOL = 1e-6
 
+#: Levels within this beyond the curvature bound still lie in the
+#: admissible band: |h| <= bound, or |cos beta| <= sin phi on the phi-ray.
+_BAND_TOL = 1e-12
+
 
 class LeafKind(str, Enum):
     HOROSPHERE = "horosphere"
@@ -177,11 +181,10 @@ def ideal_endpoints(leaf: Leaf) -> IdealEndpoints:
     """Where the leaf meets the ideal boundary."""
     s = leaf.shape
     if isinstance(s, Circle):
-        disc = s.radius * s.radius - s.cy * s.cy
-        if disc <= 0.0:
+        root = _half_chord(s)
+        if root is None:
             # Tangent circle: both endpoints collapse onto the tangency point.
             return IdealEndpoints(s.cx, s.cx)
-        root = math.sqrt(disc)
         return IdealEndpoints(s.cx - root, s.cx + root)
     if s.dy == 0.0:
         return IdealEndpoints(-math.inf, math.inf)
@@ -189,6 +192,25 @@ def ideal_endpoints(leaf: Leaf) -> IdealEndpoints:
     if s.dx < 0:
         return IdealEndpoints(-math.inf, crossing)
     return IdealEndpoints(crossing, math.inf)
+
+
+def _half_chord(c: Circle) -> float | None:
+    """Half the chord the circle cuts from the boundary line,
+    sqrt(r^2 - cy^2), or None when it only touches or misses the line.
+
+    Where r^2 - cy^2 leaves the float range (r past about 1.3e154) the
+    root is taken as 2 sqrt(r/2 - |cy|/2) sqrt(r/2 + |cy|/2), in which
+    no term overflows.
+    """
+    disc = c.radius * c.radius - c.cy * c.cy
+    if disc <= 0.0:
+        return None
+    if disc < math.inf:
+        return math.sqrt(disc)
+    half_r, half_cy = 0.5 * c.radius, 0.5 * abs(c.cy)
+    if half_r <= half_cy:
+        return None
+    return 2.0 * math.sqrt(half_r - half_cy) * math.sqrt(half_r + half_cy)
 
 
 def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:
@@ -233,12 +255,18 @@ def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
     return Leaf(Circle(*_circle_carrier(s, cbeta, (sphi, cphi))), beta)
 
 
+def _beyond_bound(level, bound: float, tol: float = _BAND_TOL):
+    """Whether ``level`` (a float, or each element of an array) lies
+    beyond the band [-bound, bound] by more than ``tol``."""
+    return abs(level) > bound + tol
+
+
 def _admissible_cos(phi: float, sphi: float, beta: float) -> float:
     """cos beta, once beta is checked to be admissible on the phi-ray
-    (sin phi = ``sphi``): ``|cos beta| <= sin phi``, up to 1e-12."""
+    (sin phi = ``sphi``): ``|cos beta| <= sin phi``, see ``_beyond_bound``."""
     _check_beta(beta)
     cbeta = math.cos(beta)
-    if abs(cbeta) > sphi + 1e-12:
+    if _beyond_bound(cbeta, sphi):
         raise DomainError(
             f"no leaf with angle {beta!r} crosses the phi={phi!r} ray orthogonally"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .foliation import FoliationSlice
 from .halfplane import TransversalKind
-from .leaves import Circle, Leaf, Line
+from .leaves import Circle, Leaf, Line, _half_chord
 
 _SVG_DECIMALS = 3
 
@@ -72,10 +72,10 @@ def _fmt(v: float) -> str:
 
 
 def _circle_path(c: Circle, vp: Viewport) -> str:
-    disc = c.radius * c.radius - c.cy * c.cy
+    root = _half_chord(c)
     rx = _fmt(c.radius * vp.x_scale)
     ry = _fmt(c.radius * vp.y_scale)
-    if disc <= 0.0:
+    if root is None:
         # Tangent to the boundary: draw the full circle as two half arcs.
         bx, by = vp.to_px(c.cx, c.cy - c.radius)
         tx, ty = vp.to_px(c.cx, c.cy + c.radius)
@@ -84,7 +84,6 @@ def _circle_path(c: Circle, vp: Viewport) -> str:
             f" A {rx},{ry} 0 1 1 {_fmt(tx)},{_fmt(ty)}"
             f" A {rx},{ry} 0 1 1 {_fmt(bx)},{_fmt(by)} Z"
         )
-    root = math.sqrt(disc)
     x1, y1 = vp.to_px(c.cx - root, 0.0)
     x2, y2 = vp.to_px(c.cx + root, 0.0)
     large = 1 if c.cy > 0 else 0

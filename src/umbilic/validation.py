@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .halfplane import Transversal, TransversalKind
+from .leaves import _beyond_bound
 
 DEFAULT_TOL = 1e-9
 
@@ -94,7 +95,7 @@ def min_curvature_rate(phi: float, h):
     """
     b = _check_phi(phi)
     worst = float(np.max(np.abs(h)))
-    if worst > b + 1e-12:
+    if _beyond_bound(worst, b):
         raise DomainError(f"|h| must not exceed sin(phi)={b!r}, got |h|={worst!r}")
     hc = np.clip(h, -b, b)
     root = np.sqrt(1.0 - hc * hc)
@@ -203,12 +204,6 @@ class Verdict:
     violations: tuple[Violation, ...]
     notes: tuple[str, ...]
     mode: str
-
-
-def _beyond_bound(h: np.ndarray, bound: float, tol: float) -> np.ndarray:
-    """Which levels lie beyond the curvature bound by more than tol: no
-    leaf carries them."""
-    return np.abs(h) > bound + tol
 
 
 def _classify_samples(h: np.ndarray, bound: float, tol: float):
@@ -384,15 +379,19 @@ def validate_c1(route: Route) -> Verdict:
         hp = route.dh
         source = "supplied derivative track"
     elif route.n >= 2:
-        hp = np.gradient(route.h, route.t)
+        # Levels near the float limit, or spacings near 0, overflow the
+        # differences: a slope past the float range reads +-inf, and one
+        # where two such terms cancel reads nan, which checks nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            hp = np.gradient(route.h, route.t)
         source = "central finite differences"
     else:
         hp = np.zeros(1)
         source = "single sample, derivative taken as 0"
 
     rhs = min_curvature_rate(phi_eff, np.clip(route.h, -bound, bound))
-    ok = ~_beyond_bound(route.h, bound, tol)
     slack = hp - rhs
+    ok = ~_beyond_bound(route.h, bound, tol) & ~np.isnan(slack)
     for i in np.flatnonzero(ok & (slack < -tol)):
         violations.append(
             Violation("pointwise", float(route.t[i]), math.nan, float(slack[i]))

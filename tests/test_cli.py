@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -408,3 +409,43 @@ class TestFloatRange:
         assert code == 1
         assert f"route file invalid: {path}" in err
         assert "finite" in err
+
+
+class TestFloatRangeOutputs:
+    """Finite documents whose arithmetic passes the float range on the way
+    still give finite reports and exit codes, without a warning."""
+
+    def test_c1_differences_past_the_float_range(self, route_file, capsys):
+        doc = {
+            "transversal": {"kind": "geodesic"},
+            "samples": [
+                {"t": 0.0, "h": 1e308}, {"t": 0.5, "h": 0.0}, {"t": 2.0, "h": 1e308},
+            ],
+        }
+        code, out, _ = run(capsys, ["validate", "--c1", route_file(doc)])
+        assert code == 2
+        report = json.loads(out)
+        assert report["valid"] is False
+        assert [v["kind"] for v in report["violations"]] == ["bound", "pointwise", "bound"]
+
+    # The second leaf's radius squared overflows; its endpoints do not.
+    WIDE_LEAF = {
+        "transversal": {"kind": "geodesic"},
+        "samples": [{"t": -700.0, "h": 0.5}, {"t": 700.0, "h": 0.5}],
+    }
+
+    def test_leaves_of_huge_radius_have_finite_endpoints(self, route_file, capsys):
+        code, out, _ = run(capsys, ["leaves", route_file(self.WIDE_LEAF)])
+        assert code == 0
+        row = out.splitlines()[2].split("\t")
+        a_minus, a_plus = float(row[7]), float(row[8])
+        # Orthogonal to the axis at s = e^700 with beta = 2 pi / 3: the
+        # endpoints are +-s tan(beta / 2).
+        assert a_plus == pytest.approx(math.exp(700.0) * math.sqrt(3.0), rel=1e-11)
+        assert a_minus == -a_plus
+
+    def test_render_of_huge_radius_writes_no_nan(self, route_file, capsys, tmp_path):
+        svg = tmp_path / "wide.svg"
+        code, _, _ = run(capsys, ["render", route_file(self.WIDE_LEAF), "--out", str(svg)])
+        assert code == 0
+        assert "nan" not in svg.read_text(encoding="utf-8")

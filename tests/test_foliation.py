@@ -906,3 +906,153 @@ class TestAuditScaleAndShift:
         )
         report = verify_disjoint(synthesize(route, force=True))
         assert any(c.t1 <= hi and lo <= c.t2 for c in report.intersecting)
+
+
+@st.composite
+def chained_slices(draw):
+    """Families whose links mostly clear, with a few open ones: valid,
+    perturbed and extended routes at offsets -40, 0 and +40, valid routes
+    with one leaf given another admissible level (one defect in a clean
+    chain), and horocycle slices, whose links never clear.  Windows are
+    4 wide, or 12 to 40 wide with margins down to 1e-9 (near the pencil),
+    so that far pairs span scale ratios up to about e^40."""
+    kind = draw(st.sampled_from(["geodesic", "hypercycle", "horocycle"]))
+    n = draw(st.integers(2, 120))
+    seed = draw(st.integers(0, 2**16))
+    offset = draw(st.sampled_from([-40.0, 0.0, 40.0]))
+    half = draw(st.one_of(st.just(2.0), st.floats(6.0, 20.0)))
+    if kind == "horocycle":
+        t = offset + np.linspace(-2.0, 2.0, n)
+        levels = np.random.default_rng(seed).choice([0.0, -0.5, -1.0], n)
+        return synthesize(Route(Transversal.horocycle(1.0), t, levels), force=True)
+    tr = (
+        Transversal.geodesic()
+        if kind == "geodesic"
+        else Transversal.hypercycle(draw(st.floats(0.1, 1.45)))
+    )
+    window = (offset - half, offset + half)
+    margin = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    variant = draw(st.sampled_from(["valid", "perturbed", "swapped"]))
+    if variant == "perturbed":
+        route, _ = perturbed_invalid_route(tr, window=window, n=n, margin=margin, seed=seed)
+    else:
+        route = random_valid_route(tr, window=window, n=n, margin=margin, seed=seed)
+    if variant == "swapped":
+        h = route.h.copy()
+        bound = tr.curvature_bound
+        h[draw(st.integers(0, n - 1))] = draw(st.floats(-bound, bound))
+        route = Route(tr, route.t, h)
+    slice_ = synthesize(route, force=True)
+    if kind == "hypercycle" and draw(st.booleans()):
+        slice_ = extend_slice(slice_, draw(st.integers(1, 6)))
+    return slice_
+
+
+class TestLinkScreen:
+    """The audit screens only the pairs whose span holds a link (pair of
+    consecutive leaves) it could not clear; the report stays the
+    pair-by-pair loop's."""
+
+    @settings(max_examples=60)
+    @given(chained_slices())
+    def test_matches_reference(self, slice_):
+        assert_matches_reference(slice_)
+
+    @staticmethod
+    def screened_pairs(monkeypatch, slice_):
+        counts = []
+        screen = foliation._screen
+
+        def counting(*columns, **kwargs):
+            counts.append(columns[0].size)
+            return screen(*columns, **kwargs)
+
+        monkeypatch.setattr(foliation, "_screen", counting)
+        return verify_disjoint(slice_), sum(counts)
+
+    def test_clean_family_screens_only_its_links(self, monkeypatch):
+        n = 4000
+        route = random_valid_route(Transversal.hypercycle(0.9), n=n, seed=1)
+        report, screened = self.screened_pairs(monkeypatch, synthesize(route))
+        assert report.clean
+        assert report.pair_count == n * (n - 1) // 2
+        assert screened == n - 1
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            builtin_route("totally_geodesic", window=(-12.0, 12.0), n=241),
+            builtin_route("constant", c=0.0, window=(-12.0, 12.0), n=241),
+        ],
+        ids=["totally-geodesic", "constant-0"],
+    )
+    def test_concentric_family_clears_its_links(self, monkeypatch, route):
+        # Every leaf is a circle about the origin; distinct ones never meet.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return carrier_contact(*args)
+
+        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        slice_ = synthesize(route)
+        assert {leaf.shape.cx for _, leaf, _ in slice_.all_entries()} == {0.0}
+        report, screened = self.screened_pairs(monkeypatch, slice_)
+        assert report.clean
+        assert screened == 240
+        assert calls == []
+
+    def test_horocycle_slice_screens_every_pair(self, monkeypatch):
+        n = 200
+        route = Route(Transversal.horocycle(1.0), np.linspace(-2, 2, n), np.zeros(n))
+        report, screened = self.screened_pairs(monkeypatch, synthesize(route))
+        assert report.clean
+        assert screened == n * (n - 1) // 2
+
+    def test_far_pairs_beyond_the_float_range_are_still_refused(self):
+        # Every link clears, but the top leaf's squared radius overflows at
+        # the bottom leaf's scale, as for the two-sample route in test_cli.
+        n = 400
+        route = Route(Transversal.geodesic(), np.linspace(-360.0, 360.0, n), np.full(n, 0.5))
+        with pytest.raises(DomainError, match="float range"):
+            verify_disjoint(synthesize(route))
+
+    @staticmethod
+    def leaves_meeting_above_the_axis(a0, heights, rise):
+        """Axis-orthogonal leaves at the given heights, the first ending at
+        +-a0, each crossing the one before at ``rise`` times the lower
+        leaf's scale above the axis, so within ``BOUNDARY_TOL`` of it.
+        Coaxial circles cross at y = (a1^2 - a2^2) / (2 (c2 - c1)), where
+        c is the centre's height, which fixes each next endpoint."""
+        s = heights[0]
+        a, c = a0, (s * s - a0 * a0) / (2 * s)
+        entries = [(math.log(s), leaf_orthogonal_to_geodesic(s, 2 * math.atan(a / s)))]
+        for lower, s in zip(heights, heights[1:]):
+            y = rise * 2.0 ** round(math.log2(lower))
+            u = (a * a - y * s + 2 * y * c) / (1 - y / s)
+            a, c = math.sqrt(u), (s * s - u) / (2 * s)
+            entries.append((math.log(s), leaf_orthogonal_to_geodesic(s, 2 * math.atan(a / s))))
+        return slice_of(entries)
+
+    @pytest.mark.parametrize("a0", [1.0, 5.0])
+    @pytest.mark.parametrize(
+        "heights", [[1.0, 4.0, 16.0], [1.0, 16.0, 256.0], [1.0, 2.0, 4.0, 8.0, 16.0]]
+    )
+    def test_links_crossing_within_the_boundary_tolerance_stay_open(self, a0, heights):
+        # Each link crosses below BOUNDARY_TOL at its scale, so none is
+        # flagged; pairs spanning a change of scale cross above it.
+        report = assert_matches_reference(self.leaves_meeting_above_the_axis(a0, heights, 0.7e-9))
+        assert not report.clean
+
+    def test_links_are_judged_at_their_lower_leafs_scale(self, monkeypatch):
+        # The first two leaves nest, touching nearly at their crossings,
+        # which straddle a power of two: 1.5e-9 apart at the lower leaf's
+        # scale (not tangent), 0.75e-9 at the upper one's.
+        s0 = math.sqrt(2.0) * (1.0 - 1e-9)
+        leaves = [(s0, math.pi / 3), (s0 + 1.5e-9, math.pi / 2), (1.5 * s0, 2.0)]
+        slice_ = slice_of(
+            [(math.log(s), leaf_orthogonal_to_geodesic(s, beta)) for s, beta in leaves]
+        )
+        report, screened = self.screened_pairs(monkeypatch, slice_)
+        assert report.clean
+        assert screened == 2

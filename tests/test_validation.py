@@ -11,6 +11,7 @@ from umbilic import (
     Route,
     Transversal,
     builtin_route,
+    leaf_orthogonal_to_hypercycle,
     lipschitz_profile,
     min_curvature_rate,
     perturbed_invalid_route,
@@ -651,3 +652,24 @@ class TestValidateHorocycle:
     def test_requires_horocycle(self):
         with pytest.raises(DomainError):
             validate_horocycle(geodesic_route([0.0, 1.0], [0.0, 0.0]))
+
+
+class TestAdmissibleBand:
+    """The rate bound and the hypercycle leaf accept the same levels: the
+    band |h| <= sin phi, up to its one tolerance."""
+
+    @pytest.mark.parametrize("phi", [0.3, 0.9, 1.4])
+    @pytest.mark.parametrize("beyond", [0.0, 0.5e-12, 2e-12])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_rate_and_leaf_agree_at_the_band_edge(self, phi, beyond, sign):
+        h = sign * (math.sin(phi) + beyond)
+        admissible = beyond < 1e-12
+        for check in (
+            lambda: min_curvature_rate(phi, h),
+            lambda: leaf_orthogonal_to_hypercycle(phi, 1.0, math.acos(-h)),
+        ):
+            if admissible:
+                check()
+            else:
+                with pytest.raises(DomainError):
+                    check()
