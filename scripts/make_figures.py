@@ -56,7 +56,7 @@ def main() -> None:
         path = os.path.join(args.out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_svg(slice_, viewport))
-        total = len(slice_.leaves) + len(slice_.extension_leaves)
+        total = slice_.t.size
         print(f"wrote {path} ({total} leaves)")
 
 

@@ -206,7 +206,7 @@ def _cmd_render(args) -> int:
     svg = render_svg(slice_, viewport)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    total = len(slice_.leaves) + len(slice_.extension_leaves)
+    total = slice_.t.size
     print(f"wrote {args.out}: {total} leaf paths")
     return 0
 

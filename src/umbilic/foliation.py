@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,22 +48,45 @@ class DisjointnessReport:
     tangent: tuple[PairContact, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoliationSlice:
-    """An ordered leaf family over a transversal, one leaf per route sample,
-    plus any extension leaves added past the sampled window."""
+    """An ordered leaf family over a transversal: one row (t, h, extension)
+    per route sample and per extension leaf, sorted by t, sampled leaves
+    first on ties.  Row (t, h) is the leaf ``_leaf_map`` builds, crossing
+    the transversal orthogonally at t with mean curvature h: the level
+    clipped to the band, or on a horocycle 0 for a line and the level
+    clamped to [-1, 0) for a circle."""
 
     transversal: Transversal
-    leaves: tuple[tuple[float, Leaf], ...]
-    extension_leaves: tuple[tuple[float, Leaf], ...] = ()
+    t: np.ndarray
+    h: np.ndarray
+    extension: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("t", float), ("h", float), ("extension", bool)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+        if not (self.t.ndim == 1 and self.t.shape == self.h.shape == self.extension.shape):
+            raise DomainError("a slice needs t, h and extension columns of one length")
+        if not np.all(self.t[1:] >= self.t[:-1]):
+            raise DomainError("slice rows must be sorted by t")
+        if not np.all(np.abs(self.h) <= 1.0):
+            raise DomainError("slice levels must be finite, with |h| <= 1")
 
     def all_entries(self) -> list[tuple[float, Leaf, bool]]:
-        """Every leaf as ``(t, leaf, is_extension)`` in t order, sampled
-        leaves first on ties."""
-        tagged = [(t, leaf, False) for t, leaf in self.leaves]
-        tagged += [(t, leaf, True) for t, leaf in self.extension_leaves]
-        tagged.sort(key=lambda e: e[0])
-        return tagged
+        """Every leaf as ``(t, leaf, is_extension)``, in row order."""
+        leaf = _leaf_map(self.transversal)
+        rows = zip(self.t.tolist(), self.h.tolist(), self.extension.tolist())
+        return [(t, leaf(t, h), ext) for t, h, ext in rows]
+
+    @property
+    def leaves(self) -> tuple[tuple[float, Leaf], ...]:
+        """``(t, leaf)`` for each sampled leaf, in t order."""
+        return tuple((t, leaf) for t, leaf, ext in self.all_entries() if not ext)
+
+    @property
+    def extension_leaves(self) -> tuple[tuple[float, Leaf], ...]:
+        """``(t, leaf)`` for each extension leaf, in t order."""
+        return tuple((t, leaf) for t, leaf, ext in self.all_entries() if ext)
 
 
 def synthesize(route: Route, force: bool = False) -> FoliationSlice:
@@ -79,51 +101,56 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
         verdict = validate(route)
         if not verdict.valid:
             raise InvalidRouteError("route failed validation", verdict=verdict)
-    if route.transversal.kind == TransversalKind.HOROCYCLE:
-        return FoliationSlice(route.transversal, _horocycle_leaves(route))
-
-    bound = route.transversal.curvature_bound
-    if np.any(_beyond_bound(route.h, bound, route.tol)):
-        raise DomainError(
-            f"curvature beyond the bound {bound!r} is not realizable by any leaf"
-        )
-    betas = [math.acos(-h) for h in np.clip(route.h, -bound, bound)]
-    entries = _orthogonal_leaves(route.transversal, route.t.tolist(), betas)
-    return FoliationSlice(route.transversal, tuple(entries))
-
-
-def _orthogonal_leaves(
-    transversal: Transversal, ts, betas
-) -> list[tuple[float, Leaf]]:
-    """``(t, leaf)`` for each leaf crossing a geodesic or hypercycle
-    transversal orthogonally at parameter t (at s = e^(t L)), with boundary
-    angle beta.  The transversal is read once per call: its properties
-    cost more than a leaf's arithmetic."""
-    L = transversal.curvature_bound
-    if transversal.kind == TransversalKind.GEODESIC:
-        leaf = leaf_orthogonal_to_geodesic
+    tr, h, tol = route.transversal, route.h, route.tol
+    if tr.kind == TransversalKind.HOROCYCLE:
+        # A vertical line within tol of 0, else a circle centred on the line.
+        line = np.abs(h) <= tol
+        for level in h[~line & ~((-1.0 - tol <= h) & (h < 0))][:1].tolist():
+            if level < 0:
+                raise DomainError(f"no leaf carries mean curvature {level!r}")
+            raise DomainError("no leaf with h > 0 crosses a horizontal transversal orthogonally")
+        h = np.where(line, 0.0, np.maximum(h, -1.0))
     else:
-        leaf = partial(leaf_orthogonal_to_hypercycle, transversal.phi)
-    return [(t, leaf(math.exp(t * L), beta)) for t, beta in zip(ts, betas)]
-
-
-def _horocycle_leaves(route: Route) -> tuple[tuple[float, Leaf], ...]:
-    height = route.transversal.height
-    entries = []
-    for t, h in zip(route.t.tolist(), route.h.tolist()):
-        if abs(h) <= route.tol:
-            entries.append((t, Leaf(Line(t, height, 0.0, 1.0), math.pi / 2)))
-        elif -1.0 - route.tol <= h < 0:
-            # Orthogonality to a horizontal line puts the center on it.
-            hm = min(abs(h), 1.0)
-            entries.append((t, Leaf(Circle(t, height, height / hm), math.acos(hm))))
-        elif h < 0:
-            raise DomainError(f"no leaf carries mean curvature {h!r}")
-        else:
+        bound = tr.curvature_bound
+        if np.any(_beyond_bound(h, bound, tol)):
             raise DomainError(
-                "no leaf with h > 0 crosses a horizontal transversal orthogonally"
+                f"curvature beyond the bound {bound!r} is not realizable by any leaf"
             )
-    return tuple(entries)
+        h = np.clip(h, -bound, bound)
+    return FoliationSlice(tr, route.t, h, np.zeros(route.n, dtype=bool))
+
+
+def _leaf_map(transversal: Transversal, e: int = 0):
+    """The map ``(t, h) -> Leaf`` of a slice's rows, scaled by 2**e: every
+    carrier field is a multiple of the crossing (e^(t L), or a horocycle's
+    height), so scaling it scales the leaf exactly, within the float
+    range.  Reads the transversal once, not once per leaf."""
+    if transversal.kind == TransversalKind.HOROCYCLE:
+        height = math.ldexp(transversal.height, e)
+        return lambda t, h: (
+            Leaf(Line(math.ldexp(t, e), height, 0.0, 1.0), math.pi / 2)
+            if h == 0.0
+            else Leaf(Circle(math.ldexp(t, e), height, height / -h), math.acos(-h))
+        )
+    L, phi = transversal.curvature_bound, transversal.phi
+    if phi is None:
+        return lambda t, h: leaf_orthogonal_to_geodesic(
+            math.ldexp(math.exp(t * L), e), math.acos(-h)
+        )
+    return lambda t, h: leaf_orthogonal_to_hypercycle(
+        phi, math.ldexp(math.exp(t * L), e), math.acos(-h)
+    )
+
+
+def _carriers(slice_: FoliationSlice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ``(cx, cy, radius)`` of the carriers that ``all_entries``
+    builds, bit for bit; nan where the leaf is a line."""
+    tr, t, h = slice_.transversal, slice_.t, slice_.h
+    with np.errstate(divide="ignore", over="ignore"):
+        if tr.kind == TransversalKind.HOROCYCLE:
+            return tuple(np.where(h != 0.0, c, math.nan) for c in (t, tr.height, tr.height / -h))
+        s = _math_map(math.exp, t * tr.curvature_bound)
+        return _orthogonal_carriers(s, _math_map(math.acos, -h), tr.phi)
 
 
 #: Leaf pairs per numpy block of ``verify_disjoint`` and of the lemma
@@ -154,17 +181,18 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     transversal, e^(t L) rounded to a power of two (L = 1 on the
     geodesic, sin phi on a hypercycle), or the height of a horocycle.
     Both tolerances are therefore relative to that scale, and the verdict
-    does not change when the route is shifted in t.  Scaling by a power
-    of two is exact, so the witness points, scaled back, carry the same
-    bits as an unscaled intersection would.  A pair whose carriers, or
+    does not change when the route is shifted in t.  ``_leaf_map`` builds
+    the scaled leaves exactly, so the witness points, scaled back, carry
+    the bits of an unscaled intersection.  A pair whose carriers, or
     their squares, leave the float range at that scale raises
     ``DomainError``: a horocycle slice with t / height near 1e308, or
     leaves whose crossings lie more than about 2**511 apart.
 
-    Consecutive leaves certify the pairs they span.  A leaf orthogonal to
-    a geodesic or hypercycle crosses it once in the half-plane, so it
-    bounds a region R_t (its disc) holding the transversal below t.  When
-    the leaves at t_i <= t_(i+1) share no point of the closed half-plane,
+    Consecutive leaves certify the pairs they span.  Every leaf of a slice
+    crosses its transversal orthogonally, since a slice holds only (t, h)
+    rows, and on a geodesic or hypercycle it crosses it once, so it bounds
+    a region R_t (its disc) holding the transversal below t.  When the
+    leaves at t_i <= t_(i+1) share no point of the closed half-plane,
     leaf i lies inside R_(i+1), so R_i is inside R_(i+1), and by
     transitivity leaves i and j are disjoint whenever every link (pair
     of consecutive leaves) from i to j is.  So the links, each scaled by
@@ -178,8 +206,8 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     it against its own lower scale: axis-orthogonal leaves at heights 1,
     4 and 16 whose links cross 0.7e-9 of that scale above the axis have
     the outer pair crossing at 2.3e-9 of the first leaf's scale.  The
-    tangency tolerance carries over: a pair (i, j) within ``TANGENCY_TOL`` of
-    touching in the half-plane squeezes leaf i+1 between its nearest
+    tangency tolerance carries over: a pair (i, j) within ``TANGENCY_TOL``
+    of touching in the half-plane squeezes leaf i+1 between its nearest
     points, so link (i, i+1), scaled by the same 2**-k_i, is at least as
     close and not cleared.  Links with a line carrier, and every link of
     a horocycle slice (whose leaves cross it twice), stay open.
@@ -198,16 +226,17 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     horocycle), in blocks of bounded memory, plus O(r) Python, where r
     counts the recomputed pairs.
     """
-    entries = slice_.all_entries()
-    n = len(entries)
-    k = _scale_exponents(slice_.transversal, [t for t, _, _ in entries])
-    # Lines enter the columns as nan, which the screen never settles.
-    shapes = [leaf.shape for _, leaf, _ in entries]
-    cx, cy, r = (
-        np.array([getattr(s, name, math.nan) for s in shapes], dtype=float)
-        for name in ("cx", "cy", "radius")
-    )
-    first = _first_open_columns(slice_.transversal, cx, cy, r, k)
+    tr, n = slice_.transversal, slice_.t.size
+    ts, hs = slice_.t.tolist(), slice_.h.tolist()
+    if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
+        k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
+    else:
+        k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
+    cx, cy, r = _carriers(slice_)
+    finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
+    for p in np.flatnonzero(~finite & ~np.isnan(r))[:1].tolist():
+        _leaf_map(tr)(ts[p], hs[p])  # the constructors refuse it, with their message
+    first = _first_open_columns(tr, cx, cy, r, k)
     rows = np.flatnonzero(first < n)
     ends = np.cumsum(n - first[rows])
     intersecting = []
@@ -218,15 +247,16 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         hi = max(lo + 1, int(np.searchsorted(ends, done + _AUDIT_BLOCK_CELLS, "right")))
         i, j = _upper_pairs(n, rows[lo:hi], first)
         settled, _ = _screen(*_scaled_columns((cx, cy, r), i, j, k[i]))
-        for p in np.flatnonzero(~settled):
-            t1, leaf1, _ = entries[i[p]]
-            t2, leaf2, _ = entries[j[p]]
-            scale = int(k[i[p]])
+        unsettled = np.flatnonzero(~settled)
+        maps = {e: _leaf_map(tr, -e) for e in set(k[i[unsettled]].tolist())}
+        for a, b in zip(i[unsettled].tolist(), j[unsettled].tolist()):
+            scale = int(k[a])
+            leaf = maps[scale]
             try:
-                contact = carrier_contact(_scaled(leaf1, -scale), _scaled(leaf2, -scale))
-            except OverflowError:
+                contact = carrier_contact(leaf(ts[a], hs[a]), leaf(ts[b], hs[b]))
+            except (OverflowError, DomainError):  # the unscaled carriers are finite
                 raise DomainError(
-                    f"the leaves at t={t1!r} and t={t2!r} leave the float range "
+                    f"the leaves at t={ts[a]!r} and t={ts[b]!r} leave the float range "
                     f"at the audit's scale 2**{scale}"
                 ) from None
             point = upper_contact(contact)
@@ -234,7 +264,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
                 continue
             x, y = (math.ldexp(v, scale) for v in point)
             flagged = tangent if contact.kind == "tangent" else intersecting
-            flagged.append(PairContact(t1, t2, contact.kind, x, y))
+            flagged.append(PairContact(ts[a], ts[b], contact.kind, x, y))
         lo = hi
     return DisjointnessReport(
         clean=not intersecting and not tangent,
@@ -242,15 +272,6 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         intersecting=tuple(intersecting),
         tangent=tuple(tangent),
     )
-
-
-def _scale_exponents(transversal: Transversal, ts) -> np.ndarray:
-    """The power-of-two scale k of each leaf: the leaf at t crosses the
-    transversal at about 2**k."""
-    if transversal.kind == TransversalKind.HOROCYCLE:
-        return np.full(len(ts), math.frexp(transversal.height)[1], dtype=np.intc)
-    L = transversal.curvature_bound
-    return np.rint(np.asarray(ts, dtype=float) * L / math.log(2.0)).astype(np.intc)
 
 
 def _scaled_columns(columns, i, j, k) -> list[np.ndarray]:
@@ -295,25 +316,6 @@ def _upper_pairs(n: int, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarra
     i = np.repeat(rows, counts)
     j = np.arange(i.size) + np.repeat(start - np.cumsum(counts) + counts, counts)
     return i, j
-
-
-def _scaled(leaf: Leaf, e: int) -> Leaf:
-    """``leaf`` scaled about the origin by 2**e, bit for bit.
-
-    The constructors are bypassed: ``Line`` would renormalise its
-    direction, and ``Leaf`` checks its carrier against absolute
-    tolerances that mean nothing at another scale.
-    """
-    s = leaf.shape
-    if isinstance(s, Circle):
-        fields = {name: math.ldexp(getattr(s, name), e) for name in ("cx", "cy", "radius")}
-    else:
-        fields = {"x0": math.ldexp(s.x0, e), "y0": math.ldexp(s.y0, e), "dx": s.dx, "dy": s.dy}
-    shape = object.__new__(type(s))
-    shape.__dict__.update(fields)
-    scaled = object.__new__(Leaf)
-    scaled.__dict__.update(shape=shape, beta=leaf.beta)
-    return scaled
 
 
 def _screen(
@@ -375,7 +377,8 @@ def extend_slice(
     """
     if count < 0:
         raise DomainError(f"extension count must be nonnegative, got {count!r}")
-    if count == 0 or not slice_.leaves:
+    sampled = np.flatnonzero(~slice_.extension)
+    if count == 0 or not sampled.size:
         return slice_
     if slice_.transversal.kind != TransversalKind.HYPERCYCLE:
         if allow_noop:
@@ -383,18 +386,14 @@ def extend_slice(
         raise DomainError(
             "only hypercycle slices leave residual regions to extend into"
         )
-    ts = [t for t, _ in slice_.leaves]
-    step = float(np.median(np.diff(ts))) if len(ts) > 1 else 0.5
-
-    t_lo, leaf_lo = slice_.leaves[0]
-    t_hi, leaf_hi = slice_.leaves[-1]
-    new_ts, betas = [], []
-    for k in range(1, count + 1):
-        new_ts += [t_lo - k * step, t_hi + k * step]
-        betas += [leaf_lo.beta, leaf_hi.beta]
-    added = _orthogonal_leaves(slice_.transversal, new_ts, betas)
-    added.sort(key=lambda e: e[0])
-    return replace(slice_, extension_leaves=slice_.extension_leaves + tuple(added))
+    ts = slice_.t[sampled]
+    step = float(np.median(np.diff(ts))) if ts.size > 1 else 0.5
+    k = np.arange(1, count + 1)
+    t = np.concatenate((slice_.t, ts[0] - k * step, ts[-1] + k * step))
+    h = np.concatenate((slice_.h, np.repeat(slice_.h[sampled[[0, -1]]], count)))
+    extension = np.concatenate((slice_.extension, np.ones(2 * count, dtype=bool)))
+    order = np.argsort(t, kind="stable")
+    return FoliationSlice(slice_.transversal, t[order], h[order], extension[order])
 
 
 #: Built-in closed-form families, by name.

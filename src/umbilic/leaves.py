@@ -195,22 +195,15 @@ def ideal_endpoints(leaf: Leaf) -> IdealEndpoints:
 
 
 def _half_chord(c: Circle) -> float | None:
-    """Half the chord the circle cuts from the boundary line,
-    sqrt(r^2 - cy^2), or None when it only touches or misses the line.
-
-    Where r^2 - cy^2 leaves the float range (r past about 1.3e154) the
-    root is taken as 2 sqrt(r/2 - |cy|/2) sqrt(r/2 + |cy|/2), in which
-    no term overflows.
-    """
-    disc = c.radius * c.radius - c.cy * c.cy
-    if disc <= 0.0:
+    """Half the chord the circle cuts from the boundary line, sqrt(r^2 - cy^2),
+    or None when it only touches or misses the line.  Taken at the circle's
+    own power-of-two scale, so it neither overflows nor underflows."""
+    r, cy = c.radius, abs(c.cy)
+    if r <= cy:
         return None
-    if disc < math.inf:
-        return math.sqrt(disc)
-    half_r, half_cy = 0.5 * c.radius, 0.5 * abs(c.cy)
-    if half_r <= half_cy:
-        return None
-    return 2.0 * math.sqrt(half_r - half_cy) * math.sqrt(half_r + half_cy)
+    e = math.frexp(r)[1]
+    r, cy = math.ldexp(r, -e), math.ldexp(cy, -e)
+    return math.ldexp(math.sqrt((r - cy) * (r + cy)), e)
 
 
 def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:

@@ -17,6 +17,8 @@ from .halfplane import TransversalKind
 from .leaves import Circle, Leaf, Line, _half_chord
 
 _SVG_DECIMALS = 3
+#: Numbers below this in magnitude print as 0, never as "-0.000".
+_ROUNDS_TO_ZERO = 0.5 * 10.0**-_SVG_DECIMALS
 
 _BACKGROUND = "#ffffff"
 _BOUNDARY_COLOR = "#1a1a1a"
@@ -66,8 +68,11 @@ class Viewport:
 
 
 def _fmt(v: float) -> str:
-    if abs(v) < 0.5 * 10.0**-_SVG_DECIMALS:
-        v = 0.0  # avoid "-0.000"
+    """Every SVG number goes through here; a non-finite one is refused."""
+    if not math.isfinite(v):
+        raise DomainError(f"the figure has a coordinate past the float range, got {v!r}")
+    if abs(v) < _ROUNDS_TO_ZERO:
+        v = 0.0
     return f"{v:.{_SVG_DECIMALS}f}"
 
 

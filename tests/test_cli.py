@@ -349,6 +349,19 @@ class TestFloatRange:
         assert "inf" not in out and "nan" not in out
         assert not svg.exists()
 
+    def test_render_past_the_float_range_is_refused(self, route_file, capsys, tmp_path):
+        # The second leaf's radius, 8.2e306, is finite; in pixels it is not.
+        doc = {
+            "transversal": {"kind": "geodesic"},
+            "samples": [{"t": 0.0, "h": 0.5}, {"t": 706.0, "h": 0.5}],
+        }
+        svg = tmp_path / "x.svg"
+        assert run(capsys, ["validate", route_file(doc)])[0] == 0
+        code, _, err = run(capsys, ["render", route_file(doc), "--out", str(svg)])
+        assert code == 1
+        assert "float range" in err
+        assert not svg.exists()
+
     def test_non_finite_horocycle_radius_is_refused(self, route_file, capsys):
         doc = {
             "transversal": {"kind": "horocycle", "height": 1e308},
@@ -442,6 +455,15 @@ class TestFloatRangeOutputs:
         # Orthogonal to the axis at s = e^700 with beta = 2 pi / 3: the
         # endpoints are +-s tan(beta / 2).
         assert a_plus == pytest.approx(math.exp(700.0) * math.sqrt(3.0), rel=1e-11)
+        assert a_minus == -a_plus
+
+    def test_leaves_of_tiny_radius_have_their_endpoints(self, route_file, capsys):
+        # The first leaf's r^2 - cy^2 underflows; its endpoints do not.
+        code, out, _ = run(capsys, ["leaves", route_file(self.WIDE_LEAF)])
+        assert code == 0
+        row = out.splitlines()[1].split("\t")
+        a_minus, a_plus = float(row[7]), float(row[8])
+        assert a_plus == pytest.approx(math.exp(-700.0) * math.sqrt(3.0), rel=1e-11)
         assert a_minus == -a_plus
 
     def test_render_of_huge_radius_writes_no_nan(self, route_file, capsys, tmp_path):

@@ -140,19 +140,23 @@ class TestSynthesizeHorocycle:
             synthesize(r, force=True)
 
 
-def slice_of(leaves):
-    return FoliationSlice(Transversal.geodesic(), tuple(leaves))
+def slice_of(rows, transversal=Transversal.geodesic()):
+    """A slice of sampled leaves at the (t, h) rows, in order."""
+    t, h = (list(column) for column in zip(*rows)) if rows else ([], [])
+    return FoliationSlice(transversal, t, h, [False] * len(t))
+
+
+def axis_row(cy, r):
+    """The geodesic slice's row (t, h) of the axis-centred circle of
+    centre height cy and radius r: it crosses the axis at its apex
+    e^t = cy + r, and h = -cos(beta) = -cy / r."""
+    return math.log(cy + r), -cy / r
 
 
 class TestVerifyDisjoint:
     def test_crossing_circles_flagged(self):
         report = verify_disjoint(
-            slice_of(
-                [
-                    (0.0, Leaf(Circle(0.0, -1.0, 2.0), math.acos(-0.5))),
-                    (1.0, Leaf(Circle(0.0, 0.35, 0.7), math.acos(0.5))),
-                ]
-            )
+            slice_of([axis_row(-1.0, 2.0), axis_row(0.35, 0.7)])
         )
         assert not report.clean
         assert report.pair_count == 1
@@ -162,12 +166,7 @@ class TestVerifyDisjoint:
 
     def test_interior_tangency_flagged_separately(self):
         report = verify_disjoint(
-            slice_of(
-                [
-                    (0.0, Leaf(Circle(0.0, 0.0, 2.0), math.pi / 2)),
-                    (1.0, Leaf(Circle(0.0, 1.0, 1.0), 0.0)),
-                ]
-            )
+            slice_of([axis_row(0.0, 2.0), axis_row(1.0, 1.0)])
         )
         assert not report.clean
         assert not report.intersecting
@@ -176,18 +175,13 @@ class TestVerifyDisjoint:
 
     def test_boundary_tangency_is_fine(self):
         report = verify_disjoint(
-            slice_of(
-                [
-                    (0.0, Leaf(Circle(0.0, 0.5, 0.5), 0.0)),
-                    (1.0, Leaf(Circle(0.0, 1.0, 1.0), 0.0)),
-                ]
-            )
+            slice_of([axis_row(0.5, 0.5), axis_row(1.0, 1.0)])
         )
         assert report.clean
 
     def test_coincident_carriers_count_as_intersecting(self):
-        leaf = Leaf(Circle(0.0, 0.0, 1.0), math.pi / 2)
-        report = verify_disjoint(slice_of([(0.0, leaf), (1.0, leaf)]))
+        row = axis_row(0.0, 1.0)
+        report = verify_disjoint(slice_of([row, row]))
         assert not report.clean
         [contact] = report.intersecting
         assert contact.kind == "coincident"
@@ -195,12 +189,7 @@ class TestVerifyDisjoint:
 
     def test_nested_geodesics_are_clean(self):
         report = verify_disjoint(
-            slice_of(
-                [
-                    (0.0, Leaf(Circle(0.0, 0.0, 1.0), math.pi / 2)),
-                    (1.0, Leaf(Circle(0.0, 0.0, 2.0), math.pi / 2)),
-                ]
-            )
+            slice_of([axis_row(0.0, 1.0), axis_row(0.0, 2.0)])
         )
         assert report.clean
         assert report.pair_count == 1
@@ -248,7 +237,7 @@ class TestExtendSlice:
         assert extend_slice(slice_, 0) is slice_
 
     def test_empty_slice_is_a_noop(self):
-        empty = FoliationSlice(Transversal.hypercycle(0.9), ())
+        empty = slice_of([], Transversal.hypercycle(0.9))
         assert extend_slice(empty, 3) is empty
 
     def test_geodesic_slice_raises(self):
@@ -261,6 +250,114 @@ class TestExtendSlice:
         slice_ = self.make_slice()
         with pytest.raises(DomainError):
             extend_slice(slice_, -1)
+
+
+def _forced_slice(tr, h_every, seed=0, n=30):
+    """A forced slice over ``tr`` at random levels, every ``h_every``-th
+    sample at the top of the band (a line on a geodesic or hypercycle)."""
+    rng = np.random.default_rng(seed)
+    bound = tr.curvature_bound
+    h = rng.uniform(-bound, bound, n)
+    h[::h_every] = bound
+    return synthesize(Route(tr, np.linspace(-3.0, 3.0, n), h), force=True)
+
+
+def _carrier_fields(slice_):
+    return np.array([
+        [getattr(leaf.shape, name, math.nan) for name in ("cx", "cy", "radius")]
+        for _, leaf, _ in slice_.all_entries()
+    ])
+
+
+@st.composite
+def leaf_rows(draw):
+    """A transversal of each kind, and one row (t, h) of a slice over it."""
+    kind = draw(st.sampled_from(list(TransversalKind)))
+    if kind == TransversalKind.HOROCYCLE:
+        tr = Transversal.horocycle(2.0 ** draw(st.floats(-20, 20)))
+        level = st.one_of(st.just(0.0), st.floats(-1.0, -1e-6))
+    else:
+        phi = None if kind == TransversalKind.GEODESIC else draw(st.floats(0.1, 1.45))
+        tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+        bound = tr.curvature_bound
+        level = st.one_of(st.sampled_from([-bound, bound, 0.0]), st.floats(-bound, bound))
+    return tr, draw(st.floats(-40, 40)), draw(level)
+
+
+class TestSliceTable:
+    """A slice is its (t, h, extension) rows, and one leaf map builds
+    every leaf from them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _forced_slice(Transversal.geodesic(), 5),
+            # Lines at both ends, so the extension leaves are lines too.
+            lambda: extend_slice(_forced_slice(Transversal.hypercycle(0.9), 29, n=59), 3),
+            lambda: synthesize(
+                Route(
+                    Transversal.horocycle(2.0),
+                    np.linspace(-3.0, 3.0, 30),
+                    np.resize([0.0, -0.3, -1.0, -0.5], 30),
+                ),
+                force=True,
+            ),
+        ],
+        ids=["geodesic", "hypercycle-extended", "horocycle"],
+    )
+    def test_carrier_columns_are_the_entries(self, make):
+        slice_ = make()
+        got = np.column_stack(foliation._carriers(slice_))
+        want = _carrier_fields(slice_)
+        lines = np.isnan(want[:, 2])
+        assert lines.any() and not lines.all()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(leaf_rows(), st.integers(-60, 60))
+    def test_scaled_leaf_map_is_exact(self, row, e):
+        tr, t, h = row
+        leaf = foliation._leaf_map(tr)(t, h)
+        scaled = foliation._leaf_map(tr, e)(t, h)
+        assert type(scaled.shape) is type(leaf.shape)
+        assert repr(scaled.beta) == repr(leaf.beta)
+        for name, value in vars(leaf.shape).items():
+            if name in ("cx", "cy", "radius", "x0", "y0"):
+                value = math.ldexp(value, e)
+            assert repr(getattr(scaled.shape, name)) == repr(value)
+
+    @pytest.mark.parametrize(
+        "t, h, extension",
+        [
+            ([0.0, 1.0], [0.0], [False, False]),
+            ([0.0, 1.0], [0.0, 0.0], [False]),
+            ([[0.0, 1.0]], [[0.0, 0.0]], [[False, False]]),
+            ([1.0, 0.0], [0.0, 0.0], [False, False]),
+            ([0.0, math.nan], [0.0, 0.0], [False, False]),
+            ([0.0, 1.0], [0.0, 1.5], [False, False]),
+            ([0.0, 1.0], [-1.0 - 1e-15, 0.0], [False, False]),
+            ([0.0, 1.0], [0.0, math.nan], [False, False]),
+            ([0.0, 1.0], [math.inf, 0.0], [False, False]),
+        ],
+        ids=[
+            "short-h", "short-extension", "not-1-d", "t-descending", "t-nan",
+            "h-above-1", "h-below-minus-1", "h-nan", "h-inf",
+        ],
+    )
+    def test_bad_columns_are_refused(self, t, h, extension):
+        with pytest.raises(DomainError):
+            FoliationSlice(Transversal.geodesic(), t, h, extension)
+
+    def test_rows_are_sorted_with_sampled_leaves_first_on_ties(self):
+        # A one-sample slice extends by a step of 0.5 on each side; at
+        # t = 1e17, whose ulp is 16, the extension rows tie with the sample.
+        tr = Transversal.hypercycle(0.9)
+        slice_ = extend_slice(slice_of([(0.0, 0.2)], tr), 1)
+        assert slice_.t.tolist() == [-0.5, 0.0, 0.5]
+        assert slice_.extension.tolist() == [True, False, True]
+        assert slice_.h.tolist() == [0.2, 0.2, 0.2]
+        tied = extend_slice(slice_of([(1e17, 0.2)], tr), 1)
+        assert tied.t.tolist() == [1e17] * 3
+        assert tied.extension.tolist() == [False, True, True]
 
 
 LEGAL_COMBOS = [
@@ -634,8 +731,16 @@ def _report_key(report):
 
 
 def assert_matches_reference(slice_):
+    """The audit's report is the reference's; where the reference leaves
+    the float range, the audit refuses the slice."""
+    try:
+        expected = _reference_verify_disjoint(slice_)
+    except OverflowError:
+        with pytest.raises(DomainError, match="float range"):
+            verify_disjoint(slice_)
+        return None
     report = verify_disjoint(slice_)
-    assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
+    assert _report_key(report) == _report_key(expected)
     return report
 
 
@@ -673,16 +778,13 @@ def audit_slices(draw):
 
 @st.composite
 def leaf_tuples(draw):
-    """Two to four leaves of one transversal, with the boundary angles at
-    the ends of their range (lines, horocycles) and crossings a few ulps
-    apart (near-coincident and near-tangent pairs) drawn often."""
+    """Two to four leaves of one transversal, with the levels at the ends
+    of the band (lines, horocycles) and crossings a few ulps apart
+    (near-coincident and near-tangent pairs) drawn often."""
     phi = draw(st.one_of(st.none(), st.floats(0.1, 1.45)))
-    if phi is None:
-        tr, L, lo, hi = Transversal.geodesic(), 1.0, 0.0, math.pi
-    else:
-        tr, L = Transversal.hypercycle(phi), math.sin(phi)
-        lo, hi = math.pi / 2 - phi, math.pi / 2 + phi
-    beta = st.one_of(st.sampled_from([lo, hi, math.pi / 2]), st.floats(lo, hi))
+    tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+    bound = tr.curvature_bound
+    level = st.one_of(st.sampled_from([-bound, bound, 0.0]), st.floats(-bound, bound))
     ts = [draw(st.floats(-45, 45))]
     for _ in range(draw(st.integers(1, 3))):
         step = draw(
@@ -692,51 +794,45 @@ def leaf_tuples(draw):
             )
         )
         ts.append(ts[-1] + step)
-    entries = []
-    previous = None
+    rows = []
     for t in ts:
-        b = previous if previous is not None and draw(st.booleans()) else draw(beta)
-        s = math.exp(t * L)
-        leaf = (
-            leaf_orthogonal_to_geodesic(s, b)
-            if phi is None
-            else leaf_orthogonal_to_hypercycle(phi, s, b)
-        )
-        entries.append((t, leaf))
-        previous = b
-    return FoliationSlice(tr, tuple(entries))
+        h = rows[-1][1] if rows and draw(st.booleans()) else draw(level)
+        rows.append((t, h))
+    return slice_of(rows, tr)
 
 
-def _switch_slices(lower, cy, r, x_lo, x_hi, t1):
-    """Pairs of circle leaves, the upper one centred at x in [x_lo, x_hi],
-    around the float x where the reference audit switches verdict.
+def _switch_slices(transversal, t1, h1, t2):
+    """Leaf pairs (t1, h1) below (t2, h) over the transversal, around the
+    float h where the reference audit switches verdict.
 
-    Bisects x over floats; returns the slices for the 17 floats around
-    the switch, or none when the verdict does not switch in the range.
+    Bisects h over the floats of the band, where the verdict goes from
+    crossing (the upper leaf's ideal end inside the lower leaf's) to clean
+    (a line above it); returns the slices for the 17 floats around the
+    switch, or none when the verdict does not switch in the band.
     """
 
-    def slice_at(x):
-        leaf = Leaf(Circle(x, cy, r), math.acos(cy / r))
-        return slice_of([(t1, lower), (t1 + 0.1, leaf)])
+    def slice_at(h):
+        return slice_of([(t1, h1), (t2, h)], transversal)
 
-    def flagged(x):
-        return not _reference_verify_disjoint(slice_at(x)).clean
+    def flagged(h):
+        return not _reference_verify_disjoint(slice_at(h)).clean
 
-    if flagged(x_lo) == flagged(x_hi):
+    h_lo, h_hi = -transversal.curvature_bound, transversal.curvature_bound
+    if flagged(h_lo) == flagged(h_hi):
         return []
-    below = flagged(x_lo)
-    while (mid := 0.5 * (x_lo + x_hi)) not in (x_lo, x_hi):
+    below = flagged(h_lo)
+    while (mid := 0.5 * (h_lo + h_hi)) not in (h_lo, h_hi):
         if flagged(mid) == below:
-            x_lo = mid
+            h_lo = mid
         else:
-            x_hi = mid
-    xs = [x_lo]
+            h_hi = mid
+    hs = [h_lo]
     for direction in (-math.inf, math.inf):
-        x = x_lo
+        h = h_lo
         for _ in range(8):
-            x = math.nextafter(x, direction)
-            xs.append(x)
-    return [slice_at(x) for x in xs]
+            h = math.nextafter(h, direction)
+            hs.append(h)
+    return [slice_at(h) for h in hs if abs(h) <= transversal.curvature_bound]
 
 
 class TestVerifyDisjointDifferential:
@@ -771,8 +867,8 @@ class TestVerifyDisjointDifferential:
             lambda: synthesize(
                 Route(Transversal.horocycle(1.0), np.linspace(-2, 2, 41), np.zeros(41))
             ),
-            lambda: FoliationSlice(Transversal.geodesic(), ()),
-            lambda: slice_of([(0.0, Leaf(Circle(0.0, 0.0, 1.0), math.pi / 2))]),
+            lambda: slice_of([]),
+            lambda: slice_of([axis_row(0.0, 1.0)]),
         ],
         ids=[
             "pencil-3-3", "pencil-12-12", "horospherical", "constant-max-geodesic",
@@ -784,43 +880,35 @@ class TestVerifyDisjointDifferential:
         assert_matches_reference(make())
 
     def test_duplicated_leaves_are_coincident(self):
-        leaf = leaf_orthogonal_to_geodesic(1.5, 1.1)
-        line = leaf_orthogonal_to_geodesic(2.0, math.pi)
-        report = assert_matches_reference(
-            slice_of([(0.1, leaf), (0.1, leaf), (0.5, line), (0.6, line), (0.7, leaf)])
-        )
+        leaf = (math.log(1.5), -math.cos(1.1))
+        line = (math.log(2.0), 1.0)
+        report = assert_matches_reference(slice_of([leaf, leaf, line, line, (0.7, leaf[1])]))
         kinds = [(c.t1, c.t2, c.kind) for c in report.intersecting]
-        assert (0.1, 0.1, "coincident") in kinds
-        assert (0.5, 0.6, "coincident") in kinds
+        assert (leaf[0], leaf[0], "coincident") in kinds
+        assert (line[0], line[0], "coincident") in kinds
 
     def test_lines_crossing_circles_are_flagged(self):
         # Horizontal lines low on the axis under bigger circles: every
         # such pair crosses, and only carrier_contact can say where.
-        slice_ = slice_of(
-            [(t, leaf_orthogonal_to_geodesic(math.exp(t), math.pi)) for t in (0.0, 0.3)]
-            + [(t, leaf_orthogonal_to_geodesic(math.exp(t), 0.8)) for t in (1.0, 1.4)]
-        )
+        slice_ = slice_of([(0.0, 1.0), (0.3, 1.0), (1.0, -math.cos(0.8)), (1.4, -math.cos(0.8))])
         report = assert_matches_reference(slice_)
         assert len(report.intersecting) == 4
 
     def test_crossings_at_the_boundary_tolerance(self):
-        # Two circles crossing just above or below y = boundary_tol: the
-        # screen's rounding guard is all that keeps these pairs exact.
+        # Two leaves crossing just above or below y = boundary_tol: the
+        # screen's rounding guard is all that keeps these pairs exact.  It
+        # matters on hypercycles, whose carriers' centres are not coaxial;
+        # coaxial geodesic pairs round alike in numpy and in carrier_contact.
         rng = np.random.default_rng(0)
         switches = 0
-        for _ in range(100):
-            m = int(rng.integers(-60, 61))
-            r1, r2 = rng.uniform(0.5, 2.0, 2)
-            cy1, cy2 = rng.uniform(-0.9, 0.9, 2) * (r1, r2)
-            lower = Leaf(
-                Circle(0.0, math.ldexp(cy1, m), math.ldexp(r1, m)), math.acos(cy1 / r1)
-            )
-            # The upper circle's left end meets the lower one's right end.
-            x = math.sqrt(r1 * r1 - cy1 * cy1) + math.sqrt(r2 * r2 - cy2 * cy2)
-            slices = _switch_slices(
-                lower, math.ldexp(cy2, m), math.ldexp(r2, m),
-                math.ldexp(x - 1e-6, m), math.ldexp(x + 1e-6, m), m * math.log(2.0),
-            )
+        for _ in range(300):
+            phi = None if rng.random() < 0.25 else float(rng.uniform(0.1, 1.45))
+            tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+            bound = tr.curvature_bound
+            # The lower leaf at scale about 2**m, the upper one up to e^1.5 above.
+            t1 = int(rng.integers(-60, 61)) * math.log(2.0) / bound + rng.uniform(-0.3, 0.3)
+            h1 = float(rng.uniform(-0.9, 0.9)) * bound
+            slices = _switch_slices(tr, t1, h1, t1 + float(rng.uniform(0.01, 1.5)))
             switches += bool(slices)
             for slice_ in slices:
                 assert_matches_reference(slice_)
@@ -831,11 +919,11 @@ class TestVerifyDisjointDifferential:
     def test_tangencies_at_the_tolerance(self, gap, beta2):
         # Leaves orthogonal to the axis at nearly the same height touch
         # there, up to a gap of about the height difference.
-        leaf1 = leaf_orthogonal_to_geodesic(1.0, 1.0)
         for step in range(-4, 5):
             s2 = 1.0 + gap + step * math.ulp(1.0)
-            leaf2 = leaf_orthogonal_to_geodesic(s2, beta2)
-            assert_matches_reference(slice_of([(0.0, leaf1), (math.log(s2), leaf2)]))
+            assert_matches_reference(
+                slice_of([(0.0, -math.cos(1.0)), (math.log(s2), -math.cos(beta2))])
+            )
 
     @pytest.mark.parametrize("cells", [1, 7, 100])
     def test_block_size_does_not_change_the_report(self, cells, monkeypatch):
@@ -1024,15 +1112,19 @@ class TestLinkScreen:
         leaf's scale above the axis, so within ``BOUNDARY_TOL`` of it.
         Coaxial circles cross at y = (a1^2 - a2^2) / (2 (c2 - c1)), where
         c is the centre's height, which fixes each next endpoint."""
+        def row(s, a):
+            # Ends at +-a = +-s tan(beta / 2), so h = -cos(beta) = (a^2 - s^2) / (a^2 + s^2).
+            return math.log(s), (a * a - s * s) / (a * a + s * s)
+
         s = heights[0]
         a, c = a0, (s * s - a0 * a0) / (2 * s)
-        entries = [(math.log(s), leaf_orthogonal_to_geodesic(s, 2 * math.atan(a / s)))]
+        rows = [row(s, a)]
         for lower, s in zip(heights, heights[1:]):
             y = rise * 2.0 ** round(math.log2(lower))
             u = (a * a - y * s + 2 * y * c) / (1 - y / s)
             a, c = math.sqrt(u), (s * s - u) / (2 * s)
-            entries.append((math.log(s), leaf_orthogonal_to_geodesic(s, 2 * math.atan(a / s))))
-        return slice_of(entries)
+            rows.append(row(s, a))
+        return slice_of(rows)
 
     @pytest.mark.parametrize("a0", [1.0, 5.0])
     @pytest.mark.parametrize(
@@ -1050,9 +1142,7 @@ class TestLinkScreen:
         # scale (not tangent), 0.75e-9 at the upper one's.
         s0 = math.sqrt(2.0) * (1.0 - 1e-9)
         leaves = [(s0, math.pi / 3), (s0 + 1.5e-9, math.pi / 2), (1.5 * s0, 2.0)]
-        slice_ = slice_of(
-            [(math.log(s), leaf_orthogonal_to_geodesic(s, beta)) for s, beta in leaves]
-        )
+        slice_ = slice_of([(math.log(s), -math.cos(beta)) for s, beta in leaves])
         report, screened = self.screened_pairs(monkeypatch, slice_)
         assert report.clean
         assert screened == 2

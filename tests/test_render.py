@@ -3,10 +3,8 @@ import math
 import pytest
 
 from umbilic import (
-    Circle,
     DomainError,
     FoliationSlice,
-    Leaf,
     Transversal,
     Viewport,
     builtin_route,
@@ -53,6 +51,15 @@ def leaf_paths(svg):
     return [ln for ln in svg.splitlines() if 'class="leaf' in ln]
 
 
+def axis_slice(*circles):
+    """The geodesic slice of axis-centred circles (cy, r), each at its row
+    t = ln(cy + r) (its apex on the axis), h = -cy / r."""
+    rows = [(math.log(cy + r), -cy / r) for cy, r in circles]
+    return FoliationSlice(
+        Transversal.geodesic(), [t for t, _ in rows], [h for _, h in rows], [False] * len(rows)
+    )
+
+
 class TestRenderSvg:
     def test_byte_identical_rerender(self):
         slice_ = synthesize(builtin_route("pencil", window=(-2, 2), n=41))
@@ -71,28 +78,20 @@ class TestRenderSvg:
         assert len(leaf_paths(svg)) == 11
 
     def test_empty_slice_still_renders_scene(self):
-        svg = render_svg(FoliationSlice(Transversal.geodesic(), ()))
+        svg = render_svg(axis_slice())
         assert 'class="frame"' in svg
         assert 'class="ideal-boundary"' in svg
         assert 'class="transversal"' in svg
         assert not leaf_paths(svg)
 
     def test_crossing_circle_is_one_arc(self):
-        slice_ = FoliationSlice(
-            Transversal.geodesic(),
-            ((0.0, Leaf(Circle(0.0, 0.0, 1.0), math.pi / 2)),),
-        )
-        svg = render_svg(slice_)
+        svg = render_svg(axis_slice((0.0, 1.0)))
         [path] = leaf_paths(svg)
         assert path.count(" A ") == 1
         assert not path.rstrip("/>").endswith("Z")
 
     def test_tangent_circle_is_a_closed_two_arc_loop(self):
-        slice_ = FoliationSlice(
-            Transversal.geodesic(),
-            ((0.0, Leaf(Circle(0.0, 1.0, 1.0), 0.0)),),
-        )
-        svg = render_svg(slice_)
+        svg = render_svg(axis_slice((1.0, 1.0)))
         [path] = leaf_paths(svg)
         assert path.count(" A ") == 2
         assert " Z" in path
@@ -100,16 +99,8 @@ class TestRenderSvg:
     def test_arc_flags_track_center_height(self):
         # A center above the axis means more than half the circle is
         # visible, so the large-arc flag must be set; below, cleared.
-        upper = FoliationSlice(
-            Transversal.geodesic(),
-            ((0.0, Leaf(Circle(0.0, 0.5, 1.0), math.acos(0.5))),),
-        )
-        lower = FoliationSlice(
-            Transversal.geodesic(),
-            ((0.0, Leaf(Circle(0.0, -0.5, 1.0), math.acos(-0.5))),),
-        )
-        [up] = leaf_paths(render_svg(upper))
-        [lo] = leaf_paths(render_svg(lower))
+        [up] = leaf_paths(render_svg(axis_slice((0.5, 1.0))))
+        [lo] = leaf_paths(render_svg(axis_slice((-0.5, 1.0))))
         assert " 0 1 1 " in up
         assert " 0 0 1 " in lo
 
