@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -212,19 +213,38 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     close and not cleared.  Links with a line carrier, and every link of
     a horocycle slice (whose leaves cross it twice), stay open.
 
-    Only the pairs whose span holds an open link are then screened in
-    numpy, in blocks of at most ``_AUDIT_BLOCK_CELLS`` pairs, rows in
-    order of i and then j; rows with a leaf beyond about 2**500 at their
-    scale are screened in full, so the float range is refused as before.
-    Only the pairs the screen flags, the pairs within a rounding guard of
-    one of ``carrier_contact``'s decisions, and the pairs with a line
-    carrier go through ``carrier_contact``.  So the report is, bit for
-    bit, the one a pair-by-pair loop over the scaled pairs gives, and
-    ``pair_count`` still counts all n (n - 1) / 2 pairs.  Cost: O(n)
-    numpy for a family whose links all clear (most valid routes), plus
-    numpy over the pairs that span an open link (all of them on a
-    horocycle), in blocks of bounded memory, plus O(r) Python, where r
-    counts the recomputed pairs.
+    The cleared links split the rows into runs, whose discs nest, and two
+    probes at each run boundary certify most pairs that span an open
+    link.  For runs A before B, the probe (a, first(B)) is cleared by the
+    link rule, at a's scale: then leaf a lies inside R_first(B), so inside
+    R_b, for every b in B.  Likewise a cleared probe (last(A), b), at the
+    scale of last(A), puts every leaf a of A inside R_last(A), out of
+    reach of leaf b.  The tolerances carry over as for links: a pair
+    (a, b) within ``TANGENCY_TOL`` of touching squeezes first(B) and
+    last(A) between its nearest points, so both probes are as close; the
+    row probe is scaled like the pair, and the column probe by
+    2**-k_last(A) with k_last(A) >= k_a, so its absolute tolerance is at
+    least as wide, and it clears no more.  Probes are screened with the
+    boundary at 0 for the same reason as links: a crossing within
+    ``BOUNDARY_TOL`` of the axis at the scale of last(A) may lie above it
+    at a's.  Only the pairs (a, b) whose two probes both stay open are
+    screened.  A row whose later leaves reach past about 2**500 at its
+    scale keeps every probe open, so all its pairs are screened and the
+    float range is refused as before.
+
+    The pairs left are screened in numpy, in (i, j) order, in blocks of
+    at most ``_AUDIT_BLOCK_CELLS`` pairs and probes.  Only the pairs the
+    screen flags, the pairs within a rounding guard of one of
+    ``carrier_contact``'s decisions, and the pairs with a line carrier go
+    through ``carrier_contact``, on leaves built once per audit for each
+    (scale, row).  So the report is, bit for bit, the one a pair-by-pair
+    loop over the scaled pairs gives, and ``pair_count`` still counts all
+    n (n - 1) / 2 pairs.  Cost, for R runs: O(n) numpy for the links, then
+    O(n R) numpy for the probes plus the k candidate pairs they leave, and
+    O(r) Python for the r recomputed pairs.  When n R is at least the
+    number of pairs that span an open link, as on horocycle slices (R = n)
+    and on the wide-window pencil, those pairs are screened directly, in
+    O(n^2) numpy.  A clean family (R = 1) costs O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
     ts, hs = slice_.t.tolist(), slice_.h.tolist()
@@ -232,28 +252,38 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
     else:
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
-    cx, cy, r = _carriers(slice_)
+    columns = _carriers(slice_)
+    cx, cy, r = columns
     finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
     for p in np.flatnonzero(~finite & ~np.isnan(r))[:1].tolist():
         _leaf_map(tr)(ts[p], hs[p])  # the constructors refuse it, with their message
-    first = _first_open_columns(tr, cx, cy, r, k)
-    rows = np.flatnonzero(first < n)
-    ends = np.cumsum(n - first[rows])
+    cleared, full = _cleared_links(tr, columns, k)
+    is_last = np.append(~cleared, True)[:n]
+    last = np.flatnonzero(is_last)  # the last row of each run
+    run = np.cumsum(is_last) - is_last
+    first = last[run] + 1  # row i's first column outside its run
+    if n * last.size >= int(np.sum(n - first)):
+        pairs = _spanning_pairs(n, first)
+    else:
+        pairs = _probed_pairs(columns, k, last, run, full)
+
+    @functools.cache
+    def leaf(scale, p):
+        return leaf_map(scale)(ts[p], hs[p])
+
+    @functools.cache
+    def leaf_map(scale):
+        return _leaf_map(tr, -scale)
+
     intersecting = []
     tangent = []
-    lo = 0
-    while lo < rows.size:
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _AUDIT_BLOCK_CELLS, "right")))
-        i, j = _upper_pairs(n, rows[lo:hi], first)
-        settled, _ = _screen(*_scaled_columns((cx, cy, r), i, j, k[i]))
+    for i, j in pairs:
+        settled, _ = _screen(*_scaled_columns(columns, i, j, k[i]))
         unsettled = np.flatnonzero(~settled)
-        maps = {e: _leaf_map(tr, -e) for e in set(k[i[unsettled]].tolist())}
         for a, b in zip(i[unsettled].tolist(), j[unsettled].tolist()):
             scale = int(k[a])
-            leaf = maps[scale]
             try:
-                contact = carrier_contact(leaf(ts[a], hs[a]), leaf(ts[b], hs[b]))
+                contact = carrier_contact(leaf(scale, a), leaf(scale, b))
             except (OverflowError, DomainError):  # the unscaled carriers are finite
                 raise DomainError(
                     f"the leaves at t={ts[a]!r} and t={ts[b]!r} leave the float range "
@@ -265,7 +295,6 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
             x, y = (math.ldexp(v, scale) for v in point)
             flagged = tangent if contact.kind == "tangent" else intersecting
             flagged.append(PairContact(ts[a], ts[b], contact.kind, x, y))
-        lo = hi
     return DisjointnessReport(
         clean=not intersecting and not tangent,
         pair_count=n * (n - 1) // 2,
@@ -286,36 +315,94 @@ def _scaled_columns(columns, i, j, k) -> list[np.ndarray]:
 _REACH_LIMIT = 2.0**500
 
 
-def _first_open_columns(transversal: Transversal, cx, cy, r, k) -> np.ndarray:
-    """For each row i < n - 1 of the audit, the first j whose pair (i, j)
-    must be screened: l + 1 for the first link (l, l + 1) with l >= i
-    that is not cleared, or n when every link from i on is cleared.
+def _cleared_links(transversal: Transversal, columns, k) -> tuple[np.ndarray, np.ndarray]:
+    """Which links (l, l + 1) of the audit are cleared, and which rows
+    l < n - 1 are screened in full, their later leaves reaching past
+    ``_REACH_LIMIT`` at their scale (their links stay open).
 
     See ``verify_disjoint``: a link is cleared when ``_screen`` with the
     boundary at 0 finds it unflagged, which settles no line.  No link of
     a horocycle slice is cleared.
     """
-    n = cx.size
-    links = np.arange(n - 1)
+    links = np.arange(columns[0].size - 1)
     if transversal.kind == TransversalKind.HOROCYCLE:
-        return links + 1
-    scaled = _scaled_columns((cx, cy, r), links, links + 1, k[:-1])
-    cleared, _ = _screen(*scaled, boundary=0.0)
-    reach = np.fmax.accumulate(np.fmax(np.fmax(np.abs(cx), np.abs(cy)), r)[::-1])[::-1]
+        return np.zeros(links.size, dtype=bool), np.zeros(links.size, dtype=bool)
+    cleared, _ = _screen(*_scaled_columns(columns, links, links + 1, k[:-1]), boundary=0.0)
+    reach = np.fmax.accumulate(np.fmax.reduce(np.abs(columns))[::-1])[::-1]
     with np.errstate(over="ignore"):
-        cleared &= ~(np.ldexp(reach[1:], -k[:-1]) > _REACH_LIMIT)
-    open_at = np.where(cleared, n - 1, links)
-    return np.minimum.accumulate(open_at[::-1])[::-1] + 1
+        full = np.ldexp(reach[1:], -k[:-1]) > _REACH_LIMIT
+    return cleared & ~full, full
 
 
-def _upper_pairs(n: int, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j) with i in ``rows`` and first[i] <= j < n,
-    ordered by i, then j."""
-    start = first[rows]
-    counts = n - start
-    i = np.repeat(rows, counts)
-    j = np.arange(i.size) + np.repeat(start - np.cumsum(counts) + counts, counts)
-    return i, j
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[p] + (0, 1, ..., counts[p] - 1)``, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _blocks(counts: np.ndarray):
+    """Slices ``[lo, hi)`` of consecutive items, in order, whose counts
+    sum to at most ``_AUDIT_BLOCK_CELLS``, or of a single item."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _AUDIT_BLOCK_CELLS, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _spanning_pairs(n: int, first: np.ndarray):
+    """Blocks of the index pairs (i, j) with first[i] <= j < n, ordered
+    by i, then j."""
+    rows = np.flatnonzero(first < n)
+    counts = n - first[rows]
+    for lo, hi in _blocks(counts):
+        c = counts[lo:hi]
+        yield np.repeat(rows[lo:hi], c), _ranges(first[rows[lo:hi]], c)
+
+
+def _probed_pairs(columns, k, last, run, full):
+    """Blocks of the pairs (a, b) in different runs whose row probe
+    (a, first(B)) and column probe (last(A), b) both stay open (see
+    ``verify_disjoint``), ordered by a, then b.
+
+    ``last`` holds the last row of each run and ``run`` each row's run.
+    Rows go in blocks of at most ``_AUDIT_BLOCK_CELLS`` probes, or of one
+    row: each row's row probes, and a run's column probes at its first
+    row.  The open column probes of a run that a block ends inside carry
+    over to the next block.  Rows marked ``full`` keep every probe open.
+    """
+    n, runs = run.size, last.size
+    later = runs - 1 - run  # row probes of each row
+    beyond = n - 1 - last  # column probes of each run
+    heads = np.append(0, last[:-1] + 1)  # the first row of each run
+    work = later.copy()
+    work[heads] += beyond
+    keys = cols = np.zeros(0, dtype=np.intp)
+    for lo, hi in _blocks(work):
+        a = np.arange(lo, hi)
+        row_i = np.repeat(a, later[a])
+        row_run = _ranges(run[a] + 1, later[a])
+        starting = np.arange(run[lo] + (heads[run[lo]] < lo), run[hi - 1] + 1)
+        col_i = np.repeat(last[starting], beyond[starting])
+        col_j = _ranges(last[starting] + 1, beyond[starting])
+        i = np.concatenate((row_i, col_i))
+        j = np.concatenate((last[row_run - 1] + 1, col_j))
+        cleared, _ = _screen(*_scaled_columns(columns, i, j, k[i]), boundary=0.0)
+        probe_open = ~cleared | full[i]
+        row_open, col_open = probe_open[: row_i.size], probe_open[row_i.size :]
+        # The open columns of each run pair (A, B), keyed A * runs + B, in
+        # order; only those of run[lo] come from earlier blocks.
+        kept = keys >= run[lo] * runs
+        keys = np.concatenate((keys[kept], (run[col_i] * runs + run[col_j])[col_open]))
+        cols = np.concatenate((cols[kept], col_j[col_open]))
+        wanted = (run[row_i] * runs + row_run)[row_open]
+        starts = np.searchsorted(keys, wanted, "left")
+        counts = np.searchsorted(keys, wanted, "right") - starts
+        rows = row_i[row_open]
+        for p0, p1 in _blocks(counts):
+            c = counts[p0:p1]
+            yield np.repeat(rows[p0:p1], c), cols[_ranges(starts[p0:p1], c)]
 
 
 def _screen(

@@ -40,6 +40,7 @@ from umbilic.leaves import (
     leaf_orthogonal_to_hypercycle,
     upper_contact,
 )
+from umbilic.validation import _effective_phi, profile_inverse
 
 
 class TestSynthesize:
@@ -925,6 +926,32 @@ class TestVerifyDisjointDifferential:
                 slice_of([(0.0, -math.cos(1.0)), (math.log(s2), -math.cos(beta2))])
             )
 
+    @pytest.mark.parametrize(
+        "phi, t1, h1, t2, h2",
+        [
+            (0.83, -0.01, -0.6, -0.009999998634823995, 0.595),
+            (1.02, -0.03, -0.317, -0.02999999879605264, 0.281),
+        ],
+    )
+    def test_off_axis_tangencies_at_the_tolerance(self, phi, t1, h1, t2, h2):
+        # Hypercycle leaves nested and nearly touching where they cross
+        # the ray, stepped by ulps across the float t2 where
+        # carrier_contact's gap passes TANGENCY_TOL.  Their centres are
+        # off the axis, so numpy's hypot may round the centre distance
+        # one ulp apart from math's: on glibc, at the first seven floats
+        # numpy's gap lies above the tolerance and math's at or below it,
+        # and only the screen's rounding guard keeps these apart pairs
+        # from being settled as clear.
+        tr = Transversal.hypercycle(phi)
+        kinds = set()
+        for step in range(-8, 5):
+            t = t2
+            for _ in range(abs(step)):
+                t = math.nextafter(t, math.copysign(math.inf, step))
+            report = assert_matches_reference(slice_of([(t1, h1), (t, h2)], tr))
+            kinds.add(len(report.tangent))
+        assert kinds == {0, 1}
+
     @pytest.mark.parametrize("cells", [1, 7, 100])
     def test_block_size_does_not_change_the_report(self, cells, monkeypatch):
         route, _ = perturbed_invalid_route(Transversal.hypercycle(0.9), n=41, seed=4)
@@ -1146,3 +1173,122 @@ class TestLinkScreen:
         report, screened = self.screened_pairs(monkeypatch, slice_)
         assert report.clean
         assert screened == 2
+
+
+@st.composite
+def burst_slices(draw):
+    """Families with two to four bursts of over-steep profile growth,
+    each opening links, so the audit's runs are several: the draw of
+    ``perturbed_invalid_route`` with more bursts, on the geodesic and
+    hypercycles, at offsets -40, 0 and +40, hypercycles optionally
+    extended."""
+    phi = draw(st.one_of(st.none(), st.floats(0.1, 1.45)))
+    tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+    n = draw(st.integers(20, 241))
+    offset = draw(st.sampled_from([-40.0, 0.0, 40.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bound = tr.curvature_bound
+    t = np.linspace(offset - 2.0, offset + 2.0, n)
+    slopes = rng.uniform(-0.8 * bound, bound - 1e-3, n - 1)
+    for _ in range(draw(st.integers(2, 4))):
+        start = int(rng.integers(0, n - 1))
+        slopes[start : start + int(rng.integers(2, 6))] = bound + 0.5
+    profile = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
+    h = [profile_inverse(_effective_phi(tr), y) for y in profile]
+    slice_ = synthesize(Route(tr, t, h), force=True)
+    if phi is not None and draw(st.booleans()):
+        slice_ = extend_slice(slice_, draw(st.integers(1, 4)))
+    return slice_
+
+
+class TestRunProbes:
+    """Probes at the boundaries of the runs of cleared links certify the
+    pairs between two runs; the report stays the pair-by-pair loop's."""
+
+    @settings(max_examples=30)
+    @given(burst_slices())
+    def test_bursts_match_reference(self, slice_):
+        assert_matches_reference(slice_)
+
+    def test_perturbed_route_screens_few_pairs(self, monkeypatch):
+        n = 4000
+        route, _ = perturbed_invalid_route(
+            Transversal.hypercycle(0.9), window=(-4, 4), n=n, seed=1
+        )
+        slice_ = synthesize(route, force=True)
+        report, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
+        assert not report.clean
+        assert screened < 50_000  # of 8 M pairs, 4 M of them spanning an open link
+        # With no link cleared, every pair goes through the pair screen,
+        # which TestVerifyDisjointDifferential holds to the reference.
+        monkeypatch.setattr(
+            foliation, "_cleared_links", lambda *_: (np.zeros(n - 1, dtype=bool),) * 2
+        )
+        assert _report_key(verify_disjoint(slice_)) == _report_key(report)
+
+    @staticmethod
+    def probe_boundary_slice():
+        """Three runs of geodesic leaves, each leaf orthogonal to the axis
+        and given by its height s and its endpoints +-a:
+
+        - a horizontal line W at height 0.5, crossing every later leaf;
+        - five leaves nested well inside the unit half-circle P at height
+          1, then P, then Q at height 4, crossing P 1e-10 below the axis
+          (a cleared link);
+        - S at height 16, crossing Q 0.7e-9 of Q's scale above the axis
+          (an open link), then five leaves far outside S.
+
+        P and S cross 2.1e-9 above the axis, at P's scale 1: a contact
+        that only the probes (P, S) and (Q, S) keep open.  Q's crossing
+        with S lies within ``BOUNDARY_TOL`` at Q's scale, so a probe
+        judged at that tolerance would certify (P, S), as would a row
+        probe of P to the last leaf of S's run.  W's pairs are read at
+        scale 2**-1, P's at 2**0, so a leaf cache keyed by row alone
+        would hand (P, S) leaves of the wrong size.
+        """
+
+        def row(s, a):  # h = -cos(beta) with a = s tan(beta / 2)
+            return math.log(s), (a * a - s * s) / (a * a + s * s)
+
+        def crossing_at(a, c, s, y):
+            # The endpoint a' and centre height c' of the leaf at height s
+            # crossing the leaf (a, c) at height y: coaxial circles cross
+            # where x^2 + y^2 - 2 y c = a^2 on both.
+            u = (a * a - y * s + 2 * y * c) / (1 - y / s)
+            return math.sqrt(u), (s * s - u) / (2 * s)
+
+        rows = [(math.log(0.5), 1.0)]
+        rows += [row(s, 0.5 * s) for s in (0.6, 0.7, 0.8, 0.9, 0.95)]
+        rows.append(row(1.0, 1.0))
+        a, c = crossing_at(1.0, 0.0, 4.0, -1e-10)
+        rows.append(row(4.0, a))
+        a, c = crossing_at(a, c, 16.0, 0.7e-9 * 4)
+        rows.append(row(16.0, a))
+        rows += [row(s, s / 10) for s in (32.0, 64.0, 128.0, 256.0, 512.0)]
+        return slice_of(rows)
+
+    def test_probes_hold_at_the_run_boundaries(self, monkeypatch):
+        slice_ = self.probe_boundary_slice()
+        report = assert_matches_reference(slice_)
+        assert report.tangent == ()
+        contacts = [(c.t1, c.t2) for c in report.intersecting]
+        assert contacts == [(math.log(0.5), t) for t in slice_.t[1:].tolist()] + [
+            (0.0, math.log(16.0))
+        ]
+        assert 2e-9 < report.intersecting[-1].y < 2.2e-9
+        # 13 links; 28 probes: 2 row probes from W and 7 into S's run, 13
+        # column probes from W and 6 from Q; 15 pairs: W's, (P, S), (Q, S).
+        # The 55 pairs that span an open link would make 68.
+        _, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
+        assert screened == 13 + 28 + 15
+
+    def test_rows_beyond_reach_are_screened_in_full(self):
+        # Leaves 357 apart in t, with two open links near the top: the
+        # lowest rows reach past 2**500 at their scale, so they are probed
+        # with nothing, and their far pairs are refused as before.
+        n = 300
+        h = np.full(n, 0.5)
+        h[[n - 10, n - 4]] = -0.9
+        route = Route(Transversal.geodesic(), np.linspace(-5.0, 352.0, n), h)
+        with pytest.raises(DomainError, match="t=-5.0 and .* float range"):
+            verify_disjoint(synthesize(route, force=True))
