@@ -213,24 +213,19 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     close and not cleared.  Links with a line carrier, and every link of
     a horocycle slice (whose leaves cross it twice), stay open.
 
-    The cleared links split the rows into runs, whose discs nest, and two
-    probes at each run boundary certify most pairs that span an open
-    link.  For runs A before B, the probe (a, first(B)) is cleared by the
-    link rule, at a's scale: then leaf a lies inside R_first(B), so inside
-    R_b, for every b in B.  Likewise a cleared probe (last(A), b), at the
-    scale of last(A), puts every leaf a of A inside R_last(A), out of
-    reach of leaf b.  The tolerances carry over as for links: a pair
-    (a, b) within ``TANGENCY_TOL`` of touching squeezes first(B) and
-    last(A) between its nearest points, so both probes are as close; the
-    row probe is scaled like the pair, and the column probe by
-    2**-k_last(A) with k_last(A) >= k_a, so its absolute tolerance is at
-    least as wide, and it clears no more.  Probes are screened with the
-    boundary at 0 for the same reason as links: a crossing within
-    ``BOUNDARY_TOL`` of the axis at the scale of last(A) may lie above it
-    at a's.  Only the pairs (a, b) whose two probes both stay open are
-    screened.  A row whose later leaves reach past about 2**500 at its
-    scale keeps every probe open, so all its pairs are screened and the
-    float range is refused as before.
+    The cleared links split the rows into runs, whose discs nest.  For
+    runs A before B, a probe (a, first(B)) cleared by the link rule, at
+    a's scale, puts leaf a inside R_first(B), so inside R_b, for every b
+    in B.  The tolerances carry over as for links: a pair (a, b) within
+    ``TANGENCY_TOL`` of touching squeezes first(B) between its nearest
+    points, so the probe, scaled like the pair, is as close.  Probes are
+    screened with the boundary at 0, like links: a crossing above the
+    axis, however low, leaves part of leaf a outside R_first(B), where a
+    later leaf of B may meet it.  Only the pairs (a, b) whose probe stays
+    open are screened.  A row whose later leaves reach past about 2**500
+    at its scale, and every row of a horocycle slice, keeps every probe
+    open: all its pairs are screened, and the float range is refused as
+    before.
 
     The pairs left are screened in numpy, in (i, j) order, in blocks of
     at most ``_AUDIT_BLOCK_CELLS`` pairs and probes.  Only the pairs the
@@ -241,10 +236,9 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     loop over the scaled pairs gives, and ``pair_count`` still counts all
     n (n - 1) / 2 pairs.  Cost, for R runs: O(n) numpy for the links, then
     O(n R) numpy for the probes plus the k candidate pairs they leave, and
-    O(r) Python for the r recomputed pairs.  When n R is at least the
-    number of pairs that span an open link, as on horocycle slices (R = n)
-    and on the wide-window pencil, those pairs are screened directly, in
-    O(n^2) numpy.  A clean family (R = 1) costs O(n).
+    O(r) Python for the r recomputed pairs; O(n^2) numpy when every row is
+    screened in full, as on horocycle slices, or when R = n.  A clean
+    family (R = 1) costs O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
     ts, hs = slice_.t.tolist(), slice_.h.tolist()
@@ -257,15 +251,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
     for p in np.flatnonzero(~finite & ~np.isnan(r))[:1].tolist():
         _leaf_map(tr)(ts[p], hs[p])  # the constructors refuse it, with their message
-    cleared, full = _cleared_links(tr, columns, k)
-    is_last = np.append(~cleared, True)[:n]
-    last = np.flatnonzero(is_last)  # the last row of each run
-    run = np.cumsum(is_last) - is_last
-    first = last[run] + 1  # row i's first column outside its run
-    if n * last.size >= int(np.sum(n - first)):
-        pairs = _spanning_pairs(n, first)
-    else:
-        pairs = _probed_pairs(columns, k, last, run, full)
+    pairs = _probed_pairs(columns, k, *_cleared_links(tr, columns, k))
 
     @functools.cache
     def leaf(scale, p):
@@ -317,16 +303,16 @@ _REACH_LIMIT = 2.0**500
 
 def _cleared_links(transversal: Transversal, columns, k) -> tuple[np.ndarray, np.ndarray]:
     """Which links (l, l + 1) of the audit are cleared, and which rows
-    l < n - 1 are screened in full, their later leaves reaching past
-    ``_REACH_LIMIT`` at their scale (their links stay open).
+    l < n - 1 are screened in full (their links stay open): every row of
+    a horocycle slice, whose leaves cross it twice, and the rows whose
+    later leaves reach past ``_REACH_LIMIT`` at their scale.
 
     See ``verify_disjoint``: a link is cleared when ``_screen`` with the
-    boundary at 0 finds it unflagged, which settles no line.  No link of
-    a horocycle slice is cleared.
+    boundary at 0 finds it unflagged, which settles no line.
     """
     links = np.arange(columns[0].size - 1)
     if transversal.kind == TransversalKind.HOROCYCLE:
-        return np.zeros(links.size, dtype=bool), np.zeros(links.size, dtype=bool)
+        return np.zeros(links.size, dtype=bool), np.ones(links.size, dtype=bool)
     cleared, _ = _screen(*_scaled_columns(columns, links, links + 1, k[:-1]), boundary=0.0)
     reach = np.fmax.accumulate(np.fmax.reduce(np.abs(columns))[::-1])[::-1]
     with np.errstate(over="ignore"):
@@ -351,58 +337,33 @@ def _blocks(counts: np.ndarray):
         lo = hi
 
 
-def _spanning_pairs(n: int, first: np.ndarray):
-    """Blocks of the index pairs (i, j) with first[i] <= j < n, ordered
-    by i, then j."""
-    rows = np.flatnonzero(first < n)
-    counts = n - first[rows]
-    for lo, hi in _blocks(counts):
-        c = counts[lo:hi]
-        yield np.repeat(rows[lo:hi], c), _ranges(first[rows[lo:hi]], c)
-
-
-def _probed_pairs(columns, k, last, run, full):
+def _probed_pairs(columns, k, cleared, full):
     """Blocks of the pairs (a, b) in different runs whose row probe
-    (a, first(B)) and column probe (last(A), b) both stay open (see
-    ``verify_disjoint``), ordered by a, then b.
+    (a, first(B)) stays open (see ``verify_disjoint``), ordered by a,
+    then b.
 
-    ``last`` holds the last row of each run and ``run`` each row's run.
     Rows go in blocks of at most ``_AUDIT_BLOCK_CELLS`` probes, or of one
-    row: each row's row probes, and a run's column probes at its first
-    row.  The open column probes of a run that a block ends inside carry
-    over to the next block.  Rows marked ``full`` keep every probe open.
+    row.  Rows marked ``full`` keep every probe open, unscreened.
     """
-    n, runs = run.size, last.size
-    later = runs - 1 - run  # row probes of each row
-    beyond = n - 1 - last  # column probes of each run
-    heads = np.append(0, last[:-1] + 1)  # the first row of each run
-    work = later.copy()
-    work[heads] += beyond
-    keys = cols = np.zeros(0, dtype=np.intp)
-    for lo, hi in _blocks(work):
+    is_last = np.append(~cleared, True)[: k.size]
+    last = np.flatnonzero(is_last)  # the last row of each run
+    run = np.cumsum(is_last) - is_last
+    later = last.size - 1 - run  # probes of each row, > 0 on a prefix
+    later = later[later > 0]
+    for lo, hi in _blocks(later):
         a = np.arange(lo, hi)
-        row_i = np.repeat(a, later[a])
-        row_run = _ranges(run[a] + 1, later[a])
-        starting = np.arange(run[lo] + (heads[run[lo]] < lo), run[hi - 1] + 1)
-        col_i = np.repeat(last[starting], beyond[starting])
-        col_j = _ranges(last[starting] + 1, beyond[starting])
-        i = np.concatenate((row_i, col_i))
-        j = np.concatenate((last[row_run - 1] + 1, col_j))
-        cleared, _ = _screen(*_scaled_columns(columns, i, j, k[i]), boundary=0.0)
-        probe_open = ~cleared | full[i]
-        row_open, col_open = probe_open[: row_i.size], probe_open[row_i.size :]
-        # The open columns of each run pair (A, B), keyed A * runs + B, in
-        # order; only those of run[lo] come from earlier blocks.
-        kept = keys >= run[lo] * runs
-        keys = np.concatenate((keys[kept], (run[col_i] * runs + run[col_j])[col_open]))
-        cols = np.concatenate((cols[kept], col_j[col_open]))
-        wanted = (run[row_i] * runs + row_run)[row_open]
-        starts = np.searchsorted(keys, wanted, "left")
-        counts = np.searchsorted(keys, wanted, "right") - starts
-        rows = row_i[row_open]
+        i = np.repeat(a, later[a])
+        runs = _ranges(run[a] + 1, later[a])  # each probe's run B
+        j = last[runs - 1] + 1  # first(B)
+        probe_open = full[i]
+        screened = np.flatnonzero(~probe_open)
+        p, q = i[screened], j[screened]
+        probe_open[screened] = ~_screen(*_scaled_columns(columns, p, q, k[p]), boundary=0.0)[0]
+        rows, starts = i[probe_open], j[probe_open]
+        counts = last[runs[probe_open]] + 1 - starts
         for p0, p1 in _blocks(counts):
             c = counts[p0:p1]
-            yield np.repeat(rows[p0:p1], c), cols[_ranges(starts[p0:p1], c)]
+            yield np.repeat(rows[p0:p1], c), _ranges(starts[p0:p1], c)
 
 
 def _screen(

@@ -868,13 +868,27 @@ class TestVerifyDisjointDifferential:
             lambda: synthesize(
                 Route(Transversal.horocycle(1.0), np.linspace(-2, 2, 41), np.zeros(41))
             ),
+            lambda: synthesize(
+                Route(Transversal.horocycle(1.0), np.linspace(-2, 2, 41), np.full(41, -0.3)),
+                force=True,
+            ),
+            lambda: synthesize(
+                builtin_route("pencil", window=(-30, 30), n=121), force=True
+            ),
+            # Steeper than the pencil: every pair crosses, so no link clears.
+            lambda: synthesize(
+                Route(
+                    Transversal.geodesic(), np.linspace(-1, 1, 41), -np.tanh(np.linspace(-2, 2, 41))
+                ),
+                force=True,
+            ),
             lambda: slice_of([]),
             lambda: slice_of([axis_row(0.0, 1.0)]),
         ],
         ids=[
             "pencil-3-3", "pencil-12-12", "horospherical", "constant-max-geodesic",
             "constant-max-hypercycle", "totally-geodesic", "zero-horocycle",
-            "empty", "single-leaf",
+            "circle-horocycle", "pencil-30-30", "all-links-open", "empty", "single-leaf",
         ],
     )
     def test_fixed_families_match_reference(self, make):
@@ -1239,12 +1253,13 @@ class TestRunProbes:
           (an open link), then five leaves far outside S.
 
         P and S cross 2.1e-9 above the axis, at P's scale 1: a contact
-        that only the probes (P, S) and (Q, S) keep open.  Q's crossing
-        with S lies within ``BOUNDARY_TOL`` at Q's scale, so a probe
-        judged at that tolerance would certify (P, S), as would a row
-        probe of P to the last leaf of S's run.  W's pairs are read at
-        scale 2**-1, P's at 2**0, so a leaf cache keyed by row alone
-        would hand (P, S) leaves of the wrong size.
+        that only the probe (P, S), the first leaf of the next run, keeps
+        open; a probe of P to the last leaf of S's run would certify
+        (P, S).  Q's probe (Q, S) crosses within ``BOUNDARY_TOL`` at Q's
+        scale, so probes judged at that tolerance would skip Q's pairs,
+        which meet nothing: only the screened count shows it.  W's pairs are read at scale 2**-1, P's at 2**0, so a leaf
+        cache keyed by row alone would hand (P, S) leaves of the wrong
+        size.
         """
 
         def row(s, a):  # h = -cos(beta) with a = s tan(beta / 2)
@@ -1276,11 +1291,11 @@ class TestRunProbes:
             (0.0, math.log(16.0))
         ]
         assert 2e-9 < report.intersecting[-1].y < 2.2e-9
-        # 13 links; 28 probes: 2 row probes from W and 7 into S's run, 13
-        # column probes from W and 6 from Q; 15 pairs: W's, (P, S), (Q, S).
-        # The 55 pairs that span an open link would make 68.
+        # 13 links; 9 probes: 2 from W and 7 into S's run; 25 pairs: W's
+        # 13, and the 6 of S's run from each of P and Q, whose probes
+        # cross above the axis.
         _, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
-        assert screened == 13 + 28 + 15
+        assert screened == 13 + 9 + 25
 
     def test_rows_beyond_reach_are_screened_in_full(self):
         # Leaves 357 apart in t, with two open links near the top: the
