@@ -20,6 +20,9 @@ import json
 import math
 import sys
 from dataclasses import replace
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import GeometryError, InvalidRouteError, RouteParseError
 from .foliation import (
@@ -31,7 +34,14 @@ from .foliation import (
 )
 from .leaves import Circle, ideal_endpoints
 from .render import Viewport, render_svg
-from .routes_io import MAX_CLOSED_FORM_N, dumps_document, load_route, validate_document
+from .routes_io import (
+    MAX_CLOSED_FORM_N,
+    dumps_document,
+    dumps_json,
+    load_route,
+    row_template,
+    validate_document,
+)
 from .validation import Route, tol_limit, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
@@ -46,8 +56,49 @@ def _num(x: float):
     return float(f"{x:.12g}")
 
 
-def _verdict_report(verdict) -> dict:
-    return {
+def _num_texts(values: list) -> list[str]:
+    """``json.dumps(_num(x))`` for each float x.
+
+    That is the repr of x rounded to 12 significant digits.  For a normal
+    x whose rounding is not a whole number, the rounding printed by
+    ``%.12g`` is that repr already: a 12-digit decimal round-trips through
+    a double, and both forms choose fixed or exponent notation alike below
+    1e11, above which every 12-digit rounding is whole.  The other values
+    (whole numbers, zeros, subnormal and non-finite ones) go through
+    ``_num``'s rule one by one."""
+    texts = list(map("%.12g".__mod__, values))
+    x = np.array(values, dtype=float)
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # inf - inf for infinite values
+        plain = (a >= 1e-300) & (np.abs(x - np.round(x)) > 1e-11 * a)
+    for i in np.flatnonzero(~plain).tolist():
+        texts[i] = json.dumps(_num(values[i]))
+    return texts
+
+
+def _report_rows(items, fields) -> zip:
+    """One tuple per item of its fields as the report encodes them: the
+    kind as a JSON string, numbers by ``_num``'s rule."""
+    columns = []
+    for name in fields:
+        values = list(map(attrgetter(name), items))
+        if name == "kind":
+            quoted = {kind: json.dumps(kind) for kind in set(values)}
+            columns.append(list(map(quoted.__getitem__, values)))
+        else:
+            columns.append(_num_texts(values))
+    return zip(*columns)
+
+
+_VIOLATION_FIELDS = ("kind", "t1", "t2", "slack")
+_CONTACT_FIELDS = ("t1", "t2", "kind", "x", "y")
+_VIOLATION_ROW = row_template(_VIOLATION_FIELDS)
+_CONTACT_ROW = row_template(_CONTACT_FIELDS)
+
+
+def _verdict_report(verdict) -> str:
+    """The verdict as report text, one template call per violation."""
+    head = {
         "schema": REPORT_SCHEMA,
         "report": "verdict",
         "mode": verdict.mode,
@@ -57,44 +108,29 @@ def _verdict_report(verdict) -> dict:
             "t_plus": _num(verdict.zones.t_plus),
         },
         "worst_slack": _num(verdict.worst_slack),
-        "violations": [
-            {
-                "kind": v.kind,
-                "t1": _num(v.t1),
-                "t2": _num(v.t2),
-                "slack": _num(v.slack),
-            }
-            for v in verdict.violations
-        ],
+        "violations": [],
         "notes": list(verdict.notes),
     }
+    rows = _report_rows(verdict.violations, _VIOLATION_FIELDS)
+    return dumps_json(head, _VIOLATION_ROW, violations=rows)
 
 
-def _audit_report(report) -> dict:
-    def contacts(items):
-        return [
-            {
-                "t1": _num(c.t1),
-                "t2": _num(c.t2),
-                "kind": c.kind,
-                "x": _num(c.x),
-                "y": _num(c.y),
-            }
-            for c in items
-        ]
-
-    return {
+def _audit_report(report) -> str:
+    """The audit as report text, one template call per flagged pair."""
+    head = {
         "schema": REPORT_SCHEMA,
         "report": "audit",
         "clean": report.clean,
         "pairs_checked": report.pair_count,
-        "intersecting": contacts(report.intersecting),
-        "tangent": contacts(report.tangent),
+        "intersecting": [],
+        "tangent": [],
     }
-
-
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    return dumps_json(
+        head,
+        _CONTACT_ROW,
+        intersecting=_report_rows(report.intersecting, _CONTACT_FIELDS),
+        tangent=_report_rows(report.tangent, _CONTACT_FIELDS),
+    )
 
 
 class _UsageError(Exception):
@@ -151,7 +187,7 @@ def _load_route(args) -> Route:
 def _cmd_validate(args) -> int:
     route = _load_route(args)
     verdict = validate(route, c1=args.c1)
-    _print_json(_verdict_report(verdict))
+    print(_verdict_report(verdict))
     return 0 if verdict.valid else 2
 
 
@@ -178,7 +214,7 @@ def _cmd_audit(args) -> int:
     route = _load_route(args)
     slice_ = synthesize(route, force=args.force)
     report = verify_disjoint(slice_)
-    _print_json(_audit_report(report))
+    print(_audit_report(report))
     return 0 if report.clean else 2
 
 
@@ -266,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidRouteError as exc:
         print(f"umbilic: {exc}", file=sys.stderr)
         if exc.verdict is not None:
-            _print_json(_verdict_report(exc.verdict))
+            print(_verdict_report(exc.verdict))
         return 2
     except RouteParseError as exc:
         print(f"umbilic: route file invalid: {exc}", file=sys.stderr)

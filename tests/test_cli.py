@@ -304,6 +304,51 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["validate", str(p)])
         assert code == 1
 
+    HUGE = 10**400  # an integer literal beyond the float range
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (
+                {"transversal": {"kind": "geodesic"}, "samples": [{"t": HUGE, "h": 0.0}]},
+                "samples[0].t",
+            ),
+            (
+                {**HYPERCYCLE_CONSTANT, "transversal": {"kind": "hypercycle", "phi": HUGE}},
+                "transversal.phi",
+            ),
+            ({**PENCIL, "tol": HUGE}, "tol"),
+            ({**PENCIL, "window": [0.0, HUGE]}, "window[1]"),
+            (
+                {**HYPERCYCLE_CONSTANT, "closed_form": {"name": "constant", "params": {"c": HUGE}}},
+                "closed_form.params.c",
+            ),
+        ],
+    )
+    def test_huge_integer_literal_is_refused(self, route_file, capsys, doc, path):
+        code, out, err = run(capsys, ["validate", route_file(doc)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"umbilic: route file invalid: {path}: expected a finite number")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe" + json.dumps(PENCIL).encode("utf-16-le"),  # UTF-16 with its BOM
+            b"[" * 100_000 + b"]" * 100_000,  # nested past the parser's depth
+            b'{"n": 1' + b"0" * 5000 + b"}",  # past the integer digit limit
+        ],
+        ids=["utf-16", "deep-nesting", "long-integer"],
+    )
+    def test_unreadable_file_is_one_line_of_error(self, tmp_path, capsys, data):
+        p = tmp_path / "route.json"
+        p.write_bytes(data)
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("umbilic: route file invalid: ")
+        assert err.count("\n") == 1
+
     def test_huge_closed_form_n_is_rejected(self, route_file, capsys):
         # Sampling 10^12 points would ask numpy for terabytes.
         code, _, err = run(capsys, ["validate", route_file({**PENCIL, "n": 10**12})])

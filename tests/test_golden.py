@@ -6,7 +6,8 @@ the full stdout (for ``render``, the SVG bytes instead of stdout, which
 names the output path).  Any change to a verdict, report, leaf table or
 figure changes a digest, so refactors that must keep outputs identical
 are checked against these.  ``examples`` and a seeded ``lemma-check``
-sweep, which read no document, are pinned the same way.
+sweep, which read no document, are pinned the same way, and so are a few
+reports and a document thousands of rows long (``LARGE``).
 
 To print the table for a deliberate output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -22,12 +23,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from umbilic.cli import main
 from umbilic.foliation import perturbed_invalid_route, random_valid_route
 from umbilic.halfplane import Transversal
 from umbilic.routes_io import dumps_document, route_to_document
+from umbilic.validation import Route, profile_inverse
 
 PHI = 0.9
 B = math.sin(PHI)
@@ -258,6 +261,59 @@ def _standalone(name: str) -> str:
     return _digest(f"{code}\n{stdout}")
 
 
+def _steep_route(n: int, m: int, seed: int) -> Route:
+    """A phi = 0.9 route drawn in profile coordinates like
+    ``random_valid_route``, with slopes L + 0.5 over the m steps from the
+    middle sample, so every pair inside that run violates the bound."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(-4.0, 4.0, n)
+    slopes = rng.uniform(-0.8 * B, B - 1e-3, n - 1)
+    slopes[n // 2:n // 2 + m] = B + 0.5
+    g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
+    h = np.array([profile_inverse(PHI, y) for y in g])
+    return Route(Transversal.hypercycle(PHI), t, h)
+
+
+def _with_dh(route: Route) -> Route:
+    return Route(route.transversal, route.t, route.h, dh=np.gradient(route.h, route.t))
+
+
+#: Outputs far larger than the cases above: reports of thousands of
+#: violations and a document of thousands of samples, as (command, text).
+LARGE = {
+    "steep-phi-n1000": (["validate"], dumps_document(route_to_document(_steep_route(1000, 100, 0)))),
+    "pencil-(-12,12)-n1000": (["validate"], json.dumps({
+        "transversal": {"kind": "geodesic"},
+        "closed_form": {"name": "pencil"},
+        "window": [-12.0, 12.0],
+        "n": 1000,
+    })),
+    "valid-phi-n4000-dh": ([], dumps_document(route_to_document(_with_dh(
+        random_valid_route(Transversal.hypercycle(PHI), window=(-4.0, 4.0), n=4000, seed=0)
+    )))),
+}
+
+GOLDEN_LARGE = {
+    "pencil-(-12,12)-n1000": "d213a35b948d075e54865ed13e0a2fa9c23bb933f113dd72df7ec970512d33f2",
+    "steep-phi-n1000": "0671bcfc3f23acaea14790b7bfef493b5c8469274cb6d0c3e83dde6d1a77e922",
+    "valid-phi-n4000-dh": "7c233552e018afd3b3753f4143d5171522931a7a503c6570e4fb7e804c752942",
+}
+
+
+def _large(name: str) -> str:
+    """Digest of the command's exit code and stdout on the document, or of
+    the document text itself when there is no command."""
+    argv, text = LARGE[name]
+    if not argv:
+        return _digest(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "route.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, stdout = _run(argv + [path])
+    return _digest(f"{code}\n{stdout}")
+
+
 CASES = _cases()
 
 
@@ -273,9 +329,16 @@ def test_standalone_outputs_match_golden(name):
     assert _standalone(name) == GOLDEN_STANDALONE[name]
 
 
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_outputs_match_golden(name):
+    assert _large(name) == GOLDEN_LARGE[name]
+
+
 if __name__ == "__main__":
     for name, text in sorted(CASES.items()):
         for key, value in _outputs(name, text).items():
             print(f'    "{key}": "{value}",')
     for name in sorted(STANDALONE):
         print(f'    "{name}": "{_standalone(name)}",')
+    for name in sorted(LARGE):
+        print(f'    "{name}": "{_large(name)}",')

@@ -1,0 +1,283 @@
+"""The JSON writer and the column-wise sample check against their references.
+
+Reports are written by ``umbilic.cli`` and documents by
+``routes_io.dumps_document``, both through ``routes_io.dumps_json`` with
+one row template per list item.  Their text must equal
+``json.dumps(reference, indent=2)``, where the reference is the dict the
+report stands for, built as below: these builders are the ones the CLI
+printed through ``json.dumps`` before it had a writer.
+
+``routes_io._canon_samples`` checks samples column by column.  It must
+give what the per-sample walker ``_walk_samples`` gives: the same
+canonical list, or the same error with the same path.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+from umbilic.cli import REPORT_SCHEMA, _audit_report, _num_texts, _verdict_report
+from umbilic.errors import RouteParseError
+from umbilic.foliation import DisjointnessReport, PairContact
+from umbilic.routes_io import _canon_samples, _walk_samples, dumps_document, dumps_json
+from umbilic.validation import Verdict, Violation, Zones
+
+
+def reference_num(x: float):
+    """Report numbers at 12 significant digits; infinities as strings."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return None
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return float(f"{x:.12g}")
+
+
+def reference_verdict_report(verdict) -> dict:
+    return {
+        "schema": REPORT_SCHEMA,
+        "report": "verdict",
+        "mode": verdict.mode,
+        "valid": verdict.valid,
+        "zones": {
+            "t_minus": reference_num(verdict.zones.t_minus),
+            "t_plus": reference_num(verdict.zones.t_plus),
+        },
+        "worst_slack": reference_num(verdict.worst_slack),
+        "violations": [
+            {
+                "kind": v.kind,
+                "t1": reference_num(v.t1),
+                "t2": reference_num(v.t2),
+                "slack": reference_num(v.slack),
+            }
+            for v in verdict.violations
+        ],
+        "notes": list(verdict.notes),
+    }
+
+
+def reference_audit_report(report) -> dict:
+    def contacts(items):
+        return [
+            {
+                "t1": reference_num(c.t1),
+                "t2": reference_num(c.t2),
+                "kind": c.kind,
+                "x": reference_num(c.x),
+                "y": reference_num(c.y),
+            }
+            for c in items
+        ]
+
+    return {
+        "schema": REPORT_SCHEMA,
+        "report": "audit",
+        "clean": report.clean,
+        "pairs_checked": report.pair_count,
+        "intersecting": contacts(report.intersecting),
+        "tangent": contacts(report.tangent),
+    }
+
+
+#: Where the printed forms change: ``repr`` switches to an exponent below
+#: 1e-4 and from 1e16 on, ``%.12g`` from 1e12 on; 12-digit rounding makes
+#: whole numbers of near-whole ones; subnormals round-trip at fewer digits.
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+    1e-5, 1e-4, 9.99999999999e-5, 9.999999999995e-5,
+    1e11, 99999999999.99999, 1e12, 1e13, 1e14, 1e15, 1e16, 1e300, -1e300,
+    0.5, 2.5, 0.9999999999995, 3.0000000000001, 3.000000000001, 3.00000000001,
+    4.0, -4.0, 1.7976931348623157e308,
+]
+
+numbers = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGES),
+    st.integers(-10**6, 10**6).map(float),
+    # Near-whole numbers, on both sides of where 12 digits make them whole.
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-16, -9)).map(
+        lambda p: p[0] * (1 + 10.0 ** p[1])
+    ),
+    st.integers(12, 16).map(lambda e: 10.0**e),
+    st.floats(-1e4, 1e4).map(lambda x: round(x, 3)),
+)
+kinds = st.one_of(st.sampled_from(["transverse", "tangent", "coincident"]), st.text(max_size=4))
+
+
+@st.composite
+def violations(draw):
+    kind = draw(st.sampled_from(["bound", "zone", "pair", "pointwise"]))
+    t1 = draw(numbers)
+    t2 = math.nan if kind in ("bound", "pointwise") else draw(numbers)
+    slack = -math.inf if kind == "zone" else draw(numbers)
+    return Violation(kind, t1, t2, slack)
+
+
+@st.composite
+def verdicts(draw):
+    zone = st.one_of(numbers, st.sampled_from([-math.inf, math.inf]))
+    return Verdict(
+        valid=draw(st.booleans()),
+        zones=Zones(draw(zone), draw(zone)),
+        worst_slack=draw(numbers),
+        violations=tuple(draw(st.lists(violations(), max_size=12))),
+        notes=tuple(draw(st.lists(st.text(max_size=30), max_size=3))),
+        mode=draw(st.sampled_from(["c0", "c1", "horocycle"])),
+    )
+
+
+contacts = st.builds(PairContact, numbers, numbers, kinds, numbers, numbers)
+audits = st.builds(
+    DisjointnessReport,
+    st.booleans(),
+    st.integers(0, 10**12),
+    st.lists(contacts, max_size=8).map(tuple),
+    st.lists(contacts, max_size=8).map(tuple),
+)
+
+
+class TestReports:
+    @given(verdicts())
+    @example(Verdict(True, Zones(-math.inf, math.inf), math.inf, (), (), "c0"))
+    @example(Verdict(
+        False, Zones(0.0, 1.0), -math.inf,
+        (Violation("zone", 0.0, 1.0, -math.inf),),
+        ('\n  "violations": [', '"violations": []'), "c0",
+    ))
+    def test_verdict_text_is_json_dumps_of_the_reference(self, verdict):
+        want = json.dumps(reference_verdict_report(verdict), indent=2)
+        assert _verdict_report(verdict) == want
+
+    @given(audits)
+    def test_audit_text_is_json_dumps_of_the_reference(self, report):
+        assert _audit_report(report) == json.dumps(reference_audit_report(report), indent=2)
+
+    @given(st.lists(numbers, max_size=50))
+    @example(EDGES + [math.inf, -math.inf, math.nan])
+    def test_numbers_are_encoded_as_json_encodes_num(self, values):
+        assert _num_texts(values) == [json.dumps(reference_num(x)) for x in values]
+
+    def test_a_list_without_rows_stays_empty(self):
+        doc = {"a": [], "b": 1}
+        assert dumps_json(doc, "%s", a=iter(())) == json.dumps(doc, indent=2)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def documents(draw):
+    doc = {"transversal": draw(st.sampled_from([
+        {"kind": "geodesic"},
+        {"kind": "hypercycle", "phi": 0.9},
+        {"kind": "horocycle", "height": 1.5},
+    ]))}
+    if draw(st.booleans()):
+        doc["closed_form"] = {"name": "constant"}
+        if draw(st.booleans()):
+            doc["closed_form"]["params"] = {"c": draw(finite)}
+        doc["window"] = [-1.0, 1.0]
+        doc["n"] = draw(st.integers(2, 100))
+    else:
+        fields = draw(st.sampled_from([("t", "h"), ("t", "h", "dh")]))
+        doc["samples"] = [
+            {k: draw(numbers) for k in fields}
+            for _ in range(draw(st.integers(0, 12)))
+        ]
+        if doc["samples"] and draw(st.booleans()):
+            # Off the template's path: mixed keys, other orders and types.
+            i = draw(st.integers(0, len(doc["samples"]) - 1))
+            doc["samples"][i] = draw(st.dictionaries(
+                st.sampled_from(["t", "h", "dh", "k"]),
+                st.one_of(numbers, st.integers(), st.booleans(), st.none()),
+            ))
+    if draw(st.booleans()):
+        doc["tol"] = draw(numbers)
+    return doc
+
+
+class TestDocuments:
+    @given(documents())
+    @example({"transversal": {"kind": "geodesic"}, "samples": [{"t": 0.0, "h": math.nan}]})
+    @example({"transversal": {"kind": "geodesic"}, "samples": [{"t": -math.inf, "h": 0.0}]})
+    @example({"transversal": {"kind": "geodesic"}, "samples": [{"t": 0.0, "h": True}]})
+    def test_text_is_json_dumps(self, doc):
+        assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+#: Values the walker refuses, or accepts only as ints.
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.integers(-1000, 1000),
+    st.sampled_from([10**400, -10**400, 2**53 + 1, 2**64 + 1, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.lists(st.integers(), max_size=2),
+)
+
+MUTATIONS = ["value", "drop", "extra", "reorder", "swap", "repeat", "non-object", "dh"]
+
+
+@st.composite
+def sample_lists(draw):
+    """Samples the walker accepts, then up to three mutations of them."""
+    ts = sorted(set(draw(st.lists(finite, min_size=1, max_size=8))))
+    with_dh = draw(st.booleans())
+    items = []
+    for t in ts:
+        item = {"t": t, "h": draw(finite)}
+        if with_dh:
+            item["dh"] = draw(finite)
+        items.append(item)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(items) - 1))
+        item = items[i]
+        mutation = draw(st.sampled_from(MUTATIONS))
+        if not isinstance(item, dict):
+            continue
+        if mutation == "value":
+            item[draw(st.sampled_from(["t", "h", "dh"]))] = draw(ODD_VALUES)
+        elif mutation == "drop" and item:
+            del item[draw(st.sampled_from(sorted(item)))]
+        elif mutation == "extra":
+            item["k"] = 0.0
+        elif mutation == "reorder":
+            items[i] = dict(reversed(list(item.items())))
+        elif mutation == "swap" and i + 1 < len(items):
+            items[i], items[i + 1] = items[i + 1], items[i]
+        elif mutation == "repeat" and i > 0 and isinstance(items[i - 1], dict):
+            item["t"] = items[i - 1].get("t")
+        elif mutation == "non-object":
+            items[i] = draw(st.one_of(st.none(), st.text(max_size=2), st.just([item])))
+        elif mutation == "dh":
+            if "dh" in item:
+                del item["dh"]
+            else:
+                item["dh"] = 0.0
+    return items
+
+
+def _outcome(check, items):
+    try:
+        return "ok", repr(check(items))
+    except RouteParseError as exc:
+        return "error", str(exc), exc.path
+
+
+class TestSampleColumns:
+    @settings(max_examples=500)
+    @given(sample_lists())
+    @example([{"t": 0.0, "h": True}])
+    @example([{"t": 0.0, "h": math.inf}])
+    @example([{"t": 0.0, "h": 0.0, "dh": math.nan}, {"t": 1.0, "h": 0.0, "dh": 0.0}])
+    @example([{"t": "0", "h": 0.0}])
+    @example([{"t": 0, "h": 1}, {"t": 2**64 + 1, "h": -(2**53 + 1)}])
+    @example([{"t": 10**400, "h": 0.0}])
+    @example([{"t": -1e308, "h": 0.0}, {"t": 1e308, "h": 0.0}])
+    @example([{"t": 0.0, "h": -0.0, "dh": 0.0}, {"t": 1.0, "h": 0.0}])
+    def test_columns_give_what_the_walker_gives(self, items):
+        assert _outcome(_canon_samples, items) == _outcome(_walk_samples, items)
