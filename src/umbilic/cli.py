@@ -28,11 +28,12 @@ from .errors import GeometryError, InvalidRouteError, RouteParseError
 from .foliation import (
     BUILTIN_FAMILIES,
     extend_slice,
+    leaf_table,
     run_disjointness_agreement,
     synthesize,
     verify_disjoint,
 )
-from .leaves import Circle, ideal_endpoints
+from .leaves import _circle_ends, _line_ends
 from .render import Viewport, render_svg
 from .routes_io import (
     MAX_CLOSED_FORM_N,
@@ -40,6 +41,7 @@ from .routes_io import (
     dumps_json,
     load_route,
     row_template,
+    template_rows,
     validate_document,
 )
 from .validation import Route, tol_limit, validate
@@ -191,22 +193,40 @@ def _cmd_validate(args) -> int:
     return 0 if verdict.valid else 2
 
 
+#: One leaf-table row per leaf shape; numbers at 12 significant digits.
+_LEAF_ROW = "%d\t%.12g\t%s\t%.12g\t%.12g\t%d\t{}\t%.12g\t%.12g"
+_CIRCLE_ROW = _LEAF_ROW.format("circle %.12g %.12g %.12g")
+_LINE_ROW = _LEAF_ROW.format("line %.12g %.12g %.12g %.12g")
+
+
+def _leaf_rows(slice_) -> list[str]:
+    """The leaf table's rows, one template call per leaf."""
+    tb = leaf_table(slice_)
+    line = np.isnan(tb.radius)
+    ends = [
+        np.where(line, a, b)
+        for a, b in zip(
+            _line_ends(tb.x0, tb.y0, tb.dx, tb.dy), _circle_ends(tb.cx, tb.cy, tb.radius)
+        )
+    ]
+    head = (np.arange(slice_.t.size), slice_.t, tb.kind, tb.beta, tb.h, slice_.extension)
+    groups = []
+    for rows, template, shape in (
+        (~line, _CIRCLE_ROW, (tb.cx, tb.cy, tb.radius)),
+        (line, _LINE_ROW, (tb.x0, tb.y0, tb.dx, tb.dy)),
+    ):
+        rows = np.flatnonzero(rows)
+        groups.append((rows, template, [c[rows] for c in (*head, *shape, *ends)]))
+    return template_rows(slice_.t.size, groups)
+
+
 def _cmd_leaves(args) -> int:
     route = _load_route(args)
     slice_ = synthesize(route, force=args.force)
     print("index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus")
-    for i, (t, leaf, ext) in enumerate(slice_.all_entries()):
-        ends = ideal_endpoints(leaf)
-        s = leaf.shape
-        if isinstance(s, Circle):
-            shape = f"circle {s.cx:.12g} {s.cy:.12g} {s.radius:.12g}"
-        else:
-            shape = f"line {s.x0:.12g} {s.y0:.12g} {s.dx:.12g} {s.dy:.12g}"
-        print(
-            f"{i}\t{t:.12g}\t{leaf.kind.value}\t{leaf.beta:.12g}\t"
-            f"{leaf.h:.12g}\t{int(ext)}\t{shape}\t{ends.a_minus:.12g}\t"
-            f"{ends.a_plus:.12g}"
-        )
+    rows = _leaf_rows(slice_)
+    if rows:
+        print("\n".join(rows))
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,10 @@ from .leaves import (
     _beyond_bound,
     _geodesic_slack,
     _hypercycle_slack,
+    _leaf_kinds,
     _math_map,
     _orthogonal_carriers,
+    _refused_leaves,
     carrier_contact,
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
@@ -154,6 +157,64 @@ def _carriers(slice_: FoliationSlice) -> tuple[np.ndarray, np.ndarray, np.ndarra
         return _orthogonal_carriers(s, _math_map(math.acos, -h), tr.phi)
 
 
+def _refuse(slice_: FoliationSlice, rows: np.ndarray) -> None:
+    """Build the leaf of each of ``rows``, in order: the constructors raise
+    their own error on the first one they refuse."""
+    leaf = _leaf_map(slice_.transversal)
+    for t, h in zip(slice_.t[rows].tolist(), slice_.h[rows].tolist()):
+        leaf(t, h)
+
+
+#: A slice's leaves as columns, one row per slice row: bit for bit the
+#: ``Leaf`` objects ``all_entries`` builds.  ``cx, cy, radius`` are the
+#: circle carriers and ``x0, y0, dx, dy`` the line carriers, nan on the
+#: rows of the other shape (so a line's radius is nan); ``beta``, ``h``
+#: and ``kind`` are each leaf's ``beta``, ``h`` and ``kind.value``.
+LeafTable = namedtuple("LeafTable", "cx cy radius x0 y0 dx dy beta h kind")
+
+
+def leaf_table(slice_: FoliationSlice) -> LeafTable:
+    """The slice's leaves as a ``LeafTable``, in O(n) numpy plus the
+    ``math`` maps of exp, acos and cos that the constructors use.
+
+    The rows the constructors' own tests refuse (``_refused_leaves``, and
+    the crossing and band tests of ``leaf_orthogonal_to_*``) are built
+    through them in row order, so a slice ``all_entries`` refuses raises
+    the error it meets first.  A line's direction is one unit ``Line`` per
+    transversal, normalised once.
+    """
+    tr, t, h = slice_.transversal, slice_.t, slice_.h
+    beta = _math_map(math.acos, -h)
+    cbeta = _math_map(math.cos, beta)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if tr.kind == TransversalKind.HOROCYCLE:
+            line, refused = h == 0.0, np.zeros(t.size, dtype=bool)
+            carriers, point = (t, tr.height, tr.height / -h), (t, tr.height)
+            unit = Line(0.0, 0.0, 0.0, 1.0)
+        else:
+            try:
+                s = _math_map(math.exp, t * tr.curvature_bound)
+            except OverflowError:  # refused by math.exp, unless an earlier row is
+                _refuse(slice_, np.arange(t.size))
+                raise
+            carriers = _orthogonal_carriers(s, beta, tr.phi, cbeta)
+            line, refused = np.isnan(carriers[2]), ~(s > 0)
+            if tr.phi is None:  # a line leaf is horizontal, with beta = pi
+                beta = np.where(line, math.pi, beta)
+                cbeta = np.where(line, math.cos(math.pi), cbeta)
+                point, unit = (0.0, s), Line(0.0, 0.0, 1.0, 0.0)
+            else:
+                sphi, cphi = math.sin(tr.phi), math.cos(tr.phi)
+                point, unit = (s * cphi, s * sphi), Line(0.0, 0.0, -sphi, cphi)
+                refused |= _beyond_bound(cbeta, sphi)
+        circle = tuple(np.where(line, math.nan, c) for c in carriers)
+        point = tuple(np.where(line, c, math.nan) for c in point)
+    refused |= _refused_leaves(line, circle, point, beta, cbeta, unit)
+    _refuse(slice_, np.flatnonzero(refused))
+    direction = (np.where(line, c, math.nan) for c in (unit.dx, unit.dy))
+    return LeafTable(*circle, *point, *direction, beta, -cbeta, _leaf_kinds(beta))
+
+
 #: Leaf pairs per numpy block of ``verify_disjoint`` and of the lemma
 #: sweep; bounds their working memory at a few MB whatever the family's
 #: size or the sweep's length.
@@ -249,8 +310,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     columns = _carriers(slice_)
     cx, cy, r = columns
     finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
-    for p in np.flatnonzero(~finite & ~np.isnan(r))[:1].tolist():
-        _leaf_map(tr)(ts[p], hs[p])  # the constructors refuse it, with their message
+    _refuse(slice_, np.flatnonzero(~finite & ~np.isnan(r)))
     pairs = _probed_pairs(columns, k, *_cleared_links(tr, columns, k))
 
     @functools.cache

@@ -55,11 +55,18 @@ def classify_leaf(beta: float) -> LeafKind:
     """Classify a boundary angle: horosphere at 0 or pi, totally geodesic
     at pi/2, hypersphere in between."""
     _check_beta(beta)
-    if beta <= _KIND_TOL or beta >= math.pi - _KIND_TOL:
-        return LeafKind.HOROSPHERE
-    if abs(beta - math.pi / 2) <= _KIND_TOL:
-        return LeafKind.TOTALLY_GEODESIC
-    return LeafKind.HYPERSPHERE
+    return LeafKind(_leaf_kinds(beta))
+
+
+_KIND_VALUES = np.array([kind.value for kind in LeafKind], dtype=object)
+
+
+def _leaf_kinds(beta):
+    """The ``LeafKind`` value of a boundary angle in [0, pi], or an object
+    array of them for an array (see ``classify_leaf``)."""
+    horosphere = (beta <= _KIND_TOL) | (beta >= math.pi - _KIND_TOL)
+    flat = np.abs(beta - math.pi / 2) <= _KIND_TOL
+    return _KIND_VALUES[np.where(horosphere, 0, np.where(flat, 2, 1))]
 
 
 def equidistant_offset(beta: float) -> float:
@@ -168,6 +175,29 @@ class Leaf:
         return classify_leaf(self.beta)
 
 
+def _refused_leaves(line, circle, point, beta, cbeta, unit: Line):
+    """Which rows of leaf columns ``Circle``, ``Line`` and ``Leaf`` refuse,
+    by their own tests.  ``circle`` is (cx, cy, radius) on the rows not
+    ``line``, ``point`` is (x0, y0) on the line rows, whose direction is
+    ``unit``, and ``beta``, ``cbeta`` are each leaf's angle and its
+    cosine.  numpy applies the tests' IEEE operations, so the answer is
+    theirs."""
+    cx, cy, r = circle
+    x0, y0 = point
+    with np.errstate(invalid="ignore", over="ignore"):
+        circle_refused = (
+            ~(np.isfinite(cx) & np.isfinite(cy) & (0 < r) & (r < math.inf))
+            | (cy - r > BOUNDARY_TOL)
+            | (cy + r < -BOUNDARY_TOL)
+            | (np.abs(cy - r * cbeta) > _ANGLE_MATCH_TOL * np.maximum(1.0, r))
+        )
+        mismatch = np.abs(math.atan2(unit.dy, unit.dx) - np.fmod(beta, math.pi))
+        line_refused = ~(np.isfinite(x0) & np.isfinite(y0)) | (
+            np.minimum(mismatch, np.abs(mismatch - math.pi)) > _ANGLE_MATCH_TOL
+        )
+    return np.where(line, line_refused, circle_refused)
+
+
 @dataclass(frozen=True)
 class IdealEndpoints:
     """Boundary trace of a leaf, ordered left to right.  Lines through
@@ -181,29 +211,45 @@ def ideal_endpoints(leaf: Leaf) -> IdealEndpoints:
     """Where the leaf meets the ideal boundary."""
     s = leaf.shape
     if isinstance(s, Circle):
-        root = _half_chord(s)
-        if root is None:
-            # Tangent circle: both endpoints collapse onto the tangency point.
-            return IdealEndpoints(s.cx, s.cx)
-        return IdealEndpoints(s.cx - root, s.cx + root)
-    if s.dy == 0.0:
-        return IdealEndpoints(-math.inf, math.inf)
-    crossing = s.x0 - s.y0 * s.dx / s.dy
-    if s.dx < 0:
-        return IdealEndpoints(-math.inf, crossing)
-    return IdealEndpoints(crossing, math.inf)
+        ends = _circle_ends(s.cx, s.cy, s.radius)
+    else:
+        ends = _line_ends(s.x0, s.y0, s.dx, s.dy)
+    return IdealEndpoints(*map(float, ends))
 
 
-def _half_chord(c: Circle) -> float | None:
-    """Half the chord the circle cuts from the boundary line, sqrt(r^2 - cy^2),
-    or None when it only touches or misses the line.  Taken at the circle's
-    own power-of-two scale, so it neither overflows nor underflows."""
-    r, cy = c.radius, abs(c.cy)
-    if r <= cy:
-        return None
-    e = math.frexp(r)[1]
-    r, cy = math.ldexp(r, -e), math.ldexp(cy, -e)
-    return math.ldexp(math.sqrt((r - cy) * (r + cy)), e)
+def _circle_ends(cx, cy, radius):
+    """``(a_minus, a_plus)`` of circle carriers, for floats or arrays: cx
+    -+ the half chord, or cx twice where a circle only touches or misses
+    the boundary line (a tangent circle's endpoints collapse onto the
+    tangency point)."""
+    root = _half_chord(cy, radius)
+    touching = np.isnan(root)
+    with np.errstate(over="ignore"):
+        return np.where(touching, cx, cx - root), np.where(touching, cx, cx + root)
+
+
+def _line_ends(x0, y0, dx, dy):
+    """``(a_minus, a_plus)`` of line carriers through (x0, y0) with unit
+    direction (dx, dy), dy >= 0, for floats or arrays; a line through
+    infinity reports -inf and/or +inf."""
+    with np.errstate(all="ignore"):
+        crossing = x0 - np.divide(y0 * dx, dy)
+    flat, back = np.equal(dy, 0.0), np.less(dx, 0.0)
+    return np.where(flat | back, -math.inf, crossing), np.where(flat | ~back, math.inf, crossing)
+
+
+def _half_chord(cy, radius):
+    """Half the chord a circle cuts from the boundary line, sqrt(r^2 - cy^2),
+    or nan where it only touches or misses the line, for floats or arrays.
+    Taken at each circle's own power-of-two scale, so it neither overflows
+    nor underflows; frexp, ldexp and sqrt are exact or correctly rounded,
+    so numpy gives ``math``'s bits."""
+    cy = np.abs(cy)
+    e = np.frexp(radius)[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        r, c = np.ldexp(radius, -e), np.ldexp(cy, -e)
+        root = np.ldexp(np.sqrt((r - c) * (r + c)), e)
+    return np.where(radius > cy, root, math.nan)
 
 
 def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:
@@ -279,17 +325,19 @@ def _circle_carrier(s, cbeta, ray=None):
     return scale * cphi, scale * sphi, s * sphi / den
 
 
-def _orthogonal_carriers(s, beta, phi=None):
+def _orthogonal_carriers(s, beta, phi=None, cbeta=None):
     """Columns ``(cx, cy, radius)`` of the carriers that
     ``leaf_orthogonal_to_geodesic(s, beta)`` (``phi`` None) or
     ``leaf_orthogonal_to_hypercycle(phi, s, beta)`` builds, for arrays
-    ``s``, ``beta`` and ``phi``; nan where the leaf is a line.
+    ``s``, ``beta`` and ``phi``; nan where the leaf is a line.  ``cbeta``,
+    when given, is the column cos beta.
 
     The values are the constructors' bit for bit: the same
     ``_circle_carrier``, with ``math``'s cos and sin, which numpy's may
     differ from in the last bit.
     """
-    cbeta = _math_map(math.cos, beta)
+    if cbeta is None:
+        cbeta = _math_map(math.cos, beta)
     if phi is None:
         ray, line = None, math.pi - beta <= _LINE_TOL
     else:

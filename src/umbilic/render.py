@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .foliation import FoliationSlice
+from .foliation import FoliationSlice, leaf_table
 from .halfplane import TransversalKind
-from .leaves import Circle, Leaf, Line, _half_chord
+from .leaves import _half_chord
+from .routes_io import template_rows
 
 _SVG_DECIMALS = 3
 #: Numbers below this in magnitude print as 0, never as "-0.000".
@@ -76,48 +79,6 @@ def _fmt(v: float) -> str:
     return f"{v:.{_SVG_DECIMALS}f}"
 
 
-def _circle_path(c: Circle, vp: Viewport) -> str:
-    root = _half_chord(c)
-    rx = _fmt(c.radius * vp.x_scale)
-    ry = _fmt(c.radius * vp.y_scale)
-    if root is None:
-        # Tangent to the boundary: draw the full circle as two half arcs.
-        bx, by = vp.to_px(c.cx, c.cy - c.radius)
-        tx, ty = vp.to_px(c.cx, c.cy + c.radius)
-        return (
-            f"M {_fmt(bx)},{_fmt(by)}"
-            f" A {rx},{ry} 0 1 1 {_fmt(tx)},{_fmt(ty)}"
-            f" A {rx},{ry} 0 1 1 {_fmt(bx)},{_fmt(by)} Z"
-        )
-    x1, y1 = vp.to_px(c.cx - root, 0.0)
-    x2, y2 = vp.to_px(c.cx + root, 0.0)
-    large = 1 if c.cy > 0 else 0
-    return (
-        f"M {_fmt(x1)},{_fmt(y1)}"
-        f" A {rx},{ry} 0 {large} 1 {_fmt(x2)},{_fmt(y2)}"
-    )
-
-
-def _line_path(ln: Line, vp: Viewport) -> str:
-    if ln.dy == 0.0:
-        x1, y1 = vp.to_px(vp.x_min, ln.y0)
-        x2, y2 = vp.to_px(vp.x_max, ln.y0)
-    else:
-        # Clip against the horizontal strip 0 <= y <= y_max only, so every
-        # line leaf emits exactly one path even when it exits sideways.
-        u0 = -ln.y0 / ln.dy
-        u1 = (vp.y_max - ln.y0) / ln.dy
-        x1, y1 = vp.to_px(ln.x0 + u0 * ln.dx, 0.0)
-        x2, y2 = vp.to_px(ln.x0 + u1 * ln.dx, vp.y_max)
-    return f"M {_fmt(x1)},{_fmt(y1)} L {_fmt(x2)},{_fmt(y2)}"
-
-
-def _leaf_path(leaf: Leaf, vp: Viewport) -> str:
-    if isinstance(leaf.shape, Circle):
-        return _circle_path(leaf.shape, vp)
-    return _line_path(leaf.shape, vp)
-
-
 def _transversal_path(slice_: FoliationSlice, vp: Viewport) -> str:
     tr = slice_.transversal
     if tr.kind == TransversalKind.GEODESIC:
@@ -143,8 +104,6 @@ def render_svg(slice_: FoliationSlice, viewport: Viewport | None = None) -> str:
     along the bottom edge of the frame.
     """
     vp = viewport if viewport is not None else Viewport()
-    bound = slice_.transversal.curvature_bound
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -165,19 +124,74 @@ def render_svg(slice_: FoliationSlice, viewport: Viewport | None = None) -> str:
         f'fill="none" stroke="{_TRANSVERSAL_COLOR}" '
         f'stroke-width="{_TRANSVERSAL_WIDTH}"/>'
     )
-    for _, leaf, is_ext in slice_.all_entries():
-        classes = "leaf"
-        color = _LEAF_COLOR
-        if is_ext:
-            classes += " extension"
-            color = _EXTENSION_COLOR
-        dash = ""
-        if bound > 0 and bound - abs(leaf.h) <= 1e-9:
-            classes += " pinned"
-            dash = f' stroke-dasharray="{_PINNED_DASH}"'
-        parts.append(
-            f'<path class="{classes}" d="{_leaf_path(leaf, vp)}" fill="none" '
-            f'stroke="{color}" stroke-width="{_LEAF_WIDTH}"{dash}/>'
-        )
+    parts += _leaf_paths(slice_, vp)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+_DASH = f' stroke-dasharray="{_PINNED_DASH}"'
+#: The text around a leaf's path data, by ``extension + 2 * pinned``.
+_STYLES = np.array([
+    (
+        f'<path class="leaf{" extension" * e}{" pinned" * p}" d="',
+        f'" fill="none" stroke="{(_LEAF_COLOR, _EXTENSION_COLOR)[e]}" '
+        f'stroke-width="{_LEAF_WIDTH}"{_DASH * p}/>',
+    )
+    for p in (0, 1) for e in (0, 1)
+], dtype=object)
+
+_NUM = f"%.{_SVG_DECIMALS}f"
+#: Path data by leaf shape, each a template on (before, numbers, after):
+#: a circle that cuts the boundary is one arc between its ideal endpoints
+#: (the large one when its centre is above the boundary), a tangent
+#: circle a closed loop of two half arcs from its lowest point, and a
+#: line the segment clipped to the strip 0 <= y <= y_max only, so every
+#: line leaf emits exactly one path even when it exits sideways.
+_ARC = f"%sM {_NUM},{_NUM} A {_NUM},{_NUM} 0 %d 1 {_NUM},{_NUM}%s"
+_LOOP = f"%sM {_NUM},{_NUM}{f' A {_NUM},{_NUM} 0 1 1 {_NUM},{_NUM}' * 2} Z%s"
+_SEGMENT = f"%sM {_NUM},{_NUM} L {_NUM},{_NUM}%s"
+
+
+def _leaf_paths(slice_: FoliationSlice, vp: Viewport) -> list[str]:
+    """One path per leaf, in row order, from the slice's ``leaf_table``.
+
+    Pixel coordinates are columns, computed with ``Viewport.to_px``'s
+    operations; ``_fmt``'s finite and zero rules are applied to them
+    whole, and each path is one template call.  Column p of ``v`` holds
+    leaf p's numbers in the order ``_fmt`` met them one path at a time, so
+    the first non-finite one in that order is refused: rx, ry, then the
+    two points of a circle (an arc's ends, or a loop's lowest and highest
+    point); a segment's two ends, the second repeated.
+    """
+    tb = leaf_table(slice_)
+    xs, ys, x_min = vp.x_scale, vp.y_scale, float(vp.x_min)
+    height, y_max = float(vp.height_px), float(vp.y_max)
+    line, root = np.isnan(tb.radius), _half_chord(tb.cy, tb.radius)
+    loop, flat = ~line & np.isnan(root), tb.dy == 0.0  # a flat line spans the viewport
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u1, u2 = -tb.y0 / tb.dy, (y_max - tb.y0) / tb.dy
+        sx1 = np.where(flat, vp.to_px(vp.x_min, 0.0)[0], (tb.x0 + u1 * tb.dx - x_min) * xs)
+        sx2 = np.where(flat, vp.to_px(vp.x_max, 0.0)[0], (tb.x0 + u2 * tb.dx - x_min) * xs)
+        sy1, sy2 = (height - np.where(flat, tb.y0, y) * ys for y in (0.0, y_max))
+        cx1, cx2 = np.where(loop, tb.cx, tb.cx - root), np.where(loop, tb.cx, tb.cx + root)
+        cy1, cy2 = np.where(loop, tb.cy - tb.radius, 0.0), np.where(loop, tb.cy + tb.radius, 0.0)
+        v = np.where(line, [sx1, sy1, sx2, sy2, sx2, sy2], [
+            tb.radius * xs, tb.radius * ys,
+            (cx1 - x_min) * xs, height - cy1 * ys, (cx2 - x_min) * xs, height - cy2 * ys,
+        ])
+    finite = np.isfinite(v.T)
+    if not finite.all():
+        _fmt(float(v.T.flat[np.argmin(finite)]))
+    v = np.vstack((np.where(np.abs(v) < _ROUNDS_TO_ZERO, 0.0, v), tb.cy > 0))
+    bound = slice_.transversal.curvature_bound
+    style = _STYLES[slice_.extension + 2 * ((bound > 0) & (bound - np.abs(tb.h) <= 1e-9))]
+    groups = []
+    for rows, template, order in (
+        (~line & ~loop, _ARC, (2, 3, 0, 1, 6, 4, 5)),  # row 6: an arc's large flag
+        (loop, _LOOP, (2, 3, 0, 1, 4, 5, 0, 1, 2, 3)),
+        (line, _SEGMENT, (0, 1, 2, 3)),
+    ):
+        rows = np.flatnonzero(rows)
+        before, after = style[rows].T
+        groups.append((rows, template, (before, *v[np.ix_(order, rows)], after)))
+    return template_rows(slice_.t.size, groups)

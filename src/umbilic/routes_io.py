@@ -50,10 +50,22 @@ def _require_number(value: Any, path: str) -> float:
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
+        raise RouteParseError(
+            f"expected a finite number, got an integer literal of {_digits(value)} digits", path
+        ) from None
     if not math.isfinite(number):
         raise RouteParseError(f"expected a finite number, got {value!r}", path)
     return number
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of a nonzero integer, without writing
+    it out (Python refuses to past 4 300 digits)."""
+    n = abs(n)
+    digits = int(n.bit_length() * math.log10(2))  # one short at most
+    while 10**digits <= n:
+        digits += 1
+    return digits
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
@@ -355,6 +367,25 @@ def dumps_json(doc: dict, template: str = "", **rows: Iterable[tuple]) -> str:
     return text
 
 
+#: Rows per chunk of ``template_rows``: bounds the Python numbers alive at
+#: once whatever the table's size.
+_ROW_CHUNK = 1 << 10
+
+
+def template_rows(count: int, groups: Iterable[tuple]) -> list[str]:
+    """``count`` text rows filled from ``(rows, template, columns)``
+    groups, one template call per row: row ``rows[k]`` is ``template %``
+    the k-th item of each column, a numpy array read ``_ROW_CHUNK`` rows
+    at a time."""
+    out = np.empty(count, dtype=object)
+    for rows, template, columns in groups:
+        for lo in range(0, rows.size, _ROW_CHUNK):
+            part = slice(lo, lo + _ROW_CHUNK)
+            items = zip(*(column[part].tolist() for column in columns))
+            out[rows[part]] = list(map(template.__mod__, items))
+    return out.tolist()
+
+
 _SAMPLE_ROWS = {fields: row_template(fields, "%r") for fields in _SAMPLE_FIELDS.values()}
 
 
@@ -383,7 +414,10 @@ def loads_route(text: str) -> Route:
     except json.JSONDecodeError as exc:
         raise RouteParseError(f"not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
-        raise RouteParseError(f"JSON text not readable: {exc}") from None
+        # The digit limit's message ends with advice a document's author
+        # cannot take: to raise the limit with sys.set_int_max_str_digits().
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise RouteParseError(f"JSON text not readable: {reason}") from None
     return document_to_route(validate_document(doc))
 
 

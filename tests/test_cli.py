@@ -349,6 +349,27 @@ class TestErrorPaths:
         assert err.startswith("umbilic: route file invalid: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, echo",
+        [
+            ('{"transversal": {"kind": "geodesic"}, "samples": [{"t": 1%s, "h": 0}]}' % ("0" * 400),
+             "samples[0].t: expected a finite number, got an integer literal of 401 digits"),
+            ('{"transversal": {"kind": "geodesic"}, "samples": [{"t": 0, "h": 0}], "tol": -%s}'
+             % ("9" * 4300),
+             "tol: expected a finite number, got an integer literal of 4300 digits"),
+            ('{"n": 1%s}' % ("0" * 5000), "JSON text not readable: Exceeds the limit (4300 digits)"),
+        ],
+        ids=["401-digits", "4300-digits", "5001-digits"],
+    )
+    def test_refused_numbers_are_not_echoed_in_full(self, tmp_path, capsys, text, echo):
+        p = tmp_path / "route.json"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"umbilic: route file invalid: {echo}")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "set_int_max_str_digits" not in err
+
     def test_huge_closed_form_n_is_rejected(self, route_file, capsys):
         # Sampling 10^12 points would ask numpy for terabytes.
         code, _, err = run(capsys, ["validate", route_file({**PENCIL, "n": 10**12})])
@@ -516,3 +537,55 @@ class TestFloatRangeOutputs:
         code, _, _ = run(capsys, ["render", route_file(self.WIDE_LEAF), "--out", str(svg)])
         assert code == 0
         assert "nan" not in svg.read_text(encoding="utf-8")
+
+
+class TestOutputErrors:
+    """``leaves`` and ``render`` refuse these documents with the exit code,
+    output and message that listing and drawing them one ``Leaf`` at a
+    time gave: ``leaves`` prints its header before the refusal, and
+    ``render`` writes no figure."""
+
+    HEADER = "index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus\n"
+    GEODESIC = {"kind": "geodesic"}
+    # e^(t L) underflows to 0 below t L = -745, for a circle and for a line.
+    UNDERFLOW = {"transversal": GEODESIC, "samples": [{"t": -800.0, "h": 0.0}, {"t": -799.0, "h": 0.0}]}
+    UNDERFLOW_LINE = {"transversal": GEODESIC, "samples": [{"t": -800.0, "h": 1.0}, {"t": 0.0, "h": 1.0}]}
+    OVERFLOW = {"transversal": GEODESIC, "samples": [{"t": 0.0, "h": 0.9}, {"t": 709.0, "h": 0.9}]}
+    # The second circle's radius is 1.3e306: finite, but not in pixels.
+    WIDE = {
+        "transversal": {"kind": "hypercycle", "phi": 1.1},
+        "samples": [{"t": 0.0, "h": 0.5}, {"t": 790.0, "h": 0.5}],
+    }
+    PENCIL = {**PENCIL, "window": [-3.0, 3.0], "n": 7}  # radii up to cosh 3
+    HEIGHT = "umbilic: crossing height must be positive, got 0.0\n"
+    RADIUS = "umbilic: circle radius must be positive and finite, got inf\n"
+    RANGE = "umbilic: the figure has a coordinate past the float range, got "
+
+    @pytest.mark.parametrize(
+        "doc, stderr",
+        [(UNDERFLOW, HEIGHT), (UNDERFLOW_LINE, HEIGHT), (OVERFLOW, RADIUS)],
+        ids=["underflow", "underflow-line", "radius-overflow"],
+    )
+    def test_leaves(self, route_file, capsys, doc, stderr):
+        for force in ([], ["--force"]):
+            assert run(capsys, ["leaves", *force, route_file(doc)]) == (1, self.HEADER, stderr)
+
+    @pytest.mark.parametrize(
+        "doc, viewport, stderr",
+        [
+            (UNDERFLOW, None, HEIGHT),
+            (UNDERFLOW_LINE, None, HEIGHT),
+            (OVERFLOW, None, RADIUS),
+            (WIDE, None, RANGE + "-inf\n"),
+            (WIDE, "-1e-305,1e-305,3,800,400", RANGE + "inf\n"),
+            (PENCIL, "-1e-305,1e-305,3,800,400", RANGE + "inf\n"),
+        ],
+        ids=["underflow", "underflow-line", "radius-overflow", "wide", "wide-viewport", "pencil-viewport"],
+    )
+    def test_render(self, route_file, capsys, tmp_path, doc, viewport, stderr):
+        svg = tmp_path / "x.svg"
+        argv = ["render", route_file(doc), "--out", str(svg)]
+        if viewport:
+            argv.append(f"--viewport={viewport}")
+        assert run(capsys, argv) == (1, "", stderr)
+        assert not svg.exists()

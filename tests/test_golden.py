@@ -278,8 +278,31 @@ def _with_dh(route: Route) -> Route:
     return Route(route.transversal, route.t, route.h, dh=np.gradient(route.h, route.t))
 
 
+def _drawn_document(transversal: Transversal, n: int = 4000) -> str:
+    route = random_valid_route(transversal, window=(-4.0, 4.0), n=n, seed=0)
+    return dumps_document(route_to_document(route))
+
+
+#: A horocycle slice whose leaves alternate between lines (h = 0) and
+#: circles, drawn with ``--force``: only h = 0 is valid on a horocycle.
+HOROCYCLE_MIXED = json.dumps({
+    "transversal": {"kind": "horocycle", "height": 1.5},
+    "samples": [
+        {"t": float(t), "h": 0.0 if i % 3 == 0 else -float(h)}
+        for i, (t, h) in enumerate(zip(np.linspace(-4.0, 4.0, 4000), np.linspace(0.01, 1.0, 4000)))
+    ],
+})
+
+PENCIL_N4000 = json.dumps({
+    "transversal": {"kind": "geodesic"},
+    "closed_form": {"name": "pencil"},
+    "window": [-3.0, 3.0],
+    "n": 4000,
+})
+
 #: Outputs far larger than the cases above: reports of thousands of
-#: violations and a document of thousands of samples, as (command, text).
+#: violations, a document of thousands of samples, and leaf tables and
+#: figures of thousands of leaves, as (command, text).
 LARGE = {
     "steep-phi-n1000": (["validate"], dumps_document(route_to_document(_steep_route(1000, 100, 0)))),
     "pencil-(-12,12)-n1000": (["validate"], json.dumps({
@@ -292,17 +315,35 @@ LARGE = {
         random_valid_route(Transversal.hypercycle(PHI), window=(-4.0, 4.0), n=4000, seed=0)
     )))),
 }
+for _name, _text in (
+    ("valid-geodesic-n4000", _drawn_document(Transversal.geodesic())),
+    ("valid-phi=1.1-n4000", _drawn_document(Transversal.hypercycle(1.1))),
+    ("pencil-(-3,3)-n4000", PENCIL_N4000),
+):
+    LARGE[f"{_name}:leaves"] = (["leaves"], _text)
+    LARGE[f"{_name}:render"] = (["render", "--extend", "8"], _text)
+LARGE["horocycle-mixed-n4000:leaves"] = (["leaves", "--force"], HOROCYCLE_MIXED)
+LARGE["horocycle-mixed-n4000:render"] = (["render", "--force", "--extend", "8"], HOROCYCLE_MIXED)
 
 GOLDEN_LARGE = {
     "pencil-(-12,12)-n1000": "d213a35b948d075e54865ed13e0a2fa9c23bb933f113dd72df7ec970512d33f2",
     "steep-phi-n1000": "0671bcfc3f23acaea14790b7bfef493b5c8469274cb6d0c3e83dde6d1a77e922",
     "valid-phi-n4000-dh": "7c233552e018afd3b3753f4143d5171522931a7a503c6570e4fb7e804c752942",
+    "horocycle-mixed-n4000:leaves": "b6cb1a3de5b6ad3ccb70c78b79a31acde47e323b8b6657a2531b247d1b13c533",
+    "horocycle-mixed-n4000:render": "863bd92f903e10d7a326767d87f049b3f25a9c1407187c140c233d10fa9740d0",
+    "pencil-(-3,3)-n4000:leaves": "bb333236aa99e581bdc9c23bcc89b61e45b00fcc5f42445c37cbbee9e2750373",
+    "pencil-(-3,3)-n4000:render": "a2420a64c618cb17cf52e026385c6d65e57f75bdd72bbd7d88c6889e64e52c81",
+    "valid-geodesic-n4000:leaves": "b1ce9991318d6042c48d994dd278239cdb49e037ee49367bf569a586a528d4db",
+    "valid-geodesic-n4000:render": "d2fc1f0e52bf3aec134589945fb5a3e0d24499baa70f30739aa311038d85c45e",
+    "valid-phi=1.1-n4000:leaves": "95a431e917f266918c82b1ed7f5dd01b56dee48a09a2874061741c1e30b02363",
+    "valid-phi=1.1-n4000:render": "9754964227a0c9d60dbe299f0a698457a2bf32b5804c42fcdd7b9444dfa0d598",
 }
 
 
 def _large(name: str) -> str:
-    """Digest of the command's exit code and stdout on the document, or of
-    the document text itself when there is no command."""
+    """Digest of the command's exit code and stdout on the document (for
+    ``render``, the SVG bytes instead of stdout), or of the document text
+    itself when there is no command."""
     argv, text = LARGE[name]
     if not argv:
         return _digest(text)
@@ -310,8 +351,16 @@ def _large(name: str) -> str:
         path = os.path.join(tmp, "route.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        code, stdout = _run(argv + [path])
-    return _digest(f"{code}\n{stdout}")
+        if argv[0] != "render":
+            code, stdout = _run(argv + [path])
+            return _digest(f"{code}\n{stdout}")
+        svg_path = os.path.join(tmp, "fig.svg")
+        code, _ = _run(argv + [path, "--out", svg_path])
+        svg = ""
+        if os.path.exists(svg_path):
+            with open(svg_path, encoding="utf-8") as fh:
+                svg = fh.read()
+    return _digest(f"{code}\n{svg}")
 
 
 CASES = _cases()
