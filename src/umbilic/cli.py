@@ -44,7 +44,7 @@ from .routes_io import (
     template_rows,
     validate_document,
 )
-from .validation import Route, tol_limit, validate
+from .validation import VIOLATION_KINDS, Route, Violations, tol_limit, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
 
@@ -58,23 +58,30 @@ def _num(x: float):
     return float(f"{x:.12g}")
 
 
-def _num_texts(values: list) -> list[str]:
-    """``json.dumps(_num(x))`` for each float x.
+def _plain(x: np.ndarray) -> np.ndarray:
+    """Where ``"%.12g" % x`` is ``json.dumps(_num(x))``.
 
     That is the repr of x rounded to 12 significant digits.  For a normal
     x whose rounding is not a whole number, the rounding printed by
     ``%.12g`` is that repr already: a 12-digit decimal round-trips through
     a double, and both forms choose fixed or exponent notation alike below
     1e11, above which every 12-digit rounding is whole.  The other values
-    (whole numbers, zeros, subnormal and non-finite ones) go through
-    ``_num``'s rule one by one."""
-    texts = list(map("%.12g".__mod__, values))
-    x = np.array(values, dtype=float)
+    (whole numbers, zeros, subnormal and non-finite ones) are not plain."""
     a = np.abs(x)
     with np.errstate(invalid="ignore"):  # inf - inf for infinite values
-        plain = (a >= 1e-300) & (np.abs(x - np.round(x)) > 1e-11 * a)
-    for i in np.flatnonzero(~plain).tolist():
-        texts[i] = json.dumps(_num(values[i]))
+        return (a >= 1e-300) & (np.abs(x - np.round(x)) > 1e-11 * a)
+
+
+def _json_num(x: float) -> str:
+    return json.dumps(_num(x))
+
+
+def _num_texts(values: list) -> list[str]:
+    """``json.dumps(_num(x))`` for each float x: ``%.12g`` where x is
+    plain, ``_num``'s rule one by one elsewhere."""
+    texts = list(map("%.12g".__mod__, values))
+    for i in np.flatnonzero(~_plain(np.array(values, dtype=float))).tolist():
+        texts[i] = _json_num(values[i])
     return texts
 
 
@@ -96,6 +103,36 @@ _VIOLATION_FIELDS = ("kind", "t1", "t2", "slack")
 _CONTACT_FIELDS = ("t1", "t2", "kind", "x", "y")
 _VIOLATION_ROW = row_template(_VIOLATION_FIELDS)
 _CONTACT_ROW = row_template(_CONTACT_FIELDS)
+_KIND_TEXTS = np.array([json.dumps(kind) for kind in VIOLATION_KINDS], dtype=object)
+#: The item of a violation whose t1 and slack are plain, with a plain t2
+#: and with a missing (nan) one.
+_PLAIN_ROW = _VIOLATION_ROW % ("%s", "%.12g", "%.12g", "%.12g")
+_PLAIN_ROW_NO_T2 = _VIOLATION_ROW % ("%s", "%.12g", "null", "%.12g")
+
+
+def _violation_rows(violations) -> list[str]:
+    """The verdict's violation items, one template call per violation:
+    a ``%.12g`` template where every number is plain or t2 is missing,
+    ``_num``'s rule for each number of the other rows."""
+    if not isinstance(violations, Violations):
+        violations = Violations.of(violations)
+    if not violations:
+        return []
+    kind, t1, t2, slack = violations.columns
+    kinds = _KIND_TEXTS[kind]
+    plain = _plain(t1) & _plain(slack)
+    with_t2, no_t2 = plain & _plain(t2), plain & np.isnan(t2)
+    groups = []
+    for rows, template, columns in (
+        (with_t2, _PLAIN_ROW, (kinds, t1, t2, slack)),
+        (no_t2, _PLAIN_ROW_NO_T2, (kinds, t1, slack)),
+    ):
+        rows = np.flatnonzero(rows)
+        groups.append((rows, template, [c[rows] for c in columns]))
+    rest = np.flatnonzero(~(with_t2 | no_t2))
+    texts = [np.array(list(map(_json_num, c[rest].tolist())), dtype=object) for c in (t1, t2, slack)]
+    groups.append((rest, _VIOLATION_ROW, (kinds[rest], *texts)))
+    return template_rows(t1.size, groups)
 
 
 def _verdict_report(verdict) -> str:
@@ -113,8 +150,7 @@ def _verdict_report(verdict) -> str:
         "violations": [],
         "notes": list(verdict.notes),
     }
-    rows = _report_rows(verdict.violations, _VIOLATION_FIELDS)
-    return dumps_json(head, _VIOLATION_ROW, violations=rows)
+    return dumps_json(head, "%s", violations=_violation_rows(verdict.violations))
 
 
 def _audit_report(report) -> str:
@@ -247,7 +283,7 @@ def _parse_viewport(text: str) -> Viewport:
             float(parts[0]), float(parts[1]), float(parts[2]),
             int(parts[3]), int(parts[4]),
         )
-    except (ValueError, GeometryError) as exc:
+    except (ValueError, OverflowError, GeometryError) as exc:  # an int past the float range
         raise _UsageError(f"bad viewport: {exc}") from exc
 
 

@@ -46,7 +46,7 @@ _PARAM_KEYS = {"c"}
 
 def _require_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RouteParseError(f"expected a number, got {value!r}", path)
+        raise RouteParseError(f"expected a number, got {_echo(value)}", path)
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -56,6 +56,21 @@ def _require_number(value: Any, path: str) -> float:
     if not math.isfinite(number):
         raise RouteParseError(f"expected a finite number, got {value!r}", path)
     return number
+
+
+#: Longest ``repr`` of a refused value that a message echoes in full.
+_ECHO_LIMIT = 80
+
+
+def _echo(value: Any) -> str:
+    """``repr(value)``, or past ``_ECHO_LIMIT`` characters its start and
+    the length of the string (or of the repr, for other values), so a
+    refused value of any size gives a short message."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    size = f"a string of {len(value)}" if isinstance(value, str) else f"a repr of {len(text)}"
+    return f"{text[:_ECHO_LIMIT]}... ({size} characters)"
 
 
 def _digits(n: int) -> int:
@@ -100,12 +115,12 @@ def validate_document(doc: Any) -> dict:
         if "n" in doc:
             n = doc["n"]
             if isinstance(n, bool) or not isinstance(n, int):
-                raise RouteParseError(f"expected an integer, got {n!r}", "n")
+                raise RouteParseError(f"expected an integer, got {_echo(n)}", "n")
             if n < 2:
-                raise RouteParseError(f"need at least 2 samples, got {n}", "n")
+                raise RouteParseError(f"need at least 2 samples, got {_echo(n)}", "n")
             if n > MAX_CLOSED_FORM_N:
                 raise RouteParseError(
-                    f"at most {MAX_CLOSED_FORM_N} samples, got {n}", "n"
+                    f"at most {MAX_CLOSED_FORM_N} samples, got {_echo(n)}", "n"
                 )
             out["n"] = n
     else:
@@ -128,7 +143,7 @@ def _canon_transversal(obj: Any) -> dict:
     kind = obj.get("kind")
     if kind not in ("geodesic", "hypercycle", "horocycle"):
         raise RouteParseError(
-            f"kind must be geodesic, hypercycle or horocycle, got {kind!r}",
+            f"kind must be geodesic, hypercycle or horocycle, got {_echo(kind)}",
             "transversal.kind",
         )
     out = {"kind": kind}
@@ -170,7 +185,7 @@ def _canon_closed_form(obj: Any) -> dict:
     name = obj.get("name")
     if name not in BUILTIN_FAMILIES:
         raise RouteParseError(
-            f"unknown family {name!r}; known: {', '.join(sorted(BUILTIN_FAMILIES))}",
+            f"unknown family {_echo(name)}; known: {', '.join(sorted(BUILTIN_FAMILIES))}",
             "closed_form.name",
         )
     out = {"name": name}

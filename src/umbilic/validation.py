@@ -24,6 +24,7 @@ carries a note that behavior outside the window is unchecked.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,12 +197,77 @@ class Violation:
     slack: float
 
 
+#: The violation kinds, in the order of their codes in ``Violations.kind``.
+VIOLATION_KINDS = ("bound", "zone", "pair", "pointwise")
+_BOUND, _ZONE, _PAIR, _POINTWISE = range(len(VIOLATION_KINDS))
+
+
+class Violations(Sequence):
+    """A verdict's violations as four read-only numpy columns of one
+    length: ``kind`` (int8 codes into ``VIOLATION_KINDS``), ``t1``, ``t2``
+    and ``slack``.
+
+    It reads as the tuple of its rows.  A ``Violation`` is built only for
+    a row that is indexed or iterated; ``len`` and truth value read the
+    columns, and ``==``, ``hash`` and ``repr`` are the tuple's.  A missing
+    t2 comes back as ``math.nan`` itself, as the validators wrote it, so
+    rows compare equal as their objects did.
+    """
+
+    __slots__ = ("kind", "t1", "t2", "slack")
+
+    def __init__(self, kind, t1, t2, slack) -> None:
+        for name, column in zip(self.__slots__, (kind, t1, t2, slack)):
+            column = np.asarray(column, dtype=np.int8 if name == "kind" else float)
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, rows) -> "Violations":
+        """The columns of a sequence of ``Violation``."""
+        rows = list(rows)
+        kind = [VIOLATION_KINDS.index(v.kind) for v in rows]
+        return cls(kind, *([getattr(v, f) for v in rows] for f in ("t1", "t2", "slack")))
+
+    @property
+    def columns(self) -> tuple:
+        return self.kind, self.t1, self.t2, self.slack
+
+    def __len__(self) -> int:
+        return self.t1.size
+
+    def __iter__(self):
+        kinds = map(VIOLATION_KINDS.__getitem__, self.kind.tolist())
+        t2 = [math.nan if x != x else x for x in self.t2.tolist()]
+        return map(Violation, kinds, self.t1.tolist(), t2, self.slack.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Violations(*(c[index] for c in self.columns))
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Violations)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+_NO_VIOLATIONS = Violations(*np.empty((4, 0)))
+
+
 @dataclass(frozen=True)
 class Verdict:
     valid: bool
     zones: Zones
     worst_slack: float
-    violations: tuple[Violation, ...]
+    violations: Sequence[Violation]
     notes: tuple[str, ...]
     mode: str
 
@@ -215,37 +281,54 @@ def _classify_samples(h: np.ndarray, bound: float, tol: float):
     return bad, low, high, interior
 
 
-def _structure_violations(route: Route, bound: float):
+def _structure_columns(route: Route, bound: float):
     """Bound and zone-pattern violations shared by both validators.
 
-    Returns (violations, usable, zones) where ``usable`` masks the samples
-    that take part in the interior checks and ``zones`` bounds the leading
-    run of lows (samples before k0) and the trailing run of highs (samples
-    after k1).
+    Returns (parts, usable, zones) where ``parts`` lists the violation
+    columns of each nonempty kind (see ``_part``), bound violations first,
+    ``usable`` masks the samples that take part in the interior checks and
+    ``zones`` bounds the leading run of lows (samples before k0) and the
+    trailing run of highs (samples after k1).
     """
     t, h, tol = route.t, route.h, route.tol
     bad, low, high, interior = _classify_samples(h, bound, tol)
-    violations = []
-    for i in np.flatnonzero(bad):
-        violations.append(
-            Violation("bound", float(t[i]), math.nan, bound - abs(float(h[i])))
-        )
+    parts = []
+    i = np.flatnonzero(bad)
+    if i.size:
+        parts.append(_part(_BOUND, t[i], math.nan, bound - np.abs(h[i])))
     # Leading run of lows is legal; any low after the first non-low sample
     # forces an intersection with everything from that sample on.
     not_low = np.flatnonzero(~low)
     k0 = int(not_low[0]) if not_low.size else t.size
-    for j in np.flatnonzero(low[k0:]) + k0:
-        violations.append(Violation("zone", float(t[k0]), float(t[j]), -math.inf))
+    j = np.flatnonzero(low[k0:]) + k0
+    if j.size:
+        parts.append(_part(_ZONE, t[k0], t[j], -math.inf))
     # Mirror image for the trailing run of highs.
     not_high = np.flatnonzero(~high)
     k1 = int(not_high[-1]) if not_high.size else -1
-    for i in np.flatnonzero(high[: max(k1, 0)]):
-        violations.append(Violation("zone", float(t[i]), float(t[k1]), -math.inf))
+    i = np.flatnonzero(high[: max(k1, 0)])
+    if i.size:
+        parts.append(_part(_ZONE, t[i], t[k1], -math.inf))
     zones = Zones(
         float(t[k0 - 1]) if k0 > 0 else -math.inf,
         float(t[k1 + 1]) if k1 < t.size - 1 else math.inf,
     )
-    return violations, interior, zones
+    return parts, interior, zones
+
+
+def _structure_violations(route: Route, bound: float):
+    """``_structure_columns`` with the violations as a list of
+    ``Violation``, the form a pairwise reference extends row by row."""
+    parts, interior, zones = _structure_columns(route, bound)
+    columns = (np.concatenate(c) for c in zip(*parts))
+    return list(Violations(*columns)) if parts else [], interior, zones
+
+
+def _part(kind: int, *columns) -> tuple:
+    """Violation columns (kind, t1, t2, slack) of one kind, with scalar
+    columns repeated to the length of the array ones."""
+    n = max(map(np.size, columns))
+    return (np.full(n, kind, dtype=np.int8), *(c if np.ndim(c) else np.full(n, c) for c in columns))
 
 
 def _effective_phi(transversal: Transversal) -> float:
@@ -266,16 +349,17 @@ def validate_c0(route: Route) -> Verdict:
 
     Runs in O(n + recomputed columns), see ``_pair_scan``: O(n) for
     generic routes, O(n^2) only when the pairs of every column tie within
-    rounding (the extremal families on uniform grids).  The verdict is
+    rounding (the extremal families on uniform grids), plus O(k log k)
+    numpy to order its k violations, which stay columns.  The verdict is
     bit-identical to evaluating every pair by the formula above.
     """
     phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
-    violations, interior, zones = _structure_violations(route, bound)
+    parts, interior, zones = _structure_columns(route, bound)
     tt = route.t[interior]
     ff = lipschitz_profile(phi_eff, route.h[interior])
     pairs, worst, worst_two_sided, two_sided_at = _pair_scan(tt, ff, bound, route.tol)
-    violations.extend(pairs)
+    parts += pairs
 
     notes = [_WINDOW_NOTE, "one-sided growth condition is the normative check"]
     if worst_two_sided < -route.tol:
@@ -286,19 +370,28 @@ def validate_c0(route: Route) -> Verdict:
         )
     elif math.isfinite(worst_two_sided):
         notes.append("two-sided Lipschitz estimate also holds on this window")
-    return _verdict("c0", zones, worst, violations, notes)
+    return _verdict("c0", zones, worst, parts, notes)
 
 
-def _verdict(mode: str, zones: Zones, worst: float, violations: list, notes) -> Verdict:
-    """The validators' shared tail: violations in (t1, t2) order, with a
-    missing t2 sorting as t1, and valid when there are none.  The worst
-    slack is the lower of ``worst`` and every violation's slack."""
-    violations.sort(key=lambda v: (v.t1, v.t2 if not math.isnan(v.t2) else v.t1))
+def _verdict(mode: str, zones: Zones, worst: float, parts: list, notes) -> Verdict:
+    """The validators' shared tail: the violation columns of ``parts`` in
+    (t1, t2) order, with a missing t2 sorting as t1, by a stable sort, and
+    valid when there are none.  The worst slack is
+    ``min([worst, *slacks])`` over the slacks in that order: nan only when
+    ``worst`` is, and the first of equal minima (0.0 and -0.0 are equal)."""
+    violations = _NO_VIOLATIONS
+    if parts:
+        kind, t1, t2, slack = (np.concatenate(c) for c in zip(*parts))
+        order = np.lexsort((np.where(np.isnan(t2), t1, t2), t1))
+        violations = Violations(kind[order], t1[order], t2[order], slack[order])
+        below = violations.slack[violations.slack < worst]
+        if below.size:
+            worst = float(below[np.argmax(below == below.min())])
     return Verdict(
-        valid=not violations,
+        valid=not parts,
         zones=zones,
-        worst_slack=min([worst, *(v.slack for v in violations)]),
-        violations=tuple(violations),
+        worst_slack=worst,
+        violations=violations,
         notes=tuple(notes),
         mode=mode,
     )
@@ -307,7 +400,8 @@ def _verdict(mode: str, zones: Zones, worst: float, violations: list, notes) -> 
 def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     """The pair checks of ``validate_c0`` by prefix scans.
 
-    Returns the pair violations in (t1, t2) order, the worst pair slack,
+    Returns a list of the pair violations' columns (see ``_part``), empty
+    when there are none, the worst pair slack,
     the worst two-sided slack ``L (t2 - t1) + (F2 - F1)``, and the first
     pair in (t1, t2) order that attains it (``inf`` and ``None`` when
     there are no pairs).
@@ -353,15 +447,9 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
             i = int(other.argmin())
             best = min(best, (float(other[i]), i, int(j)))
     i, j, s = (np.concatenate(x) for x in (rows, cols, slacks))
-    order = np.lexsort((j, i))
-    violations = [
-        Violation("pair", t1, t2, slack)
-        for t1, t2, slack in zip(
-            tt[i[order]].tolist(), tt[j[order]].tolist(), s[order].tolist()
-        )
-    ]
-    worst_two_sided, i, j = best
-    return violations, worst, worst_two_sided, (float(tt[i]), float(tt[j]))
+    worst_two_sided, a, b = best
+    pairs = [_part(_PAIR, tt[i], tt[j], s)] if i.size else []
+    return pairs, worst, worst_two_sided, (float(tt[a]), float(tt[b]))
 
 
 def validate_c1(route: Route) -> Verdict:
@@ -374,15 +462,16 @@ def validate_c1(route: Route) -> Verdict:
     phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
     tol = route.tol
-    violations, _, zones = _structure_violations(route, bound)
+    parts, _, zones = _structure_columns(route, bound)
     if route.dh is not None:
         hp = route.dh
         source = "supplied derivative track"
     elif route.n >= 2:
         # Levels near the float limit, or spacings near 0, overflow the
-        # differences: a slope past the float range reads +-inf, and one
-        # where two such terms cancel reads nan, which checks nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # differences, and a spacing of one subnormal step divides by 0: a
+        # slope past the float range reads +-inf, and one where two such
+        # terms cancel reads nan, which checks nothing.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             hp = np.gradient(route.h, route.t)
         source = "central finite differences"
     else:
@@ -392,13 +481,12 @@ def validate_c1(route: Route) -> Verdict:
     rhs = min_curvature_rate(phi_eff, np.clip(route.h, -bound, bound))
     slack = hp - rhs
     ok = ~_beyond_bound(route.h, bound, tol) & ~np.isnan(slack)
-    for i in np.flatnonzero(ok & (slack < -tol)):
-        violations.append(
-            Violation("pointwise", float(route.t[i]), math.nan, float(slack[i]))
-        )
+    i = np.flatnonzero(ok & (slack < -tol))
+    if i.size:
+        parts.append(_part(_POINTWISE, route.t[i], math.nan, slack[i]))
     worst = float(slack[ok].min()) if np.any(ok) else math.inf
     notes = (_WINDOW_NOTE, f"derivatives: {source}")
-    return _verdict("c1", zones, worst, violations, notes)
+    return _verdict("c1", zones, worst, parts, notes)
 
 
 def validate(route: Route, c1: bool = False) -> Verdict:
@@ -416,13 +504,11 @@ def validate_horocycle(route: Route) -> Verdict:
     if route.transversal.kind != TransversalKind.HOROCYCLE:
         raise DomainError("validate_horocycle requires a horocycle transversal")
     slack = -np.abs(route.h)
-    violations = [
-        Violation("pointwise", float(route.t[i]), math.nan, float(slack[i]))
-        for i in np.flatnonzero(slack < -route.tol)
-    ]
+    i = np.flatnonzero(slack < -route.tol)
+    parts = [_part(_POINTWISE, route.t[i], math.nan, slack[i])] if i.size else []
     notes = (
         _WINDOW_NOTE,
         "only the zero course is realizable over a horizontal transversal",
     )
     zones = Zones(-math.inf, math.inf)
-    return _verdict("horocycle", zones, float(slack.min()), violations, notes)
+    return _verdict("horocycle", zones, float(slack.min()), parts, notes)

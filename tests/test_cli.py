@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -589,3 +590,54 @@ class TestOutputErrors:
             argv.append(f"--viewport={viewport}")
         assert run(capsys, argv) == (1, "", stderr)
         assert not svg.exists()
+
+
+class TestRefusalsStayShort:
+    """Inputs that once ended in a warning, a traceback or a line the size
+    of the input."""
+
+    def test_c1_spacing_of_one_subnormal_step(self, route_file, capsys):
+        # np.gradient divides by the spacing 5e-324 - 0.0 after rounding.
+        doc = {
+            "transversal": {"kind": "geodesic"},
+            "samples": [{"t": t, "h": 0.0} for t in (-1.0, 0.0, 5e-324, 0.5, 1.0)],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["validate", "--c1", route_file(doc)])
+        assert code in (0, 2)
+        assert json.loads(out)["mode"] == "c1"
+        assert err == ""
+
+    def test_viewport_width_past_the_float_range(self, route_file, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        viewport = "--viewport=-3,3,3,%s,400" % ("9" * 401)
+        code, out, err = run(capsys, ["render", route_file(PENCIL), "--out", str(svg), viewport])
+        assert (code, out) == (1, "")
+        assert err.startswith("umbilic: bad viewport: ") and err.count("\n") == 1
+        assert not svg.exists()
+
+    LONG = "x" * 100_000
+
+    @pytest.mark.parametrize(
+        "doc, echo",
+        [
+            ({"transversal": {"kind": "geodesic"}, "samples": [{"t": LONG, "h": 0.0}]},
+             "samples[0].t: expected a number, got 'xxx"),
+            ({"transversal": {"kind": LONG}, "samples": [{"t": 0.0, "h": 0.0}]},
+             "transversal.kind: kind must be geodesic, hypercycle or horocycle, got 'xxx"),
+            ({**PENCIL, "closed_form": {"name": LONG}}, "closed_form.name: unknown family 'xxx"),
+            ({**PENCIL, "n": [0] * 50_000}, "n: expected an integer, got [0, 0"),
+        ],
+        ids=["sample-t", "transversal-kind", "family-name", "n"],
+    )
+    def test_refused_values_are_not_echoed_in_full(self, route_file, capsys, doc, echo):
+        code, out, err = run(capsys, ["validate", route_file(doc)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"umbilic: route file invalid: {echo}")
+        assert err.count("\n") == 1 and len(err) < 400
+
+    def test_short_refused_values_keep_their_message(self, route_file, capsys):
+        doc = {"transversal": {"kind": "geodesic"}, "samples": [{"t": "1", "h": 0.0}]}
+        _, _, err = run(capsys, ["validate", route_file(doc)])
+        assert err == "umbilic: route file invalid: samples[0].t: expected a number, got '1'\n"
