@@ -16,6 +16,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ from .leaves import _circle_ends, _line_ends
 from .render import Viewport, render_svg
 from .routes_io import (
     MAX_CLOSED_FORM_N,
+    _without_advice,
     dumps_document,
     dumps_json,
     load_route,
@@ -180,7 +182,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: argparse keeps no state
+    between parses."""
     parser = _Parser(prog="umbilic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
     p = {
@@ -284,7 +289,7 @@ def _parse_viewport(text: str) -> Viewport:
             int(parts[3]), int(parts[4]),
         )
     except (ValueError, OverflowError, GeometryError) as exc:  # an int past the float range
-        raise _UsageError(f"bad viewport: {exc}") from exc
+        raise _UsageError(f"bad viewport: {_without_advice(exc)}") from exc
 
 
 def _cmd_render(args) -> int:

@@ -84,11 +84,15 @@ def _digits(n: int) -> int:
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
+    """Refuse the first key of ``obj`` outside ``allowed`` at its path,
+    which names a key past ``_ECHO_LIMIT`` characters by its start and
+    its length."""
     for key in obj:
         if key not in allowed:
-            raise RouteParseError(
-                "unknown field", f"{path}.{key}" if path else key
-            )
+            key = str(key)
+            if len(key) > _ECHO_LIMIT:
+                key = f"{key[:_ECHO_LIMIT]}... (a key of {len(key)} characters)"
+            raise RouteParseError("unknown field", f"{path}.{key}" if path else key)
 
 
 def validate_document(doc: Any) -> dict:
@@ -429,11 +433,15 @@ def loads_route(text: str) -> Route:
     except json.JSONDecodeError as exc:
         raise RouteParseError(f"not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
-        # The digit limit's message ends with advice a document's author
-        # cannot take: to raise the limit with sys.set_int_max_str_digits().
-        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
-        raise RouteParseError(f"JSON text not readable: {reason}") from None
+        raise RouteParseError(f"JSON text not readable: {_without_advice(exc)}") from None
     return document_to_route(validate_document(doc))
+
+
+def _without_advice(exc: Exception) -> str:
+    """The message of ``exc`` up to the advice that ends the integer digit
+    limit's, to raise the limit with sys.set_int_max_str_digits(), which
+    the author of a document or a command line cannot take."""
+    return str(exc).partition("; use sys.set_int_max_str_digits()")[0]
 
 
 def load_route(path: str) -> Route:

@@ -347,11 +347,14 @@ def validate_c0(route: Route) -> Verdict:
     the route is valid when no slack drops below -tol and the pinned
     samples follow the leading/trailing zone pattern.
 
-    Runs in O(n + recomputed columns), see ``_pair_scan``: O(n) for
-    generic routes, O(n^2) only when the pairs of every column tie within
-    rounding (the extremal families on uniform grids), plus O(k log k)
-    numpy to order its k violations, which stay columns.  The verdict is
-    bit-identical to evaluating every pair by the formula above.
+    Runs in O(n + the rows of the recomputed one-sided columns), see
+    ``_pair_scan``: O(n) for generic routes, O(n^2) only when the pairs
+    of every column tie within rounding (the extremal families on
+    uniform grids), where a tied column that cannot fail costs its slacks
+    and their minimum.  No column is recomputed for the two-sided note
+    unless a bound shows that it can fail.  Ordering its k violations, which stay columns, adds
+    O(k log k) numpy.  The verdict is bit-identical to evaluating every
+    pair by the formula above.
     """
     phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
@@ -362,13 +365,13 @@ def validate_c0(route: Route) -> Verdict:
     parts += pairs
 
     notes = [_WINDOW_NOTE, "one-sided growth condition is the normative check"]
-    if worst_two_sided < -route.tol:
+    if worst_two_sided is not None and worst_two_sided < -route.tol:
         notes.append(
             "two-sided Lipschitz estimate fails by "
             f"{-worst_two_sided:.6g} at pair {two_sided_at}; this does not "
             "affect validity"
         )
-    elif math.isfinite(worst_two_sided):
+    elif worst_two_sided is None or math.isfinite(worst_two_sided):
         notes.append("two-sided Lipschitz estimate also holds on this window")
     return _verdict("c0", zones, worst, parts, notes)
 
@@ -401,21 +404,31 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     """The pair checks of ``validate_c0`` by prefix scans.
 
     Returns a list of the pair violations' columns (see ``_part``), empty
-    when there are none, the worst pair slack,
-    the worst two-sided slack ``L (t2 - t1) + (F2 - F1)``, and the first
-    pair in (t1, t2) order that attains it (``inf`` and ``None`` when
-    there are no pairs).
+    when there are none, the worst pair slack, the worst two-sided slack
+    ``L (t2 - t1) + (F2 - F1)`` and the first pair in (t1, t2) order that
+    attains it.  The two-sided slack is ``None`` (and its pair too) when
+    the bounds alone prove that it holds, and ``inf`` when there are no
+    pairs.
 
     The slack of pair (i, j) is g_i - g_j with g = F - L t, up to
     rounding, so a running minimum of g bounds every column j from below
     in O(n); a running maximum of w = F + L t does the same for the
     two-sided slack.  The two ways of rounding differ by at most
     eps (6A + 4B) with A = L max|t| and B = max|F| (plus underflow,
-    which ``tiny`` covers), well inside ``guard``.  Only the columns
-    whose bound comes within the guard of -tol, or within twice the
-    guard of the best column, can hold a violation or the minimum; those
-    are recomputed with the pairwise formula, so every float matches
-    evaluating all n^2 / 2 pairs.
+    which ``tiny`` covers), well inside ``guard``.  So a column whose
+    bound is at least ``guard - tol`` holds no pair below -tol.  Only the
+    columns whose bound comes within the guard of -tol can hold a
+    violation, and only those within twice the guard of the best column
+    can hold the minimum; those are recomputed with the pairwise formula,
+    so every float matches evaluating all n^2 / 2 pairs.  The two-sided
+    minimum is only searched for when some column could fail it: with a
+    finite guard every F is finite, and if every two-sided bound clears
+    ``guard - tol`` the estimate holds, which is all its note says.  An
+    infinite F makes the guard infinite and some bounds nan.  Then every
+    column is recomputed, but a one-sided one whose bound is +inf, as is
+    each of its slacks, and the two-sided search passes over a first
+    sample with a nan slack (two equal infinite F), as evaluating row by
+    row does.
     """
     if tt.size < 2:
         return [], math.inf, math.inf, None
@@ -426,29 +439,46 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     low = np.minimum.accumulate(g)[:-1] - g[1:]
     low2 = w[1:] - np.maximum.accumulate(w)[:-1]
 
-    # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
-    one = ~(low >= guard - tol) | (low <= low.min() + 2 * guard)
-    two = low2 <= low2.min() + 2 * guard
+    # The negated tests keep a column whose bound or threshold is nan.
+    fail = ~(low >= guard - tol)
+    one = fail | (low <= low.min() + 2 * guard)
+    holds = math.isfinite(guard) and bool((low2 >= guard - tol).all())
+    two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
+    nan_rows = None
+    if not math.isfinite(guard):
+        nan_rows = np.zeros(tt.size, dtype=bool)
+        for end in (math.inf, -math.inf):
+            nan_rows[np.flatnonzero(ff == end)[:-1]] = True
     worst = math.inf
     best = (math.inf, 0, 0)
     rows, cols, slacks = [], [], []
     for j in np.flatnonzero(one | two) + 1:
-        rise = L * (tt[j] - tt[:j])
+        rise = tt[j] - tt[:j]
+        if L != 1.0:  # a product by 1.0 is exact: the geodesic skips it
+            rise *= L
         df = ff[j] - ff[:j]
-        if one[j - 1]:
-            slack = rise - df
-            worst = min(worst, float(slack.min()))
-            i = np.flatnonzero(slack < -tol)
-            rows.append(i)
-            cols.append(np.full(i.size, j))
-            slacks.append(slack[i])
         if two[j - 1]:
             other = rise + df
+            if nan_rows is not None:
+                other[nan_rows[:j]] = math.inf
             i = int(other.argmin())
             best = min(best, (float(other[i]), i, int(j)))
-    i, j, s = (np.concatenate(x) for x in (rows, cols, slacks))
+        if one[j - 1]:
+            slack = np.subtract(rise, df, out=rise)
+            worst = min(worst, float(slack.min()))
+            if fail[j - 1]:
+                i = np.flatnonzero(slack < -tol)
+                if i.size:
+                    rows.append(i)
+                    cols.append(np.full(i.size, j))
+                    slacks.append(slack[i])
+    pairs = []
+    if rows:
+        i, j, s = (np.concatenate(x) for x in (rows, cols, slacks))
+        pairs.append(_part(_PAIR, tt[i], tt[j], s))
+    if holds:
+        return pairs, worst, None, None
     worst_two_sided, a, b = best
-    pairs = [_part(_PAIR, tt[i], tt[j], s)] if i.size else []
     return pairs, worst, worst_two_sided, (float(tt[a]), float(tt[b]))
 
 

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from umbilic import Transversal, dumps_document, perturbed_invalid_route, route_to_document
-from umbilic.cli import main
+from umbilic.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -290,6 +290,27 @@ class TestErrorPaths:
         code, _, err = run(capsys, [])
         assert code == 1
         assert "usage" in err
+
+    def test_calls_in_a_row_print_what_fresh_calls_do(self, route_file, capsys):
+        # The parser is built once per process: no call, a refused one
+        # included, leaves anything behind for the next.
+        calls = [
+            ["validate", route_file(PENCIL)],
+            ["validate", "--bogus", route_file(PENCIL)],
+            ["validate", "--c1", "--tol", "1e-6", route_file(PENCIL)],
+            [],
+            ["lemma-check", "--n", "x"],
+            ["render", "--extend", "1"],
+            ["examples"],
+            ["validate", route_file(PENCIL)],
+        ]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        _build_parser.cache_clear()
+        assert [run(capsys, argv) for argv in calls] == fresh
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 1, 1, 1, 0, 0]
 
     def test_unknown_flag(self, route_file, capsys):
         code, _, _ = run(capsys, ["validate", "--bogus", route_file(PENCIL)])
@@ -617,6 +638,15 @@ class TestRefusalsStayShort:
         assert err.startswith("umbilic: bad viewport: ") and err.count("\n") == 1
         assert not svg.exists()
 
+    def test_viewport_past_the_digit_limit_gives_no_advice(self, route_file, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        viewport = "--viewport=-3,3,3,400,%s" % ("9" * 5001)
+        code, out, err = run(capsys, ["render", route_file(PENCIL), "--out", str(svg), viewport])
+        assert (code, out) == (1, "")
+        assert err.startswith("umbilic: bad viewport: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err and len(err) < 200
+        assert not svg.exists()
+
     LONG = "x" * 100_000
 
     @pytest.mark.parametrize(
@@ -636,6 +666,33 @@ class TestRefusalsStayShort:
         assert (code, out) == (1, "")
         assert err.startswith(f"umbilic: route file invalid: {echo}")
         assert err.count("\n") == 1 and len(err) < 400
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({**PENCIL, LONG: 1}, ""),
+            ({**PENCIL, "transversal": {"kind": "geodesic", LONG: 1}}, "transversal."),
+            ({**PENCIL, "closed_form": {"name": "pencil", LONG: 1}}, "closed_form."),
+            ({**PENCIL, "closed_form": {"name": "constant", "params": {"c": 0.1, LONG: 1}}},
+             "closed_form.params."),
+            ({"transversal": {"kind": "geodesic"}, "samples": [{"t": 0.0, "h": 0.0, LONG: 1}]},
+             "samples[0]."),
+        ],
+        ids=["root", "transversal", "closed-form", "params", "sample"],
+    )
+    def test_unknown_keys_are_not_echoed_in_full(self, route_file, capsys, doc, path):
+        code, out, err = run(capsys, ["validate", route_file(doc)])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"umbilic: route file invalid: {path}{'x' * 80}... "
+            "(a key of 100000 characters): unknown field\n"
+        )
+
+    @pytest.mark.parametrize("key", ["extra", "k" * 80])
+    def test_short_unknown_keys_keep_their_message(self, route_file, capsys, key):
+        doc = {**PENCIL, "transversal": {"kind": "geodesic", key: 1}}
+        _, _, err = run(capsys, ["validate", route_file(doc)])
+        assert err == f"umbilic: route file invalid: transversal.{key}: unknown field\n"
 
     def test_short_refused_values_keep_their_message(self, route_file, capsys):
         doc = {"transversal": {"kind": "geodesic"}, "samples": [{"t": "1", "h": 0.0}]}

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbilic import (
     DomainError,
@@ -25,6 +25,7 @@ from umbilic.validation import (
     Verdict,
     Violation,
     _effective_phi,
+    _pair_scan,
     _structure_violations,
 )
 
@@ -575,6 +576,121 @@ class TestValidateC0Differential:
                 h = np.full(300, c * tr.curvature_bound)
                 route = Route(tr, np.linspace(-30, -25, 300), h)
                 assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+
+@st.composite
+def tied_routes(draw):
+    """Uniform-grid routes whose column bounds tie within rounding, in the
+    one-sided or the two-sided slack: the pencil F = L t, the reversed
+    pencil F = -L t, ``totally_geodesic`` and ``constant``, on the
+    geodesic and on hypercycles, over windows up to (-12, 12)."""
+    phi = draw(st.sampled_from([math.pi / 2, 0.5, 0.9, 1.1]))
+    tr = _transversal(phi)
+    b = tr.curvature_bound
+    window = draw(st.floats(-12.0, 0.0)), draw(st.floats(0.5, 12.0))
+    t = np.linspace(*window, draw(st.integers(2, 300)))
+    family = draw(st.sampled_from(["pencil", "reversed", "totally_geodesic", "constant"]))
+    if family in ("pencil", "reversed"):
+        y = b * t if family == "pencil" else -b * t
+        h = -np.tanh(y) if tr.kind == "geodesic" else np.array([profile_inverse(phi, v) for v in y])
+    elif family == "constant":
+        h = np.full(t.size, draw(st.floats(-0.99, 0.99)) * b)
+    else:
+        h = np.zeros(t.size)
+    return Route(tr, t, h)
+
+
+def _edge_route(phi, h):
+    return Route(_transversal(phi), np.arange(len(h), dtype=float), np.array(h), tol=1e-300)
+
+
+@st.composite
+def edge_of_band_routes(draw):
+    """Routes with samples one ulp inside the bound, or just past it within
+    the band, under a tolerance of 1e-300: they stay interior, and where
+    the profile rounds them to an infinity the column bounds read nan or
+    -inf."""
+    phi = draw(st.sampled_from([math.pi / 2, 0.5, 0.9, 1.1]))
+    tr = _transversal(phi)
+    b = tr.curvature_bound
+    pool = [
+        float(np.nextafter(-b, 0.0)),
+        float(np.nextafter(b, 0.0)),
+        b + 1e-13,
+        -0.5 * b,
+        0.0,
+        0.5 * b,
+    ]
+    h = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    return _edge_route(phi, h)
+
+
+class _CountingArgmin(np.ndarray):
+    """An array whose ``argmin`` calls are counted, as are those of the
+    arrays computed from it."""
+
+    calls = 0
+
+    def argmin(self, *args, **kwargs):
+        _CountingArgmin.calls += 1
+        return super().argmin(*args, **kwargs)
+
+
+class TestPairScanWork:
+    """The pair scan recomputes only what the verdict prints, and prints
+    what the pairwise definition does."""
+
+    @given(tied_routes())
+    def test_tied_families_match_pairwise_definition(self, route):
+        assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+    # At phi = 0.5 the profile is +inf one ulp inside -bound and -inf just
+    # past +bound.  In the first two every two-sided bound is +inf, with an
+    # infinite guard; in the third a bound of each kind reads -inf.
+    @example(_edge_route(0.5, [0.0, float(np.nextafter(-math.sin(0.5), 0.0))]))
+    @example(_edge_route(0.5, [math.sin(0.5) + 1e-13, 0.0]))
+    @example(_edge_route(0.5, [0.0, float(np.nextafter(-math.sin(0.5), 0.0)), 0.0]))
+    @given(edge_of_band_routes())
+    def test_non_finite_bounds_match_pairwise_definition(self, route):
+        # A profile value of +-inf makes inf - inf in both scans; only the
+        # verdicts are compared here.
+        with np.errstate(invalid="ignore"):
+            assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
+
+    def _scan(self, route, monkeypatch):
+        """``_pair_scan`` on the route's columns, with the columns that
+        search the two-sided minimum (argmin) and those that list
+        violations (flatnonzero, once more to pick the columns) counted."""
+        listed = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: listed.append(1) or flatnonzero(a))
+        _CountingArgmin.calls = 0
+        tt = route.t.view(_CountingArgmin)
+        ff = lipschitz_profile(_effective_phi(route.transversal), route.h).view(_CountingArgmin)
+        scan = _pair_scan(tt, ff, route.transversal.curvature_bound, route.tol)
+        monkeypatch.undo()
+        return scan, _CountingArgmin.calls, len(listed) - 1
+
+    def test_holding_pencil_recomputes_no_column_for_the_notes(self, monkeypatch):
+        t = np.linspace(-3, 3, 2000)
+        route = geodesic_route(t, -np.tanh(t))
+        (pairs, _, two_sided, at), searched, listed = self._scan(route, monkeypatch)
+        assert (pairs, two_sided, at) == ([], None, None)
+        assert (searched, listed) == (0, 0)
+        assert "two-sided Lipschitz estimate also holds on this window" in validate_c0(route).notes
+
+    def test_failing_estimate_still_searches_its_columns(self, monkeypatch):
+        t = np.linspace(-2, 2, 41)
+        route = geodesic_route(t, np.tanh(2 * t))
+        (_, _, two_sided, at), searched, _ = self._scan(route, monkeypatch)
+        assert two_sided < -route.tol and at is not None
+        assert searched > 0
+
+    def test_violating_columns_are_listed(self, monkeypatch):
+        t = np.linspace(-1, 1, 21)
+        route = geodesic_route(t, -np.tanh(2 * t))
+        (pairs, *_), _, listed = self._scan(route, monkeypatch)
+        assert pairs and listed > 0
 
 
 class TestValidateC1:
