@@ -352,9 +352,9 @@ def validate_c0(route: Route) -> Verdict:
     of every column tie within rounding (the extremal families on
     uniform grids), where a tied column that cannot fail costs its slacks
     and their minimum.  No column is recomputed for the two-sided note
-    unless a bound shows that it can fail.  Ordering its k violations, which stay columns, adds
-    O(k log k) numpy.  The verdict is bit-identical to evaluating every
-    pair by the formula above.
+    unless a bound shows that it can fail.  Ordering its k violations,
+    which stay columns, adds O(k log k) numpy.  The verdict is
+    bit-identical to evaluating every pair by the formula above.
     """
     phi_eff = _effective_phi(route.transversal)
     bound = route.transversal.curvature_bound
@@ -424,11 +424,10 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     minimum is only searched for when some column could fail it: with a
     finite guard every F is finite, and if every two-sided bound clears
     ``guard - tol`` the estimate holds, which is all its note says.  An
-    infinite F makes the guard infinite and some bounds nan.  Then every
-    column is recomputed, but a one-sided one whose bound is +inf, as is
-    each of its slacks, and the two-sided search passes over a first
-    sample with a nan slack (two equal infinite F), as evaluating row by
-    row does.
+    infinite F makes the guard infinite and some bounds nan; then the
+    one-sided columns are all recomputed, a column whose bound is +inf
+    listing nothing since each of its slacks is +inf too, and the
+    two-sided columns are chosen by the same threshold as for finite F.
     """
     if tt.size < 2:
         return [], math.inf, math.inf, None
@@ -439,28 +438,20 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     low = np.minimum.accumulate(g)[:-1] - g[1:]
     low2 = w[1:] - np.maximum.accumulate(w)[:-1]
 
-    # The negated tests keep a column whose bound or threshold is nan.
+    # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
     fail = ~(low >= guard - tol)
     one = fail | (low <= low.min() + 2 * guard)
     holds = math.isfinite(guard) and bool((low2 >= guard - tol).all())
-    two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
-    nan_rows = None
-    if not math.isfinite(guard):
-        nan_rows = np.zeros(tt.size, dtype=bool)
-        for end in (math.inf, -math.inf):
-            nan_rows[np.flatnonzero(ff == end)[:-1]] = True
+    two = np.zeros_like(one) if holds else low2 <= low2.min() + 2 * guard
     worst = math.inf
     best = (math.inf, 0, 0)
     rows, cols, slacks = [], [], []
     for j in np.flatnonzero(one | two) + 1:
         rise = tt[j] - tt[:j]
-        if L != 1.0:  # a product by 1.0 is exact: the geodesic skips it
-            rise *= L
+        rise *= L
         df = ff[j] - ff[:j]
         if two[j - 1]:
             other = rise + df
-            if nan_rows is not None:
-                other[nan_rows[:j]] = math.inf
             i = int(other.argmin())
             best = min(best, (float(other[i]), i, int(j)))
         if one[j - 1]:
