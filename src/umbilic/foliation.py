@@ -19,10 +19,12 @@ from .leaves import (
     Line,
     _beyond_bound,
     _geodesic_slack,
-    _hypercycle_slack,
+    _hypercycle_gap,
     _leaf_kinds,
+    _line_direction,
     _math_map,
-    _orthogonal_carriers,
+    _orthogonal_leaves,
+    _ray,
     _refused_leaves,
     carrier_contact,
     leaf_orthogonal_to_geodesic,
@@ -146,15 +148,22 @@ def _leaf_map(transversal: Transversal, e: int = 0):
     )
 
 
-def _carriers(slice_: FoliationSlice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns ``(cx, cy, radius)`` of the carriers that ``all_entries``
-    builds, bit for bit; nan where the leaf is a line."""
+def _carriers(slice_: FoliationSlice, beta, cbeta):
+    """The leaves ``all_entries`` builds, bit for bit, as carrier columns
+    ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the rows of the other
+    shape (see ``LeafTable``), and the unit direction ``(dx, dy)`` of the
+    slice's lines, one per transversal.  ``beta`` and ``cbeta`` are the
+    columns acos(-h) and cos beta."""
     tr, t, h = slice_.transversal, slice_.t, slice_.h
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if tr.kind == TransversalKind.HOROCYCLE:
-            return tuple(np.where(h != 0.0, c, math.nan) for c in (t, tr.height, tr.height / -h))
+            line, unit = h == 0.0, (0.0, 1.0)
+            circle = (np.where(line, math.nan, c) for c in (t, tr.height, tr.height / -h))
+            lines = (np.where(line, c, math.nan) for c in (t, tr.height, *unit))
+            return (*circle, *lines), unit
         s = _math_map(math.exp, t * tr.curvature_bound)
-        return _orthogonal_carriers(s, _math_map(math.acos, -h), tr.phi)
+        ray = _ray(tr.phi)
+        return _orthogonal_leaves(s, beta, cbeta, ray), _line_direction(ray)
 
 
 def _refuse(slice_: FoliationSlice, rows: np.ndarray) -> None:
@@ -180,39 +189,30 @@ def leaf_table(slice_: FoliationSlice) -> LeafTable:
     The rows the constructors' own tests refuse (``_refused_leaves``, and
     the crossing and band tests of ``leaf_orthogonal_to_*``) are built
     through them in row order, so a slice ``all_entries`` refuses raises
-    the error it meets first.  A line's direction is one unit ``Line`` per
+    the error it meets first.  The carriers are the audit's
+    (``_carriers``): a line's direction is one unit ``Line`` per
     transversal, normalised once.
     """
-    tr, t, h = slice_.transversal, slice_.t, slice_.h
+    tr, h = slice_.transversal, slice_.h
     beta = _math_map(math.acos, -h)
     cbeta = _math_map(math.cos, beta)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if tr.kind == TransversalKind.HOROCYCLE:
-            line, refused = h == 0.0, np.zeros(t.size, dtype=bool)
-            carriers, point = (t, tr.height, tr.height / -h), (t, tr.height)
-            unit = Line(0.0, 0.0, 0.0, 1.0)
-        else:
-            try:
-                s = _math_map(math.exp, t * tr.curvature_bound)
-            except OverflowError:  # refused by math.exp, unless an earlier row is
-                _refuse(slice_, np.arange(t.size))
-                raise
-            carriers = _orthogonal_carriers(s, beta, tr.phi, cbeta)
-            line, refused = np.isnan(carriers[2]), ~(s > 0)
-            if tr.phi is None:  # a line leaf is horizontal, with beta = pi
-                beta = np.where(line, math.pi, beta)
-                cbeta = np.where(line, math.cos(math.pi), cbeta)
-                point, unit = (0.0, s), Line(0.0, 0.0, 1.0, 0.0)
-            else:
-                sphi, cphi = math.sin(tr.phi), math.cos(tr.phi)
-                point, unit = (s * cphi, s * sphi), Line(0.0, 0.0, -sphi, cphi)
-                refused |= _beyond_bound(cbeta, sphi)
-        circle = tuple(np.where(line, math.nan, c) for c in carriers)
-        point = tuple(np.where(line, c, math.nan) for c in point)
-    refused |= _refused_leaves(line, circle, point, beta, cbeta, unit)
+    try:
+        columns, unit = _carriers(slice_, beta, cbeta)
+    except OverflowError:  # refused by math.exp, unless an earlier row is
+        _refuse(slice_, np.arange(h.size))
+        raise
+    line = np.isnan(columns[2])
+    refused = np.zeros(h.size, dtype=bool)
+    if tr.kind == TransversalKind.GEODESIC:  # a line leaf is horizontal, with beta = pi
+        beta = np.where(line, math.pi, beta)
+        cbeta = np.where(line, math.cos(math.pi), cbeta)
+    elif tr.kind == TransversalKind.HYPERCYCLE:
+        refused = _beyond_bound(cbeta, math.sin(tr.phi))
+    # A crossing that is not positive leaves a circle of radius 0 and a
+    # line with a nan point, both of which _refused_leaves refuses.
+    refused |= _refused_leaves(line, columns, beta, cbeta, unit)
     _refuse(slice_, np.flatnonzero(refused))
-    direction = (np.where(line, c, math.nan) for c in (unit.dx, unit.dy))
-    return LeafTable(*circle, *point, *direction, beta, -cbeta, _leaf_kinds(beta))
+    return LeafTable(*columns, beta, -cbeta, _leaf_kinds(beta))
 
 
 #: Leaf pairs per numpy block of ``verify_disjoint`` and of the lemma
@@ -272,7 +272,9 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     of touching in the half-plane squeezes leaf i+1 between its nearest
     points, so link (i, i+1), scaled by the same 2**-k_i, is at least as
     close and not cleared.  Links with a line carrier, and every link of
-    a horocycle slice (whose leaves cross it twice), stay open.
+    a horocycle slice (whose leaves cross it twice), stay open: the links
+    and probes are screened on the circle columns alone, where a line's
+    radius is nan, since the argument holds for discs only.
 
     The cleared links split the rows into runs, whose discs nest.  For
     runs A before B, a probe (a, first(B)) cleared by the link rule, at
@@ -283,23 +285,27 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     screened with the boundary at 0, like links: a crossing above the
     axis, however low, leaves part of leaf a outside R_first(B), where a
     later leaf of B may meet it.  Only the pairs (a, b) whose probe stays
-    open are screened.  A row whose later leaves reach past about 2**500
-    at its scale, and every row of a horocycle slice, keeps every probe
-    open: all its pairs are screened, and the float range is refused as
-    before.
+    open are screened.  When every run is one row (every link open), each
+    probe is the pair itself, so no probe is screened: the pair screen, at
+    ``BOUNDARY_TOL`` > 0, leaves unflagged every pair a probe would clear.
+    A row whose later leaves reach past about 2**500 at its scale, and
+    every row of a horocycle slice, keeps every probe open: all its pairs
+    are screened, and the float range is refused as before.
 
     The pairs left are screened in numpy, in (i, j) order, in blocks of
-    at most ``_AUDIT_BLOCK_CELLS`` pairs and probes.  Only the pairs the
-    screen flags, the pairs within a rounding guard of one of
-    ``carrier_contact``'s decisions, and the pairs with a line carrier go
-    through ``carrier_contact``, on leaves built once per audit for each
-    (scale, row).  So the report is, bit for bit, the one a pair-by-pair
-    loop over the scaled pairs gives, and ``pair_count`` still counts all
-    n (n - 1) / 2 pairs.  Cost, for R runs: O(n) numpy for the links, then
-    O(n R) numpy for the probes plus the k candidate pairs they leave, and
-    O(r) Python for the r recomputed pairs; O(n^2) numpy when every row is
-    screened in full, as on horocycle slices, or when R = n.  A clean
-    family (R = 1) costs O(n).
+    at most ``_AUDIT_BLOCK_CELLS`` pairs and probes, lines included (a
+    line's point is scaled, its direction is not).  Only the pairs the
+    screen does not find unflagged go through ``carrier_contact``, on
+    leaves built once per audit for each (scale, row): the flagged pairs,
+    which take their witness from it, the pairs within a rounding guard
+    of one of its decisions, and lines that are not parallel.  So the
+    report is, bit for bit, the one a pair-by-pair loop over the scaled
+    pairs gives, and ``pair_count`` still counts all n (n - 1) / 2 pairs.
+    Cost, for R runs: O(n) numpy for the links, then O(n R) numpy for the
+    probes plus the k candidate pairs they leave, and O(r) Python for the
+    r recomputed pairs; O(n^2) numpy when every row is screened in full,
+    as on horocycle slices, or when R = n.  A clean family (R = 1) costs
+    O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
     ts, hs = slice_.t.tolist(), slice_.h.tolist()
@@ -307,11 +313,16 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
     else:
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
-    columns = _carriers(slice_)
-    cx, cy, r = columns
+    beta = _math_map(math.acos, -slice_.h)
+    columns, _ = _carriers(slice_, beta, _math_map(math.cos, beta))
+    circles = cx, cy, r = columns[:3]
+    line = np.isnan(r)
     finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
-    _refuse(slice_, np.flatnonzero(~finite & ~np.isnan(r)))
-    pairs = _probed_pairs(columns, k, *_cleared_links(tr, columns, k))
+    _refuse(slice_, np.flatnonzero(~finite & ~line))
+    # Links and probes see the circles alone: a line's nan radius keeps them open.
+    pairs = _probed_pairs(circles, k, *_cleared_links(tr, circles, k))
+    if not line.any():
+        columns = circles
 
     @functools.cache
     def leaf(scale, p):
@@ -350,9 +361,14 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
 
 
 def _scaled_columns(columns, i, j, k) -> list[np.ndarray]:
-    """The carrier columns of leaves i, then of leaves j, scaled by 2**-k."""
+    """The carrier columns of leaves i, then of leaves j, scaled by 2**-k:
+    all but a line's direction (dx, dy), the last two of seven columns."""
     with np.errstate(over="ignore"):
-        return [np.ldexp(col[idx], -k) for idx in (i, j) for col in columns]
+        return [
+            col[idx] if c >= 5 else np.ldexp(col[idx], -k)
+            for idx in (i, j)
+            for c, col in enumerate(columns)
+        ]
 
 
 #: A row whose later leaves reach past this at its scale is screened in
@@ -368,7 +384,8 @@ def _cleared_links(transversal: Transversal, columns, k) -> tuple[np.ndarray, np
     later leaves reach past ``_REACH_LIMIT`` at their scale.
 
     See ``verify_disjoint``: a link is cleared when ``_screen`` with the
-    boundary at 0 finds it unflagged, which settles no line.
+    boundary at 0 finds it unflagged.  ``columns`` are the circle columns
+    alone, so a line (nan radius) keeps its links open.
     """
     links = np.arange(columns[0].size - 1)
     if transversal.kind == TransversalKind.HOROCYCLE:
@@ -403,19 +420,23 @@ def _probed_pairs(columns, k, cleared, full):
     then b.
 
     Rows go in blocks of at most ``_AUDIT_BLOCK_CELLS`` probes, or of one
-    row.  Rows marked ``full`` keep every probe open, unscreened.
+    row.  Rows marked ``full`` keep every probe open, unscreened, and so
+    does every row when each run is one row: each probe is then the pair
+    itself.  ``columns`` are the circle columns alone, so a line keeps its
+    probes open.
     """
     is_last = np.append(~cleared, True)[: k.size]
     last = np.flatnonzero(is_last)  # the last row of each run
     run = np.cumsum(is_last) - is_last
     later = last.size - 1 - run  # probes of each row, > 0 on a prefix
     later = later[later > 0]
+    every_link_open = last.size == k.size
     for lo, hi in _blocks(later):
         a = np.arange(lo, hi)
         i = np.repeat(a, later[a])
         runs = _ranges(run[a] + 1, later[a])  # each probe's run B
         j = last[runs - 1] + 1  # first(B)
-        probe_open = full[i]
+        probe_open = full[i] | every_link_open
         screened = np.flatnonzero(~probe_open)
         p, q = i[screened], j[screened]
         probe_open[screened] = ~_screen(*_scaled_columns(columns, p, q, k[p]), boundary=0.0)[0]
@@ -426,21 +447,59 @@ def _probed_pairs(columns, k, cleared, full):
             yield np.repeat(rows[p0:p1], c), _ranges(starts[p0:p1], c)
 
 
-def _screen(
-    x1, y1, r1, x2, y2, r2, boundary: float = BOUNDARY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which circle pairs ``carrier_contact`` certainly leaves unflagged,
+def _screen(*columns, boundary: float = BOUNDARY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Which leaf pairs ``carrier_contact`` certainly leaves unflagged,
     and which it certainly finds crossing above the boundary.
 
-    Follows ``leaves._circle_circle`` step by step.  Unflagged: neither
-    coincident nor tangent, and either concentric, apart or crossing no
-    higher than ``boundary`` (``BOUNDARY_TOL`` for the audit's pairs, 0
-    for its links).  Crossing: not coincident, not tangent, and the
-    higher crossing point above ``boundary``.  A decision is settled only
-    when numpy's value clears its threshold by more than a bound on the
-    rounding gap between the two computations; nan and inf settle
-    nothing, so neither do lines.
+    ``columns`` are the carrier columns of the first leaves, then of the
+    second: ``(cx, cy, radius)`` each, or the seven columns of
+    ``_carriers``, whose circle fields are nan on the line rows and line
+    fields nan on the others.  Unflagged: neither coincident nor tangent,
+    and no contact point higher than ``boundary`` (``BOUNDARY_TOL`` for
+    the audit's pairs and the sweep, 0 for the audit's links and probes).
+    Crossing: transverse, with a contact point above ``boundary``.
+
+    Circle pairs follow ``leaves._circle_circle`` step by step: unflagged
+    when concentric, apart or crossing no higher than the boundary.  Given
+    the line columns, the rows that hold a line follow ``_circle_line``
+    and ``_line_line`` (``_screen_circle_line``, ``_screen_line_line``):
+    unflagged when apart, crossing no higher than the boundary, or
+    parallel and distinct; lines that are not parallel stay open.  With
+    three columns a line (nan radius) settles nothing.  Near-tangent and
+    near-coincident pairs stay open.  A decision is settled only when
+    numpy's value clears its threshold by more than a bound on the
+    rounding gap between the two computations; nan and inf settle nothing.
     """
+    half = len(columns) // 2
+    first, second = columns[:half], columns[half:]
+    if half == 3:
+        return _screen_circles(*first, *second, boundary)
+    line1, line2 = np.isnan(first[2]), np.isnan(second[2])
+    unflagged = np.zeros(line1.size, dtype=bool)
+    crossing = np.zeros_like(unflagged)
+
+    def take(rows, cols):
+        return cols if rows.size == line1.size else [c[rows] for c in cols]
+
+    circles = np.flatnonzero(~(line1 | line2))
+    if circles.size:
+        unflagged[circles], crossing[circles] = _screen_circles(
+            *take(circles, first[:3] + second[:3]), boundary
+        )
+    mixed = np.flatnonzero(line1 != line2)
+    if mixed.size:  # carrier_contact puts the circle first
+        a, b, swap = take(mixed, first), take(mixed, second), line1[mixed]
+        circle = [np.where(swap, y, x) for x, y in zip(a[:3], b[:3])]
+        line = [np.where(swap, x, y) for x, y in zip(a[3:], b[3:])]
+        unflagged[mixed], crossing[mixed] = _screen_circle_line(*circle, *line, boundary)
+    both = np.flatnonzero(line1 & line2)
+    if both.size:
+        unflagged[both] = _screen_line_line(*take(both, first[3:] + second[3:]))
+    return unflagged, crossing
+
+
+def _screen_circles(x1, y1, r1, x2, y2, r2, boundary):
+    """``_screen`` on circle pairs, following ``leaves._circle_circle``."""
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx, dy = x2 - x1, y2 - y1
@@ -465,6 +524,46 @@ def _screen(
         high_crossing = crossing & (top > boundary + err_top)
     clear = ~near_tangent
     return clear & ((d == 0.0) | apart | low_crossing), clear & high_crossing
+
+
+def _screen_circle_line(cx, cy, r, x0, y0, dx, dy, boundary):
+    """``_screen`` on circle-line pairs, following ``leaves._circle_line``:
+    the centre's foot f on the line lies at distance dist from it, and the
+    line misses the circle (dist > r) or crosses it at f -+ half (dx, dy),
+    the higher point at height f_y + half dy (dy >= 0).  Every quantity
+    but dist is numpy's in the same IEEE steps; size, the sum of the
+    pair's coordinates and radius, bounds |u|, |f| and dist."""
+    g, tol = _SCREEN_SLACK, TANGENCY_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = (cx - x0) * dx + (cy - y0) * dy
+        fx, fy = x0 + u * dx, y0 + u * dy
+        dist = np.hypot(cx - fx, cy - fy)
+        size = np.abs(cx) + np.abs(cy) + np.abs(x0) + np.abs(y0) + r
+        near_tangent = np.abs(dist - r) <= tol + g * size
+        disc = r * r - dist * dist
+        err_disc = 2.0 * g * (r * r + size * size)
+        half = np.sqrt(np.maximum(disc, 0.0))
+        top = fy + half * dy
+        err_top = err_disc / half + g * (size + 2.0 * half)
+        apart = disc < -err_disc
+        crossing = disc > err_disc
+        low_crossing = crossing & (top < boundary - err_top)
+        high_crossing = crossing & (top > boundary + err_top)
+    clear = ~near_tangent
+    return clear & (apart | low_crossing), clear & high_crossing
+
+
+def _screen_line_line(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
+    """Which line pairs ``leaves._line_line`` certainly finds parallel and
+    distinct, so unflagged.  Parallel: numpy's cross product of the
+    directions is 0, so carrier_contact's, from the same unscaled
+    directions (or ones a few ulps off), is far below its 1e-14.
+    Distinct: the offset clears ``TANGENCY_TOL`` by the rounding guard."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        cross = dx1 * dy2 - dy1 * dx2
+        off = (x2 - x1) * dy1 - (y2 - y1) * dx1
+        size = np.abs(x1) + np.abs(y1) + np.abs(x2) + np.abs(y2)
+        return (cross == 0.0) & (np.abs(off) > TANGENCY_TOL + _SCREEN_SLACK * size)
 
 
 def extend_slice(
@@ -652,14 +751,17 @@ def run_disjointness_agreement(
     else must agree exactly.
 
     The pairs are drawn by ``_draw_blocks`` and judged a block at a time.
-    The oracle's verdict on a circle pair comes from the audit's numpy
-    ``_screen`` when the screen settles it either way; the pairs with a
-    line carrier and those within a rounding guard of one of
+    The oracle's verdict comes from the audit's numpy ``_screen``, on the
+    circle and line columns of the leaves, when the screen settles it
+    either way; the pairs within a rounding guard of one of
     ``carrier_contact``'s decisions go through ``carrier_contact`` on the
     leaves the constructors build.  Margin-skipped pairs never reach the
-    oracle.  Cost: O(n) numpy work in blocks of at most
+    oracle.  Each ``math`` column (sin phi, cos phi, cos beta1, cos beta2)
+    is computed once per block and feeds both the predicate and the
+    carriers.  Cost: O(n) numpy work in blocks of at most
     ``_AUDIT_BLOCK_CELLS`` pairs, plus O(r) ``carrier_contact`` calls for
-    the r pairs the screen leaves open (about 8 % of the draws).
+    the r pairs the screen leaves open (none of the 40 000 draws of
+    seeds 0 to 9 at n = 2 000 on both families).
     """
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
@@ -669,11 +771,17 @@ def run_disjointness_agreement(
     mismatches = []
     for params in _draw_blocks(family, n, seed):
         *head, s1, beta1, s2, beta2 = params  # head is (phi,) on the hypercycle
-        slack = (_hypercycle_slack if head else _geodesic_slack)(*params)
+        ray = _ray(*head)
+        cbeta1, cbeta2 = _math_map(math.cos, beta1), _math_map(math.cos, beta2)
+        if head:
+            slack = _hypercycle_gap(*params, ray[0], cbeta1, cbeta2)
+        else:
+            slack = _geodesic_slack(*params)
         leaf = leaf_orthogonal_to_hypercycle if head else leaf_orthogonal_to_geodesic
         margin = np.isfinite(slack) & (np.abs(slack) < _SLACK_MARGIN)
         disjoint, crossing = _screen(
-            *_orthogonal_carriers(s1, beta1, *head), *_orthogonal_carriers(s2, beta2, *head)
+            *_orthogonal_leaves(s1, beta1, cbeta1, ray),
+            *_orthogonal_leaves(s2, beta2, cbeta2, ray),
         )
         tangent = np.zeros_like(margin)
         open_ = np.flatnonzero(~margin & ~disjoint & ~crossing)

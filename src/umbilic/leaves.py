@@ -175,15 +175,14 @@ class Leaf:
         return classify_leaf(self.beta)
 
 
-def _refused_leaves(line, circle, point, beta, cbeta, unit: Line):
+def _refused_leaves(line, columns, beta, cbeta, unit):
     """Which rows of leaf columns ``Circle``, ``Line`` and ``Leaf`` refuse,
-    by their own tests.  ``circle`` is (cx, cy, radius) on the rows not
-    ``line``, ``point`` is (x0, y0) on the line rows, whose direction is
-    ``unit``, and ``beta``, ``cbeta`` are each leaf's angle and its
-    cosine.  numpy applies the tests' IEEE operations, so the answer is
-    theirs."""
-    cx, cy, r = circle
-    x0, y0 = point
+    by their own tests.  ``columns`` are (cx, cy, radius, x0, y0, dx, dy),
+    the circle fields on the rows not ``line`` and the line fields on the
+    others, whose direction is ``unit`` = (dx, dy); ``beta``, ``cbeta``
+    are each leaf's angle and its cosine.  numpy applies the tests' IEEE
+    operations, so the answer is theirs."""
+    cx, cy, r, x0, y0 = columns[:5]
     with np.errstate(invalid="ignore", over="ignore"):
         circle_refused = (
             ~(np.isfinite(cx) & np.isfinite(cy) & (0 < r) & (r < math.inf))
@@ -191,7 +190,7 @@ def _refused_leaves(line, circle, point, beta, cbeta, unit: Line):
             | (cy + r < -BOUNDARY_TOL)
             | (np.abs(cy - r * cbeta) > _ANGLE_MATCH_TOL * np.maximum(1.0, r))
         )
-        mismatch = np.abs(math.atan2(unit.dy, unit.dx) - np.fmod(beta, math.pi))
+        mismatch = np.abs(math.atan2(unit[1], unit[0]) - np.fmod(beta, math.pi))
         line_refused = ~(np.isfinite(x0) & np.isfinite(y0)) | (
             np.minimum(mismatch, np.abs(mismatch - math.pi)) > _ANGLE_MATCH_TOL
         )
@@ -325,36 +324,79 @@ def _circle_carrier(s, cbeta, ray=None):
     return scale * cphi, scale * sphi, s * sphi / den
 
 
-def _orthogonal_carriers(s, beta, phi=None, cbeta=None):
+def _ray(phi=None):
+    """``(sin phi, cos phi)`` by ``math``, for a float or an array, or
+    None on the geodesic (``phi`` None)."""
+    return None if phi is None else (_math_map(math.sin, phi), _math_map(math.cos, phi))
+
+
+def _orthogonal_carriers(s, beta, phi=None):
     """Columns ``(cx, cy, radius)`` of the carriers that
     ``leaf_orthogonal_to_geodesic(s, beta)`` (``phi`` None) or
     ``leaf_orthogonal_to_hypercycle(phi, s, beta)`` builds, for arrays
-    ``s``, ``beta`` and ``phi``; nan where the leaf is a line.  ``cbeta``,
-    when given, is the column cos beta.
+    ``s``, ``beta`` and ``phi``; nan where the leaf is a line.  The circle
+    columns of ``_orthogonal_leaves``."""
+    return _orthogonal_leaves(s, beta, _math_map(math.cos, beta), _ray(phi))[:3]
 
-    The values are the constructors' bit for bit: the same
+
+def _line_direction(ray=None):
+    """The unit direction ``(dx, dy)`` that ``Line`` stores for the line
+    leaves of a transversal: (1, 0) on the geodesic (``ray`` None), and
+    (-sin phi, cos phi) divided by its ``math.hypot`` on the ray with
+    (sin phi, cos phi) = ``ray`` (cos phi > 0, so no sign flip), for
+    floats or arrays."""
+    if ray is None:
+        return 1.0, 0.0
+    sphi, cphi = ray
+    norm = _math_map(math.hypot, sphi, cphi)
+    return -sphi / norm, cphi / norm
+
+
+def _orthogonal_leaves(s, beta, cbeta, ray):
+    """Columns ``(cx, cy, radius, x0, y0, dx, dy)`` of the leaves that
+    ``leaf_orthogonal_to_geodesic`` (``ray`` None) or
+    ``leaf_orthogonal_to_hypercycle`` on the ray with (sin phi, cos phi) =
+    ``ray`` builds through s with angle beta (cos beta = ``cbeta``), bit
+    for bit: the circles, nan on the line rows, and the lines, nan on the
+    others.  A line runs through (0, s), or s (cos phi, sin phi), along
+    ``_line_direction(ray)``; with a ray per row only the line rows are
+    normalised.  A line whose s is not positive, which the constructors
+    refuse, is nan too.
+
+    The circles are the constructors' bit for bit: the same
     ``_circle_carrier``, with ``math``'s cos and sin, which numpy's may
     differ from in the last bit.
     """
-    if cbeta is None:
-        cbeta = _math_map(math.cos, beta)
-    if phi is None:
-        ray, line = None, math.pi - beta <= _LINE_TOL
+    if ray is None:
+        line = math.pi - beta <= _LINE_TOL
     else:
-        ray = _math_map(math.sin, phi), _math_map(math.cos, phi)
         line = ray[0] + cbeta <= _LINE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        return tuple(np.where(line, math.nan, c) for c in _circle_carrier(s, cbeta, ray))
+        circle = tuple(np.where(line, math.nan, c) for c in _circle_carrier(s, cbeta, ray))
+    line = np.isnan(circle[2])
+    if not line.any():  # the common case, whose line columns are all nan
+        return (*circle, *np.full((4, line.size), math.nan))
+    if ray is None:
+        point, unit = (0.0, s), _line_direction()
+    else:
+        point = (s * ray[1], s * ray[0])
+        if np.ndim(ray[0]):
+            unit = np.full((2, line.size), math.nan)
+            unit[:, line] = _line_direction((ray[0][line], ray[1][line]))
+        else:
+            unit = _line_direction(ray)
+    line &= s > 0
+    return (*circle, *(np.where(line, c, math.nan) for c in (*point, *unit)))
 
 
-def _math_map(f, x):
-    """``f`` from ``math`` on a float, or on each element of a 1-d array,
-    as numpy values.  numpy's own cos, sin, tan and exp may differ from
-    ``math``'s in the last bit; the predicates and the leaf constructors
-    use ``math``'s."""
-    if np.ndim(x) == 0:
-        return np.float64(f(x))
-    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+def _math_map(f, *xs):
+    """``f`` from ``math`` on floats, or on the elements of 1-d arrays of
+    one length, as numpy values.  numpy's own cos, sin, tan, exp and hypot
+    may differ from ``math``'s in the last bit; the predicates and the leaf
+    constructors use ``math``'s."""
+    if np.ndim(xs[0]) == 0:
+        return np.float64(f(*xs))
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), dtype=float, count=xs[0].size)
 
 
 def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) -> bool:
@@ -413,7 +455,14 @@ def _hypercycle_slack(phi, s1, beta1, s2, beta2):
     the upper leaf is a line and -inf when only the lower one is.  The
     arguments may be floats or arrays; the result has their shape."""
     sphi = _math_map(math.sin, phi)
-    den1, den2 = sphi + _math_map(math.cos, beta1), sphi + _math_map(math.cos, beta2)
+    cbeta1, cbeta2 = _math_map(math.cos, beta1), _math_map(math.cos, beta2)
+    return _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2)
+
+
+def _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2):
+    """``_hypercycle_slack``, given its columns sin phi, cos beta1 and
+    cos beta2 (``sphi``, ``cbeta1``, ``cbeta2``)."""
+    den1, den2 = sphi + cbeta1, sphi + cbeta2
     with np.errstate(divide="ignore", invalid="ignore"):
         a1 = s1 * _math_map(math.cos, phi + beta1) / den1
         gap = a1 - s2 * _math_map(math.cos, phi + beta2) / den2

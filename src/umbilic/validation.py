@@ -400,6 +400,7 @@ def _verdict(mode: str, zones: Zones, worst: float, parts: list, notes) -> Verdi
     )
 
 
+@np.errstate(invalid="ignore")  # an infinite F makes inf - inf: nan bounds and slacks
 def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     """The pair checks of ``validate_c0`` by prefix scans.
 

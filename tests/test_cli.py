@@ -630,6 +630,33 @@ class TestRefusalsStayShort:
         assert json.loads(out)["mode"] == "c1"
         assert err == ""
 
+    def test_infinite_profile_value(self, route_file, capsys):
+        # One ulp inside -sin(0.5) the profile is +inf, so both scans of
+        # validate_c0 compute inf - inf; the verdict is the pairwise one.
+        inside = math.nextafter(-math.sin(0.5), 0.0)
+        doc = {
+            "transversal": {"kind": "hypercycle", "phi": 0.5},
+            "tol": 1e-300,
+            "samples": [{"t": 0.0, "h": 0.0}, {"t": 1.0, "h": inside}, {"t": 2.0, "h": 0.0}],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["validate", route_file(doc)])
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "schema": "umbilic.report/1",
+            "report": "verdict",
+            "mode": "c0",
+            "valid": False,
+            "zones": {"t_minus": "-inf", "t_plus": "inf"},
+            "worst_slack": "-inf",
+            "violations": [{"kind": "pair", "t1": 0.0, "t2": 1.0, "slack": "-inf"}],
+            "notes": [
+                "window only: behavior outside the sampled interval is unchecked",
+                "one-sided growth condition is the normative check",
+            ],
+        }
+
     def test_viewport_width_past_the_float_range(self, route_file, tmp_path, capsys):
         svg = tmp_path / "x.svg"
         viewport = "--viewport=-3,3,3,%s,400" % ("9" * 401)

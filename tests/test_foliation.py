@@ -32,6 +32,7 @@ from umbilic.foliation import AgreementStats, DisjointnessReport, PairContact
 from umbilic.halfplane import TransversalKind
 from umbilic.leaves import (
     BOUNDARY_TOL,
+    TANGENCY_TOL,
     _geodesic_slack,
     _hypercycle_slack,
     _orthogonal_carriers,
@@ -265,7 +266,10 @@ def _forced_slice(tr, h_every, seed=0, n=30):
 
 def _carrier_fields(slice_):
     return np.array([
-        [getattr(leaf.shape, name, math.nan) for name in ("cx", "cy", "radius")]
+        [
+            getattr(leaf.shape, name, math.nan)
+            for name in ("cx", "cy", "radius", "x0", "y0", "dx", "dy")
+        ]
         for _, leaf, _ in slice_.all_entries()
     ])
 
@@ -308,11 +312,14 @@ class TestSliceTable:
     )
     def test_carrier_columns_are_the_entries(self, make):
         slice_ = make()
-        got = np.column_stack(foliation._carriers(slice_))
+        beta = foliation._math_map(math.acos, -slice_.h)
+        columns, unit = foliation._carriers(slice_, beta, foliation._math_map(math.cos, beta))
+        got = np.column_stack(columns)
         want = _carrier_fields(slice_)
         lines = np.isnan(want[:, 2])
         assert lines.any() and not lines.all()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.array(unit).view(np.int64), want[lines][0, 5:].view(np.int64))
 
     @given(leaf_rows(), st.integers(-60, 60))
     def test_scaled_leaf_map_is_exact(self, row, e):
@@ -1307,3 +1314,360 @@ class TestRunProbes:
         route = Route(Transversal.geodesic(), np.linspace(-5.0, 352.0, n), h)
         with pytest.raises(DomainError, match="t=-5.0 and .* float range"):
             verify_disjoint(synthesize(route, force=True))
+
+
+# --------------------------------------------------------------------------
+# Line carriers in the numpy screen
+
+
+def _leaf_columns(shape):
+    """The seven carrier columns of ``_carriers`` for one leaf shape, as
+    one-row arrays."""
+    if isinstance(shape, Circle):
+        values = (shape.cx, shape.cy, shape.radius) + (math.nan,) * 4
+    else:
+        values = (math.nan,) * 3 + (shape.x0, shape.y0, shape.dx, shape.dy)
+    return [np.array([v]) for v in values]
+
+
+def _leaf_of(shape):
+    """A leaf on the shape, with the angle its carrier fixes."""
+    if isinstance(shape, Circle):
+        return Leaf(shape, math.acos(shape.cy / shape.radius))
+    return Leaf(shape, math.atan2(shape.dy, shape.dx))
+
+
+@st.composite
+def _leaf_circles(draw):
+    """A circle reaching the boundary, centred at height in [-2, 2]."""
+    cy = draw(st.floats(-2.0, 2.0))
+    return Circle(draw(st.floats(-2.0, 2.0)), cy, abs(cy) + draw(st.floats(1e-3, 3.0)))
+
+
+@st.composite
+def circle_line_pairs(draw):
+    """A circle and a line within a few ``TANGENCY_TOL`` of touching it, or
+    crossing it at a point within a few ulps of ``BOUNDARY_TOL``."""
+    c = draw(_leaf_circles())
+    if draw(st.booleans()):
+        psi = draw(st.floats(0.0, 2.0 * math.pi))
+        nx, ny = math.cos(psi), math.sin(psi)
+        gap = draw(
+            st.one_of(
+                st.integers(-8, 8).map(lambda k: k * TANGENCY_TOL / 2),
+                st.floats(-4 * TANGENCY_TOL, 4 * TANGENCY_TOL),
+            )
+        )
+        d = c.radius + gap
+        return c, Line(c.cx + d * nx, c.cy + d * ny, -ny, nx)
+    y = BOUNDARY_TOL + draw(st.integers(-4, 4)) * math.ulp(BOUNDARY_TOL)
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    x = c.cx + side * math.sqrt(c.radius**2 - (y - c.cy) ** 2)
+    theta = draw(st.one_of(st.floats(0.0, math.pi), st.floats(-1e-6, 1e-6)))
+    return c, Line(x, y, math.cos(theta), math.sin(theta))
+
+
+@st.composite
+def line_pairs(draw):
+    """Two lines: parallel (one direction, normalised alike) at offsets
+    around ``TANGENCY_TOL`` or far apart, or not parallel."""
+    x0, y0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 3.0))
+    theta = draw(st.floats(0.0, math.pi))
+    ux, uy = math.cos(theta), math.sin(theta)
+    first = Line(x0, y0, ux, uy)
+    along = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        off = draw(
+            st.one_of(
+                st.sampled_from([0.5, 1.0, 2.0]).map(lambda m: m * TANGENCY_TOL),
+                st.integers(-4, 4).map(lambda k: TANGENCY_TOL + k * math.ulp(TANGENCY_TOL)),
+                st.floats(0.0, 3.0),
+            )
+        )
+        nx, ny = -first.dy, first.dx
+        x, y = x0 + along * first.dx + off * nx, y0 + along * first.dy + off * ny
+        return first, Line(x, y, ux, uy)
+    other = draw(st.floats(0.0, math.pi))
+    return first, Line(x0 + along, y0, math.cos(other), math.sin(other))
+
+
+def assert_screen_holds(first, second):
+    """``_screen``'s settled verdicts on the pair are ``carrier_contact``'s;
+    returns whether it settled the pair."""
+    unflagged, crossing = foliation._screen(*_leaf_columns(first), *_leaf_columns(second))
+    contact = carrier_contact(_leaf_of(first), _leaf_of(second))
+    if unflagged[0]:
+        assert contact.kind not in ("tangent", "coincident")
+        assert upper_contact(contact) is None
+    if crossing[0]:
+        assert contact.kind == "transverse"
+        assert upper_contact(contact) is not None
+    return bool(unflagged[0] or crossing[0])
+
+
+def _switch(flagged, lo, hi):
+    """The 17 floats around the float in [lo, hi] where ``flagged``
+    switches, by bisection, or none when it does not switch there."""
+    if flagged(lo) == flagged(hi):
+        return []
+    below = flagged(lo)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if flagged(mid) == below:
+            lo = mid
+        else:
+            hi = mid
+    around = [lo]
+    for direction in (-math.inf, math.inf):
+        x = lo
+        for _ in range(8):
+            x = math.nextafter(x, direction)
+            around.append(x)
+    return around
+
+
+class TestLineScreen:
+    """Pairs with a line carrier settle in the numpy screen, never against
+    ``carrier_contact``; links and probes with a line stay open."""
+
+    @settings(max_examples=400)
+    @given(circle_line_pairs(), st.booleans())
+    def test_circle_line_verdicts_are_carrier_contacts(self, pair, line_first):
+        assert_screen_holds(*(pair[::-1] if line_first else pair))
+
+    @settings(max_examples=300)
+    @given(line_pairs())
+    def test_line_line_verdicts_are_carrier_contacts(self, pair):
+        assert_screen_holds(*pair)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_circle_line_switches(self, seed):
+        # Lines stepped by ulps across the float where carrier_contact's
+        # verdict switches: touching within TANGENCY_TOL on either side,
+        # and the higher crossing passing BOUNDARY_TOL.
+        rng = np.random.default_rng(seed)
+        switches = 0
+        for _ in range(50):
+            cy = rng.uniform(-1.5, 0.0)
+            c = Circle(rng.uniform(-1, 1), cy, -cy + rng.uniform(0.01, 2.0))
+            psi = rng.uniform(0.0, 2.0 * math.pi)
+            nx, ny = math.cos(psi), math.sin(psi)
+
+            def line_at(d):
+                return Line(c.cx + d * nx, c.cy + d * ny, -ny, nx)
+
+            def tangent(d):
+                return carrier_contact(_leaf_of(c), _leaf_of(line_at(d))).kind == "tangent"
+
+            theta = rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0])
+
+            def tilted(y):
+                return Line(c.cx, y, math.cos(theta), math.sin(theta))
+
+            def above(y):
+                contact = carrier_contact(_leaf_of(c), _leaf_of(tilted(y)))
+                return upper_contact(contact) is not None
+
+            r, tol = c.radius, TANGENCY_TOL
+            cases = [line_at(d) for d in _switch(tangent, r - 3 * tol, r)]
+            cases += [line_at(d) for d in _switch(tangent, r, r + 3 * tol)]
+            cases += [tilted(y) for y in _switch(above, -0.05, 0.05)]
+            switches += bool(cases)
+            for line in cases:
+                assert_screen_holds(c, line)
+                assert_screen_holds(line, c)
+        assert switches >= 45
+
+    @pytest.mark.parametrize(
+        "cx, cy, r, psi, d",
+        [
+            (-0.3820636018488177, -0.7177123168013737, 1.514869594695707, 5.9120638629402205,
+             1.5148695956957068),
+            (0.614845562082589, -1.4518779770727694, 3.0275995513423712, 5.751051464903692,
+             3.027599550342371),
+        ],
+    )
+    def test_tangencies_where_the_hypots_round_apart(self, cx, cy, r, psi, d):
+        # Lines at distance d from the centre, at a float where
+        # carrier_contact's gap passes TANGENCY_TOL: on glibc numpy's hypot
+        # rounds the distance one ulp off math's there, so numpy's gap
+        # lies above the tolerance and math's at it, and only the
+        # screen's rounding guard keeps these tangent pairs open.
+        circle = Circle(cx, cy, r)
+        nx, ny = math.cos(psi), math.sin(psi)
+        line = Line(cx + d * nx, cy + d * ny, -ny, nx)
+        assert not assert_screen_holds(circle, line)
+        assert not assert_screen_holds(line, circle)
+
+    def test_parallel_line_switches(self):
+        # Parallel lines stepped by ulps across the offset where
+        # carrier_contact goes from coincident to apart.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            theta = rng.uniform(0.0, math.pi)
+            ux, uy = math.cos(theta), math.sin(theta)
+            first = Line(rng.uniform(-3, 3), rng.uniform(0, 3), ux, uy)
+
+            def second(off):
+                return Line(first.x0 - off * first.dy, first.y0 + off * first.dx, ux, uy)
+
+            def coincident(off):
+                contact = carrier_contact(_leaf_of(first), _leaf_of(second(off)))
+                return contact.kind == "coincident"
+
+            around = _switch(coincident, 0.0, 3 * TANGENCY_TOL)
+            assert around
+            for off in around:
+                assert_screen_holds(first, second(off))
+
+    def test_pairs_away_from_the_thresholds_settle(self):
+        circle = Circle(0.0, -0.5, 1.0)  # crosses the axis at +-sqrt(3) / 2, apex 0.5
+        assert assert_screen_holds(circle, Line(0.0, 2.0, 1.0, 0.0))  # apart
+        assert assert_screen_holds(Line(0.0, 0.25, 1.0, 0.0), circle)  # crossing above
+        assert assert_screen_holds(circle, Line(0.0, -0.25, 1.0, 0.0))  # crossing below
+        assert assert_screen_holds(Line(0.0, 1.0, 1.0, 0.0), Line(0.0, 2.0, 1.0, 0.0))
+        assert not assert_screen_holds(Line(0.0, 1.0, 1.0, 0.0), Line(0.0, 1.0, 1.0, 1.0))
+        assert not assert_screen_holds(circle, Line(0.0, 0.5 + 1e-10, 1.0, 0.0))  # tangent
+
+    def test_sweep_settles_the_line_pairs(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return carrier_contact(*args)
+
+        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        for family in FAMILIES:
+            for seed in range(10):
+                run_disjointness_agreement(family, 2000, seed)
+        assert len(calls) < 0.01 * 2 * 10 * 2000
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: synthesize(builtin_route("custom_constant_max", n=121)),
+            lambda: synthesize(
+                builtin_route(
+                    "custom_constant_max", transversal=Transversal.hypercycle(0.8), n=121
+                )
+            ),
+            lambda: synthesize(
+                Route(Transversal.horocycle(1.0), np.linspace(-2, 2, 121), np.zeros(121))
+            ),
+            lambda: _forced_slice(Transversal.geodesic(), 3, n=80),
+            lambda: extend_slice(_forced_slice(Transversal.hypercycle(0.8), 2, seed=1, n=60), 4),
+        ],
+        ids=["constant-max-geodesic", "constant-max-0.8", "zero-horocycle", "mixed-geodesic",
+             "mixed-0.8-extended"],
+    )
+    def test_line_families_match_reference(self, make):
+        assert_matches_reference(make())
+
+    @settings(max_examples=40)
+    @given(
+        st.one_of(st.none(), st.floats(0.1, 1.45)),
+        st.integers(2, 60),
+        st.integers(0, 2**16),
+        st.sampled_from([0.2, 0.5, 0.9]),
+        st.sampled_from([-40.0, 0.0, 40.0]),
+    )
+    def test_mixed_families_match_reference(self, phi, n, seed, share, offset):
+        # Lines at the top of the band among circles at random levels,
+        # with some neighbours one ulp apart in t.
+        tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+        rng = np.random.default_rng(seed)
+        bound = tr.curvature_bound
+        h = np.where(rng.random(n) < share, bound, rng.uniform(-bound, bound, n))
+        t = np.sort(offset + rng.uniform(-2.0, 2.0, n))
+        close = rng.random(n - 1) < 0.2
+        t[1:][close] = np.nextafter(t[:-1][close], math.inf)
+        t = np.maximum.accumulate(t)
+        assert_matches_reference(synthesize(Route(tr, t, h), force=True))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _forced_slice(Transversal.geodesic(), 3, n=60),
+            lambda: _forced_slice(Transversal.hypercycle(0.8), 2, seed=1, n=60),
+            lambda: synthesize(builtin_route("custom_constant_max", n=60)),
+            lambda: TestRunProbes.probe_boundary_slice(),
+        ],
+        ids=["mixed-geodesic", "mixed-0.8", "constant-max", "probe-boundary"],
+    )
+    def test_links_and_probes_with_a_line_stay_open(self, make, monkeypatch):
+        # The nesting certificate holds for discs only: a link or probe
+        # with a line carrier, screened with the boundary at 0, is never
+        # cleared, however plainly its pair is apart.
+        screen = foliation._screen
+        cleared_lines = []
+
+        def recording(*columns, boundary=BOUNDARY_TOL):
+            unflagged, crossing = screen(*columns, boundary=boundary)
+            if boundary == 0.0:
+                half = len(columns) // 2
+                line = np.isnan(columns[2]) | np.isnan(columns[half + 2])
+                cleared_lines.append(int(np.count_nonzero(unflagged & line)))
+            return unflagged, crossing
+
+        slice_ = make()
+        monkeypatch.setattr(foliation, "_screen", recording)
+        report = verify_disjoint(slice_)
+        monkeypatch.undo()
+        assert cleared_lines and sum(cleared_lines) == 0
+        assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
+
+
+class TestSingleRowRuns:
+    """When every run is one row, each probe is the pair itself, so the
+    audit screens that pair once, at the boundary tolerance."""
+
+    @pytest.mark.parametrize("phi", [None, 0.9])
+    def test_longer_runs_keep_every_probe(self, phi, monkeypatch):
+        # A perturbed route has runs of one row among longer ones: each of
+        # its probes is screened, the ones into a one-row run included.
+        tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+        route, _ = perturbed_invalid_route(tr, window=(-4.0, 4.0), n=241, seed=3)
+        slice_ = synthesize(route, force=True)
+        k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
+        beta = foliation._math_map(math.acos, -slice_.h)
+        circles = foliation._carriers(slice_, beta, foliation._math_map(math.cos, beta))[0][:3]
+        cleared, full = foliation._cleared_links(tr, circles, k)
+        is_last = np.append(~cleared, True)
+        runs = np.diff(np.flatnonzero(is_last), prepend=-1)
+        assert not full.any() and 1 < runs.size < slice_.t.size and (runs == 1).any()
+        probes = int(np.sum(np.repeat(np.arange(runs.size)[::-1], runs)))
+        screen = foliation._screen
+        at_zero = []
+
+        def recording(*columns, boundary=BOUNDARY_TOL):
+            if boundary == 0.0:
+                at_zero.append(columns[0].size)
+            return screen(*columns, boundary=boundary)
+
+        monkeypatch.setattr(foliation, "_screen", recording)
+        report = verify_disjoint(slice_)
+        monkeypatch.undo()
+        assert sum(at_zero) == slice_.t.size - 1 + probes
+        assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
+
+    def test_open_links_screen_each_pair_once(self, monkeypatch):
+        n = 300
+        t = np.linspace(-2.0, 2.0, n)
+        slice_ = synthesize(Route(Transversal.geodesic(), t, -np.tanh(2 * t)), force=True)
+        report, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
+        assert not report.clean
+        assert screened == (n - 1) + n * (n - 1) // 2
+
+    def test_constant_max_screens_each_pair_once(self, monkeypatch):
+        n = 200
+        slice_ = synthesize(builtin_route("custom_constant_max", n=n))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return carrier_contact(*args)
+
+        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        report, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
+        assert report.clean
+        assert screened == (n - 1) + n * (n - 1) // 2
+        assert calls == []
