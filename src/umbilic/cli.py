@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .routes_io import (
     template_rows,
     validate_document,
 )
-from .validation import VIOLATION_KINDS, Route, Violations, tol_limit, validate
+from .validation import Route, _RowTable, tol_limit, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
 
@@ -78,63 +77,51 @@ def _json_num(x: float) -> str:
     return json.dumps(_num(x))
 
 
-def _num_texts(values: list) -> list[str]:
-    """``json.dumps(_num(x))`` for each float x: ``%.12g`` where x is
-    plain, ``_num``'s rule one by one elsewhere."""
-    texts = list(map("%.12g".__mod__, values))
-    for i in np.flatnonzero(~_plain(np.array(values, dtype=float))).tolist():
-        texts[i] = _json_num(values[i])
-    return texts
+def _report_items(items, fields) -> list[str]:
+    """The report's list items for ``items``, one template call per row.
 
-
-def _report_rows(items, fields) -> zip:
-    """One tuple per item of its fields as the report encodes them: the
-    kind as a JSON string, numbers by ``_num``'s rule."""
-    columns = []
-    for name in fields:
-        values = list(map(attrgetter(name), items))
-        if name == "kind":
-            quoted = {kind: json.dumps(kind) for kind in set(values)}
-            columns.append(list(map(quoted.__getitem__, values)))
-        else:
-            columns.append(_num_texts(values))
-    return zip(*columns)
+    ``items`` is a row table (``Violations``, ``PairContacts``) or a
+    sequence of rows with the ``fields``.  A row whose numbers are each
+    plain or nan (see ``_plain``) takes the template of its nans, with
+    ``%.12g`` for each plain number and ``null`` for each nan; the
+    numbers of the other rows are written one by one by ``_num``'s rule.
+    The kind is written as a JSON string."""
+    if not len(items):
+        return []
+    if isinstance(items, _RowTable):
+        columns = dict(zip(items.__slots__, items.columns))
+        kinds = np.array(list(map(json.dumps, items._kinds)), dtype=object)
+        columns["kind"] = kinds[columns["kind"]]
+    else:
+        rows = tuple(items)
+        columns = {name: np.array([getattr(r, name) for r in rows], dtype=float)
+                   for name in fields if name != "kind"}
+        columns["kind"] = np.array([json.dumps(r.kind) for r in rows], dtype=object)
+    numbers = [name for name in fields if name != "kind"]
+    nan = np.array([np.isnan(columns[name]) for name in numbers])
+    plain = np.array([_plain(columns[name]) for name in numbers])
+    simple = (nan | plain).all(axis=0)
+    pattern = (1 << np.arange(len(numbers))) @ nan
+    template = row_template(fields)
+    groups = []
+    for code in np.unique(pattern[simple]).tolist():
+        rows = np.flatnonzero(simple & (pattern == code))
+        null = {name for b, name in enumerate(numbers) if code >> b & 1}
+        specs = ["%s" if f == "kind" else "null" if f in null else "%.12g" for f in fields]
+        values = [columns[f][rows] for f in fields if f not in null]
+        groups.append((rows, template % tuple(specs), values))
+    rest = np.flatnonzero(~simple)
+    texts = [
+        columns[f][rest] if f == "kind"
+        else np.array(list(map(_json_num, columns[f][rest].tolist())), dtype=object)
+        for f in fields
+    ]
+    groups.append((rest, template, texts))
+    return template_rows(simple.size, groups)
 
 
 _VIOLATION_FIELDS = ("kind", "t1", "t2", "slack")
 _CONTACT_FIELDS = ("t1", "t2", "kind", "x", "y")
-_VIOLATION_ROW = row_template(_VIOLATION_FIELDS)
-_CONTACT_ROW = row_template(_CONTACT_FIELDS)
-_KIND_TEXTS = np.array([json.dumps(kind) for kind in VIOLATION_KINDS], dtype=object)
-#: The item of a violation whose t1 and slack are plain, with a plain t2
-#: and with a missing (nan) one.
-_PLAIN_ROW = _VIOLATION_ROW % ("%s", "%.12g", "%.12g", "%.12g")
-_PLAIN_ROW_NO_T2 = _VIOLATION_ROW % ("%s", "%.12g", "null", "%.12g")
-
-
-def _violation_rows(violations) -> list[str]:
-    """The verdict's violation items, one template call per violation:
-    a ``%.12g`` template where every number is plain or t2 is missing,
-    ``_num``'s rule for each number of the other rows."""
-    if not isinstance(violations, Violations):
-        violations = Violations.of(violations)
-    if not violations:
-        return []
-    kind, t1, t2, slack = violations.columns
-    kinds = _KIND_TEXTS[kind]
-    plain = _plain(t1) & _plain(slack)
-    with_t2, no_t2 = plain & _plain(t2), plain & np.isnan(t2)
-    groups = []
-    for rows, template, columns in (
-        (with_t2, _PLAIN_ROW, (kinds, t1, t2, slack)),
-        (no_t2, _PLAIN_ROW_NO_T2, (kinds, t1, slack)),
-    ):
-        rows = np.flatnonzero(rows)
-        groups.append((rows, template, [c[rows] for c in columns]))
-    rest = np.flatnonzero(~(with_t2 | no_t2))
-    texts = [np.array(list(map(_json_num, c[rest].tolist())), dtype=object) for c in (t1, t2, slack)]
-    groups.append((rest, _VIOLATION_ROW, (kinds[rest], *texts)))
-    return template_rows(t1.size, groups)
 
 
 def _verdict_report(verdict) -> str:
@@ -152,7 +139,7 @@ def _verdict_report(verdict) -> str:
         "violations": [],
         "notes": list(verdict.notes),
     }
-    return dumps_json(head, "%s", violations=_violation_rows(verdict.violations))
+    return dumps_json(head, "%s", violations=_report_items(verdict.violations, _VIOLATION_FIELDS))
 
 
 def _audit_report(report) -> str:
@@ -167,9 +154,9 @@ def _audit_report(report) -> str:
     }
     return dumps_json(
         head,
-        _CONTACT_ROW,
-        intersecting=_report_rows(report.intersecting, _CONTACT_FIELDS),
-        tangent=_report_rows(report.tangent, _CONTACT_FIELDS),
+        "%s",
+        intersecting=_report_items(report.intersecting, _CONTACT_FIELDS),
+        tangent=_report_items(report.tangent, _CONTACT_FIELDS),
     )
 
 

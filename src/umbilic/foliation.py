@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .leaves import (
     leaf_orthogonal_to_hypercycle,
     upper_contact,
 )
-from .validation import Route, _effective_phi, profile_inverse, validate
+from .validation import Route, _effective_phi, _RowTable, profile_inverse, validate
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,33 @@ class PairContact:
     y: float
 
 
+#: The contact kinds, in the order of their codes in ``PairContacts.kind``.
+CONTACT_KINDS = ("transverse", "tangent", "coincident")
+_TRANSVERSE, _TANGENT = 0, 1
+
+
+class PairContacts(_RowTable):
+    """An audit's flagged pairs as five columns (see
+    ``validation._RowTable``): ``t1``, ``t2``, ``kind`` (codes into
+    ``CONTACT_KINDS``), ``x`` and ``y``."""
+
+    __slots__ = ("t1", "t2", "kind", "x", "y")
+    _kinds = CONTACT_KINDS
+
+    @staticmethod
+    def _row(*fields):
+        return PairContact(*fields)
+
+
+_NO_CONTACTS = PairContacts(*np.empty((5, 0)))
+
+
 @dataclass(frozen=True)
 class DisjointnessReport:
     clean: bool
     pair_count: int
-    intersecting: tuple[PairContact, ...]
-    tangent: tuple[PairContact, ...]
+    intersecting: Sequence[PairContact]
+    tangent: Sequence[PairContact]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,20 +170,30 @@ def _leaf_map(transversal: Transversal, e: int = 0):
     )
 
 
-def _carriers(slice_: FoliationSlice, beta, cbeta):
+def _carriers(slice_: FoliationSlice, beta, cbeta, k=None):
     """The leaves ``all_entries`` builds, bit for bit, as carrier columns
     ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the rows of the other
     shape (see ``LeafTable``), and the unit direction ``(dx, dy)`` of the
     slice's lines, one per transversal.  ``beta`` and ``cbeta`` are the
-    columns acos(-h) and cos beta."""
+    columns acos(-h) and cos beta.
+
+    Given an int column ``k``, row p is the leaf ``_leaf_map(transversal,
+    -k[p])`` builds instead: its carrier is built from the crossing (or
+    the horocycle's height, and t) scaled by 2**-k[p], so a crossing
+    below the normal float range keeps its bits."""
     tr, t, h = slice_.transversal, slice_.t, slice_.h
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if tr.kind == TransversalKind.HOROCYCLE:
+            height = tr.height
+            if k is not None:
+                t, height = np.ldexp(t, -k), np.ldexp(height, -k)
             line, unit = h == 0.0, (0.0, 1.0)
-            circle = (np.where(line, math.nan, c) for c in (t, tr.height, tr.height / -h))
-            lines = (np.where(line, c, math.nan) for c in (t, tr.height, *unit))
+            circle = (np.where(line, math.nan, c) for c in (t, height, height / -h))
+            lines = (np.where(line, c, math.nan) for c in (t, height, *unit))
             return (*circle, *lines), unit
         s = _math_map(math.exp, t * tr.curvature_bound)
+        if k is not None:
+            s = np.ldexp(s, -k)
         ray = _ray(tr.phi)
         return _orthogonal_leaves(s, beta, cbeta, ray), _line_direction(ray)
 
@@ -169,9 +201,10 @@ def _carriers(slice_: FoliationSlice, beta, cbeta):
 def _refuse(slice_: FoliationSlice, rows: np.ndarray) -> None:
     """Build the leaf of each of ``rows``, in order: the constructors raise
     their own error on the first one they refuse."""
-    leaf = _leaf_map(slice_.transversal)
-    for t, h in zip(slice_.t[rows].tolist(), slice_.h[rows].tolist()):
-        leaf(t, h)
+    if rows.size:
+        leaf = _leaf_map(slice_.transversal)
+        for t, h in zip(slice_.t[rows].tolist(), slice_.h[rows].tolist()):
+            leaf(t, h)
 
 
 #: A slice's leaves as columns, one row per slice row: bit for bit the
@@ -243,12 +276,14 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     transversal, e^(t L) rounded to a power of two (L = 1 on the
     geodesic, sin phi on a hypercycle), or the height of a horocycle.
     Both tolerances are therefore relative to that scale, and the verdict
-    does not change when the route is shifted in t.  ``_leaf_map`` builds
-    the scaled leaves exactly, so the witness points, scaled back, carry
-    the bits of an unscaled intersection.  A pair whose carriers, or
-    their squares, leave the float range at that scale raises
-    ``DomainError``: a horocycle slice with t / height near 1e308, or
-    leaves whose crossings lie more than about 2**511 apart.
+    does not change when the route is shifted in t.  The scaled leaves
+    are the ones ``_leaf_map`` builds from the scaled crossing, so the
+    witness points, scaled back, carry the bits of an unscaled
+    intersection, and a crossing below the normal float range (t L below
+    about -708) loses none.  A pair whose carriers, or their squares,
+    leave the float range at that scale raises ``DomainError``: a
+    horocycle slice with t / height near 1e308, or leaves whose crossings
+    lie more than about 2**511 apart.
 
     Consecutive leaves certify the pairs they span.  Every leaf of a slice
     crosses its transversal orthogonally, since a slice holds only (t, h)
@@ -294,80 +329,121 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
 
     The pairs left are screened in numpy, in (i, j) order, in blocks of
     at most ``_AUDIT_BLOCK_CELLS`` pairs and probes, lines included (a
-    line's point is scaled, its direction is not).  Only the pairs the
-    screen does not find unflagged go through ``carrier_contact``, on
-    leaves built once per audit for each (scale, row): the flagged pairs,
-    which take their witness from it, the pairs within a rounding guard
-    of one of its decisions, and lines that are not parallel.  So the
-    report is, bit for bit, the one a pair-by-pair loop over the scaled
-    pairs gives, and ``pair_count`` still counts all n (n - 1) / 2 pairs.
+    line's point is scaled, its direction is not).  A pair the screen
+    finds crossing takes its witness in numpy too (``_crossing_points``):
+    ``carrier_contact``'s transverse branch and ``upper_contact``'s first
+    point above ``BOUNDARY_TOL``, in the same IEEE steps, with ``math``'s
+    hypot and Python's ``r**2``, scaled back by ``ldexp``.  The pair
+    screen also settles, unflagged, a circle pair certainly tangent at a
+    point no higher than ``BOUNDARY_TOL`` (``_screen``'s ``tangent``), as
+    on ``horospherical``, whose leaves all touch at the origin.  Only the
+    rest go through ``carrier_contact``, on leaves built once per audit
+    for each (scale, row): the pairs within a rounding guard of one of
+    its decisions, tangencies above the boundary, coincident pairs and
+    lines that are not parallel.  So the report is, bit for bit, the one
+    a pair-by-pair loop over the scaled pairs gives, and ``pair_count``
+    still counts all n (n - 1) / 2 pairs; its contacts stay columns
+    (``PairContacts``).
     Cost, for R runs: O(n) numpy for the links, then O(n R) numpy for the
-    probes plus the k candidate pairs they leave, and O(r) Python for the
-    r recomputed pairs; O(n^2) numpy when every row is screened in full,
-    as on horocycle slices, or when R = n.  A clean family (R = 1) costs
-    O(n).
+    probes plus the k candidate pairs they leave, O(c) ``math`` calls for
+    the c crossing pairs' witnesses (off the geodesic and the horocycle,
+    whose centres share an axis, two per pair, else one), and O(r)
+    Python for the r pairs left open; O(n^2) numpy when every row is
+    screened in full, as on horocycle slices, or when R = n, as on a
+    family whose every pair crosses.  A clean family (R = 1) costs O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
-    ts, hs = slice_.t.tolist(), slice_.h.tolist()
     if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
         k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
     else:
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
     beta = _math_map(math.acos, -slice_.h)
-    columns, _ = _carriers(slice_, beta, _math_map(math.cos, beta))
-    circles = cx, cy, r = columns[:3]
+    # Each row at its own scale 2**-k.  Scaled back, a circle is the
+    # unscaled one in the normal range, and zero or infinite wherever that
+    # one is, so every row the constructors refuse is built through them.
+    columns, _ = _carriers(slice_, beta, _math_map(math.cos, beta), k)
+    with np.errstate(over="ignore"):
+        cx, cy, r = (np.ldexp(c, k) for c in columns[:3])
     line = np.isnan(r)
     finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
     _refuse(slice_, np.flatnonzero(~finite & ~line))
+    circles = columns[:3]
     # Links and probes see the circles alone: a line's nan radius keeps them open.
     pairs = _probed_pairs(circles, k, *_cleared_links(tr, circles, k))
     if not line.any():
         columns = circles
 
-    @functools.cache
+    ts, hs = slice_.t, slice_.h
+    built = {}  # (scale, row) -> the leaf _leaf_map builds at that scale
+
     def leaf(scale, p):
-        return leaf_map(scale)(ts[p], hs[p])
+        if (scale, p) not in built:
+            built[scale, p] = _leaf_map(tr, -scale)(float(ts[p]), float(hs[p]))
+        return built[scale, p]
 
-    @functools.cache
-    def leaf_map(scale):
-        return _leaf_map(tr, -scale)
-
-    intersecting = []
-    tangent = []
+    found = []
     for i, j in pairs:
-        settled, _ = _screen(*_scaled_columns(columns, i, j, k[i]))
-        unsettled = np.flatnonzero(~settled)
-        for a, b in zip(i[unsettled].tolist(), j[unsettled].tolist()):
+        pair = _pair_columns(columns, i, j, k)
+        unflagged, crossing = _screen(*pair, tangent=True)
+        rows = np.flatnonzero(crossing)
+        x = y = np.empty(0)
+        if rows.size:
+            with np.errstate(over="ignore"):
+                x, y = (np.ldexp(v, k[i[rows]]) for v in _crossing_points(pair, rows))
+            good = np.isfinite(x) & np.isfinite(y)
+            if not good.all():  # a witness past the float range: recompute its pair
+                crossing[rows[~good]] = False
+                rows, x, y = rows[good], x[good], y[good]
+        kind = np.full(rows.size, _TRANSVERSE, dtype=np.int8)
+        recomputed = []
+        for p in np.flatnonzero(~unflagged & ~crossing).tolist():
+            a, b = int(i[p]), int(j[p])
             scale = int(k[a])
             try:
                 contact = carrier_contact(leaf(scale, a), leaf(scale, b))
+                point = upper_contact(contact)
+                if point is not None:
+                    point = [math.ldexp(v, scale) for v in point]
+                    recomputed.append((p, CONTACT_KINDS.index(contact.kind), *point))
             except (OverflowError, DomainError):  # the unscaled carriers are finite
                 raise DomainError(
-                    f"the leaves at t={ts[a]!r} and t={ts[b]!r} leave the float range "
-                    f"at the audit's scale 2**{scale}"
+                    f"the leaves at t={float(ts[a])!r} and t={float(ts[b])!r} leave the "
+                    f"float range at the audit's scale 2**{scale}"
                 ) from None
-            point = upper_contact(contact)
-            if point is None:
-                continue
-            x, y = (math.ldexp(v, scale) for v in point)
-            flagged = tangent if contact.kind == "tangent" else intersecting
-            flagged.append(PairContact(ts[a], ts[b], contact.kind, x, y))
+        if recomputed:  # merged into (i, j) order
+            more = [np.array(c) for c in zip(*recomputed)]
+            rows, kind, x, y = (np.concatenate(c) for c in zip((rows, kind, x, y), more))
+            order = np.argsort(rows, kind="stable")
+            rows, kind, x, y = rows[order], kind[order], x[order], y[order]
+        found.append((ts[i[rows]], ts[j[rows]], kind, x, y))
+    intersecting = tangent = _NO_CONTACTS
+    found = [part for part in found if part[0].size]
+    if found:
+        columns = [np.concatenate(c) if len(found) > 1 else c[0] for c in zip(*found)]
+        is_tangent = columns[2] == _TANGENT
+        if not is_tangent.any():  # as a rule: then no row is copied
+            intersecting = PairContacts(*columns)
+        else:
+            intersecting = PairContacts(*(c[~is_tangent] for c in columns))
+            tangent = PairContacts(*(c[is_tangent] for c in columns))
     return DisjointnessReport(
         clean=not intersecting and not tangent,
         pair_count=n * (n - 1) // 2,
-        intersecting=tuple(intersecting),
-        tangent=tuple(tangent),
+        intersecting=intersecting,
+        tangent=tangent,
     )
 
 
-def _scaled_columns(columns, i, j, k) -> list[np.ndarray]:
-    """The carrier columns of leaves i, then of leaves j, scaled by 2**-k:
-    all but a line's direction (dx, dy), the last two of seven columns."""
+def _pair_columns(columns, i, j, k) -> list[np.ndarray]:
+    """The carrier columns of leaves i, then of leaves j, at the scale
+    2**-k[i] of each pair's lower leaf.  ``columns`` hold each row at its
+    own scale 2**-k (see ``_carriers``), so leaf j is scaled by
+    2**(k[j] - k[i]), which is exact: all but a line's direction
+    (dx, dy), the last two of seven columns."""
+    e = k[j] - k[i]
     with np.errstate(over="ignore"):
-        return [
-            col[idx] if c >= 5 else np.ldexp(col[idx], -k)
-            for idx in (i, j)
-            for c, col in enumerate(columns)
+        return [col[i] for col in columns] + [
+            col[j] if c >= 5 else np.ldexp(col[j], e) for c, col in enumerate(columns)
         ]
 
 
@@ -385,14 +461,16 @@ def _cleared_links(transversal: Transversal, columns, k) -> tuple[np.ndarray, np
 
     See ``verify_disjoint``: a link is cleared when ``_screen`` with the
     boundary at 0 finds it unflagged.  ``columns`` are the circle columns
-    alone, so a line (nan radius) keeps its links open.
+    alone, each row at its own scale 2**-k (see ``_pair_columns``), so a
+    line (nan radius) keeps its links open.
     """
     links = np.arange(columns[0].size - 1)
     if transversal.kind == TransversalKind.HOROCYCLE:
         return np.zeros(links.size, dtype=bool), np.ones(links.size, dtype=bool)
-    cleared, _ = _screen(*_scaled_columns(columns, links, links + 1, k[:-1]), boundary=0.0)
-    reach = np.fmax.accumulate(np.fmax.reduce(np.abs(columns))[::-1])[::-1]
+    cleared, _ = _screen(*_pair_columns(columns, links, links + 1, k), boundary=0.0)
     with np.errstate(over="ignore"):
+        size = np.ldexp(np.fmax.reduce(np.abs(columns)), k)  # each leaf's, unscaled
+        reach = np.fmax.accumulate(size[::-1])[::-1]
         full = np.ldexp(reach[1:], -k[:-1]) > _REACH_LIMIT
     return cleared & ~full, full
 
@@ -422,8 +500,8 @@ def _probed_pairs(columns, k, cleared, full):
     Rows go in blocks of at most ``_AUDIT_BLOCK_CELLS`` probes, or of one
     row.  Rows marked ``full`` keep every probe open, unscreened, and so
     does every row when each run is one row: each probe is then the pair
-    itself.  ``columns`` are the circle columns alone, so a line keeps its
-    probes open.
+    itself.  ``columns`` are the circle columns alone, each row at its own
+    scale, so a line keeps its probes open.
     """
     is_last = np.append(~cleared, True)[: k.size]
     last = np.flatnonzero(is_last)  # the last row of each run
@@ -439,7 +517,7 @@ def _probed_pairs(columns, k, cleared, full):
         probe_open = full[i] | every_link_open
         screened = np.flatnonzero(~probe_open)
         p, q = i[screened], j[screened]
-        probe_open[screened] = ~_screen(*_scaled_columns(columns, p, q, k[p]), boundary=0.0)[0]
+        probe_open[screened] = ~_screen(*_pair_columns(columns, p, q, k), boundary=0.0)[0]
         rows, starts = i[probe_open], j[probe_open]
         counts = last[runs[probe_open]] + 1 - starts
         for p0, p1 in _blocks(counts):
@@ -447,7 +525,9 @@ def _probed_pairs(columns, k, cleared, full):
             yield np.repeat(rows[p0:p1], c), _ranges(starts[p0:p1], c)
 
 
-def _screen(*columns, boundary: float = BOUNDARY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _screen(
+    *columns, boundary: float = BOUNDARY_TOL, tangent: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Which leaf pairs ``carrier_contact`` certainly leaves unflagged,
     and which it certainly finds crossing above the boundary.
 
@@ -466,14 +546,20 @@ def _screen(*columns, boundary: float = BOUNDARY_TOL) -> tuple[np.ndarray, np.nd
     unflagged when apart, crossing no higher than the boundary, or
     parallel and distinct; lines that are not parallel stay open.  With
     three columns a line (nan radius) settles nothing.  Near-tangent and
-    near-coincident pairs stay open.  A decision is settled only when
-    numpy's value clears its threshold by more than a bound on the
-    rounding gap between the two computations; nan and inf settle nothing.
+    near-coincident pairs stay open, except that with ``tangent`` set (the
+    audit's pair screen) a circle pair certainly tangent at a point no
+    higher than the boundary is unflagged: ``upper_contact`` ignores it,
+    as on ``horospherical``, whose leaves all touch at the origin.  Links
+    and probes keep near-tangent pairs open, since a tangent link does not
+    nest, and so does the sweep, which counts tangencies.  A decision is
+    settled only when numpy's value clears its threshold by more than a
+    bound on the rounding gap between the two computations; nan and inf
+    settle nothing.
     """
     half = len(columns) // 2
     first, second = columns[:half], columns[half:]
     if half == 3:
-        return _screen_circles(*first, *second, boundary)
+        return _screen_circles(*first, *second, boundary, tangent)
     line1, line2 = np.isnan(first[2]), np.isnan(second[2])
     unflagged = np.zeros(line1.size, dtype=bool)
     crossing = np.zeros_like(unflagged)
@@ -484,7 +570,7 @@ def _screen(*columns, boundary: float = BOUNDARY_TOL) -> tuple[np.ndarray, np.nd
     circles = np.flatnonzero(~(line1 | line2))
     if circles.size:
         unflagged[circles], crossing[circles] = _screen_circles(
-            *take(circles, first[:3] + second[:3]), boundary
+            *take(circles, first[:3] + second[:3]), boundary, tangent
         )
     mixed = np.flatnonzero(line1 != line2)
     if mixed.size:  # carrier_contact puts the circle first
@@ -498,8 +584,11 @@ def _screen(*columns, boundary: float = BOUNDARY_TOL) -> tuple[np.ndarray, np.nd
     return unflagged, crossing
 
 
-def _screen_circles(x1, y1, r1, x2, y2, r2, boundary):
-    """``_screen`` on circle pairs, following ``leaves._circle_circle``."""
+def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
+    """``_screen`` on circle pairs, following ``leaves._circle_circle``.
+    With ``tangent``, a pair is also unflagged when it is certainly not
+    coincident, within ``TANGENCY_TOL`` of touching, and concentric (kind
+    none) or touching at c1 + a u no higher than the boundary."""
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx, dy = x2 - x1, y2 - y1
@@ -507,7 +596,8 @@ def _screen_circles(x1, y1, r1, x2, y2, r2, boundary):
         rdiff = np.abs(r1 - r2)
         gap = np.minimum(np.abs(d - (r1 + r2)), np.abs(d - rdiff))
         # Coincident carriers (d and rdiff within tol) are near tangent too.
-        near_tangent = gap <= tol + g * (d + r1 + r2)
+        err_gap = g * (d + r1 + r2)
+        near_tangent = gap <= tol + err_gap
         # The chord's foot a along the centre line, and disc = r1^2 - a^2;
         # q = (r1^2 + r2^2 + d^2) / d bounds 2|a|.
         r1r1, r2r2, dd = r1 * r1, r2 * r2, d * d
@@ -522,8 +612,13 @@ def _screen_circles(x1, y1, r1, x2, y2, r2, boundary):
         crossing = disc > err_disc
         low_crossing = crossing & (top < boundary - err_top)
         high_crossing = crossing & (top > boundary + err_top)
-    clear = ~near_tangent
-    return clear & ((d == 0.0) | apart | low_crossing), clear & high_crossing
+        clear = ~near_tangent
+        unflagged = clear & ((d == 0.0) | apart | low_crossing)
+        if tangent and near_tangent.any():  # rdiff is carrier_contact's, bit for bit
+            distinct = (rdiff > tol) | (d > tol + g * d)
+            low = y1 + a * (dy / d) <= boundary - g * (np.abs(y1) + 2.0 * q)
+            unflagged |= (gap <= tol - err_gap) & distinct & ((d == 0.0) | low)
+    return unflagged, clear & high_crossing
 
 
 def _screen_circle_line(cx, cy, r, x0, y0, dx, dy, boundary):
@@ -564,6 +659,90 @@ def _screen_line_line(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
         off = (x2 - x1) * dy1 - (y2 - y1) * dx1
         size = np.abs(x1) + np.abs(y1) + np.abs(x2) + np.abs(y2)
         return (cross == 0.0) & (np.abs(off) > TANGENCY_TOL + _SCREEN_SLACK * size)
+
+
+def _crossing_points(pair, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The witness of ``carrier_contact`` plus ``upper_contact`` on the
+    ``rows`` of ``pair`` (``_screen``'s columns, at the pair's scale)
+    that ``_screen`` settled as crossing: the first transverse point
+    above ``BOUNDARY_TOL``, by the same IEEE steps, bit for bit.  Where
+    that arithmetic leaves the float range the point is nan or inf."""
+    half = len(pair) // 2
+    cols = pair if rows.size == pair[0].size else [c[rows] for c in pair]
+    first, second = cols[:half], cols[half:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if half == 3:
+            return _circle_points(*first, *second)
+        mixed = np.isnan(first[2]) | np.isnan(second[2])
+        x, y = np.empty((2, rows.size))
+        c = np.flatnonzero(~mixed)
+        x[c], y[c] = _circle_points(*(v[c] for v in (*first[:3], *second[:3])))
+        m = np.flatnonzero(mixed)
+        if m.size:  # carrier_contact puts the circle first
+            swap = np.isnan(first[2][m])
+            circle = [np.where(swap, b[m], a[m]) for a, b in zip(first[:3], second[:3])]
+            line = [np.where(swap, a[m], b[m]) for a, b in zip(first[3:], second[3:])]
+            x[m], y[m] = _circle_line_points(*circle, *line)
+    return x, y
+
+
+def _circle_points(x1, y1, r1, x2, y2, r2):
+    """``leaves._circle_circle``'s transverse branch, then
+    ``upper_contact``'s choice."""
+    dx, dy = x2 - x1, y2 - y1
+    d = _hypot(dx, dy)
+    ux, uy = dx / d, dy / d
+    r1r1 = _squares(r1)
+    a = (r1r1 - _squares(r2) + d * d) / (2.0 * d)
+    root = np.sqrt(r1r1 - a * a)
+    mx, my = x1 + a * ux, y1 + a * uy
+    return _first_above(mx - root * uy, my + root * ux, mx + root * uy, my - root * ux)
+
+
+def _circle_line_points(cx, cy, r, x0, y0, dx, dy):
+    """``leaves._circle_line``'s transverse branch, then
+    ``upper_contact``'s choice."""
+    u = (cx - x0) * dx + (cy - y0) * dy
+    fx, fy = x0 + u * dx, y0 + u * dy
+    dist = _hypot(cx - fx, cy - fy)
+    half = np.sqrt(_squares(r) - dist * dist)
+    return _first_above(fx - half * dx, fy - half * dy, fx + half * dx, fy + half * dy)
+
+
+def _first_above(x1, y1, x2, y2):
+    """The first of two points above ``BOUNDARY_TOL``, else the second."""
+    first = y1 > BOUNDARY_TOL
+    return np.where(first, x1, x2), np.where(first, y1, y2)
+
+
+def _hypot(x, y) -> np.ndarray:
+    """``math.hypot`` of each pair of elements.  numpy's misses it in the
+    last bit on about 0.6 % of inputs, but not where x or y is 0: both
+    then give the other's absolute value.  So a column of zeros, as on
+    the geodesic's and the horocycle's circles, whose centres share an
+    axis, takes numpy's."""
+    if x.any() and y.any():
+        return _math_map(math.hypot, x, y)
+    return np.hypot(x, y)
+
+
+def _squares(r) -> np.ndarray:
+    """Python's ``r**2`` of each element, which numpy's r*r misses in the
+    last bit on about 0.1 % of inputs; nan where r reaches
+    ``_REACH_LIMIT``, so that no square overflows.  A long column is
+    squared once per distinct value: a block's radii repeat wherever its
+    pairs share a leaf and a scale."""
+    r = np.where(np.abs(r) < _REACH_LIMIT, r, math.nan)
+    inverse = None
+    if r.size > _DISTINCT_MIN:
+        r, inverse = np.unique(r, return_inverse=True)
+    squares = np.fromiter(map(pow, r.tolist(), itertools.repeat(2.0)), float, r.size)
+    return squares if inverse is None else squares[inverse]
+
+
+#: Columns longer than this are squared once per distinct value: sorting
+#: them costs about as much as a few thousand ``pow`` calls.
+_DISTINCT_MIN = 4096
 
 
 def extend_slice(

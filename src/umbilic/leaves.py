@@ -330,15 +330,6 @@ def _ray(phi=None):
     return None if phi is None else (_math_map(math.sin, phi), _math_map(math.cos, phi))
 
 
-def _orthogonal_carriers(s, beta, phi=None):
-    """Columns ``(cx, cy, radius)`` of the carriers that
-    ``leaf_orthogonal_to_geodesic(s, beta)`` (``phi`` None) or
-    ``leaf_orthogonal_to_hypercycle(phi, s, beta)`` builds, for arrays
-    ``s``, ``beta`` and ``phi``; nan where the leaf is a line.  The circle
-    columns of ``_orthogonal_leaves``."""
-    return _orthogonal_leaves(s, beta, _math_map(math.cos, beta), _ray(phi))[:3]
-
-
 def _line_direction(ray=None):
     """The unit direction ``(dx, dy)`` that ``Line`` stores for the line
     leaves of a transversal: (1, 0) on the geodesic (``ray`` None), and

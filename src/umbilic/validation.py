@@ -202,53 +202,60 @@ VIOLATION_KINDS = ("bound", "zone", "pair", "pointwise")
 _BOUND, _ZONE, _PAIR, _POINTWISE = range(len(VIOLATION_KINDS))
 
 
-class Violations(Sequence):
-    """A verdict's violations as four read-only numpy columns of one
-    length: ``kind`` (int8 codes into ``VIOLATION_KINDS``), ``t1``, ``t2``
-    and ``slack``.
+class _RowTable(Sequence):
+    """Read-only numpy columns of one length, one per field of the rows
+    the static method ``_row`` builds, in its order (it looks the row
+    class up when called): a ``kind`` column of int8 codes into
+    ``_kinds``, and float columns.
 
-    It reads as the tuple of its rows.  A ``Violation`` is built only for
-    a row that is indexed or iterated; ``len`` and truth value read the
-    columns, and ``==``, ``hash`` and ``repr`` are the tuple's.  A missing
-    t2 comes back as ``math.nan`` itself, as the validators wrote it, so
-    rows compare equal as their objects did.
+    It reads as the tuple of its rows.  A row is built only when it is
+    indexed or iterated; ``len`` and truth value read the columns, and
+    ``==``, ``hash`` and ``repr`` are the tuple's.  A nan comes back as
+    ``math.nan`` itself, as the producers wrote it, so rows compare equal
+    as their objects did.
     """
 
-    __slots__ = ("kind", "t1", "t2", "slack")
+    __slots__ = ()
+    _kinds: tuple[str, ...]
 
-    def __init__(self, kind, t1, t2, slack) -> None:
-        for name, column in zip(self.__slots__, (kind, t1, t2, slack)):
+    def __init__(self, *columns) -> None:
+        for name, column in zip(self.__slots__, columns):
             column = np.asarray(column, dtype=np.int8 if name == "kind" else float)
             column.flags.writeable = False
             setattr(self, name, column)
 
     @classmethod
-    def of(cls, rows) -> "Violations":
-        """The columns of a sequence of ``Violation``."""
+    def of(cls, rows):
+        """The columns of a sequence of rows."""
         rows = list(rows)
-        kind = [VIOLATION_KINDS.index(v.kind) for v in rows]
-        return cls(kind, *([getattr(v, f) for v in rows] for f in ("t1", "t2", "slack")))
+        return cls(*(
+            [cls._kinds.index(r.kind) for r in rows] if name == "kind"
+            else [getattr(r, name) for r in rows]
+            for name in cls.__slots__
+        ))
 
     @property
     def columns(self) -> tuple:
-        return self.kind, self.t1, self.t2, self.slack
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __len__(self) -> int:
-        return self.t1.size
+        return self.kind.size
 
     def __iter__(self):
-        kinds = map(VIOLATION_KINDS.__getitem__, self.kind.tolist())
-        t2 = [math.nan if x != x else x for x in self.t2.tolist()]
-        return map(Violation, kinds, self.t1.tolist(), t2, self.slack.tolist())
+        return map(self._row, *(
+            map(self._kinds.__getitem__, column.tolist()) if name == "kind"
+            else [math.nan if x != x else x for x in column.tolist()]
+            for name, column in zip(self.__slots__, self.columns)
+        ))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Violations(*(c[index] for c in self.columns))
+            return type(self)(*(c[index] for c in self.columns))
         i = range(len(self))[index]
         return next(iter(self[i : i + 1]))
 
     def __eq__(self, other):
-        if isinstance(other, (tuple, Violations)):
+        if isinstance(other, (tuple, _RowTable)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
@@ -257,6 +264,19 @@ class Violations(Sequence):
 
     def __repr__(self) -> str:
         return repr(tuple(self))
+
+
+class Violations(_RowTable):
+    """A verdict's violations as four columns (see ``_RowTable``): ``kind``
+    (codes into ``VIOLATION_KINDS``), ``t1``, ``t2`` (nan where missing)
+    and ``slack``."""
+
+    __slots__ = ("kind", "t1", "t2", "slack")
+    _kinds = VIOLATION_KINDS
+
+    @staticmethod
+    def _row(*fields):
+        return Violation(*fields)
 
 
 _NO_VIOLATIONS = Violations(*np.empty((4, 0)))
@@ -425,10 +445,11 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     minimum is only searched for when some column could fail it: with a
     finite guard every F is finite, and if every two-sided bound clears
     ``guard - tol`` the estimate holds, which is all its note says.  An
-    infinite F makes the guard infinite and some bounds nan; then the
-    one-sided columns are all recomputed, a column whose bound is +inf
-    listing nothing since each of its slacks is +inf too, and the
-    two-sided columns are chosen by the same threshold as for finite F.
+    infinite F makes the guard infinite and some bounds nan; then every
+    column is recomputed, a one-sided column whose bound is +inf listing
+    nothing since each of its slacks is +inf too.  The two-sided search
+    skips a pair whose slack is nan (inf - inf) one pair at a time, as
+    the pairwise definition does.
     """
     if tt.size < 2:
         return [], math.inf, math.inf, None
@@ -443,7 +464,7 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     fail = ~(low >= guard - tol)
     one = fail | (low <= low.min() + 2 * guard)
     holds = math.isfinite(guard) and bool((low2 >= guard - tol).all())
-    two = np.zeros_like(one) if holds else low2 <= low2.min() + 2 * guard
+    two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
     worst = math.inf
     best = (math.inf, 0, 0)
     rows, cols, slacks = [], [], []
@@ -454,7 +475,11 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
         if two[j - 1]:
             other = rise + df
             i = int(other.argmin())
-            best = min(best, (float(other[i]), i, int(j)))
+            if other[i] != other[i]:  # argmin picks a nan first: skip the nans
+                kept = np.flatnonzero(other == other)
+                i = int(kept[other[kept].argmin()]) if kept.size else None
+            if i is not None:
+                best = min(best, (float(other[i]), i, int(j)))
         if one[j - 1]:
             slack = np.subtract(rise, df, out=rise)
             worst = min(worst, float(slack.min()))

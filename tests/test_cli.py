@@ -654,6 +654,8 @@ class TestRefusalsStayShort:
             "notes": [
                 "window only: behavior outside the sampled interval is unchecked",
                 "one-sided growth condition is the normative check",
+                "two-sided Lipschitz estimate fails by inf at pair (1.0, 2.0); "
+                "this does not affect validity",
             ],
         }
 

@@ -418,10 +418,12 @@ def _reference_validate_c0(route: Route) -> Verdict:
                 )
             )
         other = L * dt + df
-        m2 = float(other.min())
-        if m2 < worst_two_sided:
-            worst_two_sided = m2
-            two_sided_at = (float(tt[i]), float(tt[i + 1 + int(other.argmin())]))
+        kept = np.flatnonzero(~np.isnan(other))  # inf - inf pairs are skipped
+        if kept.size:
+            j = int(kept[other[kept].argmin()])
+            if other[j] < worst_two_sided:
+                worst_two_sided = float(other[j])
+                two_sided_at = (float(tt[i]), float(tt[i + 1 + j]))
 
     notes = [_WINDOW_NOTE, "one-sided growth condition is the normative check"]
     if worst_two_sided < -tol:
@@ -652,28 +654,24 @@ class TestPairScanWork:
     @example(_edge_route(0.5, [0.0, float(np.nextafter(-math.sin(0.5), 0.0)), 0.0]))
     @given(edge_of_band_routes())
     def test_non_finite_bounds_match_pairwise_definition(self, route):
-        # A profile value of +-inf makes inf - inf in both scans.  The
-        # two-sided note then follows the column threshold, not the
-        # pairwise definition (see the next test), so it is left out.
+        # A profile value of +-inf makes inf - inf in both scans, and both
+        # skip those nan pairs one by one, the two-sided note included.
         with np.errstate(invalid="ignore"):
-            got, ref = validate_c0(route), _reference_validate_c0(route)
-        if not np.isfinite(lipschitz_profile(_effective_phi(route.transversal), route.h)).all():
-            got, ref = (
-                replace(v, notes=tuple(n for n in v.notes if not n.startswith("two-sided")))
-                for v in (got, ref)
-            )
-        assert repr(got) == repr(ref)
+            assert repr(validate_c0(route)) == repr(_reference_validate_c0(route))
 
-    def test_infinite_profile_prints_no_two_sided_note(self):
-        # An infinite F makes the guard infinite and the two-sided threshold
-        # nan, so no column is searched, although pair (1, 2) of each route
-        # has a two-sided slack of -inf.
+    def test_infinite_profile_prints_the_two_sided_note(self):
+        # An infinite F makes the guard infinite, so every two-sided column
+        # is searched, its inf - inf pairs skipped: pair (1, 2) of each
+        # route has a two-sided slack of -inf, which the note prints.
         inside = float(np.nextafter(-math.sin(0.5), 0.0))
         below = float(np.nextafter(math.sin(0.5), 0.0))
         for h in ([0.0, inside, 0.0], [below, inside, 0, 0, 0, inside, inside]):
             with np.errstate(invalid="ignore"):
                 notes = validate_c0(_edge_route(0.5, h)).notes
-            assert not any(n.startswith("two-sided") for n in notes)
+            assert notes[2:] == (
+                "two-sided Lipschitz estimate fails by inf at pair (1.0, 2.0); "
+                "this does not affect validity",
+            )
 
     def _scan(self, route, monkeypatch):
         """``_pair_scan`` on the route's columns, with the columns that

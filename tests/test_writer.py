@@ -19,9 +19,9 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from umbilic.cli import REPORT_SCHEMA, _audit_report, _num_texts, _verdict_report
+from umbilic.cli import REPORT_SCHEMA, _audit_report, _verdict_report
 from umbilic.errors import RouteParseError
-from umbilic.foliation import DisjointnessReport, PairContact
+from umbilic.foliation import DisjointnessReport, PairContact, PairContacts
 from umbilic.routes_io import _canon_samples, _walk_samples, dumps_document, dumps_json
 from umbilic.validation import Verdict, Violation, Zones
 
@@ -158,7 +158,12 @@ class TestReports:
     @given(st.lists(numbers, max_size=50))
     @example(EDGES + [math.inf, -math.inf, math.nan])
     def test_numbers_are_encoded_as_json_encodes_num(self, values):
-        assert _num_texts(values) == [json.dumps(reference_num(x)) for x in values]
+        # Each value in each number column of a contact table, as the audit
+        # writes it: a nan anywhere, and any value that is not plain.
+        table = PairContacts(values, values[::-1], [k % 3 for k in range(len(values))],
+                             values, values[::-1])
+        report = DisjointnessReport(False, len(values), table, table[::2])
+        assert _audit_report(report) == json.dumps(reference_audit_report(report), indent=2)
 
     def test_a_list_without_rows_stays_empty(self):
         doc = {"a": [], "b": 1}
