@@ -27,6 +27,7 @@ import numpy as np
 from .errors import GeometryError, InvalidRouteError, RouteParseError
 from .foliation import (
     BUILTIN_FAMILIES,
+    PairContacts,
     extend_slice,
     leaf_table,
     run_disjointness_agreement,
@@ -45,7 +46,7 @@ from .routes_io import (
     template_rows,
     validate_document,
 )
-from .validation import Route, _RowTable, tol_limit, validate
+from .validation import Route, Violations, tol_limit, validate
 
 REPORT_SCHEMA = "umbilic.report/1"
 
@@ -77,20 +78,22 @@ def _json_num(x: float) -> str:
     return json.dumps(_num(x))
 
 
-def _report_items(items, fields) -> list[str]:
+def _report_items(items, table) -> list[str]:
     """The report's list items for ``items``, one template call per row.
 
-    ``items`` is a row table (``Violations``, ``PairContacts``) or a
-    sequence of rows with the ``fields``.  A row whose numbers are each
-    plain or nan (see ``_plain``) takes the template of its nans, with
-    ``%.12g`` for each plain number and ``null`` for each nan; the
-    numbers of the other rows are written one by one by ``_num``'s rule.
-    The kind is written as a JSON string."""
+    ``items`` is a row table of class ``table`` (``Violations``,
+    ``PairContacts``) or a sequence of its rows, whose kinds may be any
+    text; each row is written in the order of the table's fields.  A row
+    whose numbers are each plain or nan (see ``_plain``) takes the
+    template of its nans, with ``%.12g`` for each plain number and
+    ``null`` for each nan; the numbers of the other rows are written one
+    by one by ``_num``'s rule.  The kind is written as a JSON string."""
     if not len(items):
         return []
-    if isinstance(items, _RowTable):
-        columns = dict(zip(items.__slots__, items.columns))
-        kinds = np.array(list(map(json.dumps, items._kinds)), dtype=object)
+    fields = table.__slots__
+    if isinstance(items, table):
+        columns = dict(zip(fields, items.columns))
+        kinds = np.array(list(map(json.dumps, table._kinds)), dtype=object)
         columns["kind"] = kinds[columns["kind"]]
     else:
         rows = tuple(items)
@@ -120,10 +123,6 @@ def _report_items(items, fields) -> list[str]:
     return template_rows(simple.size, groups)
 
 
-_VIOLATION_FIELDS = ("kind", "t1", "t2", "slack")
-_CONTACT_FIELDS = ("t1", "t2", "kind", "x", "y")
-
-
 def _verdict_report(verdict) -> str:
     """The verdict as report text, one template call per violation."""
     head = {
@@ -139,7 +138,7 @@ def _verdict_report(verdict) -> str:
         "violations": [],
         "notes": list(verdict.notes),
     }
-    return dumps_json(head, "%s", violations=_report_items(verdict.violations, _VIOLATION_FIELDS))
+    return dumps_json(head, "%s", violations=_report_items(verdict.violations, Violations))
 
 
 def _audit_report(report) -> str:
@@ -155,8 +154,8 @@ def _audit_report(report) -> str:
     return dumps_json(
         head,
         "%s",
-        intersecting=_report_items(report.intersecting, _CONTACT_FIELDS),
-        tangent=_report_items(report.tangent, _CONTACT_FIELDS),
+        intersecting=_report_items(report.intersecting, PairContacts),
+        tangent=_report_items(report.tangent, PairContacts),
     )
 
 

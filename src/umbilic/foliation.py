@@ -587,8 +587,8 @@ def _screen(
 def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
     """``_screen`` on circle pairs, following ``leaves._circle_circle``.
     With ``tangent``, a pair is also unflagged when it is certainly not
-    coincident, within ``TANGENCY_TOL`` of touching, and concentric (kind
-    none) or touching at c1 + a u no higher than the boundary."""
+    coincident, within ``TANGENCY_TOL`` of touching, and touching at
+    c1 + a u no higher than the boundary."""
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx, dy = x2 - x1, y2 - y1
@@ -617,7 +617,7 @@ def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
         if tangent and near_tangent.any():  # rdiff is carrier_contact's, bit for bit
             distinct = (rdiff > tol) | (d > tol + g * d)
             low = y1 + a * (dy / d) <= boundary - g * (np.abs(y1) + 2.0 * q)
-            unflagged |= (gap <= tol - err_gap) & distinct & ((d == 0.0) | low)
+            unflagged |= (gap <= tol - err_gap) & distinct & low
     return unflagged, clear & high_crossing
 
 
@@ -729,20 +729,9 @@ def _hypot(x, y) -> np.ndarray:
 def _squares(r) -> np.ndarray:
     """Python's ``r**2`` of each element, which numpy's r*r misses in the
     last bit on about 0.1 % of inputs; nan where r reaches
-    ``_REACH_LIMIT``, so that no square overflows.  A long column is
-    squared once per distinct value: a block's radii repeat wherever its
-    pairs share a leaf and a scale."""
+    ``_REACH_LIMIT``, so that no square overflows."""
     r = np.where(np.abs(r) < _REACH_LIMIT, r, math.nan)
-    inverse = None
-    if r.size > _DISTINCT_MIN:
-        r, inverse = np.unique(r, return_inverse=True)
-    squares = np.fromiter(map(pow, r.tolist(), itertools.repeat(2.0)), float, r.size)
-    return squares if inverse is None else squares[inverse]
-
-
-#: Columns longer than this are squared once per distinct value: sorting
-#: them costs about as much as a few thousand ``pow`` calls.
-_DISTINCT_MIN = 4096
+    return np.fromiter(map(pow, r.tolist(), itertools.repeat(2.0)), float, r.size)
 
 
 def extend_slice(
