@@ -148,26 +148,30 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
     return FoliationSlice(tr, route.t, h, np.zeros(route.n, dtype=bool))
 
 
-def _leaf_map(transversal: Transversal, e: int = 0):
-    """The map ``(t, h) -> Leaf`` of a slice's rows, scaled by 2**e: every
-    carrier field is a multiple of the crossing (e^(t L), or a horocycle's
-    height), so scaling it scales the leaf exactly, within the float
-    range.  Reads the transversal once, not once per leaf."""
+def _leaf_map(transversal: Transversal):
+    """The map ``(t, h) -> Leaf`` of a slice's rows.  Reads the
+    transversal once, not once per leaf."""
     if transversal.kind == TransversalKind.HOROCYCLE:
-        height = math.ldexp(transversal.height, e)
+        height = transversal.height
         return lambda t, h: (
-            Leaf(Line(math.ldexp(t, e), height, 0.0, 1.0), math.pi / 2)
+            Leaf(Line(t, height, 0.0, 1.0), math.pi / 2)
             if h == 0.0
-            else Leaf(Circle(math.ldexp(t, e), height, height / -h), math.acos(-h))
+            else Leaf(Circle(t, height, height / -h), math.acos(-h))
         )
     L, phi = transversal.curvature_bound, transversal.phi
     if phi is None:
-        return lambda t, h: leaf_orthogonal_to_geodesic(
-            math.ldexp(math.exp(t * L), e), math.acos(-h)
-        )
-    return lambda t, h: leaf_orthogonal_to_hypercycle(
-        phi, math.ldexp(math.exp(t * L), e), math.acos(-h)
-    )
+        return lambda t, h: leaf_orthogonal_to_geodesic(math.exp(t * L), math.acos(-h))
+    return lambda t, h: leaf_orthogonal_to_hypercycle(phi, math.exp(t * L), math.acos(-h))
+
+
+def _row_leaf(columns, p, beta) -> Leaf:
+    """The leaf with angle ``beta`` on row p of carrier columns
+    ``(cx, cy, radius)`` or ``(cx, cy, radius, x0, y0, dx, dy)`` (see
+    ``_carriers``), built through ``Circle``, ``Line`` and ``Leaf``, so
+    a carrier they refuse raises their error.  ``Line`` normalises the
+    stored unit direction again, which keeps its bits."""
+    cx, cy, r, *line = (float(c[p]) for c in columns)
+    return Leaf(Line(*line) if math.isnan(r) else Circle(cx, cy, r), float(beta))
 
 
 def _carriers(slice_: FoliationSlice, beta, cbeta, k=None):
@@ -177,10 +181,10 @@ def _carriers(slice_: FoliationSlice, beta, cbeta, k=None):
     slice's lines, one per transversal.  ``beta`` and ``cbeta`` are the
     columns acos(-h) and cos beta.
 
-    Given an int column ``k``, row p is the leaf ``_leaf_map(transversal,
-    -k[p])`` builds instead: its carrier is built from the crossing (or
-    the horocycle's height, and t) scaled by 2**-k[p], so a crossing
-    below the normal float range keeps its bits."""
+    Given an int column ``k``, row p is that leaf scaled by 2**-k[p]
+    instead, built from the crossing (or the horocycle's height, and t)
+    scaled by 2**-k[p], so a crossing below the normal float range keeps
+    its bits."""
     tr, t, h = slice_.transversal, slice_.t, slice_.h
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if tr.kind == TransversalKind.HOROCYCLE:
@@ -277,13 +281,13 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     geodesic, sin phi on a hypercycle), or the height of a horocycle.
     Both tolerances are therefore relative to that scale, and the verdict
     does not change when the route is shifted in t.  The scaled leaves
-    are the ones ``_leaf_map`` builds from the scaled crossing, so the
-    witness points, scaled back, carry the bits of an unscaled
-    intersection, and a crossing below the normal float range (t L below
-    about -708) loses none.  A pair whose carriers, or their squares,
-    leave the float range at that scale raises ``DomainError``: a
-    horocycle slice with t / height near 1e308, or leaves whose crossings
-    lie more than about 2**511 apart.
+    are built from the scaled crossing (``_carriers``), so the witness
+    points, scaled back, carry the bits of an unscaled intersection, and
+    a crossing below the normal float range (t L below about -708) loses
+    none.  A pair whose carriers, or their squares, leave the float
+    range at that scale raises ``DomainError``: a horocycle slice with
+    t / height near 1e308, or leaves whose crossings lie more than about
+    2**511 apart.
 
     Consecutive leaves certify the pairs they span.  Every leaf of a slice
     crosses its transversal orthogonally, since a slice holds only (t, h)
@@ -337,13 +341,13 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     screen also settles, unflagged, a circle pair certainly tangent at a
     point no higher than ``BOUNDARY_TOL`` (``_screen``'s ``tangent``), as
     on ``horospherical``, whose leaves all touch at the origin.  Only the
-    rest go through ``carrier_contact``, on leaves built once per audit
-    for each (scale, row): the pairs within a rounding guard of one of
-    its decisions, tangencies above the boundary, coincident pairs and
-    lines that are not parallel.  So the report is, bit for bit, the one
-    a pair-by-pair loop over the scaled pairs gives, and ``pair_count``
-    still counts all n (n - 1) / 2 pairs; its contacts stay columns
-    (``PairContacts``).
+    rest go through ``carrier_contact``, on leaves built from the pair's
+    scaled carrier columns (``_row_leaf``): the pairs within a rounding
+    guard of one of its decisions, tangencies above the boundary,
+    coincident pairs, lines that are not parallel and witnesses past the
+    float range.  So the report is, bit for bit, the one a pair-by-pair
+    loop over the scaled pairs gives, and ``pair_count`` still counts all
+    n (n - 1) / 2 pairs; its contacts stay columns (``PairContacts``).
     Cost, for R runs: O(n) numpy for the links, then O(n R) numpy for the
     probes plus the k candidate pairs they leave, O(c) ``math`` calls for
     the c crossing pairs' witnesses (off the geodesic and the horocycle,
@@ -373,49 +377,44 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     if not line.any():
         columns = circles
 
-    ts, hs = slice_.t, slice_.h
-    built = {}  # (scale, row) -> the leaf _leaf_map builds at that scale
-
-    def leaf(scale, p):
-        if (scale, p) not in built:
-            built[scale, p] = _leaf_map(tr, -scale)(float(ts[p]), float(hs[p]))
-        return built[scale, p]
-
+    ts = slice_.t
     found = []
     for i, j in pairs:
         pair = _pair_columns(columns, i, j, k)
         unflagged, crossing = _screen(*pair, tangent=True)
-        rows = np.flatnonzero(crossing)
-        x = y = np.empty(0)
-        if rows.size:
-            with np.errstate(over="ignore"):
-                x, y = (np.ldexp(v, k[i[rows]]) for v in _crossing_points(pair, rows))
-            good = np.isfinite(x) & np.isfinite(y)
-            if not good.all():  # a witness past the float range: recompute its pair
-                crossing[rows[~good]] = False
-                rows, x, y = rows[good], x[good], y[good]
+        rows = np.flatnonzero(~unflagged)  # the pairs that may be flagged
+        if not rows.size:
+            continue
+        a, b = i[rows], j[rows]
+        with np.errstate(over="ignore"):
+            x, y = (np.ldexp(v, k[a]) for v in _crossing_points(pair, rows))
         kind = np.full(rows.size, _TRANSVERSE, dtype=np.int8)
-        recomputed = []
-        for p in np.flatnonzero(~unflagged & ~crossing).tolist():
-            a, b = int(i[p]), int(j[p])
-            scale = int(k[a])
+        # Open pairs, and crossings whose witness leaves the float range, go
+        # through carrier_contact.
+        rest = np.flatnonzero(~(crossing[rows] & np.isfinite(x) & np.isfinite(y)))
+        half = len(pair) // 2
+        for q in rest.tolist():
+            p, lo, hi = int(rows[q]), int(a[q]), int(b[q])
+            scale = int(k[lo])
             try:
-                contact = carrier_contact(leaf(scale, a), leaf(scale, b))
+                contact = carrier_contact(
+                    _row_leaf(pair[:half], p, beta[lo]), _row_leaf(pair[half:], p, beta[hi])
+                )
                 point = upper_contact(contact)
-                if point is not None:
-                    point = [math.ldexp(v, scale) for v in point]
-                    recomputed.append((p, CONTACT_KINDS.index(contact.kind), *point))
+                if point is None:
+                    kind[q] = -1
+                else:
+                    kind[q] = CONTACT_KINDS.index(contact.kind)
+                    x[q], y[q] = (math.ldexp(v, scale) for v in point)
             except (OverflowError, DomainError):  # the unscaled carriers are finite
                 raise DomainError(
-                    f"the leaves at t={float(ts[a])!r} and t={float(ts[b])!r} leave the "
+                    f"the leaves at t={float(ts[lo])!r} and t={float(ts[hi])!r} leave the "
                     f"float range at the audit's scale 2**{scale}"
                 ) from None
-        if recomputed:  # merged into (i, j) order
-            more = [np.array(c) for c in zip(*recomputed)]
-            rows, kind, x, y = (np.concatenate(c) for c in zip((rows, kind, x, y), more))
-            order = np.argsort(rows, kind="stable")
-            rows, kind, x, y = rows[order], kind[order], x[order], y[order]
-        found.append((ts[i[rows]], ts[j[rows]], kind, x, y))
+        if rest.size:  # drop the pairs carrier_contact leaves unflagged
+            keep = kind >= 0
+            a, b, kind, x, y = a[keep], b[keep], kind[keep], x[keep], y[keep]
+        found.append((ts[a], ts[b], kind, x, y))
     intersecting = tangent = _NO_CONTACTS
     found = [part for part in found if part[0].size]
     if found:
@@ -663,10 +662,11 @@ def _screen_line_line(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
 
 def _crossing_points(pair, rows) -> tuple[np.ndarray, np.ndarray]:
     """The witness of ``carrier_contact`` plus ``upper_contact`` on the
-    ``rows`` of ``pair`` (``_screen``'s columns, at the pair's scale)
-    that ``_screen`` settled as crossing: the first transverse point
-    above ``BOUNDARY_TOL``, by the same IEEE steps, bit for bit.  Where
-    that arithmetic leaves the float range the point is nan or inf."""
+    ``rows`` of ``pair`` (``_screen``'s columns, at the pair's scale):
+    on the rows ``_screen`` settled as crossing, the first transverse
+    point above ``BOUNDARY_TOL``, by the same IEEE steps, bit for bit.
+    Where that arithmetic leaves the float range the point is nan or
+    inf; on the other rows it means nothing."""
     half = len(pair) // 2
     cols = pair if rows.size == pair[0].size else [c[rows] for c in pair]
     first, second = cols[:half], cols[half:]
@@ -922,9 +922,10 @@ def run_disjointness_agreement(
     The oracle's verdict comes from the audit's numpy ``_screen``, on the
     circle and line columns of the leaves, when the screen settles it
     either way; the pairs within a rounding guard of one of
-    ``carrier_contact``'s decisions go through ``carrier_contact`` on the
-    leaves the constructors build.  Margin-skipped pairs never reach the
-    oracle.  Each ``math`` column (sin phi, cos phi, cos beta1, cos beta2)
+    ``carrier_contact``'s decisions go through ``carrier_contact`` on
+    leaves built from those columns (``_row_leaf``), the ones the
+    constructors build.  Margin-skipped pairs never reach the oracle.
+    Each ``math`` column (sin phi, cos phi, cos beta1, cos beta2)
     is computed once per block and feeds both the predicate and the
     carriers.  Cost: O(n) numpy work in blocks of at most
     ``_AUDIT_BLOCK_CELLS`` pairs, plus O(r) ``carrier_contact`` calls for
@@ -945,18 +946,14 @@ def run_disjointness_agreement(
             slack = _hypercycle_gap(*params, ray[0], cbeta1, cbeta2)
         else:
             slack = _geodesic_slack(*params)
-        leaf = leaf_orthogonal_to_hypercycle if head else leaf_orthogonal_to_geodesic
         margin = np.isfinite(slack) & (np.abs(slack) < _SLACK_MARGIN)
-        disjoint, crossing = _screen(
-            *_orthogonal_leaves(s1, beta1, cbeta1, ray),
-            *_orthogonal_leaves(s2, beta2, cbeta2, ray),
-        )
+        first = _orthogonal_leaves(s1, beta1, cbeta1, ray)
+        second = _orthogonal_leaves(s2, beta2, cbeta2, ray)
+        disjoint, crossing = _screen(*first, *second)
         tangent = np.zeros_like(margin)
-        open_ = np.flatnonzero(~margin & ~disjoint & ~crossing)
-        for p, (*head, a1, b1, a2, b2) in zip(
-            open_.tolist(), zip(*(col[open_].tolist() for col in params))
-        ):
-            contact = carrier_contact(leaf(*head, a1, b1), leaf(*head, a2, b2))
+        for p in np.flatnonzero(~margin & ~disjoint & ~crossing).tolist():
+            leaves = _row_leaf(first, p, beta1[p]), _row_leaf(second, p, beta2[p])
+            contact = carrier_contact(*leaves)
             tangent[p] = contact.kind == "tangent"
             disjoint[p] = upper_contact(contact) is None
         judged = ~margin & ~tangent

@@ -436,23 +436,16 @@ def disjoint_along_hypercycle(
     if not 0.0 < s1 < s2:
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     sphi = math.sin(phi)
-    _admissible_cos(phi, sphi, beta1)
-    _admissible_cos(phi, sphi, beta2)
-    return _hypercycle_slack(phi, s1, beta1, s2, beta2) >= 0.0
-
-
-def _hypercycle_slack(phi, s1, beta1, s2, beta2):
-    """``a1- - a2-``, the gap between the left ideal endpoints; +inf when
-    the upper leaf is a line and -inf when only the lower one is.  The
-    arguments may be floats or arrays; the result has their shape."""
-    sphi = _math_map(math.sin, phi)
-    cbeta1, cbeta2 = _math_map(math.cos, beta1), _math_map(math.cos, beta2)
-    return _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2)
+    cbeta1, cbeta2 = _admissible_cos(phi, sphi, beta1), _admissible_cos(phi, sphi, beta2)
+    return _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2) >= 0.0
 
 
 def _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2):
-    """``_hypercycle_slack``, given its columns sin phi, cos beta1 and
-    cos beta2 (``sphi``, ``cbeta1``, ``cbeta2``)."""
+    """``a1- - a2-``, the gap between the left ideal endpoints, given
+    sin phi, cos beta1 and cos beta2 (``sphi``, ``cbeta1``, ``cbeta2``)
+    by ``math``; +inf when the upper leaf is a line and -inf when only
+    the lower one is.  The arguments may be floats or arrays; the result
+    has their shape."""
     den1, den2 = sphi + cbeta1, sphi + cbeta2
     with np.errstate(divide="ignore", invalid="ignore"):
         a1 = s1 * _math_map(math.cos, phi + beta1) / den1

@@ -5,7 +5,9 @@ import warnings
 import pytest
 
 from umbilic import Transversal, dumps_document, perturbed_invalid_route, route_to_document
+from umbilic import cli
 from umbilic.cli import _build_parser, main
+from umbilic.foliation import AgreementStats
 
 
 @pytest.fixture
@@ -283,6 +285,24 @@ class TestLemmaCheck:
         code, _, err = run(capsys, ["lemma-check", "--n", "10", "--seed", "-1"])
         assert code == 1
         assert "--seed" in err
+
+    def test_mismatch_is_listed_and_fails(self, capsys, monkeypatch):
+        def sweep(family, n, seed):
+            mismatches = ()
+            if family == "hypercycle":
+                mismatches = ((0.123456789012345, 1.0, 2.0, 1.5, 0.25),)
+            return AgreementStats(family, n, 9, 9 - len(mismatches), 1, 0, mismatches)
+
+        monkeypatch.setattr(cli, "run_disjointness_agreement", sweep)
+        code, out, _ = run(capsys, ["lemma-check", "--n", "10"])
+        assert code == 2
+        assert out.splitlines() == [
+            "geodesic: agreement 9/9 outside the tangency margin (1 margin skips, "
+            "0 tangency skips of 10)",
+            "hypercycle: agreement 8/9 outside the tangency margin (1 margin skips, "
+            "0 tangency skips of 10)",
+            "  mismatch at (0.123456789012, 1.0, 2.0, 1.5, 0.25)",
+        ]
 
 
 class TestErrorPaths:

@@ -35,7 +35,7 @@ from umbilic.leaves import (
     BOUNDARY_TOL,
     TANGENCY_TOL,
     _geodesic_slack,
-    _hypercycle_slack,
+    _hypercycle_gap,
     _math_map,
     _orthogonal_leaves,
     _ray,
@@ -328,7 +328,7 @@ class TestSliceTable:
     def test_scaled_leaf_map_is_exact(self, row, e):
         tr, t, h = row
         leaf = foliation._leaf_map(tr)(t, h)
-        scaled = foliation._leaf_map(tr, e)(t, h)
+        scaled = _scaled_leaf_map(tr, e)(t, h)
         assert type(scaled.shape) is type(leaf.shape)
         assert repr(scaled.beta) == repr(leaf.beta)
         for name, value in vars(leaf.shape).items():
@@ -511,7 +511,9 @@ def _reference_run_disjointness_agreement(
             beta1, beta2 = _reference_draw_betas(
                 rng, math.pi / 2 - phi, math.pi / 2 + phi
             )
-            slack = _hypercycle_slack(phi, s1, beta1, s2, beta2)
+            slack = _hypercycle_gap(
+                phi, s1, beta1, s2, beta2, math.sin(phi), math.cos(beta1), math.cos(beta2)
+            )
             leaf1 = leaf_orthogonal_to_hypercycle(phi, s1, beta1)
             leaf2 = leaf_orthogonal_to_hypercycle(phi, s2, beta2)
             params = (phi, s1, beta1, s2, beta2)
@@ -691,12 +693,34 @@ def _scaled_leaf(leaf, e):
     return scaled
 
 
+def _scaled_leaf_map(transversal, e):
+    """The map ``(t, h) -> Leaf`` of a slice's rows, scaled by 2**e and
+    built through the constructors: every carrier field is a multiple of
+    the crossing (e^(t L), or a horocycle's height), so scaling it scales
+    the leaf exactly, within the float range."""
+    if transversal.kind == TransversalKind.HOROCYCLE:
+        height = math.ldexp(transversal.height, e)
+        return lambda t, h: (
+            Leaf(Line(math.ldexp(t, e), height, 0.0, 1.0), math.pi / 2)
+            if h == 0.0
+            else Leaf(Circle(math.ldexp(t, e), height, height / -h), math.acos(-h))
+        )
+    L, phi = transversal.curvature_bound, transversal.phi
+    if phi is None:
+        return lambda t, h: leaf_orthogonal_to_geodesic(
+            math.ldexp(math.exp(t * L), e), math.acos(-h)
+        )
+    return lambda t, h: leaf_orthogonal_to_hypercycle(
+        phi, math.ldexp(math.exp(t * L), e), math.acos(-h)
+    )
+
+
 def _reference_verify_disjoint(slice_, boundary_tol=1e-9, tangency_tol=1e-9, rebuild=False):
     """The audit by its definition: every pair through carrier_contact,
     after scaling both leaves by 2**-k of the lower one, O(n^2) Python.
     The scaled leaves are the unscaled ones with their fields scaled, or
-    with ``rebuild`` the ones ``_leaf_map`` builds from the scaled
-    crossing, which differ where the unscaled fields are subnormal."""
+    with ``rebuild`` the ones ``_scaled_leaf_map`` builds from the
+    scaled crossing, which differ where the unscaled fields are subnormal."""
     entries = slice_.all_entries()
     intersecting = []
     tangent = []
@@ -711,7 +735,7 @@ def _reference_verify_disjoint(slice_, boundary_tol=1e-9, tangency_tol=1e-9, reb
             for index, leaf in ((i, leaf1), (j, leaf2)):
                 if (index, k) not in scaled and rebuild:
                     row = slice_.t[index], slice_.h[index]
-                    scaled[index, k] = foliation._leaf_map(slice_.transversal, -k)(*row)
+                    scaled[index, k] = _scaled_leaf_map(slice_.transversal, -k)(*row)
                 elif (index, k) not in scaled:
                     scaled[index, k] = _scaled_leaf(leaf, -k)
             contact = carrier_contact(scaled[i, k], scaled[j, k])
@@ -1833,7 +1857,7 @@ class TestNumpyWitness:
             tr, ts, hs = slice_.transversal, slice_.t.tolist(), slice_.h.tolist()
             for a in range(len(ts)):
                 k = _scale_exponent(tr, ts[a])
-                leaf = foliation._leaf_map(tr, -k)
+                leaf = _scaled_leaf_map(tr, -k)
                 lower = leaf(ts[a], hs[a]).shape
                 for b in range(a + 1, len(ts)):
                     upper = leaf(ts[b], hs[b]).shape
@@ -1998,3 +2022,57 @@ class TestNumpyWitnessDifferential:
     @given(circle_line_pairs(), st.booleans())
     def test_circle_line_pairs(self, pair, line_first):
         assert_witness_holds(*(pair[::-1] if line_first else pair))
+
+
+def _settling_nothing(monkeypatch):
+    """Patch ``_screen`` to settle no pair, so that every pair, link and
+    probe stays open and every pair goes through ``carrier_contact``."""
+
+    def nothing(*columns, **_):
+        unsettled = np.zeros(columns[0].size, dtype=bool)
+        return unsettled, unsettled.copy()
+
+    monkeypatch.setattr(foliation, "_screen", nothing)
+
+
+def _fallback_routes():
+    """Families of 60 leaves, each with flagged pairs: a perturbed draw,
+    the geodesic's -tanh 2t, lines alternating with circles on a
+    hypercycle, and lines and circles on a horocycle."""
+    t = np.linspace(-1.0, 1.0, 60)
+    sphi = math.sin(0.9)
+    return [
+        perturbed_invalid_route(Transversal.hypercycle(0.9), n=60, seed=4)[0],
+        Route(Transversal.geodesic(), t, -np.tanh(2 * t)),
+        Route(Transversal.hypercycle(0.9), t, np.resize([sphi, -0.5 * sphi], 60)),
+        Route(Transversal.horocycle(2.0), 2 * t, np.resize([0.0, -0.3, -1.0, -0.5], 60)),
+    ]
+
+
+class TestFallback:
+    """The fallbacks, on leaves built from the carrier columns, give the
+    verdicts the numpy screen and witnesses give."""
+
+    @pytest.mark.parametrize(
+        "route",
+        _fallback_routes(),
+        ids=["perturbed-hypercycle", "geodesic", "mixed-hypercycle", "horocycle"],
+    )
+    def test_audit_through_carrier_contact_alone(self, monkeypatch, route):
+        slice_ = synthesize(route, force=True)
+        report = verify_disjoint(slice_)
+        assert not report.clean
+        calls = _counting_contacts(monkeypatch)
+        _settling_nothing(monkeypatch)
+        fallback = verify_disjoint(slice_)
+        n = slice_.t.size
+        assert len(calls) == n * (n - 1) // 2
+        assert _report_key(fallback) == _report_key(report)
+
+    @pytest.mark.parametrize("family", ["geodesic", "hypercycle"])
+    def test_sweep_through_carrier_contact_alone(self, monkeypatch, family):
+        stats = run_disjointness_agreement(family, 400, 3)
+        calls = _counting_contacts(monkeypatch)
+        _settling_nothing(monkeypatch)
+        assert run_disjointness_agreement(family, 400, 3) == stats
+        assert len(calls) == stats.total - stats.skipped_margin

@@ -11,6 +11,7 @@ from umbilic import (
     Transversal,
     hyperbolic_distance,
 )
+from umbilic.halfplane import TransversalKind
 
 
 def oracle_distance(p: HPoint, q: HPoint) -> float:
@@ -94,6 +95,18 @@ class TestTransversal:
             Transversal.horocycle(0.0)
         with pytest.raises(DomainError):
             Transversal(Transversal.geodesic().kind, phi=0.3)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            (TransversalKind.HYPERCYCLE, "height applies to horocycles only"),
+            (TransversalKind.HOROCYCLE, "phi applies to hypercycles only"),
+        ],
+    )
+    def test_cross_kind_parameters_rejected(self, kind, message):
+        with pytest.raises(DomainError) as exc:
+            Transversal(kind, phi=0.5, height=1.0)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "tr",

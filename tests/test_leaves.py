@@ -192,6 +192,22 @@ class TestLeafConstruction:
         with pytest.raises(NotALeafError):
             Leaf(Circle(0.0, 1.0, 2.0), math.pi / 2)
 
+    @pytest.mark.parametrize(
+        "carrier, fields, message",
+        [
+            (Circle, (math.inf, -1.0, 2.0), "circle center must be finite, got (inf, -1.0)"),
+            (Circle, (0.0, math.nan, 2.0), "circle center must be finite, got (0.0, nan)"),
+            (Line, (0.0, 1.0, 0.0, 0.0), "line direction must be nonzero and finite"),
+            (Line, (0.0, 1.0, math.inf, 1.0), "line direction must be nonzero and finite"),
+            (Line, (math.nan, 1.0, 1.0, 0.0), "line point must be finite, got (nan, 1.0)"),
+            (Line, (0.0, -math.inf, 1.0, 0.0), "line point must be finite, got (0.0, -inf)"),
+        ],
+    )
+    def test_carriers_must_be_finite(self, carrier, fields, message):
+        with pytest.raises(DomainError) as exc:
+            carrier(*fields)
+        assert str(exc.value) == message
+
     def test_h_is_minus_cos_beta(self):
         leaf = leaf_orthogonal_to_geodesic(1.0, 2.0)
         assert leaf.h == pytest.approx(-math.cos(2.0), abs=1e-15)
@@ -287,6 +303,12 @@ class TestDisjointHypercycle:
     def test_admissibility_checked(self):
         with pytest.raises(DomainError):
             disjoint_along_hypercycle(0.3, 1.0, 0.05, 2.0, 1.5)
+
+    @pytest.mark.parametrize("s1, s2", [(2.0, 1.0), (1.5, 1.5), (0.0, 1.0)])
+    def test_needs_ordered_crossings(self, s1, s2):
+        with pytest.raises(DomainError) as exc:
+            disjoint_along_hypercycle(0.5, s1, 1.5, s2, 1.5)
+        assert str(exc.value) == f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}"
 
     def test_matches_carrier_oracle(self):
         rng = np.random.default_rng(13)

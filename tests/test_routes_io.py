@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from umbilic import (
+    Route,
     RouteParseError,
     Transversal,
     builtin_route,
@@ -118,6 +119,18 @@ class TestTransversalStanza:
             )
 
 
+    def test_transversal_must_be_an_object(self):
+        with pytest.raises(RouteParseError, match=r"^transversal: must be an object$"):
+            validate_document(geodesic_doc(transversal="geodesic"))
+
+    def test_phi_on_a_horocycle_rejected(self):
+        with pytest.raises(RouteParseError) as exc:
+            validate_document(
+                geodesic_doc(transversal={"kind": "horocycle", "height": 1.0, "phi": 0.5})
+            )
+        assert str(exc.value) == "transversal.phi: only valid for hypercycles"
+
+
 class TestSamplesStanza:
     def test_field_path_in_message(self):
         doc = geodesic_doc(
@@ -218,6 +231,21 @@ class TestClosedFormStanza:
             validate_document({**base, "n": True})
 
 
+    @pytest.mark.parametrize(
+        "closed_form, path",
+        [
+            ("pencil", "closed_form"),
+            ({"name": "constant", "params": [0.1]}, "closed_form.params"),
+        ],
+    )
+    def test_stanza_must_be_an_object(self, closed_form, path):
+        doc = {"transversal": {"kind": "geodesic"}, "closed_form": closed_form}
+        with pytest.raises(RouteParseError) as exc:
+            validate_document(doc)
+        assert str(exc.value) == f"{path}: must be an object"
+        assert exc.value.path == path
+
+
 class TestRoundTrips:
     def test_closed_form_expands_like_builtin(self):
         doc = validate_document(
@@ -243,6 +271,16 @@ class TestRoundTrips:
         assert np.array_equal(back.dh, route.dh)
         assert back.tol == route.tol
         assert back.transversal == route.transversal
+
+    def test_horocycle_round_trip(self):
+        route = loads_route(dumps_document(route_to_document(
+            Route(Transversal.horocycle(2.5), [-1.0, 0.0, 2.0], [0.0, -0.3, -1.0])
+        )))
+        doc = route_to_document(route)
+        assert doc["transversal"] == {"kind": "horocycle", "height": 2.5}
+        assert [s["h"] for s in doc["samples"]] == [0.0, -0.3, -1.0]
+        assert route.transversal == Transversal.horocycle(2.5)
+        assert route.t.tolist() == [-1.0, 0.0, 2.0]
 
     def test_serialization_idempotent(self):
         route = builtin_route("pencil", n=7)
