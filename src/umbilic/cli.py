@@ -75,7 +75,27 @@ def _plain(x: np.ndarray) -> np.ndarray:
 
 
 def _json_num(x: float) -> str:
-    return json.dumps(_num(x))
+    """``json.dumps(_num(x))``; json writes a finite float as its repr."""
+    num = _num(x)
+    return "null" if num is None else repr(num) if type(num) is float else json.dumps(num)
+
+
+#: The time columns of a pair table (``Violations``, ``PairContacts``):
+#: sample or leaf times, so a long table repeats a few values many times.
+_TIMES = ("t1", "t2")
+
+
+def _time_texts(column: np.ndarray) -> np.ndarray:
+    """``_json_num`` of each value of ``column``, computed once per distinct
+    bit pattern, so 0.0 and -0.0 (and nans of any payload) each get their
+    own text; a plain value (see ``_plain``) is written by ``%.12g``."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    texts = [
+        "%.12g" % x if plain else _json_num(x)
+        for x, plain in zip(values.tolist(), _plain(values).tolist())
+    ]
+    return np.array(texts, dtype=object)[where]
 
 
 def _report_items(items, table) -> list[str]:
@@ -83,11 +103,14 @@ def _report_items(items, table) -> list[str]:
 
     ``items`` is a row table of class ``table`` (``Violations``,
     ``PairContacts``) or a sequence of its rows, whose kinds may be any
-    text; each row is written in the order of the table's fields.  A row
-    whose numbers are each plain or nan (see ``_plain``) takes the
-    template of its nans, with ``%.12g`` for each plain number and
-    ``null`` for each nan; the numbers of the other rows are written one
-    by one by ``_num``'s rule.  The kind is written as a JSON string."""
+    text; each row is written in the order of the table's fields.  The
+    times t1 and t2 are written by ``_num``'s rule once per distinct bit
+    pattern (``_time_texts``) and gathered.  A row whose other numbers
+    are each plain or nan (see ``_plain``) takes the template of its nans,
+    with ``%.12g`` for each plain number and ``null`` for each nan; the
+    numbers of the other rows are written one by one by ``_num``'s rule.
+    The kind is written as a JSON string.  So k rows with d distinct times cost
+    O(k log k) numpy, d number writes and one template call per row."""
     if not len(items):
         return []
     fields = table.__slots__
@@ -100,7 +123,9 @@ def _report_items(items, table) -> list[str]:
         columns = {name: np.array([getattr(r, name) for r in rows], dtype=float)
                    for name in fields if name != "kind"}
         columns["kind"] = np.array([json.dumps(r.kind) for r in rows], dtype=object)
-    numbers = [name for name in fields if name != "kind"]
+    for name in _TIMES:
+        columns[name] = _time_texts(columns[name])
+    numbers = [name for name in fields if name not in ("kind", *_TIMES)]
     nan = np.array([np.isnan(columns[name]) for name in numbers])
     plain = np.array([_plain(columns[name]) for name in numbers])
     simple = (nan | plain).all(axis=0)
@@ -110,13 +135,13 @@ def _report_items(items, table) -> list[str]:
     for code in np.unique(pattern[simple]).tolist():
         rows = np.flatnonzero(simple & (pattern == code))
         null = {name for b, name in enumerate(numbers) if code >> b & 1}
-        specs = ["%s" if f == "kind" else "null" if f in null else "%.12g" for f in fields]
+        specs = ["null" if f in null else "%.12g" if f in numbers else "%s" for f in fields]
         values = [columns[f][rows] for f in fields if f not in null]
         groups.append((rows, template % tuple(specs), values))
     rest = np.flatnonzero(~simple)
     texts = [
-        columns[f][rest] if f == "kind"
-        else np.array(list(map(_json_num, columns[f][rest].tolist())), dtype=object)
+        np.array(list(map(_json_num, columns[f][rest].tolist())), dtype=object)
+        if f in numbers else columns[f][rest]
         for f in fields
     ]
     groups.append((rest, template, texts))
@@ -138,7 +163,7 @@ def _verdict_report(verdict) -> str:
         "violations": [],
         "notes": list(verdict.notes),
     }
-    return dumps_json(head, "%s", violations=_report_items(verdict.violations, Violations))
+    return dumps_json(head, violations=_report_items(verdict.violations, Violations))
 
 
 def _audit_report(report) -> str:
@@ -153,7 +178,6 @@ def _audit_report(report) -> str:
     }
     return dumps_json(
         head,
-        "%s",
         intersecting=_report_items(report.intersecting, PairContacts),
         tangent=_report_items(report.tangent, PairContacts),
     )

@@ -362,15 +362,19 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     else:
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
     beta = _math_map(math.acos, -slice_.h)
+    cbeta = _math_map(math.cos, beta)
     # Each row at its own scale 2**-k.  Scaled back, a circle is the
     # unscaled one in the normal range, and zero or infinite wherever that
-    # one is, so every row the constructors refuse is built through them.
-    columns, _ = _carriers(slice_, beta, _math_map(math.cos, beta), k)
+    # one is, so every row the constructors refuse is built through them,
+    # as are the levels beyond a hypercycle's band, as in ``leaf_table``.
+    columns, _ = _carriers(slice_, beta, cbeta, k)
     with np.errstate(over="ignore"):
         cx, cy, r = (np.ldexp(c, k) for c in columns[:3])
     line = np.isnan(r)
-    finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)
-    _refuse(slice_, np.flatnonzero(~finite & ~line))
+    refused = ~(np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)) & ~line
+    if tr.kind == TransversalKind.HYPERCYCLE:
+        refused |= _beyond_bound(cbeta, math.sin(tr.phi))
+    _refuse(slice_, np.flatnonzero(refused))
     circles = columns[:3]
     # Links and probes see the circles alone: a line's nan radius keeps them open.
     pairs = _probed_pairs(circles, k, *_cleared_links(tr, circles, k))

@@ -147,7 +147,9 @@ _NUM = f"%.{_SVG_DECIMALS}f"
 #: circle a closed loop of two half arcs from its lowest point, and a
 #: line the segment clipped to the strip 0 <= y <= y_max only, so every
 #: line leaf emits exactly one path even when it exits sideways.
-_ARC = f"%sM {_NUM},{_NUM} A {_NUM},{_NUM} 0 %d 1 {_NUM},{_NUM}%s"
+#: An arc's two ends lie on the boundary, at the canvas height, which
+#: ``_leaf_paths`` writes into the template once (as ``{height}``).
+_ARC = f"%sM {_NUM},{{height}} A {_NUM},{_NUM} 0 %d 1 {_NUM},{{height}}%s"
 _LOOP = f"%sM {_NUM},{_NUM}{f' A {_NUM},{_NUM} 0 1 1 {_NUM},{_NUM}' * 2} Z%s"
 _SEGMENT = f"%sM {_NUM},{_NUM} L {_NUM},{_NUM}%s"
 
@@ -185,9 +187,10 @@ def _leaf_paths(slice_: FoliationSlice, vp: Viewport) -> list[str]:
     v = np.vstack((np.where(np.abs(v) < _ROUNDS_TO_ZERO, 0.0, v), tb.cy > 0))
     bound = slice_.transversal.curvature_bound
     style = _STYLES[slice_.extension + 2 * ((bound > 0) & (bound - np.abs(tb.h) <= 1e-9))]
+    arc = _ARC.format(height=_fmt(height))
     groups = []
     for rows, template, order in (
-        (~line & ~loop, _ARC, (2, 3, 0, 1, 6, 4, 5)),  # row 6: an arc's large flag
+        (~line & ~loop, arc, (2, 0, 1, 6, 4)),  # row 6: an arc's large flag
         (loop, _LOOP, (2, 3, 0, 1, 4, 5, 0, 1, 2, 3)),
         (line, _SEGMENT, (0, 1, 2, 3)),
     ):

@@ -98,7 +98,21 @@ def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
 def validate_document(doc: Any) -> dict:
     """Check a parsed JSON object against the schema and rebuild it in
     canonical form.  Raises :class:`RouteParseError` with a field path on
-    the first problem found."""
+    the first problem found.
+
+    The checks are ``_check_document``'s; a samples list comes back from
+    it as float columns, and its rows are rebuilt from them here, one dict
+    per sample.  ``loads_route`` reads the same columns without them."""
+    out = _check_document(doc)
+    if "samples" in out:
+        out["samples"] = _sample_rows(out["samples"])
+    return out
+
+
+def _check_document(doc: Any) -> dict:
+    """The canonical document of ``doc``, except that its samples, if it
+    has any, are ``_checked_samples``' columns; refusals as for
+    ``validate_document``."""
     if not isinstance(doc, dict):
         raise RouteParseError(f"route document must be an object, got {type(doc).__name__}")
     _reject_unknown(doc, _ROOT_KEYS, "")
@@ -131,7 +145,7 @@ def validate_document(doc: Any) -> dict:
         for key in ("window", "n"):
             if key in doc:
                 raise RouteParseError("only valid with closed_form", key)
-        out["samples"] = _canon_samples(doc["samples"])
+        out["samples"] = _checked_samples(doc["samples"])
     if "tol" in doc:
         tol = _require_number(doc["tol"], "tol")
         if not tol > 0:
@@ -221,25 +235,46 @@ _SAMPLE_FIELDS = {2: ("t", "h"), 3: ("t", "h", "dh")}
 
 
 def _canon_samples(obj: Any) -> list:
-    """The samples in canonical form, checked column by column; a list the
-    columns refuse goes through ``_walk_samples``, which names the first
-    problem, so every message and path is the walker's."""
+    """The samples in canonical form: ``_checked_samples``' columns as one
+    dict per sample."""
+    return _sample_rows(_checked_samples(obj))
+
+
+def _checked_samples(obj: Any) -> tuple[np.ndarray, ...]:
+    """The t, h (and dh) columns of a samples list, checked column by
+    column; a list the columns refuse goes through ``_walk_samples``,
+    which names the first problem, so every message and path is the
+    walker's."""
     if not isinstance(obj, list) or not obj:
         raise RouteParseError("must be a nonempty list", "samples")
     columns = _sample_columns(obj)
     if columns is None:
-        return _walk_samples(obj)
+        columns = _row_columns(_walk_samples(obj))
+    return columns
+
+
+def _sample_rows(columns: tuple[np.ndarray, ...]) -> list[dict]:
+    """Canonical sample dicts from t, h (and dh) columns."""
+    columns = [column.tolist() for column in columns]
     if len(columns) == 2:
         return [{"t": t, "h": h} for t, h in zip(*columns)]
     return [{"t": t, "h": h, "dh": dh} for t, h, dh in zip(*columns)]
 
 
-def _sample_columns(items: list) -> list[list[float]] | None:
+def _row_columns(samples: list[dict]) -> tuple[np.ndarray, ...]:
+    """The t, h (and dh, when the first sample has one) columns of
+    canonical sample dicts."""
+    fields = _SAMPLE_FIELDS[3 if "dh" in samples[0] else 2]
+    return tuple(np.array([s[key] for s in samples], dtype=float) for key in fields)
+
+
+def _sample_columns(items: list) -> tuple[np.ndarray, ...] | None:
     """The t, h (and dh) columns of a sample list the walker would accept,
-    as floats, or None when any check fails: every item a dict with
-    exactly the keys t, h or exactly t, h, dh; every value an int or a
-    float, finite as a float; t strictly increasing over a finite span.
-    Type sets and numpy passes, so O(n) with no per-sample Python code."""
+    as contiguous float arrays, or None when any check fails: every item a
+    dict with exactly the keys t, h or exactly t, h, dh; every value an
+    int or a float, finite as a float; t strictly increasing over a finite
+    span.  Type sets and numpy passes over one list per column, so O(n)
+    with no per-sample Python code."""
     if set(map(type, items)) != {dict}:
         return None
     sizes = set(map(len, items))
@@ -247,25 +282,21 @@ def _sample_columns(items: list) -> list[list[float]] | None:
     if fields is None:
         return None
     try:
-        flat = list(chain.from_iterable(map(itemgetter(*fields), items)))
+        values = [list(map(itemgetter(key), items)) for key in fields]
     except KeyError:
         return None
-    types = set(map(type, flat))
-    if not types <= {float, int}:
+    if not set(map(type, chain.from_iterable(values))) <= {float, int}:
         return None
     try:
-        values = np.array(flat, dtype=float)
+        columns = tuple(np.fromiter(v, dtype=float, count=len(v)) for v in values)
     except OverflowError:  # an integer beyond the float range
         return None
-    k = len(fields)
-    t = values[0::k]
-    if not np.isfinite(values).all() or not (t[1:] > t[:-1]).all():
+    t = columns[0]
+    if not all(np.isfinite(c).all() for c in columns) or not (t[1:] > t[:-1]).all():
         return None
     if not math.isfinite(float(t[-1]) - float(t[0])):
         return None
-    if types != {float}:
-        flat = values.tolist()
-    return [flat[i::k] for i in range(k)]
+    return columns
 
 
 def _walk_samples(obj: list) -> list:
@@ -309,6 +340,14 @@ def _walk_samples(obj: list) -> list:
 
 def document_to_route(ndoc: dict) -> Route:
     """Build a Route from a canonical document (see validate_document)."""
+    if "samples" in ndoc:
+        ndoc = {**ndoc, "samples": _row_columns(ndoc["samples"])}
+    return _build_route(ndoc)
+
+
+def _build_route(ndoc: dict) -> Route:
+    """The Route of a canonical document whose samples, if it has any,
+    are t, h (and dh) columns."""
     tr = ndoc["transversal"]
     transversal = Transversal(
         TransversalKind(tr["kind"]),
@@ -333,11 +372,8 @@ def document_to_route(ndoc: dict) -> Route:
             tol=tol,
             **cf.get("params", {}),
         )
-    samples = ndoc["samples"]
-    t = [s["t"] for s in samples]
-    h = [s["h"] for s in samples]
-    dh = [s["dh"] for s in samples] if "dh" in samples[0] else None
-    return Route(transversal, t, h, dh=dh, tol=tol)
+    t, h, *dh = ndoc["samples"]
+    return Route(transversal, t, h, dh=dh[0] if dh else None, tol=tol)
 
 
 def route_to_document(route: Route) -> dict:
@@ -364,11 +400,12 @@ def row_template(fields: Iterable[str], spec: str = "%s") -> str:
     return "    {\n" + lines + "\n    }"
 
 
-def dumps_json(doc: dict, template: str = "", **rows: Iterable[tuple]) -> str:
+def dumps_json(doc: dict, template: str | None = None, **rows: Iterable) -> str:
     """``json.dumps(doc, indent=2)``, with each top-level list named in
     ``rows`` given as rows: item k of ``doc[key]`` is the text
-    ``template % rows[key][k]``, and ``doc[key]`` itself only holds the
-    key's place (its value is ignored).
+    ``template % rows[key][k]``, or ``rows[key][k]`` itself when
+    ``template`` is None, and ``doc[key]`` itself only holds the key's
+    place (its value is ignored).
 
     The head is written by ``json.dumps``; each list is then spliced in
     at its key as one template call per row.  So writing is O(rows), and
@@ -376,7 +413,7 @@ def dumps_json(doc: dict, template: str = "", **rows: Iterable[tuple]) -> str:
     ``json`` encodes them."""
     text = json.dumps({**doc, **dict.fromkeys(rows, [])}, indent=2)
     for key, items in rows.items():
-        body = ",\n".join(map(template.__mod__, items))
+        body = ",\n".join(items if template is None else map(template.__mod__, items))
         if body:
             # Only top-level keys start a line with two spaces, and json
             # escapes every newline inside a string, so the key is found once.
@@ -427,14 +464,22 @@ def dumps_document(doc: dict) -> str:
 
 
 def loads_route(text: str) -> Route:
-    """Parse route document text into a Route."""
+    """Parse route document text into a Route.
+
+    It makes the checks of ``validate_document`` and ``document_to_route``
+    in their order, with their messages and paths, but builds no canonical
+    document: a samples list goes from ``json.loads`` straight to the
+    ``Route``'s columns (``_sample_columns``).  So past ``json.loads`` a
+    document of n samples costs O(n) in C-level type sets and numpy
+    passes, with no dict or list per sample; a list the columns refuse is
+    walked sample by sample to name its first problem."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RouteParseError(f"not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
         raise RouteParseError(f"JSON text not readable: {_without_advice(exc)}") from None
-    return document_to_route(validate_document(doc))
+    return _build_route(_check_document(doc))
 
 
 def _without_advice(exc: Exception) -> str:

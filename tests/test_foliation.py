@@ -208,6 +208,16 @@ class TestVerifyDisjoint:
         assert report.pair_count == 9 * 8 // 2
         assert report.clean
 
+    def test_levels_beyond_the_band_are_refused(self):
+        # sin(0.5) < 0.9: no leaf at that level crosses the phi = 0.5 ray
+        # orthogonally, so the audit refuses the slice as leaf_table does.
+        slice_ = slice_of([(0.0, 0.9), (1.0, 0.9), (2.0, -0.9)], Transversal.hypercycle(0.5))
+        message = "no leaf with angle 2.69.* crosses the phi=0.5 ray orthogonally"
+        with pytest.raises(DomainError, match=message):
+            foliation.leaf_table(slice_)
+        with pytest.raises(DomainError, match=message):
+            verify_disjoint(slice_)
+
 
 class TestExtendSlice:
     def make_slice(self, n=9):

@@ -10,20 +10,36 @@ printed through ``json.dumps`` before it had a writer.
 ``routes_io._canon_samples`` checks samples column by column.  It must
 give what the per-sample walker ``_walk_samples`` gives: the same
 canonical list, or the same error with the same path.
+
+``routes_io.loads_route`` reads a samples list straight into the route's
+columns.  It must give what the canonical document gives,
+``document_to_route(validate_document(json.loads(text)))``: the same
+route, bit for bit, or the same error with the same path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import zip_longest
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from umbilic import routes_io
 from umbilic.cli import REPORT_SCHEMA, _audit_report, _verdict_report
 from umbilic.errors import RouteParseError
 from umbilic.foliation import DisjointnessReport, PairContact, PairContacts
-from umbilic.routes_io import _canon_samples, _walk_samples, dumps_document, dumps_json
-from umbilic.validation import Verdict, Violation, Zones
+from umbilic.routes_io import (
+    _canon_samples,
+    _walk_samples,
+    document_to_route,
+    dumps_document,
+    dumps_json,
+    loads_route,
+    validate_document,
+)
+from umbilic.validation import Verdict, Violation, Violations, Zones
 
 
 def reference_num(x: float):
@@ -170,6 +186,52 @@ class TestReports:
         assert dumps_json(doc, "%s", a=iter(())) == json.dumps(doc, indent=2)
 
 
+#: Times of a pair table: both zeros, the least subnormal, where ``%.12g``
+#: switches to an exponent, and a whole number; nan only as a missing t2.
+TIMES = [0.0, -0.0, 5e-324, 1e12, 4.0]
+
+
+def first_difference(got: str, want: str):
+    """The first line at which two texts differ, with its number, or None;
+    a short failure message where a diff of long texts would take minutes."""
+    for k, lines in enumerate(zip_longest(got.splitlines(), want.splitlines())):
+        if lines[0] != lines[1]:
+            return k, *lines
+    return None
+
+
+class TestRepeatedTimes:
+    """Long tables whose t1 and t2 repeat a few values, as the verdict of a
+    steep route does; each time is written once per bit pattern."""
+
+    def test_violations(self):
+        rng = np.random.default_rng(0)
+        n = 2000
+        table = Violations(
+            rng.integers(0, 4, n),
+            rng.choice(TIMES, n),
+            rng.choice(TIMES + [math.nan], n),
+            rng.choice([-1e-3, -0.25, -math.inf, 4.0, math.nan, -0.0], n),
+        )
+        verdict = Verdict(False, Zones(-math.inf, math.inf), -0.25, table, (), "c0")
+        want = json.dumps(reference_verdict_report(verdict), indent=2)
+        assert first_difference(_verdict_report(verdict), want) is None
+
+    def test_pair_contacts(self):
+        rng = np.random.default_rng(1)
+        n = 2000
+        table = PairContacts(
+            rng.choice(TIMES, n),
+            rng.choice(TIMES + [math.nan], n),
+            rng.integers(0, 3, n),
+            rng.choice([0.5, -0.0, 1e12, math.nan, 2.5e-7], n),
+            rng.choice([0.75, 0.0, math.inf, 3.0], n),
+        )
+        report = DisjointnessReport(False, n * n, table, table[::3])
+        want = json.dumps(reference_audit_report(report), indent=2)
+        assert first_difference(_audit_report(report), want) is None
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -286,3 +348,81 @@ class TestSampleColumns:
     @example([{"t": 0.0, "h": -0.0, "dh": 0.0}, {"t": 1.0, "h": 0.0}])
     def test_columns_give_what_the_walker_gives(self, items):
         assert _outcome(_canon_samples, items) == _outcome(_walk_samples, items)
+
+
+def _route_outcome(read, text):
+    """The route ``read`` makes of ``text``, its columns as bits, or the
+    error it raises."""
+    try:
+        route = read(text)
+    except Exception as exc:
+        return "error", type(exc), str(exc), getattr(exc, "path", None)
+    dh = None if route.dh is None else route.dh.tobytes()
+    return "ok", route.t.tobytes(), route.h.tobytes(), dh, route.transversal, route.tol
+
+
+def _reference_loads_route(text):
+    return document_to_route(validate_document(json.loads(text)))
+
+
+TRANSVERSALS = [
+    {"kind": "geodesic"},
+    {"kind": "hypercycle", "phi": 0.9},
+    {"kind": "horocycle", "height": 1.5},
+]
+#: Tolerances at and past each transversal's limit (1, sin 0.9), and
+#: values the schema refuses.
+TOLS = [1e-9, 0.5, math.sin(0.9), math.nextafter(math.sin(0.9), 0.0), 1.0, 2, 1e300,
+        0.0, -1.0, True, "1e-9"]
+
+
+@st.composite
+def document_texts(draw):
+    """Route document texts: ``documents()``, or a transversal with
+    ``sample_lists()``, with or without a tolerance."""
+    if draw(st.booleans()):
+        doc = draw(documents())
+    else:
+        doc = {"transversal": draw(st.sampled_from(TRANSVERSALS)), "samples": draw(sample_lists())}
+    if draw(st.booleans()):
+        doc["tol"] = draw(st.one_of(st.sampled_from(TOLS), numbers))
+    return json.dumps(doc)
+
+
+def _samples_text(samples, transversal=None, tol=None):
+    doc = {"transversal": transversal or {"kind": "geodesic"}, "samples": samples}
+    if tol is not None:
+        doc["tol"] = tol
+    return json.dumps(doc)
+
+
+class TestLoadsRoute:
+    @settings(max_examples=400)
+    @given(document_texts())
+    @example(_samples_text([{"h": 0.5, "t": -1.0}, {"h": -0.5, "t": 1.0}]))
+    @example(_samples_text([{"t": 0, "h": 0}, {"t": 2**64 + 1, "h": -(2**53 + 1)}]))
+    @example(_samples_text([{"t": 0.0, "h": 0.5, "dh": -0.25}, {"t": 1.0, "h": 0.0, "dh": 3}]))
+    @example(_samples_text([{"t": 0.0, "h": 0.0}], tol=1.0))
+    @example(_samples_text([{"t": 0.0, "h": 0.0}], tol=2.0))
+    @example(_samples_text([{"t": 0.0, "h": 0.0}], TRANSVERSALS[1], tol=math.sin(0.9)))
+    @example(_samples_text([{"t": 0.0, "h": 0.0}], TRANSVERSALS[2], tol=1e300))
+    @example(_samples_text([{"t": float(k), "h": True if k == 3 else 0.0} for k in range(6)]))
+    @example(_samples_text([{"t": float(k), "h": 0.0} for k in range(3)] + [{"t": 2.0, "h": 0.0}]))
+    @example(_samples_text([{"t": 0.0, "h": 0.0}, {"t": 1.0, "h": 10**400}]))
+    def test_route_is_the_canonical_documents(self, text):
+        assert _route_outcome(loads_route, text) == _route_outcome(_reference_loads_route, text)
+
+    def test_no_canonical_rows_are_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built canonical sample rows")
+
+        for name in ("_canon_samples", "_sample_rows", "_walk_samples", "_row_columns"):
+            monkeypatch.setattr(routes_io, name, refuse)
+        rng = np.random.default_rng(0)
+        t = np.linspace(-4.0, 4.0, 4000)
+        h, dh = rng.uniform(-0.9, 0.9, (2, t.size))
+        samples = [{"t": a, "h": b, "dh": c} for a, b, c in zip(t.tolist(), h.tolist(), dh.tolist())]
+        route = loads_route(_samples_text(samples))
+        for got, want in ((route.t, t), (route.h, h), (route.dh, dh)):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
