@@ -102,7 +102,7 @@ def validate_document(doc: Any) -> dict:
 
     The checks are ``_check_document``'s; a samples list comes back from
     it as float columns, and its rows are rebuilt from them here, one dict
-    per sample.  ``loads_route`` reads the same columns without them."""
+    per sample, here alone: ``document_to_route`` reads the columns."""
     out = _check_document(doc)
     if "samples" in out:
         out["samples"] = _sample_rows(out["samples"])
@@ -234,12 +234,6 @@ def _canon_window(obj: Any) -> list:
 _SAMPLE_FIELDS = {2: ("t", "h"), 3: ("t", "h", "dh")}
 
 
-def _canon_samples(obj: Any) -> list:
-    """The samples in canonical form: ``_checked_samples``' columns as one
-    dict per sample."""
-    return _sample_rows(_checked_samples(obj))
-
-
 def _checked_samples(obj: Any) -> tuple[np.ndarray, ...]:
     """The t, h (and dh) columns of a samples list, checked column by
     column; a list the columns refuse goes through ``_walk_samples``,
@@ -247,10 +241,7 @@ def _checked_samples(obj: Any) -> tuple[np.ndarray, ...]:
     walker's."""
     if not isinstance(obj, list) or not obj:
         raise RouteParseError("must be a nonempty list", "samples")
-    columns = _sample_columns(obj)
-    if columns is None:
-        columns = _row_columns(_walk_samples(obj))
-    return columns
+    return _sample_columns(obj) or _walk_samples(obj)
 
 
 def _sample_rows(columns: tuple[np.ndarray, ...]) -> list[dict]:
@@ -259,13 +250,6 @@ def _sample_rows(columns: tuple[np.ndarray, ...]) -> list[dict]:
     if len(columns) == 2:
         return [{"t": t, "h": h} for t, h in zip(*columns)]
     return [{"t": t, "h": h, "dh": dh} for t, h, dh in zip(*columns)]
-
-
-def _row_columns(samples: list[dict]) -> tuple[np.ndarray, ...]:
-    """The t, h (and dh, when the first sample has one) columns of
-    canonical sample dicts."""
-    fields = _SAMPLE_FIELDS[3 if "dh" in samples[0] else 2]
-    return tuple(np.array([s[key] for s in samples], dtype=float) for key in fields)
 
 
 def _sample_columns(items: list) -> tuple[np.ndarray, ...] | None:
@@ -299,10 +283,11 @@ def _sample_columns(items: list) -> tuple[np.ndarray, ...] | None:
     return columns
 
 
-def _walk_samples(obj: list) -> list:
-    """Check the samples one by one, raising on the first problem."""
-    out = []
-    with_dh = 0
+def _walk_samples(obj: list) -> tuple[np.ndarray, ...]:
+    """Check a nonempty samples list one sample at a time, raising on the
+    first problem with its path; the t, h (and dh) columns of the checked
+    values, as contiguous float arrays."""
+    ts, hs, dhs = [], [], []
     prev_t = -math.inf
     for i, item in enumerate(obj):
         path = f"samples[{i}]"
@@ -320,29 +305,28 @@ def _walk_samples(obj: list) -> list:
                 f"{path}.t",
             )
         prev_t = t
-        entry = {"t": t, "h": h}
+        ts.append(t)
+        hs.append(h)
         if "dh" in item:
-            entry["dh"] = _require_number(item["dh"], f"{path}.dh")
-            with_dh += 1
-        out.append(entry)
-    first, last = out[0]["t"], out[-1]["t"]
+            dhs.append(_require_number(item["dh"], f"{path}.dh"))
+    first, last = ts[0], ts[-1]
     if not math.isfinite(last - first):
         raise RouteParseError(
             f"t values must span a finite length, got {first} to {last}",
-            f"samples[{len(out) - 1}].t",
+            f"samples[{len(ts) - 1}].t",
         )
-    if with_dh not in (0, len(out)):
+    if len(dhs) not in (0, len(ts)):
         raise RouteParseError(
             "dh must be present on every sample or on none", "samples"
         )
-    return out
+    return tuple(np.array(c, dtype=float) for c in (ts, hs, dhs) if c)
 
 
-def document_to_route(ndoc: dict) -> Route:
-    """Build a Route from a canonical document (see validate_document)."""
-    if "samples" in ndoc:
-        ndoc = {**ndoc, "samples": _row_columns(ndoc["samples"])}
-    return _build_route(ndoc)
+def document_to_route(doc: Any) -> Route:
+    """Build a Route from a parsed route document, through every check of
+    ``validate_document`` (its order, messages and paths) and then
+    ``tol < tol_limit``: ``loads_route``'s path after ``json.loads``."""
+    return _build_route(_check_document(doc))
 
 
 def _build_route(ndoc: dict) -> Route:
@@ -383,37 +367,32 @@ def route_to_document(route: Route) -> dict:
         tr["phi"] = float(route.transversal.phi)
     if route.transversal.height is not None:
         tr["height"] = float(route.transversal.height)
-    samples = []
-    for i in range(route.n):
-        entry = {"t": float(route.t[i]), "h": float(route.h[i])}
-        if route.dh is not None:
-            entry["dh"] = float(route.dh[i])
-        samples.append(entry)
-    return {"transversal": tr, "samples": samples, "tol": route.tol}
+    columns = (route.t, route.h) if route.dh is None else (route.t, route.h, route.dh)
+    return {"transversal": tr, "samples": _sample_rows(columns), "tol": route.tol}
 
 
-def row_template(fields: Iterable[str], spec: str = "%s") -> str:
+def row_template(fields: Iterable[str]) -> str:
     """The ``%``-template of one list item ``{field: value, ...}`` as
     ``json.dumps(indent=2)`` lays it out inside a top-level list, with
-    ``spec`` standing for each value."""
-    lines = ",\n".join(f"      {json.dumps(name)}: {spec}" for name in fields)
+    ``%s`` in each value's place: a value's JSON text, or a finite float,
+    whose ``str`` is the ``repr`` that ``json`` writes."""
+    lines = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
     return "    {\n" + lines + "\n    }"
 
 
-def dumps_json(doc: dict, template: str | None = None, **rows: Iterable) -> str:
+def dumps_json(doc: dict, **rows: Iterable[str]) -> str:
     """``json.dumps(doc, indent=2)``, with each top-level list named in
-    ``rows`` given as rows: item k of ``doc[key]`` is the text
-    ``template % rows[key][k]``, or ``rows[key][k]`` itself when
-    ``template`` is None, and ``doc[key]`` itself only holds the key's
-    place (its value is ignored).
+    ``rows`` given as the texts of its items: item k of ``doc[key]`` is
+    ``rows[key][k]``, and ``doc[key]`` itself only holds the key's place
+    (its value is ignored).
 
-    The head is written by ``json.dumps``; each list is then spliced in
-    at its key as one template call per row.  So writing is O(rows), and
-    the text is byte-identical whenever each row's values are encoded as
-    ``json`` encodes them."""
+    The head is written by ``json.dumps``; each list's texts are then
+    spliced in at its key.  So writing is O(rows), and the text is
+    byte-identical whenever each item's text is the one ``json`` writes
+    for it at that depth."""
     text = json.dumps({**doc, **dict.fromkeys(rows, [])}, indent=2)
     for key, items in rows.items():
-        body = ",\n".join(items if template is None else map(template.__mod__, items))
+        body = ",\n".join(items)
         if body:
             # Only top-level keys start a line with two spaces, and json
             # escapes every newline inside a string, so the key is found once.
@@ -442,7 +421,7 @@ def template_rows(count: int, groups: Iterable[tuple]) -> list[str]:
     return out.tolist()
 
 
-_SAMPLE_ROWS = {fields: row_template(fields, "%r") for fields in _SAMPLE_FIELDS.values()}
+_SAMPLE_ROWS = {fields: row_template(fields) for fields in _SAMPLE_FIELDS.values()}
 
 
 def dumps_document(doc: dict) -> str:
@@ -459,20 +438,20 @@ def dumps_document(doc: dict) -> str:
     if template is not None:
         rows = list(map(tuple, map(dict.values, samples)))
         if set(map(type, chain.from_iterable(rows))) == {float} and np.isfinite(rows).all():
-            return dumps_json(doc, template, samples=rows) + "\n"
+            return dumps_json(doc, samples=map(template.__mod__, rows)) + "\n"
     return dumps_json(doc) + "\n"
 
 
 def loads_route(text: str) -> Route:
     """Parse route document text into a Route.
 
-    It makes the checks of ``validate_document`` and ``document_to_route``
-    in their order, with their messages and paths, but builds no canonical
-    document: a samples list goes from ``json.loads`` straight to the
-    ``Route``'s columns (``_sample_columns``).  So past ``json.loads`` a
+    Past ``json.loads`` it is ``document_to_route``: the checks of
+    ``validate_document``, but no canonical document.  A samples list goes
+    straight to the ``Route``'s columns (``_sample_columns``), so a
     document of n samples costs O(n) in C-level type sets and numpy
     passes, with no dict or list per sample; a list the columns refuse is
-    walked sample by sample to name its first problem."""
+    walked sample by sample (``_walk_samples``) to name its first
+    problem."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2086,3 +2086,93 @@ class TestFallback:
         _settling_nothing(monkeypatch)
         assert run_disjointness_agreement(family, 400, 3) == stats
         assert len(calls) == stats.total - stats.skipped_margin
+
+
+# --------------------------------------------------------------------------
+# The link and probe certificate against the exact referee
+
+
+def _certified_pairs(monkeypatch, slice_):
+    """The pairs (a, b), a < b, that the audit's link and probe
+    certificate clears unscreened (the ones ``_probed_pairs`` does not
+    yield), and how many of them span an open link, so a probe clears
+    them."""
+    n = slice_.t.size
+    screened = np.zeros((n, n), dtype=bool)
+    runs = []
+    probed = foliation._probed_pairs
+
+    def recording(columns, k, cleared, full):
+        runs.append(np.cumsum(np.append(False, ~cleared)))  # each row's run
+        for i, j in probed(columns, k, cleared, full):
+            screened[i, j] = True
+            yield i, j
+
+    with monkeypatch.context() as patch:
+        patch.setattr(foliation, "_probed_pairs", recording)
+        verify_disjoint(slice_)
+    a, b = np.nonzero(np.triu(~screened, 1))
+    return list(zip(a.tolist(), b.tolist())), int((runs[0][a] != runs[0][b]).sum())
+
+
+def _assert_referee_clears(slice_, pairs):
+    """The exact referee finds nothing flagged on each pair, outside a
+    band of 2**-40 times the pair's size at the lower leaf's scale;
+    returns the number of pairs checked."""
+    tr, ts, hs = slice_.transversal, slice_.t.tolist(), slice_.h.tolist()
+    leaves = {}
+    for a, b in pairs:
+        k = _scale_exponent(tr, ts[a])
+        for index in (a, b):
+            if (index, k) not in leaves:
+                leaves[index, k] = _scaled_leaf_map(tr, -k)(ts[index], hs[index]).shape
+        lower, upper = leaves[a, k], leaves[b, k]
+        size = sum(abs(v) for s in (lower, upper) for v in vars(s).values())
+        verdict = _exact_contact(lower, upper, 2.0**-40 * size)
+        assert verdict in (None, (None, None)), (ts[a], ts[b], hs[a], hs[b], verdict)
+    return len(pairs)
+
+
+def _certificate_slices():
+    """Families of 20 and 30 leaves on the geodesic and on phi = 0.5 and 0.9:
+    valid and perturbed draws, and, near the link threshold as in
+    ``chained_slices``, valid draws with margins down to 1e-9 (near the
+    pencil) on windows up to 40 wide at offsets -40, 0 and +40, each also
+    with one leaf given another admissible level."""
+    rng = np.random.default_rng(7)
+    for tr in (Transversal.geodesic(), Transversal.hypercycle(0.5), Transversal.hypercycle(0.9)):
+        bound = tr.curvature_bound
+        yield synthesize(random_valid_route(tr, n=30, seed=1))
+        yield synthesize(perturbed_invalid_route(tr, n=30, seed=1)[0], force=True)
+        for offset, half, margin in ((-40.0, 2.0, 1e-9), (0.0, 12.0, 1e-6), (40.0, 20.0, 1e-9)):
+            window = (offset - half, offset + half)
+            route = random_valid_route(tr, window=window, n=20, margin=margin, seed=2)
+            yield synthesize(route)
+            h = route.h.copy()
+            h[rng.integers(h.size)] = rng.uniform(-bound, bound)
+            yield synthesize(Route(tr, route.t, h), force=True)
+
+
+class TestCertificateReferee:
+    """Every pair the link and probe certificate clears without screening
+    it is one the exact referee finds neither crossing above the boundary
+    nor tangent, outside a band around each threshold."""
+
+    def test_cleared_pairs_are_exactly_apart(self, monkeypatch):
+        checked = probed = 0
+        for slice_ in _certificate_slices():
+            pairs, spanning = _certified_pairs(monkeypatch, slice_)
+            checked += _assert_referee_clears(slice_, pairs)
+            probed += spanning
+        assert checked > 3000 and probed > 300
+
+    def test_a_certificate_clearing_every_link_fails(self, monkeypatch):
+        def every_link(tr, columns, k):
+            return np.ones(k.size - 1, dtype=bool), np.zeros(k.size - 1, dtype=bool)
+
+        monkeypatch.setattr(foliation, "_cleared_links", every_link)
+        route, _ = perturbed_invalid_route(Transversal.hypercycle(0.9), n=30, seed=1)
+        slice_ = synthesize(route, force=True)
+        pairs, _ = _certified_pairs(monkeypatch, slice_)
+        with pytest.raises(AssertionError):
+            _assert_referee_clears(slice_, pairs)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from umbilic import (
     Route,
@@ -16,6 +17,7 @@ from umbilic import (
     route_to_document,
     validate_document,
 )
+from umbilic.routes_io import MAX_CLOSED_FORM_N
 
 
 def geodesic_doc(**extra):
@@ -330,3 +332,80 @@ class TestRoundTrips:
         p.write_text(json.dumps(geodesic_doc()), encoding="utf-8")
         route = load_route(str(p))
         assert route.n == 2
+
+
+class TestDocumentToRoute:
+    """``document_to_route`` makes ``validate_document``'s checks, so it
+    refuses what ``loads_route`` refuses, at the same path."""
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (geodesic_doc(samples=[{"t": 0.0, "h": True}]), "samples[0].h"),
+            (geodesic_doc(samples=[{"t": 0.0, "h": "0.5"}]), "samples[0].h"),
+            (geodesic_doc(samples=[{"t": 0.0, "h": 0.0, "k": 1.0}]), "samples[0].k"),
+            (
+                {
+                    "transversal": {"kind": "geodesic"},
+                    "closed_form": {"name": "pencil"},
+                    "n": MAX_CLOSED_FORM_N + 1,
+                },
+                "n",
+            ),
+            ({"samples": [{"t": 0.0, "h": 0.0}]}, "transversal"),
+            (geodesic_doc(samples=[{"t": 1.0, "h": 0.0}, {"t": 0.0, "h": 0.0}]), "samples[1].t"),
+            (geodesic_doc(transversal={"kind": "geodesic", "phi": 0.5}), "transversal.phi"),
+        ],
+        ids=["h-true", "h-string", "extra-key", "n-past-cap", "no-transversal",
+             "descending-t", "geodesic-phi"],
+    )
+    def test_refused_at_its_path(self, doc, path):
+        with pytest.raises(RouteParseError) as exc:
+            document_to_route(doc)
+        assert exc.value.path == path
+        with pytest.raises(RouteParseError) as again:
+            loads_route(json.dumps(doc))
+        assert str(again.value) == str(exc.value)
+
+    def test_missing_transversal_is_a_missing_field(self):
+        with pytest.raises(RouteParseError, match="^transversal: missing field$"):
+            document_to_route({"samples": [{"t": 0.0, "h": 0.0}]})
+
+
+#: Values where the written form changes or the float range ends.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+values = st.one_of(finite, st.sampled_from(EDGE_VALUES))
+
+
+@st.composite
+def routes(draw):
+    """Routes on each transversal kind, with and without ``dh``: sorted
+    distinct finite t over a finite span, and h and dh at the edges of
+    the float range as well as anywhere in it."""
+    transversal = draw(st.sampled_from([
+        Transversal.geodesic(),
+        Transversal.hypercycle(draw(st.floats(0.01, 1.5))),
+        Transversal.horocycle(draw(st.floats(1e-300, 1e300))),
+    ]))
+    t = sorted(draw(st.lists(st.floats(-1e307, 1e307), min_size=1, max_size=20, unique=True)))
+    h = draw(st.lists(values, min_size=len(t), max_size=len(t)))
+    dh = draw(st.none() | st.lists(values, min_size=len(t), max_size=len(t)))
+    tol = draw(st.sampled_from([1e-9, 5e-324, 0.005]))  # below every curvature bound drawn
+    return Route(transversal, t, h, dh=dh, tol=tol)
+
+
+class TestRouteToDocument:
+    @given(routes())
+    def test_round_trip_keeps_every_bit(self, route):
+        text = dumps_document(route_to_document(route))
+        assert text == json.dumps(route_to_document(route), indent=2) + "\n"
+        back = loads_route(text)
+        assert back.t.tobytes() == route.t.tobytes()
+        assert back.h.tobytes() == route.h.tobytes()
+        if route.dh is None:
+            assert back.dh is None
+        else:
+            assert back.dh.tobytes() == route.dh.tobytes()
+        assert back.tol == route.tol
+        assert back.transversal == route.transversal

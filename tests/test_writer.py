@@ -7,14 +7,15 @@ one row template per list item.  Their text must equal
 report stands for, built as below: these builders are the ones the CLI
 printed through ``json.dumps`` before it had a writer.
 
-``routes_io._canon_samples`` checks samples column by column.  It must
+``routes_io._checked_samples`` checks samples column by column.  It must
 give what the per-sample walker ``_walk_samples`` gives: the same
-canonical list, or the same error with the same path.
+columns, bit for bit, or the same error with the same path.
 
 ``routes_io.loads_route`` reads a samples list straight into the route's
 columns.  It must give what the canonical document gives,
 ``document_to_route(validate_document(json.loads(text)))``: the same
-route, bit for bit, or the same error with the same path.
+route, bit for bit, or the same error with the same path; and
+``document_to_route`` must give it on the parsed document itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from umbilic.cli import REPORT_SCHEMA, _audit_report, _verdict_report
 from umbilic.errors import RouteParseError
 from umbilic.foliation import DisjointnessReport, PairContact, PairContacts
 from umbilic.routes_io import (
-    _canon_samples,
+    _checked_samples,
     _walk_samples,
     document_to_route,
     dumps_document,
@@ -183,7 +184,7 @@ class TestReports:
 
     def test_a_list_without_rows_stays_empty(self):
         doc = {"a": [], "b": 1}
-        assert dumps_json(doc, "%s", a=iter(())) == json.dumps(doc, indent=2)
+        assert dumps_json(doc, a=iter(())) == json.dumps(doc, indent=2)
 
 
 #: Times of a pair table: both zeros, the least subnormal, where ``%.12g``
@@ -330,7 +331,7 @@ def sample_lists(draw):
 
 def _outcome(check, items):
     try:
-        return "ok", repr(check(items))
+        return "ok", [column.tobytes() for column in check(items)]
     except RouteParseError as exc:
         return "error", str(exc), exc.path
 
@@ -347,7 +348,7 @@ class TestSampleColumns:
     @example([{"t": -1e308, "h": 0.0}, {"t": 1e308, "h": 0.0}])
     @example([{"t": 0.0, "h": -0.0, "dh": 0.0}, {"t": 1.0, "h": 0.0}])
     def test_columns_give_what_the_walker_gives(self, items):
-        assert _outcome(_canon_samples, items) == _outcome(_walk_samples, items)
+        assert _outcome(_checked_samples, items) == _outcome(_walk_samples, items)
 
 
 def _route_outcome(read, text):
@@ -412,11 +413,19 @@ class TestLoadsRoute:
     def test_route_is_the_canonical_documents(self, text):
         assert _route_outcome(loads_route, text) == _route_outcome(_reference_loads_route, text)
 
+    @given(documents())
+    @example({"transversal": {"kind": "geodesic"}, "samples": [{"t": 0.0, "h": True}]})
+    @example({"transversal": {"kind": "geodesic"}, "closed_form": {"name": "constant"}, "n": 10**6 + 1})
+    @example({"samples": [{"t": 0.0, "h": 0.0}]})
+    def test_document_to_route_is_loads_route(self, doc):
+        # The parsed document, or its text: one path, one outcome.
+        assert _route_outcome(document_to_route, doc) == _route_outcome(loads_route, json.dumps(doc))
+
     def test_no_canonical_rows_are_built(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("built canonical sample rows")
 
-        for name in ("_canon_samples", "_sample_rows", "_walk_samples", "_row_columns"):
+        for name in ("_sample_rows", "_walk_samples"):
             monkeypatch.setattr(routes_io, name, refuse)
         rng = np.random.default_rng(0)
         t = np.linspace(-4.0, 4.0, 4000)
