@@ -106,10 +106,10 @@ def _report_items(items, table) -> list[str]:
     text; each row is written in the order of the table's fields.  The
     times t1 and t2 are written by ``_num``'s rule once per distinct bit
     pattern (``_time_texts``) and gathered.  A row whose other numbers
-    are each plain or nan (see ``_plain``) takes the template of its nans,
-    with ``%.12g`` for each plain number and ``null`` for each nan; the
-    numbers of the other rows are written one by one by ``_num``'s rule.
-    The kind is written as a JSON string.  So k rows with d distinct times cost
+    are all plain (see ``_plain``) takes one template, with ``%.12g`` for
+    each of them; the numbers of the other rows (a nan, written ``null``,
+    among them) are written one by one by ``_num``'s rule.  The kind is
+    written as a JSON string.  So k rows with d distinct times cost
     O(k log k) numpy, d number writes and one template call per row."""
     if not len(items):
         return []
@@ -126,26 +126,20 @@ def _report_items(items, table) -> list[str]:
     for name in _TIMES:
         columns[name] = _time_texts(columns[name])
     numbers = [name for name in fields if name not in ("kind", *_TIMES)]
-    nan = np.array([np.isnan(columns[name]) for name in numbers])
-    plain = np.array([_plain(columns[name]) for name in numbers])
-    simple = (nan | plain).all(axis=0)
-    pattern = (1 << np.arange(len(numbers))) @ nan
+    plain = np.all([_plain(columns[name]) for name in numbers], axis=0)
     template = row_template(fields)
-    groups = []
-    for code in np.unique(pattern[simple]).tolist():
-        rows = np.flatnonzero(simple & (pattern == code))
-        null = {name for b, name in enumerate(numbers) if code >> b & 1}
-        specs = ["null" if f in null else "%.12g" if f in numbers else "%s" for f in fields]
-        values = [columns[f][rows] for f in fields if f not in null]
-        groups.append((rows, template % tuple(specs), values))
-    rest = np.flatnonzero(~simple)
+    specs = tuple("%.12g" if f in numbers else "%s" for f in fields)
+    rest = np.flatnonzero(~plain)
     texts = [
         np.array(list(map(_json_num, columns[f][rest].tolist())), dtype=object)
         if f in numbers else columns[f][rest]
         for f in fields
     ]
-    groups.append((rest, template, texts))
-    return template_rows(simple.size, groups)
+    groups = [
+        (np.flatnonzero(plain), template % specs, [columns[f][plain] for f in fields]),
+        (rest, template, texts),
+    ]
+    return template_rows(plain.size, groups)
 
 
 def _verdict_report(verdict) -> str:

@@ -167,25 +167,34 @@ def _leaf_map(transversal: Transversal):
 def _row_leaf(columns, p, beta) -> Leaf:
     """The leaf with angle ``beta`` on row p of carrier columns
     ``(cx, cy, radius)`` or ``(cx, cy, radius, x0, y0, dx, dy)`` (see
-    ``_carriers``), built through ``Circle``, ``Line`` and ``Leaf``, so
+    ``_slice_carriers``), built through ``Circle``, ``Line`` and ``Leaf``, so
     a carrier they refuse raises their error.  ``Line`` normalises the
     stored unit direction again, which keeps its bits."""
     cx, cy, r, *line = (float(c[p]) for c in columns)
     return Leaf(Line(*line) if math.isnan(r) else Circle(cx, cy, r), float(beta))
 
 
-def _carriers(slice_: FoliationSlice, beta, cbeta, k=None):
+def _slice_carriers(slice_: FoliationSlice, k=None):
     """The leaves ``all_entries`` builds, bit for bit, as carrier columns
     ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the rows of the other
-    shape (see ``LeafTable``), and the unit direction ``(dx, dy)`` of the
-    slice's lines, one per transversal.  ``beta`` and ``cbeta`` are the
-    columns acos(-h) and cos beta.
+    shape (see ``LeafTable``), with each leaf's angle beta and cos beta:
+    acos(-h), and pi on a geodesic's lines.  A line's direction is one
+    unit ``Line`` per transversal, normalised once.
 
     Given an int column ``k``, row p is that leaf scaled by 2**-k[p]
     instead, built from the crossing (or the horocycle's height, and t)
     scaled by 2**-k[p], so a crossing below the normal float range keeps
-    its bits."""
+    its bits.
+
+    The rows the constructors' own tests refuse (``_refused_leaves``, on
+    the unscaled carriers: with ``k``, the scaled ones scaled back, which
+    are those in the normal range and zero or infinite wherever those
+    are), and the levels beyond a hypercycle's band, are built through
+    them in row order (``_refuse``), so a slice ``all_entries`` refuses
+    raises the error it meets first."""
     tr, t, h = slice_.transversal, slice_.t, slice_.h
+    beta = _math_map(math.acos, -h)
+    cbeta = _math_map(math.cos, beta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if tr.kind == TransversalKind.HOROCYCLE:
             height = tr.height
@@ -194,12 +203,29 @@ def _carriers(slice_: FoliationSlice, beta, cbeta, k=None):
             line, unit = h == 0.0, (0.0, 1.0)
             circle = (np.where(line, math.nan, c) for c in (t, height, height / -h))
             lines = (np.where(line, c, math.nan) for c in (t, height, *unit))
-            return (*circle, *lines), unit
-        s = _math_map(math.exp, t * tr.curvature_bound)
-        if k is not None:
-            s = np.ldexp(s, -k)
-        ray = _ray(tr.phi)
-        return _orthogonal_leaves(s, beta, cbeta, ray), _line_direction(ray)
+            columns = (*circle, *lines)
+        else:
+            try:
+                s = _math_map(math.exp, t * tr.curvature_bound)
+            except OverflowError:  # refused by math.exp, unless an earlier row is
+                _refuse(slice_, np.arange(h.size))
+                raise
+            ray = _ray(tr.phi)
+            unit = _line_direction(ray)
+            columns = _orthogonal_leaves(s if k is None else np.ldexp(s, -k), beta, cbeta, ray)
+        unscaled = columns if k is None else (*(np.ldexp(c, k) for c in columns[:5]), *columns[5:])
+    line = np.isnan(columns[2])
+    refused = np.zeros(h.size, dtype=bool)
+    if tr.kind == TransversalKind.GEODESIC:  # a line leaf is horizontal, with beta = pi
+        beta = np.where(line, math.pi, beta)
+        cbeta = np.where(line, math.cos(math.pi), cbeta)
+    elif tr.kind == TransversalKind.HYPERCYCLE:
+        refused = _beyond_bound(cbeta, math.sin(tr.phi))
+    # A crossing that is not positive leaves a circle of radius 0 and a
+    # line with a nan point, both of which _refused_leaves refuses.
+    refused |= _refused_leaves(line, unscaled, beta, cbeta, unit)
+    _refuse(slice_, np.flatnonzero(refused))
+    return columns, beta, cbeta
 
 
 def _refuse(slice_: FoliationSlice, rows: np.ndarray) -> None:
@@ -221,34 +247,10 @@ LeafTable = namedtuple("LeafTable", "cx cy radius x0 y0 dx dy beta h kind")
 
 def leaf_table(slice_: FoliationSlice) -> LeafTable:
     """The slice's leaves as a ``LeafTable``, in O(n) numpy plus the
-    ``math`` maps of exp, acos and cos that the constructors use.
-
-    The rows the constructors' own tests refuse (``_refused_leaves``, and
-    the crossing and band tests of ``leaf_orthogonal_to_*``) are built
-    through them in row order, so a slice ``all_entries`` refuses raises
-    the error it meets first.  The carriers are the audit's
-    (``_carriers``): a line's direction is one unit ``Line`` per
-    transversal, normalised once.
-    """
-    tr, h = slice_.transversal, slice_.h
-    beta = _math_map(math.acos, -h)
-    cbeta = _math_map(math.cos, beta)
-    try:
-        columns, unit = _carriers(slice_, beta, cbeta)
-    except OverflowError:  # refused by math.exp, unless an earlier row is
-        _refuse(slice_, np.arange(h.size))
-        raise
-    line = np.isnan(columns[2])
-    refused = np.zeros(h.size, dtype=bool)
-    if tr.kind == TransversalKind.GEODESIC:  # a line leaf is horizontal, with beta = pi
-        beta = np.where(line, math.pi, beta)
-        cbeta = np.where(line, math.cos(math.pi), cbeta)
-    elif tr.kind == TransversalKind.HYPERCYCLE:
-        refused = _beyond_bound(cbeta, math.sin(tr.phi))
-    # A crossing that is not positive leaves a circle of radius 0 and a
-    # line with a nan point, both of which _refused_leaves refuses.
-    refused |= _refused_leaves(line, columns, beta, cbeta, unit)
-    _refuse(slice_, np.flatnonzero(refused))
+    ``math`` maps of exp, acos and cos that the constructors use; a slice
+    ``all_entries`` refuses raises the error it meets first (see
+    ``_slice_carriers``)."""
+    columns, beta, cbeta = _slice_carriers(slice_)
     return LeafTable(*columns, beta, -cbeta, _leaf_kinds(beta))
 
 
@@ -273,7 +275,8 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     disjointness predicates, so its verdicts are independent evidence.
     A report is clean when no pair has a contact above the boundary, by
     ``leaves.upper_contact`` (ideal tangencies are fine); gaps up to
-    ``leaves.TANGENCY_TOL`` count as tangencies.
+    ``leaves.TANGENCY_TOL`` count as tangencies.  A slice ``leaf_table``
+    refuses raises the same error (``_slice_carriers``).
 
     Each pair is intersected after scaling both leaves by 2**-k, where
     2**k is the scale of the lower leaf: its crossing with the
@@ -281,7 +284,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     geodesic, sin phi on a hypercycle), or the height of a horocycle.
     Both tolerances are therefore relative to that scale, and the verdict
     does not change when the route is shifted in t.  The scaled leaves
-    are built from the scaled crossing (``_carriers``), so the witness
+    are built from the scaled crossing (``_slice_carriers``), so the witness
     points, scaled back, carry the bits of an unscaled intersection, and
     a crossing below the normal float range (t L below about -708) loses
     none.  A pair whose carriers, or their squares, leave the float
@@ -361,24 +364,11 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
         k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
     else:
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
-    beta = _math_map(math.acos, -slice_.h)
-    cbeta = _math_map(math.cos, beta)
-    # Each row at its own scale 2**-k.  Scaled back, a circle is the
-    # unscaled one in the normal range, and zero or infinite wherever that
-    # one is, so every row the constructors refuse is built through them,
-    # as are the levels beyond a hypercycle's band, as in ``leaf_table``.
-    columns, _ = _carriers(slice_, beta, cbeta, k)
-    with np.errstate(over="ignore"):
-        cx, cy, r = (np.ldexp(c, k) for c in columns[:3])
-    line = np.isnan(r)
-    refused = ~(np.isfinite(cx) & np.isfinite(cy) & np.isfinite(r) & (r > 0.0)) & ~line
-    if tr.kind == TransversalKind.HYPERCYCLE:
-        refused |= _beyond_bound(cbeta, math.sin(tr.phi))
-    _refuse(slice_, np.flatnonzero(refused))
+    columns, beta, _ = _slice_carriers(slice_, k)  # each row at its own scale 2**-k
     circles = columns[:3]
     # Links and probes see the circles alone: a line's nan radius keeps them open.
     pairs = _probed_pairs(circles, k, *_cleared_links(tr, circles, k))
-    if not line.any():
+    if not np.isnan(circles[2]).any():
         columns = circles
 
     ts = slice_.t
@@ -440,7 +430,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
 def _pair_columns(columns, i, j, k) -> list[np.ndarray]:
     """The carrier columns of leaves i, then of leaves j, at the scale
     2**-k[i] of each pair's lower leaf.  ``columns`` hold each row at its
-    own scale 2**-k (see ``_carriers``), so leaf j is scaled by
+    own scale 2**-k (see ``_slice_carriers``), so leaf j is scaled by
     2**(k[j] - k[i]), which is exact: all but a line's direction
     (dx, dy), the last two of seven columns."""
     e = k[j] - k[i]
@@ -536,7 +526,7 @@ def _screen(
 
     ``columns`` are the carrier columns of the first leaves, then of the
     second: ``(cx, cy, radius)`` each, or the seven columns of
-    ``_carriers``, whose circle fields are nan on the line rows and line
+    ``_slice_carriers``, whose circle fields are nan on the line rows and line
     fields nan on the others.  Unflagged: neither coincident nor tangent,
     and no contact point higher than ``boundary`` (``BOUNDARY_TOL`` for
     the audit's pairs and the sweep, 0 for the audit's links and probes).

@@ -336,14 +336,6 @@ def _structure_columns(route: Route, bound: float):
     return parts, interior, zones
 
 
-def _structure_violations(route: Route, bound: float):
-    """``_structure_columns`` with the violations as a list of
-    ``Violation``, the form a pairwise reference extends row by row."""
-    parts, interior, zones = _structure_columns(route, bound)
-    columns = (np.concatenate(c) for c in zip(*parts))
-    return list(Violations(*columns)) if parts else [], interior, zones
-
-
 def _part(kind: int, *columns) -> tuple:
     """Violation columns (kind, t1, t2, slack) of one kind, with scalar
     columns repeated to the length of the array ones."""

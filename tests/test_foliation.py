@@ -12,10 +12,12 @@ from umbilic import (
     Circle,
     DomainError,
     FoliationSlice,
+    GeometryError,
     InvalidRouteError,
     Leaf,
     LeafKind,
     Line,
+    NotALeafError,
     Route,
     Transversal,
     builtin_route,
@@ -158,6 +160,44 @@ def axis_row(cy, r):
     return math.log(cy + r), -cy / r
 
 
+#: Ray angles just below pi/2, where a level within the band's tolerance
+#: can leave a line further off its angle than ``Leaf`` accepts.
+STEEP_PHIS = [math.pi / 2 - 1e-6, 1.5707949433218795, math.pi / 2 - 1e-9, 1.5707963267948963]
+
+
+@st.composite
+def hand_built_slices(draw):
+    """Slices of hand-picked rows, which ``synthesize`` would not clip into
+    the band: the geodesic, hypercycles with phi near pi/2 and across
+    (0, pi/2), and horocycles; levels at +-bound, +-(bound + 1e-12)
+    clipped to |h| <= 1, 0 and uniform; t in [-50, 50].  Levels below
+    1e-100 in size are 0: a horocycle circle of radius height / |h| stays
+    clear of the audit's float-range refusals, as t in [-50, 50] keeps
+    the other crossings."""
+    kind = draw(st.sampled_from(list(TransversalKind)))
+    if kind == TransversalKind.GEODESIC:
+        tr = Transversal.geodesic()
+    elif kind == TransversalKind.HYPERCYCLE:
+        tr = Transversal.hypercycle(
+            draw(st.one_of(st.sampled_from(STEEP_PHIS), st.floats(0.01, 1.56)))
+        )
+    else:
+        tr = Transversal.horocycle(draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0])))
+    bound = 1.0 if kind == TransversalKind.HOROCYCLE else tr.curvature_bound
+    edge = min(bound + 1e-12, 1.0)
+    level = st.one_of(
+        st.sampled_from([bound, -bound, edge, -edge, 0.0]),
+        st.floats(-bound, bound),
+        st.floats(-1.0, 1.0),
+    ).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+    n = draw(st.integers(1, 8))
+    t = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    h = draw(st.lists(level, min_size=n, max_size=n))
+    if kind == TransversalKind.HOROCYCLE and draw(st.booleans()):  # lines and circles only
+        h = [-abs(x) for x in h]
+    return slice_of(list(zip(t, h)), tr)
+
+
 class TestVerifyDisjoint:
     def test_crossing_circles_flagged(self):
         report = verify_disjoint(
@@ -217,6 +257,30 @@ class TestVerifyDisjoint:
             foliation.leaf_table(slice_)
         with pytest.raises(DomainError, match=message):
             verify_disjoint(slice_)
+
+    def test_a_line_off_its_angle_is_refused(self):
+        # sin phi = 1 - 9.6e-13, so the level 1 lies within the band's
+        # tolerance, but its line runs 1.4e-6 off beta = pi.
+        slice_ = slice_of(
+            [(0.0, -0.5), (1.0, 1.0), (2.0, 1.0)], Transversal.hypercycle(1.5707949433218795)
+        )
+        message = "angle 3.141592653589793 does not match line direction 3.141591270116776"
+        with pytest.raises(NotALeafError, match=message):
+            foliation.leaf_table(slice_)
+        with pytest.raises(NotALeafError, match=message):
+            verify_disjoint(slice_)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_slices())
+    def test_the_audit_refuses_what_leaf_table_refuses(self, slice_):
+        def refusal(check):
+            try:
+                check(slice_)
+            except GeometryError as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert refusal(verify_disjoint) == refusal(foliation.leaf_table)
 
 
 class TestExtendSlice:
@@ -325,14 +389,14 @@ class TestSliceTable:
     )
     def test_carrier_columns_are_the_entries(self, make):
         slice_ = make()
-        beta = foliation._math_map(math.acos, -slice_.h)
-        columns, unit = foliation._carriers(slice_, beta, foliation._math_map(math.cos, beta))
+        columns, beta, _ = foliation._slice_carriers(slice_)
         got = np.column_stack(columns)
         want = _carrier_fields(slice_)
         lines = np.isnan(want[:, 2])
         assert lines.any() and not lines.all()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(np.array(unit).view(np.int64), want[lines][0, 5:].view(np.int64))
+        want_beta = np.array([leaf.beta for _, leaf, _ in slice_.all_entries()])
+        assert np.array_equal(beta.view(np.int64), want_beta.view(np.int64))
 
     @given(leaf_rows(), st.integers(-60, 60))
     def test_scaled_leaf_map_is_exact(self, row, e):
@@ -1451,8 +1515,8 @@ class TestRunProbes:
 
 
 def _leaf_columns(shape):
-    """The seven carrier columns of ``_carriers`` for one leaf shape, as
-    one-row arrays."""
+    """The seven carrier columns of ``_slice_carriers`` for one leaf
+    shape, as one-row arrays."""
     if isinstance(shape, Circle):
         values = (shape.cx, shape.cy, shape.radius) + (math.nan,) * 4
     else:
@@ -1758,8 +1822,7 @@ class TestSingleRowRuns:
         route, _ = perturbed_invalid_route(tr, window=(-4.0, 4.0), n=241, seed=3)
         slice_ = synthesize(route, force=True)
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
-        beta = foliation._math_map(math.acos, -slice_.h)
-        circles = foliation._carriers(slice_, beta, foliation._math_map(math.cos, beta), k)[0][:3]
+        circles = foliation._slice_carriers(slice_, k)[0][:3]
         cleared, full = foliation._cleared_links(tr, circles, k)
         is_last = np.append(~cleared, True)
         runs = np.diff(np.flatnonzero(is_last), prepend=-1)

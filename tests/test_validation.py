@@ -24,9 +24,10 @@ from umbilic.validation import (
     _WINDOW_NOTE,
     Verdict,
     Violation,
+    Violations,
     _effective_phi,
     _pair_scan,
-    _structure_violations,
+    _structure_columns,
 )
 
 PHI_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
@@ -397,7 +398,8 @@ def _reference_validate_c0(route: Route) -> Verdict:
     bound = route.transversal.curvature_bound
     L = bound
     tol = route.tol
-    violations, interior, zones = _structure_violations(route, bound)
+    parts, interior, zones = _structure_columns(route, bound)
+    violations = [v for part in parts for v in Violations(*part)]
     worst = math.inf if not violations else min(v.slack for v in violations)
 
     tt = route.t[interior]
@@ -449,7 +451,7 @@ def _reference_validate_c0(route: Route) -> Verdict:
 def _pair_slacks(route: Route) -> np.ndarray:
     """Every interior pair's slack, by the reference formula."""
     bound = route.transversal.curvature_bound
-    _, interior, _ = _structure_violations(route, bound)
+    _, interior, _ = _structure_columns(route, bound)
     tt = route.t[interior]
     ff = lipschitz_profile(_effective_phi(route.transversal), route.h[interior])
     i, j = np.triu_indices(tt.size, 1)

@@ -5,7 +5,7 @@ The validators hand violation columns to ``validation._verdict``, and
 row.  The references below keep the old per-object path: one
 ``Violation`` per row, the key sort on (t1, t2, or t1 where t2 is nan),
 ``min`` over the slacks in that order, and ``json.dumps`` of the report's
-dict.
+dict, which ``test_writer`` builds, as its edge values are.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from umbilic import Route, Transversal, validate_c0, validate_c1, validate_horocycle
 from umbilic import validation
-from umbilic.cli import REPORT_SCHEMA, _verdict_report, main
+from umbilic.cli import _verdict_report, main
 from umbilic.validation import (
     VIOLATION_KINDS,
     Verdict,
@@ -30,37 +30,11 @@ from umbilic.validation import (
     _verdict,
 )
 
-
-def reference_num(x: float):
-    if math.isnan(x):
-        return None
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(f"{x:.12g}")
+from test_writer import EDGES, reference_verdict_report
 
 
 def reference_report(verdict) -> str:
-    return json.dumps({
-        "schema": REPORT_SCHEMA,
-        "report": "verdict",
-        "mode": verdict.mode,
-        "valid": verdict.valid,
-        "zones": {
-            "t_minus": reference_num(verdict.zones.t_minus),
-            "t_plus": reference_num(verdict.zones.t_plus),
-        },
-        "worst_slack": reference_num(verdict.worst_slack),
-        "violations": [
-            {
-                "kind": v.kind,
-                "t1": reference_num(v.t1),
-                "t2": reference_num(v.t2),
-                "slack": reference_num(v.slack),
-            }
-            for v in verdict.violations
-        ],
-        "notes": list(verdict.notes),
-    }, indent=2)
+    return json.dumps(reference_verdict_report(verdict), indent=2)
 
 
 def reference_verdict(mode, zones, worst, parts, notes) -> Verdict:
@@ -81,15 +55,6 @@ def reference_verdict(mode, zones, worst, parts, notes) -> Verdict:
     )
 
 
-#: Where the printed forms change, as in ``test_writer``: zeros of both
-#: signs, subnormals, whole and near-whole numbers, and the exponent
-#: switches of ``repr`` and ``%.12g``.
-EDGES = [
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
-    1e-5, 9.99999999999e-5, 9.999999999995e-5, 1e11, 99999999999.99999,
-    1e12, 1e16, 1e300, -1e300, 0.5, 2.5, 0.9999999999995, 3.0000000000001,
-    3.000000000001, 4.0, -4.0, 1.7976931348623157e308,
-]
 times = st.one_of(
     st.sampled_from([-1.0, 0.0, -0.0, 0.25, 1.0]),  # ties across kinds and parts
     st.sampled_from(EDGES + [math.inf, -math.inf]),
