@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -13,12 +12,15 @@ import numpy as np
 from .errors import DomainError, InvalidRouteError
 from .halfplane import Transversal, TransversalKind
 from .leaves import (
+    _TANGENT,
     BOUNDARY_TOL,
+    CONTACT_KINDS,
     TANGENCY_TOL,
     Circle,
     Leaf,
     Line,
     _beyond_bound,
+    _carrier_contacts,
     _geodesic_slack,
     _hypercycle_gap,
     _leaf_kinds,
@@ -27,10 +29,10 @@ from .leaves import (
     _orthogonal_leaves,
     _ray,
     _refused_leaves,
-    carrier_contact,
+    _upper_contacts,
+    carrier_contact,  # unused here; the benchmark's tracer wraps this name
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
-    upper_contact,
 )
 from .validation import Route, _effective_phi, _RowTable, profile_inverse, validate
 
@@ -45,11 +47,6 @@ class PairContact:
     kind: str
     x: float
     y: float
-
-
-#: The contact kinds, in the order of their codes in ``PairContacts.kind``.
-CONTACT_KINDS = ("transverse", "tangent", "coincident")
-_TRANSVERSE, _TANGENT = 0, 1
 
 
 class PairContacts(_RowTable):
@@ -164,16 +161,6 @@ def _leaf_map(transversal: Transversal):
     return lambda t, h: leaf_orthogonal_to_hypercycle(phi, math.exp(t * L), math.acos(-h))
 
 
-def _row_leaf(columns, p, beta) -> Leaf:
-    """The leaf with angle ``beta`` on row p of carrier columns
-    ``(cx, cy, radius)`` or ``(cx, cy, radius, x0, y0, dx, dy)`` (see
-    ``_slice_carriers``), built through ``Circle``, ``Line`` and ``Leaf``, so
-    a carrier they refuse raises their error.  ``Line`` normalises the
-    stored unit direction again, which keeps its bits."""
-    cx, cy, r, *line = (float(c[p]) for c in columns)
-    return Leaf(Line(*line) if math.isnan(r) else Circle(cx, cy, r), float(beta))
-
-
 def _slice_carriers(slice_: FoliationSlice, k=None):
     """The leaves ``all_entries`` builds, bit for bit, as carrier columns
     ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the rows of the other
@@ -261,10 +248,11 @@ _AUDIT_BLOCK_CELLS = 1 << 14
 
 #: Relative slack of the screen, 512 unit roundoffs: a generous bound on
 #: how far numpy's value of each quantity the screen tests can sit from
-#: the one ``carrier_contact`` computes, relative to the pair's sizes.
-#: The two differ through ``np.hypot`` against ``math.hypot``, ``r*r``
-#: against ``r**2`` and the grouping of the crossing's height, each a few
-#: ulps, and through the rounding that follows.
+#: the one the contact kernel (``leaves._carrier_contacts``) computes,
+#: relative to the pair's sizes.  The two differ through ``np.hypot``
+#: against ``math.hypot``, ``r*r`` against ``r**2`` and the grouping of
+#: the crossing's height, each a few ulps, and through the rounding that
+#: follows.
 _SCREEN_SLACK = 2.0**-44
 
 
@@ -289,8 +277,9 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     a crossing below the normal float range (t L below about -708) loses
     none.  A pair whose carriers, or their squares, leave the float
     range at that scale raises ``DomainError``: a horocycle slice with
-    t / height near 1e308, or leaves whose crossings lie more than about
-    2**511 apart.
+    t / height near 1e308 or a level |h| below about 1e-154 (a circle's
+    radius is height / |h|), or leaves whose crossings lie more than
+    about 2**511 apart.
 
     Consecutive leaves certify the pairs they span.  Every leaf of a slice
     crosses its transversal orthogonally, since a slice holds only (t, h)
@@ -336,35 +325,32 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
 
     The pairs left are screened in numpy, in (i, j) order, in blocks of
     at most ``_AUDIT_BLOCK_CELLS`` pairs and probes, lines included (a
-    line's point is scaled, its direction is not).  A pair the screen
-    finds crossing takes its witness in numpy too (``_crossing_points``):
-    ``carrier_contact``'s transverse branch and ``upper_contact``'s first
-    point above ``BOUNDARY_TOL``, in the same IEEE steps, with ``math``'s
-    hypot and Python's ``r**2``, scaled back by ``ldexp``.  The pair
-    screen also settles, unflagged, a circle pair certainly tangent at a
-    point no higher than ``BOUNDARY_TOL`` (``_screen``'s ``tangent``), as
-    on ``horospherical``, whose leaves all touch at the origin.  Only the
-    rest go through ``carrier_contact``, on leaves built from the pair's
-    scaled carrier columns (``_row_leaf``): the pairs within a rounding
-    guard of one of its decisions, tangencies above the boundary,
-    coincident pairs, lines that are not parallel and witnesses past the
-    float range.  So the report is, bit for bit, the one a pair-by-pair
-    loop over the scaled pairs gives, and ``pair_count`` still counts all
-    n (n - 1) / 2 pairs; its contacts stay columns (``PairContacts``).
-    Cost, for R runs: O(n) numpy for the links, then O(n R) numpy for the
-    probes plus the k candidate pairs they leave, O(c) ``math`` calls for
-    the c crossing pairs' witnesses (off the geodesic and the horocycle,
-    whose centres share an axis, two per pair, else one), and O(r)
-    Python for the r pairs left open; O(n^2) numpy when every row is
-    screened in full, as on horocycle slices, or when R = n, as on a
-    family whose every pair crosses.  A clean family (R = 1) costs O(n).
+    line's point is scaled, its direction is not).  The pair screen
+    settles, unflagged, the pairs ``carrier_contact`` certainly leaves
+    unflagged, and also a circle pair certainly tangent at a point no
+    higher than ``BOUNDARY_TOL`` (``_screen``'s ``tangent``), as on
+    ``horospherical``, whose leaves all touch at the origin.  The rest of
+    each block, crossings and the pairs near a decision alike, go to the
+    contact kernel (``leaves._carrier_contacts``) in one call, and
+    ``upper_contact``'s first point above ``BOUNDARY_TOL`` is the
+    witness, scaled back by ``ldexp``.  So the report is, bit for bit,
+    the one ``carrier_contact`` gives on each scaled pair in turn, and
+    ``pair_count`` still counts all n (n - 1) / 2 pairs; its contacts
+    stay columns (``PairContacts``).  Cost, for R runs: O(n) numpy for
+    the links, then O(n R) numpy for the probes plus the k candidate
+    pairs they leave, and for the c pairs the screen does not leave
+    unflagged O(c) numpy and ``math`` calls (two ``r**2`` per pair, and
+    one ``math.hypot`` off the geodesic and the horocycle, whose centres
+    share an axis); O(n^2) numpy when every row is screened in full, as
+    on horocycle slices, or when R = n, as on a family whose every pair
+    crosses.  A clean family (R = 1) costs O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
     if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
         k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
     else:
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
-    columns, beta, _ = _slice_carriers(slice_, k)  # each row at its own scale 2**-k
+    columns = _slice_carriers(slice_, k)[0]  # each row at its own scale 2**-k
     circles = columns[:3]
     # Links and probes see the circles alone: a line's nan radius keeps them open.
     pairs = _probed_pairs(circles, k, *_cleared_links(tr, circles, k))
@@ -375,42 +361,27 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     found = []
     for i, j in pairs:
         pair = _pair_columns(columns, i, j, k)
-        unflagged, crossing = _screen(*pair, tangent=True)
+        unflagged, _ = _screen(*pair, tangent=True)
         rows = np.flatnonzero(~unflagged)  # the pairs that may be flagged
         if not rows.size:
             continue
         a, b = i[rows], j[rows]
+        kind, points, out = _carrier_contacts(*(c[rows] for c in pair))
+        *witness, keep = _upper_contacts(kind, points)
         with np.errstate(over="ignore"):
-            x, y = (np.ldexp(v, k[a]) for v in _crossing_points(pair, rows))
-        kind = np.full(rows.size, _TRANSVERSE, dtype=np.int8)
-        # Open pairs, and crossings whose witness leaves the float range, go
-        # through carrier_contact.
-        rest = np.flatnonzero(~(crossing[rows] & np.isfinite(x) & np.isfinite(y)))
-        half = len(pair) // 2
-        for q in rest.tolist():
-            p, lo, hi = int(rows[q]), int(a[q]), int(b[q])
-            scale = int(k[lo])
-            try:
-                contact = carrier_contact(
-                    _row_leaf(pair[:half], p, beta[lo]), _row_leaf(pair[half:], p, beta[hi])
-                )
-                point = upper_contact(contact)
-                if point is None:
-                    kind[q] = -1
-                else:
-                    kind[q] = CONTACT_KINDS.index(contact.kind)
-                    x[q], y[q] = (math.ldexp(v, scale) for v in point)
-            except (OverflowError, DomainError):  # the unscaled carriers are finite
-                raise DomainError(
-                    f"the leaves at t={float(ts[lo])!r} and t={float(ts[hi])!r} leave the "
-                    f"float range at the audit's scale 2**{scale}"
-                ) from None
-        if rest.size:  # drop the pairs carrier_contact leaves unflagged
-            keep = kind >= 0
-            a, b, kind, x, y = a[keep], b[keep], kind[keep], x[keep], y[keep]
-        found.append((ts[a], ts[b], kind, x, y))
+            unscaled = [np.ldexp(v, k[a]) for v in witness]
+        # A witness may leave the float range once scaled back, too.
+        for v, w in zip(witness, unscaled):
+            out |= keep & np.isfinite(v) & np.isinf(w)
+        if out.any():
+            lo, hi = a[out.argmax()], b[out.argmax()]
+            raise DomainError(
+                f"the leaves at t={float(ts[lo])!r} and t={float(ts[hi])!r} leave the "
+                f"float range at the audit's scale 2**{int(k[lo])}"
+            )
+        if keep.any():
+            found.append((ts[a[keep]], ts[b[keep]], kind[keep], *(v[keep] for v in unscaled)))
     intersecting = tangent = _NO_CONTACTS
-    found = [part for part in found if part[0].size]
     if found:
         columns = [np.concatenate(c) if len(found) > 1 else c[0] for c in zip(*found)]
         is_tangent = columns[2] == _TANGENT
@@ -522,7 +493,8 @@ def _screen(
     *columns, boundary: float = BOUNDARY_TOL, tangent: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Which leaf pairs ``carrier_contact`` certainly leaves unflagged,
-    and which it certainly finds crossing above the boundary.
+    and which it certainly finds crossing above the boundary: the cheap
+    filter in front of the contact kernel (``leaves._carrier_contacts``).
 
     ``columns`` are the carrier columns of the first leaves, then of the
     second: ``(cx, cy, radius)`` each, or the seven columns of
@@ -532,10 +504,10 @@ def _screen(
     the audit's pairs and the sweep, 0 for the audit's links and probes).
     Crossing: transverse, with a contact point above ``boundary``.
 
-    Circle pairs follow ``leaves._circle_circle`` step by step: unflagged
-    when concentric, apart or crossing no higher than the boundary.  Given
-    the line columns, the rows that hold a line follow ``_circle_line``
-    and ``_line_line`` (``_screen_circle_line``, ``_screen_line_line``):
+    Circle pairs follow the kernel's circle steps: unflagged when
+    concentric, apart or crossing no higher than the boundary.  Given the
+    line columns, the rows that hold a line follow its circle-line and
+    line-line steps (``_screen_circle_line``, ``_screen_lines``):
     unflagged when apart, crossing no higher than the boundary, or
     parallel and distinct; lines that are not parallel stay open.  With
     three columns a line (nan radius) settles nothing.  Near-tangent and
@@ -573,12 +545,12 @@ def _screen(
         unflagged[mixed], crossing[mixed] = _screen_circle_line(*circle, *line, boundary)
     both = np.flatnonzero(line1 & line2)
     if both.size:
-        unflagged[both] = _screen_line_line(*take(both, first[3:] + second[3:]))
+        unflagged[both] = _screen_lines(*take(both, first[3:] + second[3:]))
     return unflagged, crossing
 
 
 def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
-    """``_screen`` on circle pairs, following ``leaves._circle_circle``.
+    """``_screen`` on circle pairs, following ``leaves._circle_contacts``.
     With ``tangent``, a pair is also unflagged when it is certainly not
     coincident, within ``TANGENCY_TOL`` of touching, and touching at
     c1 + a u no higher than the boundary."""
@@ -615,10 +587,11 @@ def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
 
 
 def _screen_circle_line(cx, cy, r, x0, y0, dx, dy, boundary):
-    """``_screen`` on circle-line pairs, following ``leaves._circle_line``:
-    the centre's foot f on the line lies at distance dist from it, and the
-    line misses the circle (dist > r) or crosses it at f -+ half (dx, dy),
-    the higher point at height f_y + half dy (dy >= 0).  Every quantity
+    """``_screen`` on circle-line pairs, following
+    ``leaves._circle_line_contacts``: the centre's foot f on the line lies
+    at distance dist from it, and the line misses the circle (dist > r) or
+    crosses it at f -+ half (dx, dy), the higher point at height
+    f_y + half dy (dy >= 0).  Every quantity
     but dist is numpy's in the same IEEE steps; size, the sum of the
     pair's coordinates and radius, bounds |u|, |f| and dist."""
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
@@ -641,10 +614,10 @@ def _screen_circle_line(cx, cy, r, x0, y0, dx, dy, boundary):
     return clear & (apart | low_crossing), clear & high_crossing
 
 
-def _screen_line_line(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
-    """Which line pairs ``leaves._line_line`` certainly finds parallel and
-    distinct, so unflagged.  Parallel: numpy's cross product of the
-    directions is 0, so carrier_contact's, from the same unscaled
+def _screen_lines(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
+    """Which line pairs ``leaves._line_contacts`` certainly finds parallel
+    and distinct, so unflagged.  Parallel: numpy's cross product of the
+    directions is 0, so the kernel's, from the same unscaled
     directions (or ones a few ulps off), is far below its 1e-14.
     Distinct: the offset clears ``TANGENCY_TOL`` by the rounding guard."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -652,80 +625,6 @@ def _screen_line_line(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
         off = (x2 - x1) * dy1 - (y2 - y1) * dx1
         size = np.abs(x1) + np.abs(y1) + np.abs(x2) + np.abs(y2)
         return (cross == 0.0) & (np.abs(off) > TANGENCY_TOL + _SCREEN_SLACK * size)
-
-
-def _crossing_points(pair, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The witness of ``carrier_contact`` plus ``upper_contact`` on the
-    ``rows`` of ``pair`` (``_screen``'s columns, at the pair's scale):
-    on the rows ``_screen`` settled as crossing, the first transverse
-    point above ``BOUNDARY_TOL``, by the same IEEE steps, bit for bit.
-    Where that arithmetic leaves the float range the point is nan or
-    inf; on the other rows it means nothing."""
-    half = len(pair) // 2
-    cols = pair if rows.size == pair[0].size else [c[rows] for c in pair]
-    first, second = cols[:half], cols[half:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if half == 3:
-            return _circle_points(*first, *second)
-        mixed = np.isnan(first[2]) | np.isnan(second[2])
-        x, y = np.empty((2, rows.size))
-        c = np.flatnonzero(~mixed)
-        x[c], y[c] = _circle_points(*(v[c] for v in (*first[:3], *second[:3])))
-        m = np.flatnonzero(mixed)
-        if m.size:  # carrier_contact puts the circle first
-            swap = np.isnan(first[2][m])
-            circle = [np.where(swap, b[m], a[m]) for a, b in zip(first[:3], second[:3])]
-            line = [np.where(swap, a[m], b[m]) for a, b in zip(first[3:], second[3:])]
-            x[m], y[m] = _circle_line_points(*circle, *line)
-    return x, y
-
-
-def _circle_points(x1, y1, r1, x2, y2, r2):
-    """``leaves._circle_circle``'s transverse branch, then
-    ``upper_contact``'s choice."""
-    dx, dy = x2 - x1, y2 - y1
-    d = _hypot(dx, dy)
-    ux, uy = dx / d, dy / d
-    r1r1 = _squares(r1)
-    a = (r1r1 - _squares(r2) + d * d) / (2.0 * d)
-    root = np.sqrt(r1r1 - a * a)
-    mx, my = x1 + a * ux, y1 + a * uy
-    return _first_above(mx - root * uy, my + root * ux, mx + root * uy, my - root * ux)
-
-
-def _circle_line_points(cx, cy, r, x0, y0, dx, dy):
-    """``leaves._circle_line``'s transverse branch, then
-    ``upper_contact``'s choice."""
-    u = (cx - x0) * dx + (cy - y0) * dy
-    fx, fy = x0 + u * dx, y0 + u * dy
-    dist = _hypot(cx - fx, cy - fy)
-    half = np.sqrt(_squares(r) - dist * dist)
-    return _first_above(fx - half * dx, fy - half * dy, fx + half * dx, fy + half * dy)
-
-
-def _first_above(x1, y1, x2, y2):
-    """The first of two points above ``BOUNDARY_TOL``, else the second."""
-    first = y1 > BOUNDARY_TOL
-    return np.where(first, x1, x2), np.where(first, y1, y2)
-
-
-def _hypot(x, y) -> np.ndarray:
-    """``math.hypot`` of each pair of elements.  numpy's misses it in the
-    last bit on about 0.6 % of inputs, but not where x or y is 0: both
-    then give the other's absolute value.  So a column of zeros, as on
-    the geodesic's and the horocycle's circles, whose centres share an
-    axis, takes numpy's."""
-    if x.any() and y.any():
-        return _math_map(math.hypot, x, y)
-    return np.hypot(x, y)
-
-
-def _squares(r) -> np.ndarray:
-    """Python's ``r**2`` of each element, which numpy's r*r misses in the
-    last bit on about 0.1 % of inputs; nan where r reaches
-    ``_REACH_LIMIT``, so that no square overflows."""
-    r = np.where(np.abs(r) < _REACH_LIMIT, r, math.nan)
-    return np.fromiter(map(pow, r.tolist(), itertools.repeat(2.0)), float, r.size)
 
 
 def extend_slice(
@@ -914,17 +813,16 @@ def run_disjointness_agreement(
 
     The pairs are drawn by ``_draw_blocks`` and judged a block at a time.
     The oracle's verdict comes from the audit's numpy ``_screen``, on the
-    circle and line columns of the leaves, when the screen settles it
-    either way; the pairs within a rounding guard of one of
-    ``carrier_contact``'s decisions go through ``carrier_contact`` on
-    leaves built from those columns (``_row_leaf``), the ones the
-    constructors build.  Margin-skipped pairs never reach the oracle.
-    Each ``math`` column (sin phi, cos phi, cos beta1, cos beta2)
+    circle and line columns of the leaves the constructors build, when
+    the screen settles it either way; the pairs within a rounding guard
+    of one of ``carrier_contact``'s decisions go to the contact kernel
+    (``leaves._carrier_contacts``) in one call per block, and a block
+    with none makes no call.  Margin-skipped pairs never reach the
+    oracle.  Each ``math`` column (sin phi, cos phi, cos beta1, cos beta2)
     is computed once per block and feeds both the predicate and the
     carriers.  Cost: O(n) numpy work in blocks of at most
-    ``_AUDIT_BLOCK_CELLS`` pairs, plus O(r) ``carrier_contact`` calls for
-    the r pairs the screen leaves open (none of the 40 000 draws of
-    seeds 0 to 9 at n = 2 000 on both families).
+    ``_AUDIT_BLOCK_CELLS`` pairs (the kernel takes none of the 40 000
+    draws of seeds 0 to 9 at n = 2 000 on both families).
     """
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
@@ -945,11 +843,11 @@ def run_disjointness_agreement(
         second = _orthogonal_leaves(s2, beta2, cbeta2, ray)
         disjoint, crossing = _screen(*first, *second)
         tangent = np.zeros_like(margin)
-        for p in np.flatnonzero(~margin & ~disjoint & ~crossing).tolist():
-            leaves = _row_leaf(first, p, beta1[p]), _row_leaf(second, p, beta2[p])
-            contact = carrier_contact(*leaves)
-            tangent[p] = contact.kind == "tangent"
-            disjoint[p] = upper_contact(contact) is None
+        rows = np.flatnonzero(~margin & ~disjoint & ~crossing)
+        if rows.size:
+            kind, points, _ = _carrier_contacts(*(c[rows] for c in (*first, *second)))
+            tangent[rows] = kind == _TANGENT
+            disjoint[rows] = ~_upper_contacts(kind, points)[2]
         judged = ~margin & ~tangent
         wrong = np.flatnonzero(judged & ((slack >= 0.0) != disjoint))
         compared += int(np.count_nonzero(judged))

@@ -494,6 +494,21 @@ class TestFloatRange:
         assert code == 1
         assert "float range" in err
 
+    def test_horocycle_audit_at_a_small_level_is_refused(self, route_file, capsys):
+        # A circle's radius is height / |h|: at h = -1e-200 its square
+        # leaves the float range at the audit's scale.
+        doc = {
+            "transversal": {"kind": "horocycle", "height": 1e-3},
+            "tol": 1e-300,
+            "samples": [{"t": 0.0, "h": 0.0}, {"t": 1.0, "h": -1e-200}],
+        }
+        code, out, err = run(capsys, ["audit", "--force", route_file(doc)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "umbilic: the leaves at t=0.0 and t=1.0 leave the float range "
+            "at the audit's scale 2**-9\n"
+        )
+
     def test_geodesic_audit_beyond_its_scale_is_refused(self, route_file, capsys):
         # The upper carrier's squared radius overflows at the lower leaf's scale.
         doc = {

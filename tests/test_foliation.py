@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import math
@@ -36,6 +37,7 @@ from umbilic.halfplane import TransversalKind
 from umbilic.leaves import (
     BOUNDARY_TOL,
     TANGENCY_TOL,
+    CarrierContact,
     _geodesic_slack,
     _hypercycle_gap,
     _math_map,
@@ -559,6 +561,95 @@ class TestAgreementSweep:
 
 
 # --------------------------------------------------------------------------
+# Carrier contact, one pair at a time
+
+
+def _reference_contact(leaf1, leaf2):
+    """``carrier_contact`` by its definition, one pair at a time in Python
+    floats: the reference the audit's and the sweep's checks use, so that
+    they stay independent of the columnar kernel (and fast: a one-row
+    numpy call per pair costs about 50 times as much)."""
+    s1, s2 = leaf1.shape, leaf2.shape
+    if isinstance(s1, Circle) and isinstance(s2, Circle):
+        return _reference_circle_circle(s1, s2)
+    if isinstance(s1, Circle):
+        return _reference_circle_line(s1, s2)
+    if isinstance(s2, Circle):
+        return _reference_circle_line(s2, s1)
+    return _reference_line_line(s1, s2)
+
+
+def _reference_circle_circle(c1, c2):
+    dx, dy = c2.cx - c1.cx, c2.cy - c1.cy
+    d = math.hypot(dx, dy)
+    if d <= TANGENCY_TOL and abs(c1.radius - c2.radius) <= TANGENCY_TOL:
+        return CarrierContact("coincident")
+    gap = min(abs(d - (c1.radius + c2.radius)), abs(d - abs(c1.radius - c2.radius)))
+    if d == 0.0:
+        return CarrierContact("none")
+    ux, uy = dx / d, dy / d
+    a = (c1.radius**2 - c2.radius**2 + d * d) / (2.0 * d)
+    if gap <= TANGENCY_TOL:
+        px, py = c1.cx + a * ux, c1.cy + a * uy
+        return CarrierContact("tangent", ((px, py),))
+    disc = c1.radius**2 - a * a
+    if disc <= 0.0:
+        return CarrierContact("none")
+    root = math.sqrt(disc)
+    mx, my = c1.cx + a * ux, c1.cy + a * uy
+    return CarrierContact(
+        "transverse",
+        ((mx - root * uy, my + root * ux), (mx + root * uy, my - root * ux)),
+    )
+
+
+def _reference_circle_line(c, ln):
+    # Project the center onto the line; the offset decides everything.
+    relx, rely = c.cx - ln.x0, c.cy - ln.y0
+    u = relx * ln.dx + rely * ln.dy
+    fx, fy = ln.x0 + u * ln.dx, ln.y0 + u * ln.dy
+    dist = math.hypot(c.cx - fx, c.cy - fy)
+    if abs(dist - c.radius) <= TANGENCY_TOL:
+        return CarrierContact("tangent", ((fx, fy),))
+    if dist >= c.radius:
+        return CarrierContact("none")
+    half = math.sqrt(c.radius**2 - dist * dist)
+    return CarrierContact(
+        "transverse",
+        (
+            (fx - half * ln.dx, fy - half * ln.dy),
+            (fx + half * ln.dx, fy + half * ln.dy),
+        ),
+    )
+
+
+def _reference_line_line(l1, l2):
+    cross = l1.dx * l2.dy - l1.dy * l2.dx
+    if abs(cross) <= 1e-14:
+        # Parallel: separation is the cross product of the offset with the direction.
+        off = (l2.x0 - l1.x0) * l1.dy - (l2.y0 - l1.y0) * l1.dx
+        if abs(off) <= TANGENCY_TOL:
+            return CarrierContact("coincident")
+        return CarrierContact("none")
+    u = ((l2.x0 - l1.x0) * l2.dy - (l2.y0 - l1.y0) * l2.dx) / cross
+    return CarrierContact("transverse", ((l1.x0 + u * l1.dx, l1.y0 + u * l1.dy),))
+
+
+def _kernel_rows(monkeypatch):
+    """Record how many rows each call of the contact kernel takes from the
+    audit and the sweep."""
+    rows = []
+    kernel = foliation._carrier_contacts
+
+    def counting(*columns):
+        rows.append(columns[0].size)
+        return kernel(*columns)
+
+    monkeypatch.setattr(foliation, "_carrier_contacts", counting)
+    return rows
+
+
+# --------------------------------------------------------------------------
 # The sweep against its pair-by-pair definition
 
 
@@ -594,7 +685,7 @@ def _reference_run_disjointness_agreement(
         if math.isfinite(slack) and abs(slack) < foliation._SLACK_MARGIN:
             skipped_margin += 1
             continue
-        contact = carrier_contact(leaf1, leaf2)
+        contact = _reference_contact(leaf1, leaf2)
         if contact.kind == "tangent":
             skipped_tangent += 1
             continue
@@ -697,18 +788,12 @@ class TestAgreementSweepDifferential:
             assert any(isinstance(sh, Line) for sh in shapes)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_screen_leaves_few_pairs_to_carrier_contact(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return carrier_contact(*args)
-
-        monkeypatch.setattr(foliation, "carrier_contact", counting)
+    def test_screen_leaves_few_pairs_to_the_kernel(self, monkeypatch):
+        rows = _kernel_rows(monkeypatch)
         for family in FAMILIES:
             run_disjointness_agreement(family, 2000, 0)
         # The line pairs (about 8 % of the draws) and the near cases.
-        assert len(calls) < 0.1 * 2 * 2000
+        assert sum(rows) < 0.1 * 2 * 2000
 
     def test_peak_memory_does_not_grow_with_n(self):
         # Drawing all 200 000 pairs at once takes about 130 MB.
@@ -733,7 +818,7 @@ class TestAgreementSweepDifferential:
         unflagged, crossing = foliation._screen(x1, y1, r1, x2, y2, r2)
         assert crossing.sum() > m // 10
         for k in range(m):
-            contact = carrier_contact(
+            contact = _reference_contact(
                 *(Leaf(Circle(x, y, r), math.acos(y / r))
                   for x, y, r in ((x1[k], y1[k], r1[k]), (x2[k], y2[k], r2[k])))
             )
@@ -790,7 +875,7 @@ def _scaled_leaf_map(transversal, e):
 
 
 def _reference_verify_disjoint(slice_, boundary_tol=1e-9, tangency_tol=1e-9, rebuild=False):
-    """The audit by its definition: every pair through carrier_contact,
+    """The audit by its definition: every pair through ``_reference_contact``,
     after scaling both leaves by 2**-k of the lower one, O(n^2) Python.
     The scaled leaves are the unscaled ones with their fields scaled, or
     with ``rebuild`` the ones ``_scaled_leaf_map`` builds from the
@@ -812,7 +897,7 @@ def _reference_verify_disjoint(slice_, boundary_tol=1e-9, tangency_tol=1e-9, reb
                     scaled[index, k] = _scaled_leaf_map(slice_.transversal, -k)(*row)
                 elif (index, k) not in scaled:
                     scaled[index, k] = _scaled_leaf(leaf, -k)
-            contact = carrier_contact(scaled[i, k], scaled[j, k])
+            contact = _reference_contact(scaled[i, k], scaled[j, k])
             if contact.kind == "coincident":
                 intersecting.append(
                     PairContact(t1, t2, "coincident", math.nan, math.nan)
@@ -1105,7 +1190,7 @@ class TestVerifyDisjointDifferential:
 
     def test_lines_crossing_circles_are_flagged(self):
         # Horizontal lines low on the axis under bigger circles: every
-        # such pair crosses, and only carrier_contact can say where.
+        # such pair crosses.
         slice_ = slice_of([(0.0, 1.0), (0.3, 1.0), (1.0, -math.cos(0.8)), (1.4, -math.cos(0.8))])
         report = assert_matches_reference(slice_)
         assert len(report.intersecting) == 4
@@ -1176,19 +1261,13 @@ class TestVerifyDisjointDifferential:
         assert _report_key(verify_disjoint(slice_)) == expected
 
     def test_valid_routes_recompute_few_pairs(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return carrier_contact(*args)
-
-        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        rows = _kernel_rows(monkeypatch)
         for tr in (Transversal.geodesic(), Transversal.hypercycle(0.9)):
             route = random_valid_route(tr, window=(-42.0, -38.0), n=241, seed=1)
             report = verify_disjoint(synthesize(route))
             assert report.clean
         # Two routes of 241 leaves: at most 1 % of their pairs.
-        assert len(calls) < 0.01 * 2 * (241 * 240 // 2)
+        assert sum(rows) < 0.01 * 2 * (241 * 240 // 2)
 
 
 class TestAuditScaleAndShift:
@@ -1209,6 +1288,45 @@ class TestAuditScaleAndShift:
         report = verify_disjoint(synthesize(route, force=True))
         moved_report = verify_disjoint(synthesize(moved, force=True))
         assert report.clean and moved_report.clean
+
+    def test_verdicts_are_reversal_invariant(self):
+        # (t, h) -> (-t, -h) is an isometry of the problem: on the geodesic
+        # and on each ray it swaps the ends of the transversal and the sides
+        # of its leaves, so it mirrors every flagged pair (t1, t2).
+        from umbilic import validate_c0
+
+        flagged = 0
+        for phi in (None, 0.5, 0.9, 1.3):
+            tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+            for seed in range(40):
+                for route in (
+                    random_valid_route(tr, n=61, seed=seed),
+                    perturbed_invalid_route(tr, n=61, seed=seed)[0],
+                ):
+                    mirrored = Route(tr, -route.t[::-1], -route.h[::-1])
+                    verdicts = validate_c0(route), validate_c0(mirrored)
+                    assert verdicts[0].valid == verdicts[1].valid
+                    # The slacks differ in their last bits.
+                    assert verdicts[1].worst_slack == pytest.approx(
+                        verdicts[0].worst_slack, abs=1e-12
+                    )
+                    report, mirror = (
+                        verify_disjoint(synthesize(r, force=True)) for r in (route, mirrored)
+                    )
+                    assert report.clean == mirror.clean
+                    pairs = {(c.t1, c.t2, c.kind) for c in (*report.intersecting, *report.tangent)}
+                    assert {(-t2, -t1, kind) for t1, t2, kind in pairs} == {
+                        (c.t1, c.t2, c.kind) for c in (*mirror.intersecting, *mirror.tangent)
+                    }
+                    flagged += len(pairs)
+        assert flagged > 3000
+
+    def test_witness_past_the_float_range_is_refused(self):
+        # Horocycle circles near the top of the float range, crossing at a
+        # point whose x overflows once scaled back from the audit's scale.
+        t2 = (1 - 1e-12) * np.finfo(float).max
+        rows = [(t2 - 2.5e302, -1e200 / 3e302), (t2, -1e200 / 1e302)]
+        assert assert_matches_reference(slice_of(rows, Transversal.horocycle(1e200))) is None
 
     def test_small_constant_route_audits_clean(self):
         route = builtin_route("constant", window=(-30.0, -25.0), c=-0.3)
@@ -1318,19 +1436,13 @@ class TestLinkScreen:
     )
     def test_concentric_family_clears_its_links(self, monkeypatch, route):
         # Every leaf is a circle about the origin; distinct ones never meet.
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return carrier_contact(*args)
-
-        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        rows = _kernel_rows(monkeypatch)
         slice_ = synthesize(route)
         assert {leaf.shape.cx for _, leaf, _ in slice_.all_entries()} == {0.0}
         report, screened = self.screened_pairs(monkeypatch, slice_)
         assert report.clean
         assert screened == 240
-        assert calls == []
+        assert rows == []
 
     def test_horocycle_slice_screens_every_pair(self, monkeypatch):
         n = 200
@@ -1589,7 +1701,7 @@ def assert_screen_holds(first, second):
     """``_screen``'s settled verdicts on the pair are ``carrier_contact``'s;
     returns whether it settled the pair."""
     unflagged, crossing = foliation._screen(*_leaf_columns(first), *_leaf_columns(second))
-    contact = carrier_contact(_leaf_of(first), _leaf_of(second))
+    contact = _reference_contact(_leaf_of(first), _leaf_of(second))
     if unflagged[0]:
         assert contact.kind not in ("tangent", "coincident")
         assert upper_contact(contact) is None
@@ -1650,7 +1762,7 @@ class TestLineScreen:
                 return Line(c.cx + d * nx, c.cy + d * ny, -ny, nx)
 
             def tangent(d):
-                return carrier_contact(_leaf_of(c), _leaf_of(line_at(d))).kind == "tangent"
+                return _reference_contact(_leaf_of(c), _leaf_of(line_at(d))).kind == "tangent"
 
             theta = rng.uniform(0.01, 0.5) * rng.choice([-1.0, 1.0])
 
@@ -1658,7 +1770,7 @@ class TestLineScreen:
                 return Line(c.cx, y, math.cos(theta), math.sin(theta))
 
             def above(y):
-                contact = carrier_contact(_leaf_of(c), _leaf_of(tilted(y)))
+                contact = _reference_contact(_leaf_of(c), _leaf_of(tilted(y)))
                 return upper_contact(contact) is not None
 
             r, tol = c.radius, TANGENCY_TOL
@@ -1705,7 +1817,7 @@ class TestLineScreen:
                 return Line(first.x0 - off * first.dy, first.y0 + off * first.dx, ux, uy)
 
             def coincident(off):
-                contact = carrier_contact(_leaf_of(first), _leaf_of(second(off)))
+                contact = _reference_contact(_leaf_of(first), _leaf_of(second(off)))
                 return contact.kind == "coincident"
 
             around = _switch(coincident, 0.0, 3 * TANGENCY_TOL)
@@ -1723,17 +1835,11 @@ class TestLineScreen:
         assert not assert_screen_holds(circle, Line(0.0, 0.5 + 1e-10, 1.0, 0.0))  # tangent
 
     def test_sweep_settles_the_line_pairs(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return carrier_contact(*args)
-
-        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        rows = _kernel_rows(monkeypatch)
         for family in FAMILIES:
             for seed in range(10):
                 run_disjointness_agreement(family, 2000, seed)
-        assert len(calls) < 0.01 * 2 * 10 * 2000
+        assert sum(rows) < 0.01 * 2 * 10 * 2000
 
     @pytest.mark.parametrize(
         "make",
@@ -1853,33 +1959,15 @@ class TestSingleRowRuns:
     def test_constant_max_screens_each_pair_once(self, monkeypatch):
         n = 200
         slice_ = synthesize(builtin_route("custom_constant_max", n=n))
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return carrier_contact(*args)
-
-        monkeypatch.setattr(foliation, "carrier_contact", counting)
+        rows = _kernel_rows(monkeypatch)
         report, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
         assert report.clean
         assert screened == (n - 1) + n * (n - 1) // 2
-        assert calls == []
+        assert rows == []
 
 
 # --------------------------------------------------------------------------
 # Crossings and boundary tangencies settled in numpy
-
-
-def _counting_contacts(monkeypatch):
-    """Record the leaf pairs the audit sends to ``carrier_contact``."""
-    calls = []
-
-    def counting(*leaves):
-        calls.append(leaves)
-        return carrier_contact(*leaves)
-
-    monkeypatch.setattr(foliation, "carrier_contact", counting)
-    return calls
 
 
 def _boundary_tangent_slices(rng, count):
@@ -1914,59 +2002,101 @@ def _threshold_slices(rng):
     yield from _boundary_tangent_slices(rng, 60)
 
 
-class TestNumpyWitness:
-    """The audit's numpy witnesses and boundary tangencies are
-    ``carrier_contact``'s, bit for bit, and the exact referee's outside a
-    band around each threshold."""
+def _assert_referee_agrees(slice_):
+    """The audit's report on the slice against the exact referee, pair by
+    pair, outside a band of 2**-40 times the pair's size at the lower
+    leaf's scale: a pair the referee finds flagged is flagged with its
+    kind, at about its witness, and one it finds unflagged is not.
+    Returns how many pairs the referee decided, by its kind (None for
+    unflagged), with ``boundary tangent`` for the unflagged pairs that
+    the screen's tangency rule settles."""
+    report = verify_disjoint(slice_)
+    flagged = {(c.t1, c.t2): c for c in (*report.intersecting, *report.tangent)}
+    checked = collections.Counter()
+    tr, ts, hs = slice_.transversal, slice_.t.tolist(), slice_.h.tolist()
+    for a in range(len(ts)):
+        k = _scale_exponent(tr, ts[a])
+        leaf = _scaled_leaf_map(tr, -k)
+        lower = leaf(ts[a], hs[a]).shape
+        for b in range(a + 1, len(ts)):
+            upper = leaf(ts[b], hs[b]).shape
+            # The band: a few hundred ulps of the pair's size, at its scale.
+            size = sum(abs(v) for s in (lower, upper) for v in vars(s).values())
+            verdict = _exact_contact(lower, upper, 2.0**-40 * size)
+            if verdict is None:
+                continue
+            kind, point = verdict
+            contact = flagged.get((ts[a], ts[b]))
+            assert (contact and contact.kind) == kind, (ts[a], ts[b], hs[a], hs[b])
+            if kind in ("transverse", "tangent"):
+                x, y = (math.ldexp(float(v), k) for v in point)
+                assert contact.x == pytest.approx(x, abs=1e-6 * math.ldexp(size, k))
+                assert contact.y == pytest.approx(y, abs=1e-6 * math.ldexp(size, k))
+            columns = _leaf_columns(lower) + _leaf_columns(upper)
+            if kind is None and not foliation._screen(*columns)[0][0]:
+                if foliation._screen(*columns, tangent=True)[0][0]:
+                    kind = "boundary tangent"  # settled by the tangency rule
+            checked[kind] += 1
+    return checked
 
-    def test_exact_referee_agrees_outside_the_band(self, monkeypatch):
-        calls = _counting_contacts(monkeypatch)
-        checked = {}
+
+#: Slice rows (phi, t1, h1, t2, h2) of pairs whose witness's last bits
+#: need ``math.hypot`` (the first) and Python's ``r**2`` (the second).
+WITNESS_BIT_ROWS = [
+    (0.35489726107746244, 0.38614347687689854, 0.26082396844956746,
+     1.2076802587754916, -0.17954421798211295),
+    (None, 0.282592119995575, 0.8031644569670515, 0.9529929435325157,
+     -0.4049331149943346),
+]
+
+
+class TestNumpyWitness:
+    """The audit's witnesses and boundary tangencies are the scalar
+    reference's, bit for bit, and the exact referee's outside a band
+    around each threshold."""
+
+    def test_exact_referee_agrees_outside_the_band(self):
+        checked = collections.Counter()
         for slice_ in _threshold_slices(np.random.default_rng(2)):
-            del calls[:]
-            report = verify_disjoint(slice_)
-            flagged = {(c.t1, c.t2): c for c in (*report.intersecting, *report.tangent)}
-            recomputed = {tuple(repr(leaf.shape) for leaf in pair) for pair in calls}
-            tr, ts, hs = slice_.transversal, slice_.t.tolist(), slice_.h.tolist()
-            for a in range(len(ts)):
-                k = _scale_exponent(tr, ts[a])
-                leaf = _scaled_leaf_map(tr, -k)
-                lower = leaf(ts[a], hs[a]).shape
-                for b in range(a + 1, len(ts)):
-                    upper = leaf(ts[b], hs[b]).shape
-                    # The band: a few hundred ulps of the pair's size, at its scale.
-                    size = sum(abs(v) for s in (lower, upper) for v in vars(s).values())
-                    verdict = _exact_contact(lower, upper, 2.0**-40 * size)
-                    if verdict is None:
-                        continue
-                    kind, point = verdict
-                    contact = flagged.get((ts[a], ts[b]))
-                    assert (contact and contact.kind) == kind, (ts[a], ts[b], hs[a], hs[b])
-                    if kind in ("transverse", "tangent"):
-                        x, y = (math.ldexp(float(v), k) for v in point)
-                        assert contact.x == pytest.approx(x, abs=1e-6 * math.ldexp(size, k))
-                        assert contact.y == pytest.approx(y, abs=1e-6 * math.ldexp(size, k))
-                    if (repr(lower), repr(upper)) not in recomputed:
-                        columns = _leaf_columns(lower) + _leaf_columns(upper)
-                        if not foliation._screen(*columns)[0][0] and kind is None:
-                            kind = "boundary tangent"  # settled by the tangency rule
-                        checked[kind] = checked.get(kind, 0) + 1
-        # Decisions the numpy path took alone: crossings with their
-        # witnesses, boundary tangencies, and other unflagged pairs.
+            checked.update(_assert_referee_agrees(slice_))
+        # Crossings with their witnesses, boundary tangencies the screen
+        # settles, and other unflagged pairs.
         assert checked["transverse"] > 100 and checked["boundary tangent"] > 300
 
+    def test_full_families_agree_with_the_referee(self):
+        # Every pair of flagged families with lines, circles and horocycle
+        # leaves, the kernel's verdicts included, without the scalar reference.
+        routes = [Route(r.transversal, r.t[:30], r.h[:30]) for r in _fallback_routes()]
+        routes += [
+            perturbed_invalid_route(tr, n=30, seed=2)[0]
+            for tr in (Transversal.geodesic(), Transversal.hypercycle(0.5))
+        ]
+        checked = collections.Counter()
+        for route in routes:
+            checked.update(_assert_referee_agrees(synthesize(route, force=True)))
+        assert checked["transverse"] > 500 and checked[None] > 1000
+
     def test_boundary_tangencies_settle_in_numpy(self, monkeypatch):
-        calls = _counting_contacts(monkeypatch)
+        rows = _kernel_rows(monkeypatch)
         report = verify_disjoint(synthesize(builtin_route("horospherical", n=200)))
-        assert report.clean and calls == []
+        assert report.clean and rows == []
+        screen, left_open = foliation._screen, []
+
+        def recording(*columns, **kwargs):  # the pairs the pair screen leaves open
+            unflagged, crossing = screen(*columns, **kwargs)
+            if kwargs.get("tangent"):
+                left_open.append(int(np.count_nonzero(~unflagged & ~crossing)))
+            return unflagged, crossing
+
+        monkeypatch.setattr(foliation, "_screen", recording)
         pairs = 0
         for slice_ in _boundary_tangent_slices(np.random.default_rng(3), 40):
             assert_matches_reference(slice_)
             pairs += slice_.t.size * (slice_.t.size - 1) // 2
-        assert len(calls) < 0.2 * pairs
+        assert sum(left_open) < 0.2 * pairs
 
-    def test_crossing_families_call_no_carrier_contact(self, monkeypatch):
-        calls = _counting_contacts(monkeypatch)
+    def test_crossing_families_take_one_kernel_call(self, monkeypatch):
+        rows = _kernel_rows(monkeypatch)
         t = np.linspace(-1.0, 1.0, 60)
         slices = [
             synthesize(Route(Transversal.geodesic(), t, -np.tanh(2 * t)), force=True),
@@ -1979,18 +2109,10 @@ class TestNumpyWitness:
             report = verify_disjoint(slice_)
             assert len(report.intersecting) > 1000
             assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
-        assert calls == []
+        # Each audit's pairs fit one block, which the kernel takes in one call.
+        assert len(rows) == len(slices)
 
-    @pytest.mark.parametrize(
-        "phi, t1, h1, t2, h2",
-        [
-            (0.35489726107746244, 0.38614347687689854, 0.26082396844956746,
-             1.2076802587754916, -0.17954421798211295),
-            (None, 0.282592119995575, 0.8031644569670515, 0.9529929435325157,
-             -0.4049331149943346),
-        ],
-        ids=["hypot", "square"],
-    )
+    @pytest.mark.parametrize("phi, t1, h1, t2, h2", WITNESS_BIT_ROWS, ids=["hypot", "square"])
     def test_witness_bits_need_math_hypot_and_python_squares(self, phi, t1, h1, t2, h2):
         # In the first pair numpy's hypot rounds the centre distance, and
         # in the second numpy's r*r a squared radius, one ulp off
@@ -2055,24 +2177,42 @@ def _leaf_pairs(pairs):
     )
 
 
-def assert_witness_holds(first, second):
-    """The audit's pair screen on one pair (``_screen`` with ``tangent``,
-    then ``_crossing_points``) is ``carrier_contact`` plus
-    ``upper_contact``, bit for bit where it settles the pair."""
-    pair = _leaf_columns(first) + _leaf_columns(second)
-    unflagged, crossing = foliation._screen(*pair, tangent=True)
-    contact = carrier_contact(_leaf_of(first), _leaf_of(second))
-    point = upper_contact(contact)
+def assert_kernel_holds(first, second):
+    """The contact kernel on one pair is the scalar reference, bit for bit:
+    the kind and each point's ``repr``.  The audit's pair screen (``_screen``
+    with ``tangent``) agrees with it where it settles the pair."""
+    leaves = _leaf_of(first), _leaf_of(second)
+    contact, want = carrier_contact(*leaves), _reference_contact(*leaves)
+    assert (contact.kind, repr(contact.points)) == (want.kind, repr(want.points))
+    unflagged, crossing = foliation._screen(
+        *_leaf_columns(first), *_leaf_columns(second), tangent=True
+    )
     if unflagged[0]:
-        assert contact.kind != "coincident" and point is None
+        assert want.kind != "coincident" and upper_contact(want) is None
     if crossing[0]:
-        rows = np.array([0])
-        x, y = foliation._crossing_points(pair, rows)
-        assert contact.kind == "transverse"
-        assert (repr(float(x[0])), repr(float(y[0]))) == (repr(point[0]), repr(point[1]))
+        assert want.kind == "transverse" and upper_contact(want) is not None
 
 
-class TestNumpyWitnessDifferential:
+def _audit_pair(phi, t1, h1, t2, h2):
+    """The carriers the audit intersects for the slice rows (t1, h1) and
+    (t2, h2): both scaled by 2**-k of the lower leaf."""
+    tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+    leaf = _scaled_leaf_map(tr, -_scale_exponent(tr, t1))
+    return leaf(t1, h1).shape, leaf(t2, h2).shape
+
+
+def _random_shape(rng):
+    """A circle reaching the boundary, or a line; a third of them lines."""
+    if rng.random() < 1 / 3:
+        theta = rng.choice([0.0, math.pi / 2, rng.uniform(0.0, math.pi)])
+        return Line(rng.uniform(-2, 2), rng.uniform(0, 2), math.cos(theta), math.sin(theta))
+    cy = rng.uniform(-2.0, 2.0)
+    return Circle(rng.uniform(-2.0, 2.0), cy, abs(cy) + rng.uniform(1e-3, 3.0))
+
+
+class TestContactKernelDifferential:
+    """The columnar contact kernel against the scalar reference."""
+
     # Near-tangent circles where numpy's hypot puts the gap at or below
     # TANGENCY_TOL and math's above it: carrier_contact finds them crossing
     # 4.2e-5 above the axis, though they touch below it within the gap.
@@ -2086,20 +2226,43 @@ class TestNumpyWitnessDifferential:
         Circle(-0.4250947082725829, -1.765527585444179, 2.6681408533589854),
         Circle(-1.475976046198054, -0.8380664391284117, 1.2665218736339727),
     ))
+    @example(_audit_pair(*WITNESS_BIT_ROWS[0]))
+    @example(_audit_pair(*WITNESS_BIT_ROWS[1]))
     @settings(max_examples=150)
     @given(_leaf_pairs(circle_pairs()))
     def test_circle_pairs(self, pair):
-        assert_witness_holds(*pair)
+        assert_kernel_holds(*pair)
 
     @settings(max_examples=60)
     @given(circle_line_pairs(), st.booleans())
     def test_circle_line_pairs(self, pair, line_first):
-        assert_witness_holds(*(pair[::-1] if line_first else pair))
+        assert_kernel_holds(*(pair[::-1] if line_first else pair))
+
+    @settings(max_examples=60)
+    @given(line_pairs())
+    def test_line_pairs(self, pair):
+        assert_kernel_holds(*pair)
+
+    def test_rows_of_every_shape_in_one_call(self):
+        # Circles and lines mixed in one call, each row the reference's.
+        rng = np.random.default_rng(5)
+        pairs = [(_random_shape(rng), _random_shape(rng)) for _ in range(3000)]
+        columns = zip(*(_leaf_columns(a) + _leaf_columns(b) for a, b in pairs))
+        kind, points, out = foliation._carrier_contacts(*map(np.concatenate, columns))
+        assert not out.any()
+        kinds = ("none", *foliation.CONTACT_KINDS)
+        for p, (a, b) in enumerate(pairs):
+            want = _reference_contact(_leaf_of(a), _leaf_of(b))
+            flat = [v for point in want.points for v in point]
+            flat += [math.nan] * (4 - len(flat))
+            assert (kinds[kind[p] + 1], [repr(float(v[p])) for v in points]) == (
+                want.kind, list(map(repr, flat))
+            )
 
 
 def _settling_nothing(monkeypatch):
     """Patch ``_screen`` to settle no pair, so that every pair, link and
-    probe stays open and every pair goes through ``carrier_contact``."""
+    probe stays open and every pair goes through the contact kernel."""
 
     def nothing(*columns, **_):
         unsettled = np.zeros(columns[0].size, dtype=bool)
@@ -2123,32 +2286,32 @@ def _fallback_routes():
 
 
 class TestFallback:
-    """The fallbacks, on leaves built from the carrier columns, give the
-    verdicts the numpy screen and witnesses give."""
+    """The contact kernel alone, with the screen settling nothing, gives
+    the verdicts the screen and the kernel give."""
 
     @pytest.mark.parametrize(
         "route",
         _fallback_routes(),
         ids=["perturbed-hypercycle", "geodesic", "mixed-hypercycle", "horocycle"],
     )
-    def test_audit_through_carrier_contact_alone(self, monkeypatch, route):
+    def test_audit_through_the_kernel_alone(self, monkeypatch, route):
         slice_ = synthesize(route, force=True)
         report = verify_disjoint(slice_)
         assert not report.clean
-        calls = _counting_contacts(monkeypatch)
+        rows = _kernel_rows(monkeypatch)
         _settling_nothing(monkeypatch)
         fallback = verify_disjoint(slice_)
         n = slice_.t.size
-        assert len(calls) == n * (n - 1) // 2
+        assert sum(rows) == n * (n - 1) // 2
         assert _report_key(fallback) == _report_key(report)
 
     @pytest.mark.parametrize("family", ["geodesic", "hypercycle"])
-    def test_sweep_through_carrier_contact_alone(self, monkeypatch, family):
+    def test_sweep_through_the_kernel_alone(self, monkeypatch, family):
         stats = run_disjointness_agreement(family, 400, 3)
-        calls = _counting_contacts(monkeypatch)
+        rows = _kernel_rows(monkeypatch)
         _settling_nothing(monkeypatch)
         assert run_disjointness_agreement(family, 400, 3) == stats
-        assert len(calls) == stats.total - stats.skipped_margin
+        assert sum(rows) == stats.total - stats.skipped_margin
 
 
 # --------------------------------------------------------------------------
