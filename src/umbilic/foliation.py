@@ -324,13 +324,13 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     are screened, and the float range is refused as before.
 
     The pairs left are screened in numpy, in (i, j) order, in blocks of
-    at most ``_AUDIT_BLOCK_CELLS`` pairs and probes, lines included (a
-    line's point is scaled, its direction is not).  The pair screen
-    settles, unflagged, the pairs ``carrier_contact`` certainly leaves
-    unflagged, and also a circle pair certainly tangent at a point no
+    at most ``_AUDIT_BLOCK_CELLS`` pairs and probes.  The pair screen
+    settles, unflagged, the circle pairs ``carrier_contact`` certainly
+    leaves unflagged, and also those certainly tangent at a point no
     higher than ``BOUNDARY_TOL`` (``_screen``'s ``tangent``), as on
     ``horospherical``, whose leaves all touch at the origin.  The rest of
-    each block, crossings and the pairs near a decision alike, go to the
+    each block, crossings, the pairs near a decision and every pair with
+    a line (whose point is scaled, its direction is not) alike, go to the
     contact kernel (``leaves._carrier_contacts``) in one call, and
     ``upper_contact``'s first point above ``BOUNDARY_TOL`` is the
     witness, scaled back by ``ldexp``.  So the report is, bit for bit,
@@ -343,7 +343,8 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     one ``math.hypot`` off the geodesic and the horocycle, whose centres
     share an axis); O(n^2) numpy when every row is screened in full, as
     on horocycle slices, or when R = n, as on a family whose every pair
-    crosses.  A clean family (R = 1) costs O(n).
+    crosses or whose every link has a line (then every pair with a line
+    goes to the kernel).  A clean family (R = 1) costs O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
     if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
@@ -492,68 +493,36 @@ def _probed_pairs(columns, k, cleared, full):
 def _screen(
     *columns, boundary: float = BOUNDARY_TOL, tangent: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Which leaf pairs ``carrier_contact`` certainly leaves unflagged,
+    """Which circle pairs ``carrier_contact`` certainly leaves unflagged,
     and which it certainly finds crossing above the boundary: the cheap
     filter in front of the contact kernel (``leaves._carrier_contacts``).
 
     ``columns`` are the carrier columns of the first leaves, then of the
     second: ``(cx, cy, radius)`` each, or the seven columns of
-    ``_slice_carriers``, whose circle fields are nan on the line rows and line
-    fields nan on the others.  Unflagged: neither coincident nor tangent,
-    and no contact point higher than ``boundary`` (``BOUNDARY_TOL`` for
-    the audit's pairs and the sweep, 0 for the audit's links and probes).
-    Crossing: transverse, with a contact point above ``boundary``.
+    ``_slice_carriers``, of which the screen reads the first three.  A
+    line row's circle fields are nan, so a pair with a line settles
+    nothing and goes to the kernel.  Unflagged: neither coincident nor
+    tangent, and no contact point higher than ``boundary``
+    (``BOUNDARY_TOL`` for the audit's pairs and the sweep, 0 for the
+    audit's links and probes).  Crossing: transverse, with a contact
+    point above ``boundary``.
 
-    Circle pairs follow the kernel's circle steps: unflagged when
-    concentric, apart or crossing no higher than the boundary.  Given the
-    line columns, the rows that hold a line follow its circle-line and
-    line-line steps (``_screen_circle_line``, ``_screen_lines``):
-    unflagged when apart, crossing no higher than the boundary, or
-    parallel and distinct; lines that are not parallel stay open.  With
-    three columns a line (nan radius) settles nothing.  Near-tangent and
-    near-coincident pairs stay open, except that with ``tangent`` set (the
-    audit's pair screen) a circle pair certainly tangent at a point no
-    higher than the boundary is unflagged: ``upper_contact`` ignores it,
-    as on ``horospherical``, whose leaves all touch at the origin.  Links
-    and probes keep near-tangent pairs open, since a tangent link does not
-    nest, and so does the sweep, which counts tangencies.  A decision is
-    settled only when numpy's value clears its threshold by more than a
-    bound on the rounding gap between the two computations; nan and inf
-    settle nothing.
+    The pairs follow the kernel's circle steps: unflagged when
+    concentric, apart or crossing no higher than the boundary.
+    Near-tangent and near-coincident pairs stay open, except that with
+    ``tangent`` set (the audit's pair screen) a pair certainly not
+    coincident, within ``TANGENCY_TOL`` of touching, and touching at
+    c1 + a u no higher than the boundary is unflagged: ``upper_contact``
+    ignores it, as on ``horospherical``, whose leaves all touch at the
+    origin.  Links and probes keep near-tangent pairs open, since a
+    tangent link does not nest, and so does the sweep, which counts
+    tangencies.  A decision is settled only when numpy's value clears
+    its threshold by more than a bound on the rounding gap between the
+    two computations; nan and inf settle nothing.
     """
     half = len(columns) // 2
-    first, second = columns[:half], columns[half:]
-    if half == 3:
-        return _screen_circles(*first, *second, boundary, tangent)
-    line1, line2 = np.isnan(first[2]), np.isnan(second[2])
-    unflagged = np.zeros(line1.size, dtype=bool)
-    crossing = np.zeros_like(unflagged)
-
-    def take(rows, cols):
-        return cols if rows.size == line1.size else [c[rows] for c in cols]
-
-    circles = np.flatnonzero(~(line1 | line2))
-    if circles.size:
-        unflagged[circles], crossing[circles] = _screen_circles(
-            *take(circles, first[:3] + second[:3]), boundary, tangent
-        )
-    mixed = np.flatnonzero(line1 != line2)
-    if mixed.size:  # carrier_contact puts the circle first
-        a, b, swap = take(mixed, first), take(mixed, second), line1[mixed]
-        circle = [np.where(swap, y, x) for x, y in zip(a[:3], b[:3])]
-        line = [np.where(swap, x, y) for x, y in zip(a[3:], b[3:])]
-        unflagged[mixed], crossing[mixed] = _screen_circle_line(*circle, *line, boundary)
-    both = np.flatnonzero(line1 & line2)
-    if both.size:
-        unflagged[both] = _screen_lines(*take(both, first[3:] + second[3:]))
-    return unflagged, crossing
-
-
-def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
-    """``_screen`` on circle pairs, following ``leaves._circle_contacts``.
-    With ``tangent``, a pair is also unflagged when it is certainly not
-    coincident, within ``TANGENCY_TOL`` of touching, and touching at
-    c1 + a u no higher than the boundary."""
+    x1, y1, r1 = columns[:3]
+    x2, y2, r2 = columns[half : half + 3]
     g, tol = _SCREEN_SLACK, TANGENCY_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dx, dy = x2 - x1, y2 - y1
@@ -584,47 +553,6 @@ def _screen_circles(x1, y1, r1, x2, y2, r2, boundary, tangent):
             low = y1 + a * (dy / d) <= boundary - g * (np.abs(y1) + 2.0 * q)
             unflagged |= (gap <= tol - err_gap) & distinct & low
     return unflagged, clear & high_crossing
-
-
-def _screen_circle_line(cx, cy, r, x0, y0, dx, dy, boundary):
-    """``_screen`` on circle-line pairs, following
-    ``leaves._circle_line_contacts``: the centre's foot f on the line lies
-    at distance dist from it, and the line misses the circle (dist > r) or
-    crosses it at f -+ half (dx, dy), the higher point at height
-    f_y + half dy (dy >= 0).  Every quantity
-    but dist is numpy's in the same IEEE steps; size, the sum of the
-    pair's coordinates and radius, bounds |u|, |f| and dist."""
-    g, tol = _SCREEN_SLACK, TANGENCY_TOL
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = (cx - x0) * dx + (cy - y0) * dy
-        fx, fy = x0 + u * dx, y0 + u * dy
-        dist = np.hypot(cx - fx, cy - fy)
-        size = np.abs(cx) + np.abs(cy) + np.abs(x0) + np.abs(y0) + r
-        near_tangent = np.abs(dist - r) <= tol + g * size
-        disc = r * r - dist * dist
-        err_disc = 2.0 * g * (r * r + size * size)
-        half = np.sqrt(np.maximum(disc, 0.0))
-        top = fy + half * dy
-        err_top = err_disc / half + g * (size + 2.0 * half)
-        apart = disc < -err_disc
-        crossing = disc > err_disc
-        low_crossing = crossing & (top < boundary - err_top)
-        high_crossing = crossing & (top > boundary + err_top)
-    clear = ~near_tangent
-    return clear & (apart | low_crossing), clear & high_crossing
-
-
-def _screen_lines(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
-    """Which line pairs ``leaves._line_contacts`` certainly finds parallel
-    and distinct, so unflagged.  Parallel: numpy's cross product of the
-    directions is 0, so the kernel's, from the same unscaled
-    directions (or ones a few ulps off), is far below its 1e-14.
-    Distinct: the offset clears ``TANGENCY_TOL`` by the rounding guard."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        cross = dx1 * dy2 - dy1 * dx2
-        off = (x2 - x1) * dy1 - (y2 - y1) * dx1
-        size = np.abs(x1) + np.abs(y1) + np.abs(x2) + np.abs(y2)
-        return (cross == 0.0) & (np.abs(off) > TANGENCY_TOL + _SCREEN_SLACK * size)
 
 
 def extend_slice(
@@ -813,16 +741,17 @@ def run_disjointness_agreement(
 
     The pairs are drawn by ``_draw_blocks`` and judged a block at a time.
     The oracle's verdict comes from the audit's numpy ``_screen``, on the
-    circle and line columns of the leaves the constructors build, when
-    the screen settles it either way; the pairs within a rounding guard
-    of one of ``carrier_contact``'s decisions go to the contact kernel
-    (``leaves._carrier_contacts``) in one call per block, and a block
-    with none makes no call.  Margin-skipped pairs never reach the
-    oracle.  Each ``math`` column (sin phi, cos phi, cos beta1, cos beta2)
-    is computed once per block and feeds both the predicate and the
-    carriers.  Cost: O(n) numpy work in blocks of at most
-    ``_AUDIT_BLOCK_CELLS`` pairs (the kernel takes none of the 40 000
-    draws of seeds 0 to 9 at n = 2 000 on both families).
+    circle columns of the leaves the constructors build, when the screen
+    settles it either way; the pairs with a line, and the circle pairs
+    within a rounding guard of one of ``carrier_contact``'s decisions, go
+    to the contact kernel (``leaves._carrier_contacts``) in one call per
+    block, and a block with none makes no call.  Margin-skipped pairs
+    never reach the oracle.  Each ``math`` column (sin phi, cos phi,
+    cos beta1, cos beta2) is computed once per block and feeds both the
+    predicate and the carriers.  Cost: O(n) numpy work in blocks of at
+    most ``_AUDIT_BLOCK_CELLS`` pairs (the kernel takes the 3 224 draws
+    with a line among the 40 000 of seeds 0 to 9 at n = 2 000 on both
+    families, and no other).
     """
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")

@@ -1697,20 +1697,6 @@ def line_pairs(draw):
     return first, Line(x0 + along, y0, math.cos(other), math.sin(other))
 
 
-def assert_screen_holds(first, second):
-    """``_screen``'s settled verdicts on the pair are ``carrier_contact``'s;
-    returns whether it settled the pair."""
-    unflagged, crossing = foliation._screen(*_leaf_columns(first), *_leaf_columns(second))
-    contact = _reference_contact(_leaf_of(first), _leaf_of(second))
-    if unflagged[0]:
-        assert contact.kind not in ("tangent", "coincident")
-        assert upper_contact(contact) is None
-    if crossing[0]:
-        assert contact.kind == "transverse"
-        assert upper_contact(contact) is not None
-    return bool(unflagged[0] or crossing[0])
-
-
 def _switch(flagged, lo, hi):
     """The 17 floats around the float in [lo, hi] where ``flagged``
     switches, by bisection, or none when it does not switch there."""
@@ -1732,18 +1718,10 @@ def _switch(flagged, lo, hi):
 
 
 class TestLineScreen:
-    """Pairs with a line carrier settle in the numpy screen, never against
-    ``carrier_contact``; links and probes with a line stay open."""
-
-    @settings(max_examples=400)
-    @given(circle_line_pairs(), st.booleans())
-    def test_circle_line_verdicts_are_carrier_contacts(self, pair, line_first):
-        assert_screen_holds(*(pair[::-1] if line_first else pair))
-
-    @settings(max_examples=300)
-    @given(line_pairs())
-    def test_line_line_verdicts_are_carrier_contacts(self, pair):
-        assert_screen_holds(*pair)
+    """The screen reads circle columns only, so every pair with a line
+    carrier goes to the contact kernel, which matches the scalar
+    reference across its line thresholds; links and probes with a line
+    stay open."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_circle_line_switches(self, seed):
@@ -1779,8 +1757,8 @@ class TestLineScreen:
             cases += [tilted(y) for y in _switch(above, -0.05, 0.05)]
             switches += bool(cases)
             for line in cases:
-                assert_screen_holds(c, line)
-                assert_screen_holds(line, c)
+                assert_kernel_holds(c, line)
+                assert_kernel_holds(line, c)
         assert switches >= 45
 
     @pytest.mark.parametrize(
@@ -1796,13 +1774,13 @@ class TestLineScreen:
         # Lines at distance d from the centre, at a float where
         # carrier_contact's gap passes TANGENCY_TOL: on glibc numpy's hypot
         # rounds the distance one ulp off math's there, so numpy's gap
-        # lies above the tolerance and math's at it, and only the
-        # screen's rounding guard keeps these tangent pairs open.
+        # lies above the tolerance and math's at it; the kernel maps
+        # math.hypot, so it finds these pairs tangent, as the reference does.
         circle = Circle(cx, cy, r)
         nx, ny = math.cos(psi), math.sin(psi)
         line = Line(cx + d * nx, cy + d * ny, -ny, nx)
-        assert not assert_screen_holds(circle, line)
-        assert not assert_screen_holds(line, circle)
+        assert_kernel_holds(circle, line)
+        assert_kernel_holds(line, circle)
 
     def test_parallel_line_switches(self):
         # Parallel lines stepped by ulps across the offset where
@@ -1823,23 +1801,16 @@ class TestLineScreen:
             around = _switch(coincident, 0.0, 3 * TANGENCY_TOL)
             assert around
             for off in around:
-                assert_screen_holds(first, second(off))
-
-    def test_pairs_away_from_the_thresholds_settle(self):
-        circle = Circle(0.0, -0.5, 1.0)  # crosses the axis at +-sqrt(3) / 2, apex 0.5
-        assert assert_screen_holds(circle, Line(0.0, 2.0, 1.0, 0.0))  # apart
-        assert assert_screen_holds(Line(0.0, 0.25, 1.0, 0.0), circle)  # crossing above
-        assert assert_screen_holds(circle, Line(0.0, -0.25, 1.0, 0.0))  # crossing below
-        assert assert_screen_holds(Line(0.0, 1.0, 1.0, 0.0), Line(0.0, 2.0, 1.0, 0.0))
-        assert not assert_screen_holds(Line(0.0, 1.0, 1.0, 0.0), Line(0.0, 1.0, 1.0, 1.0))
-        assert not assert_screen_holds(circle, Line(0.0, 0.5 + 1e-10, 1.0, 0.0))  # tangent
+                assert_kernel_holds(first, second(off))
 
     def test_sweep_settles_the_line_pairs(self, monkeypatch):
+        # The kernel takes exactly the draws with a line, one call per
+        # block (each run of 2 000 draws is one block), and no circle pair.
         rows = _kernel_rows(monkeypatch)
         for family in FAMILIES:
             for seed in range(10):
                 run_disjointness_agreement(family, 2000, seed)
-        assert sum(rows) < 0.01 * 2 * 10 * 2000
+        assert (sum(rows), len(rows)) == (3224, 2 * 10)
 
     @pytest.mark.parametrize(
         "make",
@@ -1963,7 +1934,9 @@ class TestSingleRowRuns:
         report, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
         assert report.clean
         assert screened == (n - 1) + n * (n - 1) // 2
-        assert rows == []
+        # Every leaf is a line, which the screen leaves open: the kernel
+        # takes every pair, once.
+        assert sum(rows) == n * (n - 1) // 2
 
 
 # --------------------------------------------------------------------------

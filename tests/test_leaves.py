@@ -487,3 +487,23 @@ class TestCarrierContact:
         contact = carrier_contact(line1, vertical)
         assert contact.kind == "transverse"
         assert contact.points[0][0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_overflowing_squares_are_refused(self):
+        # Circles and mixed pairs whose squares leave the float range are
+        # refused, not answered from inf; a scale 1e50 smaller is answered.
+        big = Leaf(Circle(0.0, 0.0, 1e200), math.pi / 2)
+        message = "a square of the carriers leaves the float range"
+        for other in (
+            Leaf(Circle(1e199, 0.0, 1e200), math.pi / 2),
+            Leaf(Line(0.0, 1.0, 1.0, 0.0), math.pi),
+        ):
+            with pytest.raises(OverflowError, match=f"^{message}$"):
+                carrier_contact(big, other)
+        contact = carrier_contact(
+            Leaf(Circle(0.0, 0.0, 1e150), math.pi / 2),
+            Leaf(Circle(1e149, 0.0, 1e150), math.pi / 2),
+        )
+        assert contact == CarrierContact(
+            "transverse",
+            ((5e148, 9.987492177719088e149), (5e148, -9.987492177719088e149)),
+        )
