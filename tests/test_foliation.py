@@ -1723,6 +1723,46 @@ class TestLineScreen:
     reference across its line thresholds; links and probes with a line
     stay open."""
 
+    @staticmethod
+    def assert_left_to_the_kernel(first, second):
+        """Neither screen settles the pair, and the kernel's verdict on it
+        is the scalar reference's; returns the reference contact."""
+        for tangent in (False, True):
+            unflagged, crossing = foliation._screen(
+                *_leaf_columns(first), *_leaf_columns(second), tangent=tangent
+            )
+            assert not (unflagged[0] or crossing[0])
+        assert_kernel_holds(first, second)
+        return _reference_contact(_leaf_of(first), _leaf_of(second))
+
+    @settings(max_examples=400)
+    @given(circle_line_pairs(), st.booleans())
+    def test_circle_line_verdicts_are_carrier_contacts(self, pair, line_first):
+        self.assert_left_to_the_kernel(*(pair[::-1] if line_first else pair))
+
+    @settings(max_examples=300)
+    @given(line_pairs())
+    def test_line_line_verdicts_are_carrier_contacts(self, pair):
+        self.assert_left_to_the_kernel(*pair)
+
+    def test_pairs_away_from_the_thresholds_settle(self):
+        # Far from every threshold the screen still settles no pair with a
+        # line; the kernel settles each, as the reference does.
+        circle = Circle(0.0, -0.5, 1.0)  # crosses the axis at +-sqrt(3) / 2, apex 0.5
+        settled = self.assert_left_to_the_kernel
+        apart = settled(circle, Line(0.0, 2.0, 1.0, 0.0))
+        assert apart.kind == "none"
+        above = settled(Line(0.0, 0.25, 1.0, 0.0), circle)
+        assert above.kind == "transverse" and upper_contact(above) is not None
+        below = settled(circle, Line(0.0, -0.25, 1.0, 0.0))
+        assert below.kind == "transverse" and upper_contact(below) is None
+        parallel = settled(Line(0.0, 1.0, 1.0, 0.0), Line(0.0, 2.0, 1.0, 0.0))
+        assert parallel.kind == "none"
+        crossing = settled(Line(0.0, 1.0, 1.0, 0.0), Line(0.0, 1.0, 1.0, 1.0))
+        assert crossing.kind == "transverse" and upper_contact(crossing) is not None
+        tangent = settled(circle, Line(0.0, 0.5 + 1e-10, 1.0, 0.0))
+        assert tangent.kind == "tangent"
+
     @pytest.mark.parametrize("seed", range(4))
     def test_circle_line_switches(self, seed):
         # Lines stepped by ulps across the float where carrier_contact's
