@@ -27,6 +27,7 @@ import numpy as np
 from .errors import GeometryError, InvalidRouteError, RouteParseError
 from .foliation import (
     BUILTIN_FAMILIES,
+    FoliationSlice,
     PairContacts,
     extend_slice,
     leaf_table,
@@ -192,17 +193,17 @@ def _build_parser() -> _Parser:
     between parses."""
     parser = _Parser(prog="umbilic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    p = {
-        name: sub.add_parser(name, help=help_)
-        for name, help_ in (
-            ("validate", "check a route file"),
-            ("leaves", "list the synthesized leaf family"),
-            ("audit", "cross-check pairwise disjointness"),
-            ("render", "write an SVG figure"),
-            ("examples", "list built-in families"),
-            ("lemma-check", "predicate vs oracle agreement"),
-        )
-    }
+    p = {}
+    for name, help_, handler in (
+        ("validate", "check a route file", _cmd_validate),
+        ("leaves", "list the synthesized leaf family", _cmd_leaves),
+        ("audit", "cross-check pairwise disjointness", _cmd_audit),
+        ("render", "write an SVG figure", _cmd_render),
+        ("examples", "list built-in families", _cmd_examples),
+        ("lemma-check", "predicate vs oracle agreement", _cmd_lemma_check),
+    ):
+        p[name] = sub.add_parser(name, help=help_)
+        p[name].set_defaults(handler=handler)
     for name in ("validate", "leaves", "audit", "render"):
         p[name].add_argument("file", help="route document (JSON)")
         p[name].add_argument("--tol", type=float, default=None, help="route tolerance")
@@ -231,6 +232,11 @@ def _load_route(args) -> Route:
     return replace(route, tol=args.tol)
 
 
+def _family(args) -> FoliationSlice:
+    """The route's leaf family, as ``leaves``, ``audit`` and ``render`` build it."""
+    return synthesize(_load_route(args), force=args.force)
+
+
 def _cmd_validate(args) -> int:
     route = _load_route(args)
     verdict = validate(route, c1=args.c1)
@@ -248,26 +254,20 @@ def _leaf_rows(slice_) -> list[str]:
     """The leaf table's rows, one template call per leaf."""
     tb = leaf_table(slice_)
     line = np.isnan(tb.radius)
-    ends = [
-        np.where(line, a, b)
-        for a, b in zip(
-            _line_ends(tb.x0, tb.y0, tb.dx, tb.dy), _circle_ends(tb.cx, tb.cy, tb.radius)
-        )
-    ]
     head = (np.arange(slice_.t.size), slice_.t, tb.kind, tb.beta, tb.h, slice_.extension)
     groups = []
-    for rows, template, shape in (
-        (~line, _CIRCLE_ROW, (tb.cx, tb.cy, tb.radius)),
-        (line, _LINE_ROW, (tb.x0, tb.y0, tb.dx, tb.dy)),
+    for rows, template, shape, ends in (
+        (~line, _CIRCLE_ROW, (tb.cx, tb.cy, tb.radius), _circle_ends),
+        (line, _LINE_ROW, (tb.x0, tb.y0, tb.dx, tb.dy), _line_ends),
     ):
         rows = np.flatnonzero(rows)
-        groups.append((rows, template, [c[rows] for c in (*head, *shape, *ends)]))
+        shape = [c[rows] for c in shape]
+        groups.append((rows, template, [*(c[rows] for c in head), *shape, *ends(*shape)]))
     return template_rows(slice_.t.size, groups)
 
 
 def _cmd_leaves(args) -> int:
-    route = _load_route(args)
-    slice_ = synthesize(route, force=args.force)
+    slice_ = _family(args)
     print("index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus")
     rows = _leaf_rows(slice_)
     if rows:
@@ -276,9 +276,7 @@ def _cmd_leaves(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    route = _load_route(args)
-    slice_ = synthesize(route, force=args.force)
-    report = verify_disjoint(slice_)
+    report = verify_disjoint(_family(args))
     print(_audit_report(report))
     return 0 if report.clean else 2
 
@@ -299,8 +297,7 @@ def _parse_viewport(text: str) -> Viewport:
 def _cmd_render(args) -> int:
     if args.extend > MAX_CLOSED_FORM_N:
         raise _UsageError(f"--extend is capped at {MAX_CLOSED_FORM_N}, got {args.extend}")
-    route = _load_route(args)
-    slice_ = synthesize(route, force=args.force)
+    slice_ = _family(args)
     if args.extend:
         slice_ = extend_slice(slice_, args.extend, allow_noop=True)
     viewport = _parse_viewport(args.viewport) if args.viewport else Viewport()
@@ -346,16 +343,6 @@ def _cmd_lemma_check(args) -> int:
     return 0 if all_ok else 2
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "leaves": _cmd_leaves,
-    "audit": _cmd_audit,
-    "render": _cmd_render,
-    "examples": _cmd_examples,
-    "lemma-check": _cmd_lemma_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -363,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except InvalidRouteError as exc:
         print(f"umbilic: {exc}", file=sys.stderr)
         if exc.verdict is not None:

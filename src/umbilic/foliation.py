@@ -177,8 +177,9 @@ def _slice_carriers(slice_: FoliationSlice, k=None):
     the unscaled carriers: with ``k``, the scaled ones scaled back, which
     are those in the normal range and zero or infinite wherever those
     are), and the levels beyond a hypercycle's band, are built through
-    them in row order (``_refuse``), so a slice ``all_entries`` refuses
-    raises the error it meets first."""
+    them in row order, so a slice ``all_entries`` refuses raises the
+    error it meets first.  Where ``math.exp`` overflows a crossing, every
+    row is built so."""
     tr, t, h = slice_.transversal, slice_.t, slice_.h
     beta = _math_map(math.acos, -h)
     cbeta = _math_map(math.cos, beta)
@@ -194,9 +195,8 @@ def _slice_carriers(slice_: FoliationSlice, k=None):
         else:
             try:
                 s = _math_map(math.exp, t * tr.curvature_bound)
-            except OverflowError:  # refused by math.exp, unless an earlier row is
-                _refuse(slice_, np.arange(h.size))
-                raise
+            except OverflowError:  # math.exp refuses a row: refuse them all, in order
+                s = np.full(h.size, math.inf)
             ray = _ray(tr.phi)
             unit = _line_direction(ray)
             columns = _orthogonal_leaves(s if k is None else np.ldexp(s, -k), beta, cbeta, ray)
@@ -211,17 +211,12 @@ def _slice_carriers(slice_: FoliationSlice, k=None):
     # A crossing that is not positive leaves a circle of radius 0 and a
     # line with a nan point, both of which _refused_leaves refuses.
     refused |= _refused_leaves(line, unscaled, beta, cbeta, unit)
-    _refuse(slice_, np.flatnonzero(refused))
-    return columns, beta, cbeta
-
-
-def _refuse(slice_: FoliationSlice, rows: np.ndarray) -> None:
-    """Build the leaf of each of ``rows``, in order: the constructors raise
-    their own error on the first one they refuse."""
-    if rows.size:
-        leaf = _leaf_map(slice_.transversal)
+    rows = np.flatnonzero(refused)
+    if rows.size:  # the constructors raise their own error on the first row they refuse
+        leaf = _leaf_map(tr)
         for t, h in zip(slice_.t[rows].tolist(), slice_.h[rows].tolist()):
             leaf(t, h)
+    return columns, beta, cbeta
 
 
 #: A slice's leaves as columns, one row per slice row: bit for bit the

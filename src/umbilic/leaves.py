@@ -526,15 +526,15 @@ def _carrier_contacts(*columns):
             kind, points, square_out = _circle_contacts(*first, *second)
             return kind, points, out | square_out
         line1, line2 = np.isnan(first[2]), np.isnan(second[2])
-        swap = line1 & ~line2  # carrier_contact puts the circle first
-        a = [np.where(swap, y, x) for x, y in zip(first, second)]
-        b = [np.where(swap, x, y) for x, y in zip(first, second)]
-        kind = np.empty(swap.size, dtype=np.int8)
-        points = np.empty((4, swap.size))
+        # A mixed pair puts its circle first, as carrier_contact does.
+        mixed = [np.where(line1, y, x) for x, y in zip(first[:3], second[:3])]
+        mixed += [np.where(line1, x, y) for x, y in zip(first[3:], second[3:])]
+        kind = np.empty(line1.size, dtype=np.int8)
+        points = np.empty((4, line1.size))
         for rows, contacts, cols in (
-            (~(line1 | line2), _circle_contacts, a[:3] + b[:3]),
-            (line1 != line2, _circle_line_contacts, a[:3] + b[3:]),
-            (line1 & line2, _line_contacts, a[3:] + b[3:]),
+            (~(line1 | line2), _circle_contacts, first[:3] + second[:3]),
+            (line1 != line2, _circle_line_contacts, mixed),
+            (line1 & line2, _line_contacts, first[3:] + second[3:]),
         ):
             rows = np.flatnonzero(rows)
             if rows.size:

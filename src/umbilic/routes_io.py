@@ -28,7 +28,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .errors import RouteParseError
+from .errors import DomainError, RouteParseError
 from .foliation import BUILTIN_FAMILIES, builtin_route
 from .halfplane import Transversal, TransversalKind
 from .validation import DEFAULT_TOL, Route, tol_limit
@@ -348,14 +348,17 @@ def _build_route(ndoc: dict) -> Route:
         cf = ndoc["closed_form"]
         window = tuple(ndoc.get("window", (-3.0, 3.0)))
         n = ndoc.get("n", 121)
-        return builtin_route(
-            cf["name"],
-            transversal=transversal,
-            window=window,
-            n=n,
-            tol=tol,
-            **cf.get("params", {}),
-        )
+        try:
+            return builtin_route(
+                cf["name"],
+                transversal=transversal,
+                window=window,
+                n=n,
+                tol=tol,
+                **cf.get("params", {}),
+            )
+        except DomainError as exc:  # a family, level or window the closed form refuses
+            raise RouteParseError(str(exc), "closed_form") from exc
     t, h, *dh = ndoc["samples"]
     return Route(transversal, t, h, dh=dh[0] if dh else None, tol=tol)
 

@@ -418,6 +418,41 @@ class TestErrorPaths:
         assert code == 1
         assert "route file invalid: n:" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"transversal": {"kind": "hypercycle", "phi": 0.5}, "closed_form": {"name": "pencil"}},
+                "the pencil family lives on the geodesic",
+            ),
+            (
+                {"transversal": {"kind": "geodesic"}, "closed_form": {"name": "constant"}},
+                "the constant family needs the level c",
+            ),
+            (
+                {
+                    "transversal": {"kind": "geodesic"},
+                    "closed_form": {"name": "constant", "params": {"c": 2}},
+                },
+                "constant level 2.0 exceeds the curvature bound 1.0",
+            ),
+            (
+                {**PENCIL, "window": [1e300, 1.0000000000000002e300], "n": 1000},
+                "t must be strictly increasing",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "leaves", "audit", "render"])
+    def test_refused_closed_form_names_the_stanza(
+        self, route_file, capsys, tmp_path, doc, message, command
+    ):
+        svg = tmp_path / "x.svg"
+        argv = [command, route_file(doc), "--out", str(svg)]
+        code, out, err = run(capsys, argv if command == "render" else argv[:2])
+        assert (code, out) == (1, "")
+        assert err == f"umbilic: route file invalid: closed_form: {message}\n"  # no traceback
+        assert not svg.exists()
+
     def test_schema_violation_names_the_field(self, route_file, capsys):
         doc = {
             "transversal": {"kind": "geodesic"},

@@ -26,6 +26,7 @@ from umbilic import (
     ideal_endpoints,
     perturbed_invalid_route,
     random_valid_route,
+    render_svg,
     run_disjointness_agreement,
     synthesize,
     verify_disjoint,
@@ -271,6 +272,42 @@ class TestVerifyDisjoint:
             foliation.leaf_table(slice_)
         with pytest.raises(NotALeafError, match=message):
             verify_disjoint(slice_)
+
+    @pytest.mark.parametrize(
+        "rows, transversal, message",
+        [
+            ([(0.0, 0.0), (710.0, 0.0)], Transversal.geodesic(), None),
+            (
+                [(-800.0, 0.0), (710.0, 0.0)],
+                Transversal.geodesic(),
+                "crossing height must be positive, got 0.0",
+            ),
+            (
+                [(0.0, 0.0), (1.0, -0.9), (1500.0, 0.0)],
+                Transversal.hypercycle(0.5),
+                "no leaf with angle 0.45102681179626236 crosses the phi=0.5 ray orthogonally",
+            ),
+            ([(0.0, 0.0), (1500.0, 0.0), (1600.0, -0.9)], Transversal.hypercycle(0.5), None),
+        ],
+    )
+    def test_refusal_order_across_an_overflowing_crossing(self, rows, transversal, message):
+        # e^(t L) overflows on the last rows.  A row refused before them
+        # still raises its own error, and every reader of the slice meets
+        # the same refusal first.  The overflow's own error is not pinned:
+        # large t is to be refused as a DomainError.
+        slice_ = slice_of(rows, transversal)
+
+        def refusal(check):
+            try:
+                check(slice_)
+            except (GeometryError, OverflowError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        refusals = {refusal(check) for check in (foliation.leaf_table, verify_disjoint, render_svg)}
+        assert len(refusals) == 1 and None not in refusals
+        if message is not None:
+            assert refusals == {(DomainError, message)}
 
     @settings(max_examples=300, deadline=None)
     @given(hand_built_slices())
