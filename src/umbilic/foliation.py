@@ -270,11 +270,11 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     are built from the scaled crossing (``_slice_carriers``), so the witness
     points, scaled back, carry the bits of an unscaled intersection, and
     a crossing below the normal float range (t L below about -708) loses
-    none.  A pair whose carriers, or their squares, leave the float
-    range at that scale raises ``DomainError``: a horocycle slice with
-    t / height near 1e308 or a level |h| below about 1e-154 (a circle's
-    radius is height / |h|), or leaves whose crossings lie more than
-    about 2**511 apart.
+    none.  A pair the audit has to intersect (see below) whose carriers,
+    or their squares, leave the float range at that scale raises
+    ``DomainError``: on a horocycle slice with t / height near 1e308 or a
+    level |h| below about 1e-154 (a circle's radius is height / |h|), or
+    on leaves whose crossings lie more than about 2**511 apart.
 
     Consecutive leaves certify the pairs they span.  Every leaf of a slice
     crosses its transversal orthogonally, since a slice holds only (t, h)
@@ -314,9 +314,9 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     open are screened.  When every run is one row (every link open), each
     probe is the pair itself, so no probe is screened: the pair screen, at
     ``BOUNDARY_TOL`` > 0, leaves unflagged every pair a probe would clear.
-    A row whose later leaves reach past about 2**500 at its scale, and
-    every row of a horocycle slice, keeps every probe open: all its pairs
-    are screened, and the float range is refused as before.
+    A link or probe whose carriers, or their squares, leave the float
+    range settles nothing and stays open, so the audit refuses a pair for
+    the float range only when it has to intersect it.
 
     The pairs left are screened in numpy, in (i, j) order, in blocks of
     at most ``_AUDIT_BLOCK_CELLS`` pairs and probes.  The pair screen
@@ -336,10 +336,10 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     pairs they leave, and for the c pairs the screen does not leave
     unflagged O(c) numpy and ``math`` calls (two ``r**2`` per pair, and
     one ``math.hypot`` off the geodesic and the horocycle, whose centres
-    share an axis); O(n^2) numpy when every row is screened in full, as
-    on horocycle slices, or when R = n, as on a family whose every pair
-    crosses or whose every link has a line (then every pair with a line
-    goes to the kernel).  A clean family (R = 1) costs O(n).
+    share an axis); O(n^2) numpy when R = n, as on horocycle slices and
+    on a family whose every pair crosses or whose every link has a line
+    (then every pair with a line goes to the kernel).  A clean family
+    (R = 1) costs O(n).
     """
     tr, n = slice_.transversal, slice_.t.size
     if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
@@ -349,7 +349,7 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     columns = _slice_carriers(slice_, k)[0]  # each row at its own scale 2**-k
     circles = columns[:3]
     # Links and probes see the circles alone: a line's nan radius keeps them open.
-    pairs = _probed_pairs(circles, k, *_cleared_links(tr, circles, k))
+    pairs = _probed_pairs(circles, k, _cleared_links(tr, circles, k))
     if not np.isnan(circles[2]).any():
         columns = circles
 
@@ -407,17 +407,9 @@ def _pair_columns(columns, i, j, k) -> list[np.ndarray]:
         ]
 
 
-#: A row whose later leaves reach past this at its scale is screened in
-#: full: squared, they may leave the float range, which only a screened
-#: pair can report.
-_REACH_LIMIT = 2.0**500
-
-
-def _cleared_links(transversal: Transversal, columns, k) -> tuple[np.ndarray, np.ndarray]:
-    """Which links (l, l + 1) of the audit are cleared, and which rows
-    l < n - 1 are screened in full (their links stay open): every row of
-    a horocycle slice, whose leaves cross it twice, and the rows whose
-    later leaves reach past ``_REACH_LIMIT`` at their scale.
+def _cleared_links(transversal: Transversal, columns, k) -> np.ndarray:
+    """Which links (l, l + 1) of the audit are cleared: none on a
+    horocycle slice, whose leaves cross it twice.
 
     See ``verify_disjoint``: a link is cleared when ``_screen`` with the
     boundary at 0 finds it unflagged.  ``columns`` are the circle columns
@@ -426,13 +418,8 @@ def _cleared_links(transversal: Transversal, columns, k) -> tuple[np.ndarray, np
     """
     links = np.arange(columns[0].size - 1)
     if transversal.kind == TransversalKind.HOROCYCLE:
-        return np.zeros(links.size, dtype=bool), np.ones(links.size, dtype=bool)
-    cleared, _ = _screen(*_pair_columns(columns, links, links + 1, k), boundary=0.0)
-    with np.errstate(over="ignore"):
-        size = np.ldexp(np.fmax.reduce(np.abs(columns)), k)  # each leaf's, unscaled
-        reach = np.fmax.accumulate(size[::-1])[::-1]
-        full = np.ldexp(reach[1:], -k[:-1]) > _REACH_LIMIT
-    return cleared & ~full, full
+        return np.zeros(links.size, dtype=bool)
+    return _screen(*_pair_columns(columns, links, links + 1, k), boundary=0.0)[0]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -452,16 +439,15 @@ def _blocks(counts: np.ndarray):
         lo = hi
 
 
-def _probed_pairs(columns, k, cleared, full):
+def _probed_pairs(columns, k, cleared):
     """Blocks of the pairs (a, b) in different runs whose row probe
     (a, first(B)) stays open (see ``verify_disjoint``), ordered by a,
     then b.
 
     Rows go in blocks of at most ``_AUDIT_BLOCK_CELLS`` probes, or of one
-    row.  Rows marked ``full`` keep every probe open, unscreened, and so
-    does every row when each run is one row: each probe is then the pair
-    itself.  ``columns`` are the circle columns alone, each row at its own
-    scale, so a line keeps its probes open.
+    row.  When each run is one row, every probe is the pair itself and
+    stays open, unscreened.  ``columns`` are the circle columns alone,
+    each row at its own scale, so a line keeps its probes open.
     """
     is_last = np.append(~cleared, True)[: k.size]
     last = np.flatnonzero(is_last)  # the last row of each run
@@ -474,10 +460,10 @@ def _probed_pairs(columns, k, cleared, full):
         i = np.repeat(a, later[a])
         runs = _ranges(run[a] + 1, later[a])  # each probe's run B
         j = last[runs - 1] + 1  # first(B)
-        probe_open = full[i] | every_link_open
-        screened = np.flatnonzero(~probe_open)
-        p, q = i[screened], j[screened]
-        probe_open[screened] = ~_screen(*_pair_columns(columns, p, q, k), boundary=0.0)[0]
+        if every_link_open:
+            probe_open = np.ones(i.size, dtype=bool)
+        else:
+            probe_open = ~_screen(*_pair_columns(columns, i, j, k), boundary=0.0)[0]
         rows, starts = i[probe_open], j[probe_open]
         counts = last[runs[probe_open]] + 1 - starts
         for p0, p1 in _blocks(counts):

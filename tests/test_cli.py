@@ -555,6 +555,28 @@ class TestFloatRange:
         assert "float range" in err
 
     @pytest.mark.parametrize(
+        "transversal, closed_form, half",
+        [
+            ({"kind": "hypercycle", "phi": 0.9}, {"name": "totally_geodesic"}, 383.0),
+            ({"kind": "geodesic"}, {"name": "constant", "params": {"c": 0.5}}, 360.0),
+        ],
+        ids=["totally-geodesic-0.9", "constant-0.5"],
+    )
+    def test_wide_family_audits_clean(self, route_file, capsys, transversal, closed_form, half):
+        # Far leaves' squared radii overflow at the lower leaf's scale, but
+        # the links certify every far pair, so none is intersected.
+        doc = {
+            "transversal": transversal,
+            "closed_form": closed_form,
+            "window": [-half, half],
+            "n": 1000,
+        }
+        code, out, err = run(capsys, ["audit", route_file(doc)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["clean"], report["pairs_checked"]) == (True, 499500)
+
+    @pytest.mark.parametrize(
         "doc, path",
         [
             (

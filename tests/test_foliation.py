@@ -1488,13 +1488,16 @@ class TestLinkScreen:
         assert report.clean
         assert screened == n * (n - 1) // 2
 
-    def test_far_pairs_beyond_the_float_range_are_still_refused(self):
-        # Every link clears, but the top leaf's squared radius overflows at
-        # the bottom leaf's scale, as for the two-sample route in test_cli.
+    def test_far_pairs_beyond_the_float_range_are_certified(self, monkeypatch):
+        # The top leaf's squared radius overflows at the bottom leaf's
+        # scale, as for the two-sample route in test_cli, but every link
+        # clears, so no far pair is intersected.
         n = 400
         route = Route(Transversal.geodesic(), np.linspace(-360.0, 360.0, n), np.full(n, 0.5))
-        with pytest.raises(DomainError, match="float range"):
-            verify_disjoint(synthesize(route))
+        report, screened = self.screened_pairs(monkeypatch, synthesize(route))
+        assert report.clean
+        assert report.pair_count == n * (n - 1) // 2
+        assert screened == n - 1
 
     @staticmethod
     def leaves_meeting_above_the_axis(a0, heights, rise):
@@ -1585,9 +1588,7 @@ class TestRunProbes:
         assert screened < 50_000  # of 8 M pairs, 4 M of them spanning an open link
         # With no link cleared, every pair goes through the pair screen,
         # which TestVerifyDisjointDifferential holds to the reference.
-        monkeypatch.setattr(
-            foliation, "_cleared_links", lambda *_: (np.zeros(n - 1, dtype=bool),) * 2
-        )
+        monkeypatch.setattr(foliation, "_cleared_links", lambda *_: np.zeros(n - 1, dtype=bool))
         assert _report_key(verify_disjoint(slice_)) == _report_key(report)
 
     @staticmethod
@@ -1647,16 +1648,44 @@ class TestRunProbes:
         _, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
         assert screened == 13 + 9 + 25
 
-    def test_rows_beyond_reach_are_screened_in_full(self):
-        # Leaves 357 apart in t, with two open links near the top: the
-        # lowest rows reach past 2**500 at their scale, so they are probed
-        # with nothing, and their far pairs are refused as before.
-        n = 300
+    @staticmethod
+    def wide_slice(n):
+        """Geodesic leaves 357 apart in t at level 0.5, two of them near
+        the top at -0.9: the lowest rows' later leaves reach past 2**511
+        at their scale, so only the certificate keeps their far pairs out
+        of the float range."""
         h = np.full(n, 0.5)
         h[[n - 10, n - 4]] = -0.9
         route = Route(Transversal.geodesic(), np.linspace(-5.0, 352.0, n), h)
-        with pytest.raises(DomainError, match="t=-5.0 and .* float range"):
-            verify_disjoint(synthesize(route, force=True))
+        return synthesize(route, force=True)
+
+    def test_rows_beyond_reach_are_certified(self, monkeypatch):
+        # Each -0.9 leaf crosses the leaf below it; every other pair is
+        # certified or screened at a scale that holds it.
+        slice_ = self.wide_slice(300)
+        report, screened = TestLinkScreen.screened_pairs(monkeypatch, slice_)
+        assert [(round(c.t1, 2), round(c.t2, 2)) for c in report.intersecting] == [
+            (340.06, 341.25),
+            (347.22, 348.42),
+        ]
+        assert report.tangent == ()
+        # 299 links; 586 probes, two from each row of the first run and one
+        # from each of the six of the second; 10 pairs, those of rows 289
+        # and 295 with the run above, whose probes are their open links.
+        assert screened == 299 + 586 + 10
+
+    @pytest.mark.parametrize("phi", [None, 0.5, 0.9])
+    def test_rows_reaching_near_the_float_range_match_reference(self, phi):
+        # t L spans 350, so the lowest rows' later leaves reach past 2**500
+        # at their scale, but their squares stay in range: the reference
+        # intersects every pair, which the certificate may clear.
+        tr = Transversal.geodesic() if phi is None else Transversal.hypercycle(phi)
+        window = (-175.0 / tr.curvature_bound, 175.0 / tr.curvature_bound)
+        route, _ = perturbed_invalid_route(tr, window=window, n=60, seed=1)
+        slice_ = synthesize(route, force=True)
+        report = verify_disjoint(slice_)
+        assert not report.clean
+        assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
 
 
 # --------------------------------------------------------------------------
@@ -1977,10 +2006,10 @@ class TestSingleRowRuns:
         slice_ = synthesize(route, force=True)
         k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
         circles = foliation._slice_carriers(slice_, k)[0][:3]
-        cleared, full = foliation._cleared_links(tr, circles, k)
+        cleared = foliation._cleared_links(tr, circles, k)
         is_last = np.append(~cleared, True)
         runs = np.diff(np.flatnonzero(is_last), prepend=-1)
-        assert not full.any() and 1 < runs.size < slice_.t.size and (runs == 1).any()
+        assert 1 < runs.size < slice_.t.size and (runs == 1).any()
         probes = int(np.sum(np.repeat(np.arange(runs.size)[::-1], runs)))
         screen = foliation._screen
         at_zero = []
@@ -2378,9 +2407,9 @@ def _certified_pairs(monkeypatch, slice_):
     runs = []
     probed = foliation._probed_pairs
 
-    def recording(columns, k, cleared, full):
+    def recording(columns, k, cleared):
         runs.append(np.cumsum(np.append(False, ~cleared)))  # each row's run
-        for i, j in probed(columns, k, cleared, full):
+        for i, j in probed(columns, k, cleared):
             screened[i, j] = True
             yield i, j
 
@@ -2410,14 +2439,23 @@ def _assert_referee_clears(slice_, pairs):
 
 
 def _certificate_slices():
-    """Families of 20 and 30 leaves on the geodesic and on phi = 0.5 and 0.9:
-    valid and perturbed draws, and, near the link threshold as in
+    """Families of 20 to 30 leaves on the geodesic and on phi = 0.5 and 0.9:
+    valid and perturbed draws; near the link threshold as in
     ``chained_slices``, valid draws with margins down to 1e-9 (near the
     pencil) on windows up to 40 wide at offsets -40, 0 and +40, each also
-    with one leaf given another admissible level."""
+    with one leaf given another admissible level; and wide families on
+    t L in [-200, 200], whose far pairs leave the float range at their
+    lower leaf's scale: ``constant``, ``totally_geodesic`` and a valid
+    draw stretched onto that window, with ``TestRunProbes.wide_slice``."""
     rng = np.random.default_rng(7)
+    yield TestRunProbes.wide_slice(30)
     for tr in (Transversal.geodesic(), Transversal.hypercycle(0.5), Transversal.hypercycle(0.9)):
         bound = tr.curvature_bound
+        wide = (-200.0 / bound, 200.0 / bound)
+        yield synthesize(builtin_route("constant", tr, window=wide, n=24, c=0.5 * bound))
+        yield synthesize(builtin_route("totally_geodesic", tr, window=wide, n=24))
+        drawn = random_valid_route(tr, n=24, seed=3)
+        yield synthesize(Route(tr, drawn.t * (100.0 / bound), drawn.h))
         yield synthesize(random_valid_route(tr, n=30, seed=1))
         yield synthesize(perturbed_invalid_route(tr, n=30, seed=1)[0], force=True)
         for offset, half, margin in ((-40.0, 2.0, 1e-9), (0.0, 12.0, 1e-6), (40.0, 20.0, 1e-9)):
@@ -2444,7 +2482,7 @@ class TestCertificateReferee:
 
     def test_a_certificate_clearing_every_link_fails(self, monkeypatch):
         def every_link(tr, columns, k):
-            return np.ones(k.size - 1, dtype=bool), np.zeros(k.size - 1, dtype=bool)
+            return np.ones(k.size - 1, dtype=bool)
 
         monkeypatch.setattr(foliation, "_cleared_links", every_link)
         route, _ = perturbed_invalid_route(Transversal.hypercycle(0.9), n=30, seed=1)
