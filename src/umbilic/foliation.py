@@ -34,7 +34,7 @@ from .leaves import (
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
 )
-from .validation import Route, _effective_phi, _RowTable, profile_inverse, validate
+from .validation import DEFAULT_TOL, Route, _effective_phi, _RowTable, profile_inverse, validate
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class PairContacts(_RowTable):
     @staticmethod
     def _row(*fields):
         return PairContact(*fields)
-
-
-_NO_CONTACTS = PairContacts(*np.empty((5, 0)))
 
 
 @dataclass(frozen=True)
@@ -157,37 +154,43 @@ def _leaf_map(transversal: Transversal):
         )
     L, phi = transversal.curvature_bound, transversal.phi
     if phi is None:
-        return lambda t, h: leaf_orthogonal_to_geodesic(math.exp(t * L), math.acos(-h))
-    return lambda t, h: leaf_orthogonal_to_hypercycle(phi, math.exp(t * L), math.acos(-h))
+        return lambda t, h: leaf_orthogonal_to_geodesic(_crossing(t, L), math.acos(-h))
+    return lambda t, h: leaf_orthogonal_to_hypercycle(phi, _crossing(t, L), math.acos(-h))
 
 
-def _slice_carriers(slice_: FoliationSlice, k=None):
-    """The leaves ``all_entries`` builds, bit for bit, as carrier columns
-    ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the rows of the other
-    shape (see ``LeafTable``), with each leaf's angle beta and cos beta:
-    acos(-h), and pi on a geodesic's lines.  A line's direction is one
-    unit ``Line`` per transversal, normalised once.
+def _crossing(t: float, L: float) -> float:
+    """e^(t L), where the leaf at t crosses a geodesic or hypercycle;
+    ``DomainError`` where ``math.exp`` overflows."""
+    try:
+        return math.exp(t * L)
+    except OverflowError:
+        raise DomainError(f"the crossing at t={t!r} leaves the float range") from None
 
-    Given an int column ``k``, row p is that leaf scaled by 2**-k[p]
-    instead, built from the crossing (or the horocycle's height, and t)
-    scaled by 2**-k[p], so a crossing below the normal float range keeps
-    its bits.
+
+def _slice_carriers(slice_: FoliationSlice, k):
+    """The leaves ``all_entries`` builds, each row p scaled by 2**-k[p]
+    (``k`` an int column, or 0 for the leaves themselves, bit for bit),
+    as carrier columns ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the
+    rows of the other shape (see ``LeafTable``), with each leaf's angle
+    beta and cos beta: acos(-h), and pi on a geodesic's lines.  A row is
+    built from the crossing (or the horocycle's height, and t) scaled by
+    2**-k[p], so a crossing below the normal float range keeps its bits.
+    A line's direction is one unit ``Line`` per transversal, normalised
+    once, and is not scaled.
 
     The rows the constructors' own tests refuse (``_refused_leaves``, on
-    the unscaled carriers: with ``k``, the scaled ones scaled back, which
-    are those in the normal range and zero or infinite wherever those
-    are), and the levels beyond a hypercycle's band, are built through
-    them in row order, so a slice ``all_entries`` refuses raises the
-    error it meets first.  Where ``math.exp`` overflows a crossing, every
-    row is built so."""
+    the scaled carriers scaled back, which are the unscaled ones in the
+    normal range and zero or infinite wherever those are), and the
+    levels beyond a hypercycle's band, are built through them in row
+    order, so a slice ``all_entries`` refuses raises the error it meets
+    first.  Where ``math.exp`` overflows a crossing, every row is built
+    so."""
     tr, t, h = slice_.transversal, slice_.t, slice_.h
     beta = _math_map(math.acos, -h)
     cbeta = _math_map(math.cos, beta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if tr.kind == TransversalKind.HOROCYCLE:
-            height = tr.height
-            if k is not None:
-                t, height = np.ldexp(t, -k), np.ldexp(height, -k)
+            t, height = np.ldexp(t, -k), np.ldexp(tr.height, -k)
             line, unit = h == 0.0, (0.0, 1.0)
             circle = (np.where(line, math.nan, c) for c in (t, height, height / -h))
             lines = (np.where(line, c, math.nan) for c in (t, height, *unit))
@@ -199,8 +202,8 @@ def _slice_carriers(slice_: FoliationSlice, k=None):
                 s = np.full(h.size, math.inf)
             ray = _ray(tr.phi)
             unit = _line_direction(ray)
-            columns = _orthogonal_leaves(s if k is None else np.ldexp(s, -k), beta, cbeta, ray)
-        unscaled = columns if k is None else (*(np.ldexp(c, k) for c in columns[:5]), *columns[5:])
+            columns = _orthogonal_leaves(np.ldexp(s, -k), beta, cbeta, ray)
+        unscaled = (*(np.ldexp(c, k) for c in columns[:5]), *columns[5:])
     line = np.isnan(columns[2])
     refused = np.zeros(h.size, dtype=bool)
     if tr.kind == TransversalKind.GEODESIC:  # a line leaf is horizontal, with beta = pi
@@ -212,10 +215,9 @@ def _slice_carriers(slice_: FoliationSlice, k=None):
     # line with a nan point, both of which _refused_leaves refuses.
     refused |= _refused_leaves(line, unscaled, beta, cbeta, unit)
     rows = np.flatnonzero(refused)
-    if rows.size:  # the constructors raise their own error on the first row they refuse
-        leaf = _leaf_map(tr)
-        for t, h in zip(slice_.t[rows].tolist(), slice_.h[rows].tolist()):
-            leaf(t, h)
+    leaf = _leaf_map(tr)  # the constructors raise their own error on the first row they refuse
+    for t, h in zip(slice_.t[rows].tolist(), slice_.h[rows].tolist()):
+        leaf(t, h)
     return columns, beta, cbeta
 
 
@@ -232,7 +234,7 @@ def leaf_table(slice_: FoliationSlice) -> LeafTable:
     ``math`` maps of exp, acos and cos that the constructors use; a slice
     ``all_entries`` refuses raises the error it meets first (see
     ``_slice_carriers``)."""
-    columns, beta, cbeta = _slice_carriers(slice_)
+    columns, beta, cbeta = _slice_carriers(slice_, 0)
     return LeafTable(*columns, beta, -cbeta, _leaf_kinds(beta))
 
 
@@ -377,20 +379,13 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
             )
         if keep.any():
             found.append((ts[a[keep]], ts[b[keep]], kind[keep], *(v[keep] for v in unscaled)))
-    intersecting = tangent = _NO_CONTACTS
-    if found:
-        columns = [np.concatenate(c) if len(found) > 1 else c[0] for c in zip(*found)]
-        is_tangent = columns[2] == _TANGENT
-        if not is_tangent.any():  # as a rule: then no row is copied
-            intersecting = PairContacts(*columns)
-        else:
-            intersecting = PairContacts(*(c[~is_tangent] for c in columns))
-            tangent = PairContacts(*(c[is_tangent] for c in columns))
+    contacts = [np.concatenate(c) for c in zip(np.empty((5, 0)), *found)]
+    tangent = contacts[2] == _TANGENT
     return DisjointnessReport(
-        clean=not intersecting and not tangent,
+        clean=not found,
         pair_count=n * (n - 1) // 2,
-        intersecting=intersecting,
-        tangent=tangent,
+        intersecting=PairContacts(*(c[~tangent] for c in contacts)),
+        tangent=PairContacts(*(c[tangent] for c in contacts)),
     )
 
 
@@ -589,7 +584,7 @@ def builtin_route(
     window: tuple[float, float] = (-3.0, 3.0),
     n: int = 121,
     c: float | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> Route:
     """Sample a built-in family on a uniform grid.
 

@@ -485,22 +485,18 @@ def carrier_contact(leaf1: Leaf, leaf2: Leaf) -> CarrierContact:
     ``_carrier_contacts``; raises ``OverflowError`` where a square it forms
     leaves the float range.
     """
-    shapes = leaf1.shape, leaf2.shape
     fields = [
         (s.cx, s.cy, s.radius) + (math.nan,) * 4 if isinstance(s, Circle)
         else (math.nan,) * 3 + (s.x0, s.y0, s.dx, s.dy)
-        for s in shapes
+        for s in (leaf1.shape, leaf2.shape)
     ]
-    if all(isinstance(s, Circle) for s in shapes):  # three columns a side do
-        fields = [f[:3] for f in fields]
     kind, points, out = _carrier_contacts(*np.array(fields[0] + fields[1])[:, None])
     if out[0]:
         raise OverflowError("a square of the carriers leaves the float range")
-    code = int(kind[0])
-    lines = all(isinstance(s, Line) for s in shapes)
-    count = {_TRANSVERSE: 1 if lines else 2, _TANGENT: 1}.get(code, 0)
     x1, y1, x2, y2 = (float(p[0]) for p in points)
-    return CarrierContact(_KIND_NAMES[code], ((x1, y1), (x2, y2))[:count])
+    # The kernel writes nan after a row's last point.
+    contacts = tuple((x, y) for x, y in ((x1, y1), (x2, y2)) if x == x or y == y)
+    return CarrierContact(_KIND_NAMES[int(kind[0])], contacts)
 
 
 def _carrier_contacts(*columns):

@@ -39,6 +39,14 @@ MAX_CLOSED_FORM_N = 10**6
 
 _ROOT_KEYS = {"transversal", "closed_form", "samples", "window", "n", "tol"}
 _TRANSVERSAL_KEYS = {"kind", "phi", "height"}
+#: Each transversal kind's parameters, as name: (end, words), where the
+#: value must lie in (0, end), as the words say; and the message that
+#: refuses a parameter the kind does not take.
+_TRANSVERSAL_PARAMS = {
+    "geodesic": ({}, "not valid for the geodesic"),
+    "hypercycle": ({"phi": (math.pi / 2, "lie in (0, pi/2)")}, "only valid for horocycles"),
+    "horocycle": ({"height": (math.inf, "be positive")}, "only valid for hypercycles"),
+}
 _CLOSED_FORM_KEYS = {"name", "params"}
 _SAMPLE_KEYS = {"t", "h", "dh"}
 _PARAM_KEYS = {"c"}
@@ -159,40 +167,23 @@ def _canon_transversal(obj: Any) -> dict:
         raise RouteParseError("must be an object", "transversal")
     _reject_unknown(obj, _TRANSVERSAL_KEYS, "transversal")
     kind = obj.get("kind")
-    if kind not in ("geodesic", "hypercycle", "horocycle"):
+    if kind not in list(_TRANSVERSAL_PARAMS):  # a list, as a JSON kind may be unhashable
         raise RouteParseError(
             f"kind must be geodesic, hypercycle or horocycle, got {_echo(kind)}",
             "transversal.kind",
         )
+    taken, refusal = _TRANSVERSAL_PARAMS[kind]
     out = {"kind": kind}
-    if kind == "hypercycle":
-        if "phi" not in obj:
-            raise RouteParseError("missing field", "transversal.phi")
-        phi = _require_number(obj["phi"], "transversal.phi")
-        if not 0.0 < phi < math.pi / 2:
-            raise RouteParseError(
-                f"phi must lie in (0, pi/2), got {phi}", "transversal.phi"
-            )
-        out["phi"] = phi
-        if "height" in obj:
-            raise RouteParseError("only valid for horocycles", "transversal.height")
-    elif kind == "horocycle":
-        if "height" not in obj:
-            raise RouteParseError("missing field", "transversal.height")
-        height = _require_number(obj["height"], "transversal.height")
-        if not height > 0:
-            raise RouteParseError(
-                f"height must be positive, got {height}", "transversal.height"
-            )
-        out["height"] = height
-        if "phi" in obj:
-            raise RouteParseError("only valid for hypercycles", "transversal.phi")
-    else:
-        for key in ("phi", "height"):
-            if key in obj:
-                raise RouteParseError(
-                    "not valid for the geodesic", f"transversal.{key}"
-                )
+    for key, (end, words) in taken.items():
+        path = f"transversal.{key}"
+        if key not in obj:
+            raise RouteParseError("missing field", path)
+        out[key] = _require_number(obj[key], path)
+        if not 0.0 < out[key] < end:
+            raise RouteParseError(f"{key} must {words}, got {out[key]}", path)
+    for key in ("phi", "height"):
+        if key in obj and key not in taken:
+            raise RouteParseError(refusal, f"transversal.{key}")
     return out
 
 
@@ -325,13 +316,10 @@ def _walk_samples(obj: list) -> tuple[np.ndarray, ...]:
 def document_to_route(doc: Any) -> Route:
     """Build a Route from a parsed route document, through every check of
     ``validate_document`` (its order, messages and paths) and then
-    ``tol < tol_limit``: ``loads_route``'s path after ``json.loads``."""
-    return _build_route(_check_document(doc))
-
-
-def _build_route(ndoc: dict) -> Route:
-    """The Route of a canonical document whose samples, if it has any,
-    are t, h (and dh) columns."""
+    ``tol < tol_limit``: ``loads_route``'s path after ``json.loads``.
+    The samples, if any, go to the Route as ``_check_document``'s
+    columns."""
+    ndoc = _check_document(doc)
     tr = ndoc["transversal"]
     transversal = Transversal(
         TransversalKind(tr["kind"]),
@@ -346,16 +334,10 @@ def _build_route(ndoc: dict) -> Route:
         )
     if "closed_form" in ndoc:
         cf = ndoc["closed_form"]
-        window = tuple(ndoc.get("window", (-3.0, 3.0)))
-        n = ndoc.get("n", 121)
+        sampling = {key: ndoc[key] for key in ("window", "n") if key in ndoc}
         try:
             return builtin_route(
-                cf["name"],
-                transversal=transversal,
-                window=window,
-                n=n,
-                tol=tol,
-                **cf.get("params", {}),
+                cf["name"], transversal=transversal, tol=tol, **sampling, **cf.get("params", {})
             )
         except DomainError as exc:  # a family, level or window the closed form refuses
             raise RouteParseError(str(exc), "closed_form") from exc
@@ -461,7 +443,7 @@ def loads_route(text: str) -> Route:
         raise RouteParseError(f"not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
         raise RouteParseError(f"JSON text not readable: {_without_advice(exc)}") from None
-    return _build_route(_check_document(doc))
+    return document_to_route(doc)
 
 
 def _without_advice(exc: Exception) -> str:

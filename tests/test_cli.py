@@ -492,6 +492,23 @@ class TestFloatRange:
         assert "inf" not in out and "nan" not in out
         assert not svg.exists()
 
+    # e^(t L) itself overflows: the crossing leaves the float range.
+    LARGE_T = {
+        "transversal": {"kind": "geodesic"},
+        "samples": [{"t": 800.0, "h": 0.0}, {"t": 800.25, "h": 0.0}],
+    }
+
+    @pytest.mark.parametrize("command", ["leaves", "audit", "render"])
+    def test_overflowing_crossing_is_refused(self, route_file, capsys, tmp_path, command):
+        svg = tmp_path / "x.svg"
+        argv = [command, route_file(self.LARGE_T), "--out", str(svg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, argv if command == "render" else argv[:2])
+        assert code == 1
+        assert err == "umbilic: the crossing at t=800.0 leaves the float range\n"
+        assert not svg.exists()
+
     def test_render_past_the_float_range_is_refused(self, route_file, capsys, tmp_path):
         # The second leaf's radius, 8.2e306, is finite; in pixels it is not.
         doc = {
