@@ -267,11 +267,8 @@ def _leaf_rows(slice_) -> list[str]:
 
 
 def _cmd_leaves(args) -> int:
-    slice_ = _family(args)
-    print("index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus")
-    rows = _leaf_rows(slice_)
-    if rows:
-        print("\n".join(rows))
+    rows = _leaf_rows(_family(args))  # built first, so a refusal prints nothing
+    print("\n".join(["index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus", *rows]))
     return 0
 
 

@@ -346,8 +346,9 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     tr, n = slice_.transversal, slice_.t.size
     if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
         k = np.full(n, math.frexp(tr.height)[1], dtype=np.intc)
-    else:
-        k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
+    else:  # past the int range e^(t L) leaves the float range, which _slice_carriers refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.rint(slice_.t * tr.curvature_bound / math.log(2.0)).astype(np.intc)
     columns = _slice_carriers(slice_, k)[0]  # each row at its own scale 2**-k
     circles = columns[:3]
     # Links and probes see the circles alone: a line's nan radius keeps them open.
@@ -559,9 +560,10 @@ def extend_slice(
             "only hypercycle slices leave residual regions to extend into"
         )
     ts = slice_.t[sampled]
-    step = float(np.median(np.diff(ts))) if ts.size > 1 else 0.5
     k = np.arange(1, count + 1)
-    t = np.concatenate((slice_.t, ts[0] - k * step, ts[-1] + k * step))
+    with np.errstate(over="ignore"):  # a t past the float range is refused with its leaf
+        step = float(np.median(np.diff(ts))) if ts.size > 1 else 0.5
+        t = np.concatenate((slice_.t, ts[0] - k * step, ts[-1] + k * step))
     h = np.concatenate((slice_.h, np.repeat(slice_.h[sampled[[0, -1]]], count)))
     extension = np.concatenate((slice_.extension, np.ones(2 * count, dtype=bool)))
     order = np.argsort(t, kind="stable")
@@ -725,9 +727,9 @@ def run_disjointness_agreement(
     never reach the oracle.  Each ``math`` column (sin phi, cos phi,
     cos beta1, cos beta2) is computed once per block and feeds both the
     predicate and the carriers.  Cost: O(n) numpy work in blocks of at
-    most ``_AUDIT_BLOCK_CELLS`` pairs (the kernel takes the 3 224 draws
-    with a line among the 40 000 of seeds 0 to 9 at n = 2 000 on both
-    families, and no other).
+    most ``_AUDIT_BLOCK_CELLS`` pairs; the kernel takes the draws with a
+    line, those with an angle at its range's upper end, and in practice
+    no other.
     """
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
@@ -770,46 +772,32 @@ def run_disjointness_agreement(
     )
 
 
-#: A sweep angle's first double picks its range's lower end below
-#: ``_PICK_LO``, its upper end below ``_PICK_HI``, and else a second
-#: double places it inside the range, 0.02 clear of both ends.
-_PICK_LO, _PICK_HI = 0.04, 0.08
-
-
 def _draw_blocks(family: str, n: int, seed: int):
     """The sweep's n draws, as blocks of columns ``(phi,) s1, beta1, s2,
     beta2`` of at most ``_AUDIT_BLOCK_CELLS`` pairs each.
 
-    The stream is the one a pair-by-pair loop on ``default_rng(seed)``
-    reads: log-uniform s1 in [0.2, 2] and s2 / s1 in [1.001, 3], a
-    uniform phi in [0.1, pi/2 - 0.02] on the hypercycle, then beta1 and
-    beta2, each taking one or two doubles (see ``_PICK_LO``) in
-    [0, pi] on the geodesic and [pi/2 - phi, pi/2 + phi] on the
-    hypercycle.  Raw doubles replay it (see ``_uniform``), and the
+    Each pair reads the next ``base + 4`` doubles of ``default_rng(seed)``
+    (``base`` is 2 on the geodesic, 3 on the hypercycle), so the draws do
+    not depend on the block size: log-uniform s1 in [0.2, 2] and s2 / s1
+    in [1.001, 3], a uniform phi in [0.1, pi/2 - 0.02] on the hypercycle,
+    then beta1 and beta2, two doubles each (see ``_angle``), in [0, pi] on
+    the geodesic and [pi/2 - phi, pi/2 + phi] on the hypercycle.  Each
+    double is read as ``rng.uniform`` reads it (see ``_uniform``), and the
     exponential comes from ``math``, which numpy's may differ from in the
-    last bit.  A pair takes at most ``base + 4`` doubles; what a block
-    leaves unread starts the next one, as consecutive ``rng.random``
-    calls continue one stream.
+    last bit.
     """
     rng = np.random.default_rng(seed)
     base = 2 if family == "geodesic" else 3
-    tail = np.empty(0)
     for lo in range(0, n, _AUDIT_BLOCK_CELLS):
-        count = min(_AUDIT_BLOCK_CELLS, n - lo)
-        need = count * (base + 4) - tail.size
-        raw = np.concatenate((tail, rng.random(max(need, 0))))
-        start, end = _pair_starts(raw, base, count)
-        tail = raw[end:]
-        s1 = _math_map(math.exp, _uniform(math.log(0.2), math.log(2.0), raw[start]))
-        ratio = _math_map(math.exp, _uniform(math.log(1.001), math.log(3.0), raw[start + 1]))
+        raw = rng.random((min(_AUDIT_BLOCK_CELLS, n - lo), base + 4)).T
+        s1 = _math_map(math.exp, _uniform(math.log(0.2), math.log(2.0), raw[0]))
+        ratio = _math_map(math.exp, _uniform(math.log(1.001), math.log(3.0), raw[1]))
         if family == "geodesic":
             head, ends = (), (0.0, math.pi)
         else:
-            phi = _uniform(0.1, math.pi / 2 - 0.02, raw[start + 2])
+            phi = _uniform(0.1, math.pi / 2 - 0.02, raw[2])
             head, ends = (phi,), (math.pi / 2 - phi, math.pi / 2 + phi)
-        at = start + base
-        beta1 = _angle(raw, at, *ends)
-        beta2 = _angle(raw, at + _angle_width(raw[at]), *ends)
+        beta1, beta2 = (_angle(raw[at], raw[at + 1], *ends) for at in (base, base + 2))
         yield (*head, s1, beta1, s1 * ratio, beta2)
 
 
@@ -818,35 +806,8 @@ def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def _angle_width(first: np.ndarray) -> np.ndarray:
-    """Doubles an angle draw takes, from its first double."""
-    return np.where(first < _PICK_HI, 1, 2)
-
-
-def _angle(raw: np.ndarray, at: np.ndarray, lo, hi) -> np.ndarray:
-    """The angles in [lo, hi] whose first double sits at ``at``."""
-    first = raw[at]
-    inside = _uniform(lo + 0.02, hi - 0.02, raw.take(at + 1, mode="clip"))
-    return np.where(first < _PICK_LO, lo, np.where(first < _PICK_HI, hi, inside))
-
-
-def _pair_starts(raw: np.ndarray, base: int, count: int) -> tuple[np.ndarray, int]:
-    """Where each of the first ``count`` pairs starts in ``raw``, and where
-    the last one ends.
-
-    ``after[p]`` is where the next pair starts if one starts at p; the
-    starts are the orbit of 0 under it, listed by pointer doubling in
-    O(m log count) numpy work on m = ``raw.size``.  Past the end of
-    ``raw``, widths read 1 and ``after`` stops at m.
-    """
-    m = raw.size
-    width = np.concatenate((_angle_width(raw), np.ones(base + 2, dtype=int)))
-    at = np.arange(base, m + base)
-    at += width[at]
-    after = np.append(np.minimum(at + width[at], m), m)
-    starts, jump = np.zeros(1, dtype=np.intp), after
-    while starts.size < count:
-        starts = np.concatenate((starts, jump[starts]))
-        jump = jump[jump]
-    starts = starts[:count]
-    return starts, int(after[starts[-1]])
+def _angle(pick, u, lo, hi):
+    """Angles in [lo, hi]: lo where ``pick`` is below 0.04, hi where it is
+    below 0.08, and else ``_uniform(lo + 0.02, hi - 0.02, u)``."""
+    inside = _uniform(lo + 0.02, hi - 0.02, u)
+    return np.where(pick < 0.04, lo, np.where(pick < 0.08, hi, inside))

@@ -509,6 +509,41 @@ class TestFloatRange:
         assert err == "umbilic: the crossing at t=800.0 leaves the float range\n"
         assert not svg.exists()
 
+    # Each once warned before its refusal: the audit's scale 2**k past the
+    # int range, or an extension leaf's t past the float range.
+    @pytest.mark.parametrize(
+        "doc, argv, crossing",
+        [
+            (
+                {"transversal": {"kind": "geodesic"},
+                 "samples": [{"t": 1.7e308, "h": 0.0}, {"t": 1.75e308, "h": 0.0}]},
+                ["audit"],
+                "1.7e+308",
+            ),
+            (
+                {"transversal": {"kind": "geodesic"}, "closed_form": {"name": "horospherical"},
+                 "window": [800.0, 1e300], "n": 50},
+                ["audit"],
+                "800.0",
+            ),
+            (
+                {"transversal": {"kind": "hypercycle", "phi": 0.9},
+                 "samples": [{"t": 1.6e308, "h": 0.0}, {"t": 1.7e308, "h": 0.0}]},
+                ["render", "--force", "--extend", "2"],
+                "1.4e+308",
+            ),
+        ],
+        ids=["audit-1e308", "audit-horospherical", "render-extend-1e308"],
+    )
+    def test_refused_without_a_warning(self, route_file, capsys, tmp_path, doc, argv, crossing):
+        svg = tmp_path / "x.svg"
+        argv = [*argv, route_file(doc)] + (["--out", str(svg)] if argv[0] == "render" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, argv)
+        assert result == (1, "", f"umbilic: the crossing at t={crossing} leaves the float range\n")
+        assert not svg.exists()
+
     def test_render_past_the_float_range_is_refused(self, route_file, capsys, tmp_path):
         # The second leaf's radius, 8.2e306, is finite; in pixels it is not.
         doc = {
@@ -671,12 +706,10 @@ class TestFloatRangeOutputs:
 
 
 class TestOutputErrors:
-    """``leaves`` and ``render`` refuse these documents with the exit code,
-    output and message that listing and drawing them one ``Leaf`` at a
-    time gave: ``leaves`` prints its header before the refusal, and
-    ``render`` writes no figure."""
+    """``leaves`` and ``render`` refuse these documents with the exit code and
+    message that listing and drawing them one ``Leaf`` at a time gave:
+    ``leaves`` prints nothing on stdout, and ``render`` writes no figure."""
 
-    HEADER = "index\tt\tkind\tbeta\th\textension\tshape\ta_minus\ta_plus\n"
     GEODESIC = {"kind": "geodesic"}
     # e^(t L) underflows to 0 below t L = -745, for a circle and for a line.
     UNDERFLOW = {"transversal": GEODESIC, "samples": [{"t": -800.0, "h": 0.0}, {"t": -799.0, "h": 0.0}]}
@@ -699,7 +732,7 @@ class TestOutputErrors:
     )
     def test_leaves(self, route_file, capsys, doc, stderr):
         for force in ([], ["--force"]):
-            assert run(capsys, ["leaves", *force, route_file(doc)]) == (1, self.HEADER, stderr)
+            assert run(capsys, ["leaves", *force, route_file(doc)]) == (1, "", stderr)
 
     @pytest.mark.parametrize(
         "doc, viewport, stderr",

@@ -751,12 +751,13 @@ def _reference_draw_betas(rng, lo: float, hi: float) -> tuple[float, float]:
     betas = []
     for _ in range(2):
         r = rng.uniform()
+        inside = rng.uniform(lo + 0.02, hi - 0.02)
         if r < 0.04:
             betas.append(lo)
         elif r < 0.08:
             betas.append(hi)
         else:
-            betas.append(rng.uniform(lo + 0.02, hi - 0.02))
+            betas.append(inside)
     return betas[0], betas[1]
 
 
@@ -1915,13 +1916,19 @@ class TestLineScreen:
                 assert_kernel_holds(first, second(off))
 
     def test_sweep_settles_the_line_pairs(self, monkeypatch):
-        # The kernel takes exactly the draws with a line, one call per
-        # block (each run of 2 000 draws is one block), and no circle pair.
+        # The kernel takes exactly the draws with a line, those with an
+        # angle at its range's upper end (beta = pi, or pi/2 + phi), one
+        # call per block (each run of 2 000 draws is one block), and no
+        # circle pair.
         rows = _kernel_rows(monkeypatch)
+        lines = 0
         for family in FAMILIES:
             for seed in range(10):
                 run_disjointness_agreement(family, 2000, seed)
-        assert (sum(rows), len(rows)) == (3224, 2 * 10)
+                for *head, _, beta1, _, beta2 in foliation._draw_blocks(family, 2000, seed):
+                    upper = math.pi / 2 + head[0] if head else math.pi
+                    lines += int(np.count_nonzero((beta1 == upper) | (beta2 == upper)))
+        assert (sum(rows), len(rows)) == (lines, 2 * 10)
 
     @pytest.mark.parametrize(
         "make",

@@ -251,8 +251,8 @@ STANDALONE = {
 
 GOLDEN_STANDALONE = {
     "examples": "97aea8e072088d2624613f707d599baa65a9803ab2e434bfde17995d1c2a1fad",
-    "lemma-check": "8011ad32cb4be6100092c35ac782b7866598b2695b757a68fc5c864ddce16713",
-    "lemma-check-blocks": "4ca4fa723dacf316adfe0d936c1719b8f186d3d1a1098c5d548fe26cc3b3d665",
+    "lemma-check": "4b4d14f102fcf3c387992258986ecb1b779967fc9120b96fc00b837798de5cfb",
+    "lemma-check-blocks": "949bcf7c24325aa56f29d172f232006c7c32b5a4ede4a3862e7c829ed1df4916",
 }
 
 
