@@ -89,6 +89,10 @@ class FoliationSlice:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
         if not (self.t.ndim == 1 and self.t.shape == self.h.shape == self.extension.shape):
             raise DomainError("a slice needs t, h and extension columns of one length")
+        infinite = np.flatnonzero(~np.isfinite(self.t))
+        if infinite.size:
+            row = int(infinite[0])
+            raise DomainError(f"slice row {row} has t={float(self.t[row])!r}, which is not finite")
         if not np.all(self.t[1:] >= self.t[:-1]):
             raise DomainError("slice rows must be sorted by t")
         if not np.all(np.abs(self.h) <= 1.0):
@@ -561,7 +565,7 @@ def extend_slice(
         )
     ts = slice_.t[sampled]
     k = np.arange(1, count + 1)
-    with np.errstate(over="ignore"):  # a t past the float range is refused with its leaf
+    with np.errstate(over="ignore"):  # a t past the float range is refused by the slice
         step = float(np.median(np.diff(ts))) if ts.size > 1 else 0.5
         t = np.concatenate((slice_.t, ts[0] - k * step, ts[-1] + k * step))
     h = np.concatenate((slice_.h, np.repeat(slice_.h[sampled[[0, -1]]], count)))
@@ -724,12 +728,15 @@ def run_disjointness_agreement(
     within a rounding guard of one of ``carrier_contact``'s decisions, go
     to the contact kernel (``leaves._carrier_contacts``) in one call per
     block, and a block with none makes no call.  Margin-skipped pairs
-    never reach the oracle.  Each ``math`` column (sin phi, cos phi,
-    cos beta1, cos beta2) is computed once per block and feeds both the
-    predicate and the carriers.  Cost: O(n) numpy work in blocks of at
-    most ``_AUDIT_BLOCK_CELLS`` pairs; the kernel takes the draws with a
-    line, those with an angle at its range's upper end, and in practice
-    no other.
+    never reach the oracle.  The trig columns (sin phi, cos phi, cos beta1,
+    cos beta2, the slacks' tan(beta/2) or cos(phi + beta), and the line
+    directions' norm) are numpy's, each taken once per block, and sin phi
+    and cos beta feed both the predicate and the carriers (see
+    ``leaves._math_map`` for the trig-source rule).  Cost: O(n) numpy
+    work in blocks of at most ``_AUDIT_BLOCK_CELLS`` pairs, with no
+    per-pair Python outside the kernel's rows; the kernel takes the draws
+    with a line, those with an angle at its range's upper end, and in
+    practice no other.
     """
     if family not in ("geodesic", "hypercycle"):
         raise DomainError(f"family must be geodesic or hypercycle, got {family!r}")
@@ -739,12 +746,16 @@ def run_disjointness_agreement(
     mismatches = []
     for params in _draw_blocks(family, n, seed):
         *head, s1, beta1, s2, beta2 = params  # head is (phi,) on the hypercycle
-        ray = _ray(*head)
-        cbeta1, cbeta2 = _math_map(math.cos, beta1), _math_map(math.cos, beta2)
+        cbeta1, cbeta2 = np.cos(beta1), np.cos(beta2)
         if head:
-            slack = _hypercycle_gap(*params, ray[0], cbeta1, cbeta2)
+            sphi, cphi = np.sin(head[0]), np.cos(head[0])
+            ray = (sphi, cphi, np.hypot(sphi, cphi))
+            cos1, cos2 = np.cos(head[0] + beta1), np.cos(head[0] + beta2)
+            slack = _hypercycle_gap(s1, s2, sphi, cbeta1, cbeta2, cos1, cos2)
         else:
-            slack = _geodesic_slack(*params)
+            ray = None
+            tan1, tan2 = np.tan(beta1 / 2.0), np.tan(beta2 / 2.0)
+            slack = _geodesic_slack(s1, beta1, s2, beta2, tan1, tan2)
         margin = np.isfinite(slack) & (np.abs(slack) < _SLACK_MARGIN)
         first = _orthogonal_leaves(s1, beta1, cbeta1, ray)
         second = _orthogonal_leaves(s2, beta2, cbeta2, ray)
@@ -783,15 +794,14 @@ def _draw_blocks(family: str, n: int, seed: int):
     then beta1 and beta2, two doubles each (see ``_angle``), in [0, pi] on
     the geodesic and [pi/2 - phi, pi/2 + phi] on the hypercycle.  Each
     double is read as ``rng.uniform`` reads it (see ``_uniform``), and the
-    exponential comes from ``math``, which numpy's may differ from in the
-    last bit.
+    exponential is numpy's (see ``leaves._math_map``).
     """
     rng = np.random.default_rng(seed)
     base = 2 if family == "geodesic" else 3
     for lo in range(0, n, _AUDIT_BLOCK_CELLS):
         raw = rng.random((min(_AUDIT_BLOCK_CELLS, n - lo), base + 4)).T
-        s1 = _math_map(math.exp, _uniform(math.log(0.2), math.log(2.0), raw[0]))
-        ratio = _math_map(math.exp, _uniform(math.log(1.001), math.log(3.0), raw[1]))
+        s1 = np.exp(_uniform(math.log(0.2), math.log(2.0), raw[0]))
+        ratio = np.exp(_uniform(math.log(1.001), math.log(3.0), raw[1]))
         if family == "geodesic":
             head, ends = (), (0.0, math.pi)
         else:

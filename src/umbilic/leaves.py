@@ -314,50 +314,53 @@ def _admissible_cos(phi: float, sphi: float, beta: float) -> float:
 
 def _circle_carrier(s, cbeta, ray=None):
     """``(cx, cy, radius)`` of the carrier through s with cos beta = ``cbeta``
-    on the geodesic (``ray`` None) or the ray with (sin phi, cos phi) = ``ray``,
-    for floats or arrays; the caller picks the trig source."""
+    on the geodesic (``ray`` None) or the ray whose ``ray[:2]`` is
+    (sin phi, cos phi), for floats or arrays.  Only arithmetic: the caller
+    picks the trig source (see ``_math_map``)."""
     if ray is None:
         radius = s / (1.0 + cbeta)
         return 0.0, s - radius, radius
-    sphi, cphi = ray
+    sphi, cphi = ray[:2]
     den = sphi + cbeta
     scale = s * cbeta / den
     return scale * cphi, scale * sphi, s * sphi / den
 
 
 def _ray(phi=None):
-    """``(sin phi, cos phi)`` by ``math``, for a float or an array, or
-    None on the geodesic (``phi`` None)."""
-    return None if phi is None else (_math_map(math.sin, phi), _math_map(math.cos, phi))
+    """``(sin phi, cos phi, norm)`` by ``math``, norm the ``math.hypot`` of
+    the first two, for a float or an array, or None on the geodesic
+    (``phi`` None)."""
+    if phi is None:
+        return None
+    sphi, cphi = _math_map(math.sin, phi), _math_map(math.cos, phi)
+    return sphi, cphi, _math_map(math.hypot, sphi, cphi)
 
 
 def _line_direction(ray=None):
     """The unit direction ``(dx, dy)`` that ``Line`` stores for the line
     leaves of a transversal: (1, 0) on the geodesic (``ray`` None), and
-    (-sin phi, cos phi) divided by its ``math.hypot`` on the ray with
-    (sin phi, cos phi) = ``ray`` (cos phi > 0, so no sign flip), for
-    floats or arrays."""
+    (-sin phi, cos phi) divided by its norm on the ray (sin phi, cos phi,
+    norm) = ``ray`` (cos phi > 0, so no sign flip), for floats or arrays.
+    ``Line`` divides by ``math.hypot``, so the norm is ``_ray``'s where the
+    bits must be the constructors'."""
     if ray is None:
         return 1.0, 0.0
-    sphi, cphi = ray
-    norm = _math_map(math.hypot, sphi, cphi)
+    sphi, cphi, norm = ray
     return -sphi / norm, cphi / norm
 
 
 def _orthogonal_leaves(s, beta, cbeta, ray):
     """Columns ``(cx, cy, radius, x0, y0, dx, dy)`` of the leaves that
     ``leaf_orthogonal_to_geodesic`` (``ray`` None) or
-    ``leaf_orthogonal_to_hypercycle`` on the ray with (sin phi, cos phi) =
-    ``ray`` builds through s with angle beta (cos beta = ``cbeta``), bit
-    for bit: the circles, nan on the line rows, and the lines, nan on the
-    others.  A line runs through (0, s), or s (cos phi, sin phi), along
-    ``_line_direction(ray)``; with a ray per row only the line rows are
-    normalised.  A line whose s is not positive, which the constructors
-    refuse, is nan too.
+    ``leaf_orthogonal_to_hypercycle`` on the ray (sin phi, cos phi, norm) =
+    ``ray`` (see ``_ray``) builds through s with angle beta (cos beta =
+    ``cbeta``): the circles, nan on the line rows, and the lines, nan on
+    the others.  A line runs through (0, s), or s (cos phi, sin phi), along
+    ``_line_direction(ray)``.  A line whose s is not positive, which the
+    constructors refuse, is nan too.
 
-    The circles are the constructors' bit for bit: the same
-    ``_circle_carrier``, with ``math``'s cos and sin, which numpy's may
-    differ from in the last bit.
+    Only arithmetic: with ``math``'s cos beta and ``_ray``'s values the
+    columns are the constructors' bit for bit.
     """
     if ray is None:
         line = math.pi - beta <= _LINE_TOL
@@ -368,24 +371,23 @@ def _orthogonal_leaves(s, beta, cbeta, ray):
     line = np.isnan(circle[2])
     if not line.any():  # the common case, whose line columns are all nan
         return (*circle, *np.full((4, line.size), math.nan))
-    if ray is None:
-        point, unit = (0.0, s), _line_direction()
-    else:
-        point = (s * ray[1], s * ray[0])
-        if np.ndim(ray[0]):
-            unit = np.full((2, line.size), math.nan)
-            unit[:, line] = _line_direction((ray[0][line], ray[1][line]))
-        else:
-            unit = _line_direction(ray)
+    point = (0.0, s) if ray is None else (s * ray[1], s * ray[0])
     line &= s > 0
-    return (*circle, *(np.where(line, c, math.nan) for c in (*point, *unit)))
+    return (*circle, *(np.where(line, c, math.nan) for c in (*point, *_line_direction(ray))))
 
 
 def _math_map(f, *xs):
     """``f`` from ``math`` on floats, or on the elements of 1-d arrays of
-    one length, as numpy values.  numpy's own cos, sin, tan, exp and hypot
-    may differ from ``math``'s in the last bit; the predicates and the leaf
-    constructors use ``math``'s."""
+    one length, as numpy values.
+
+    The trig-source rule: numpy's own cos, sin, tan, exp and hypot may
+    differ from ``math``'s in the last bit, so every path whose bits are
+    printed or pinned takes ``math``'s: the leaf constructors, the scalar
+    predicates, ``foliation._slice_carriers`` and the contact kernel
+    (``_hypot``).  The lemma sweep takes numpy's, whole columns at a time:
+    it prints only counts of decisions, each at least ``TANGENCY_TOL`` or
+    its slack margin from its threshold, far outside a last-bit change.
+    The helpers both share take their trig values from the caller."""
     if np.ndim(xs[0]) == 0:
         return np.float64(f(*xs))
     return np.fromiter(map(f, *(x.tolist() for x in xs)), dtype=float, count=xs[0].size)
@@ -407,15 +409,17 @@ def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) ->
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     _check_beta(beta1)
     _check_beta(beta2)
-    return _geodesic_slack(s1, beta1, s2, beta2) >= 0.0
+    tans = math.tan(beta1 / 2.0), math.tan(beta2 / 2.0)
+    return _geodesic_slack(s1, beta1, s2, beta2, *tans) >= 0.0
 
 
-def _geodesic_slack(s1, beta1, s2, beta2):
+def _geodesic_slack(s1, beta1, s2, beta2, tan1, tan2):
     """``s2 tan(beta2/2) - s1 tan(beta1/2)``, the gap between the right
-    ideal endpoints; +inf for a horizontal upper leaf and -inf for a
-    horizontal lower one.  The arguments may be floats or arrays; the
-    result has their shape."""
-    gap = s2 * _math_map(math.tan, beta2 / 2.0) - s1 * _math_map(math.tan, beta1 / 2.0)
+    ideal endpoints, given tan(beta1/2) and tan(beta2/2) (``tan1``,
+    ``tan2``); +inf for a horizontal upper leaf and -inf for a horizontal
+    lower one.  The arguments may be floats or arrays; the result has
+    their shape."""
+    gap = s2 * tan2 - s1 * tan1
     line = math.pi - _LINE_TOL
     slack = np.where(beta2 >= line, math.inf, np.where(beta1 >= line, -math.inf, gap))
     return slack if np.ndim(slack) else float(slack)
@@ -438,19 +442,19 @@ def disjoint_along_hypercycle(
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     sphi = math.sin(phi)
     cbeta1, cbeta2 = _admissible_cos(phi, sphi, beta1), _admissible_cos(phi, sphi, beta2)
-    return _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2) >= 0.0
+    cos1, cos2 = math.cos(phi + beta1), math.cos(phi + beta2)
+    return _hypercycle_gap(s1, s2, sphi, cbeta1, cbeta2, cos1, cos2) >= 0.0
 
 
-def _hypercycle_gap(phi, s1, beta1, s2, beta2, sphi, cbeta1, cbeta2):
+def _hypercycle_gap(s1, s2, sphi, cbeta1, cbeta2, cos1, cos2):
     """``a1- - a2-``, the gap between the left ideal endpoints, given
-    sin phi, cos beta1 and cos beta2 (``sphi``, ``cbeta1``, ``cbeta2``)
-    by ``math``; +inf when the upper leaf is a line and -inf when only
-    the lower one is.  The arguments may be floats or arrays; the result
-    has their shape."""
+    sin phi, cos beta1, cos beta2, cos(phi + beta1) and cos(phi + beta2)
+    (``sphi``, ``cbeta1``, ``cbeta2``, ``cos1``, ``cos2``); +inf when the
+    upper leaf is a line and -inf when only the lower one is.  The
+    arguments may be floats or arrays; the result has their shape."""
     den1, den2 = sphi + cbeta1, sphi + cbeta2
     with np.errstate(divide="ignore", invalid="ignore"):
-        a1 = s1 * _math_map(math.cos, phi + beta1) / den1
-        gap = a1 - s2 * _math_map(math.cos, phi + beta2) / den2
+        gap = np.divide(s1 * cos1, den1) - np.divide(s2 * cos2, den2)
     slack = np.where(den2 <= _LINE_TOL, math.inf, np.where(den1 <= _LINE_TOL, -math.inf, gap))
     return slack if np.ndim(slack) else float(slack)
 

@@ -31,7 +31,7 @@ from umbilic import (
     synthesize,
     verify_disjoint,
 )
-from umbilic import foliation
+from umbilic import foliation, leaves
 from umbilic.cli import main
 from umbilic.foliation import AgreementStats, DisjointnessReport, PairContact
 from umbilic.halfplane import TransversalKind
@@ -476,6 +476,13 @@ class TestSliceTable:
         with pytest.raises(DomainError):
             FoliationSlice(Transversal.geodesic(), t, h, extension)
 
+    @pytest.mark.parametrize(
+        "t, row", [([0.0, 1.0, math.inf, math.inf], 2), ([-math.inf, 0.0], 0), ([0.0, math.nan], 1)]
+    )
+    def test_the_first_row_whose_t_is_not_finite_is_named(self, t, row):
+        with pytest.raises(DomainError, match=rf"^slice row {row} has t=(-?inf|nan), "):
+            FoliationSlice(Transversal.geodesic(), t, [0.0] * len(t), [False] * len(t))
+
     def test_rows_are_sorted_with_sampled_leaves_first_on_ties(self):
         # A one-sample slice extends by a step of 0.5 on each side; at
         # t = 1e17, whose ulp is 16, the extension rows tie with the sample.
@@ -705,11 +712,13 @@ def _reference_run_disjointness_agreement(
     compared = agreements = skipped_margin = skipped_tangent = 0
     mismatches = []
     for _ in range(n):
-        s1 = math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
-        s2 = s1 * math.exp(rng.uniform(math.log(1.001), math.log(3.0)))
+        s1 = float(np.exp(rng.uniform(math.log(0.2), math.log(2.0))))
+        s2 = s1 * float(np.exp(rng.uniform(math.log(1.001), math.log(3.0))))
         if family == "geodesic":
             beta1, beta2 = _reference_draw_betas(rng, 0.0, math.pi)
-            slack = _geodesic_slack(s1, beta1, s2, beta2)
+            slack = _geodesic_slack(
+                s1, beta1, s2, beta2, math.tan(beta1 / 2.0), math.tan(beta2 / 2.0)
+            )
             leaf1 = leaf_orthogonal_to_geodesic(s1, beta1)
             leaf2 = leaf_orthogonal_to_geodesic(s2, beta2)
             params = (s1, beta1, s2, beta2)
@@ -719,7 +728,8 @@ def _reference_run_disjointness_agreement(
                 rng, math.pi / 2 - phi, math.pi / 2 + phi
             )
             slack = _hypercycle_gap(
-                phi, s1, beta1, s2, beta2, math.sin(phi), math.cos(beta1), math.cos(beta2)
+                s1, s2, math.sin(phi), math.cos(beta1), math.cos(beta2),
+                math.cos(phi + beta1), math.cos(phi + beta2),
             )
             leaf1 = leaf_orthogonal_to_hypercycle(phi, s1, beta1)
             leaf2 = leaf_orthogonal_to_hypercycle(phi, s2, beta2)
@@ -766,8 +776,8 @@ def _reference_draws(family: str, n: int, seed: int) -> list[tuple]:
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n):
-        s1 = math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
-        s2 = s1 * math.exp(rng.uniform(math.log(1.001), math.log(3.0)))
+        s1 = float(np.exp(rng.uniform(math.log(0.2), math.log(2.0))))
+        s2 = s1 * float(np.exp(rng.uniform(math.log(1.001), math.log(3.0))))
         if family == "geodesic":
             beta1, beta2 = _reference_draw_betas(rng, 0.0, math.pi)
             rows.append((s1, beta1, s2, beta2))
@@ -837,6 +847,23 @@ class TestAgreementSweepDifferential:
             run_disjointness_agreement(family, 2000, 0)
         # The line pairs (about 8 % of the draws) and the near cases.
         assert sum(rows) < 0.1 * 2 * 2000
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_math_maps_no_more_elements_than_the_kernel_takes(self, family, monkeypatch):
+        # The sweep's columns come from numpy's ufuncs; only the contact
+        # kernel maps math.hypot, once at most per row it takes.
+        rows = _kernel_rows(monkeypatch)
+        mapped = []
+
+        def counting(f, *xs):
+            mapped.append(np.size(xs[0]))
+            return _math_map(f, *xs)
+
+        for module in (foliation, leaves):
+            monkeypatch.setattr(module, "_math_map", counting)
+        run_disjointness_agreement(family, 2000, 0)
+        assert sum(rows) > 0
+        assert sum(mapped) <= sum(rows)
 
     def test_peak_memory_does_not_grow_with_n(self):
         # Drawing all 200 000 pairs at once takes about 130 MB.
