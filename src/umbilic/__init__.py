@@ -1,5 +1,6 @@
 """Umbilical leaf families along geodesics and hypercycles in the
-hyperbolic half-plane.
+hyperbolic space H^n, computed in the vertical half-plane that holds the
+transversal (README, *The question in H^n*).
 
 The package decides when a prescribed mean-curvature course along a
 canonical transversal is realized by a pairwise disjoint family of

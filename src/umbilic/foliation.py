@@ -34,7 +34,15 @@ from .leaves import (
     leaf_orthogonal_to_geodesic,
     leaf_orthogonal_to_hypercycle,
 )
-from .validation import DEFAULT_TOL, Route, _effective_phi, _RowTable, profile_inverse, validate
+from .validation import (
+    DEFAULT_TOL,
+    Route,
+    _effective_phi,
+    _is_valid,
+    _RowTable,
+    profile_inverse,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -122,11 +130,16 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
     point for t with boundary angle arccos(-h).  Invalid routes are
     rejected with the verdict attached unless ``force`` is set, in which
     case the (self-intersecting) family is built anyway for diagnostics.
+
+    Building needs only the verdict's yes or no, so the route is checked
+    by ``validation._is_valid``, in O(n + the rows of the columns whose
+    bound can fail): O(n) on a valid route unless some of its pairs come
+    within rounding of -tol, also where its columns tie (the pencil,
+    ``constant``, ``totally_geodesic``).  ``validate`` runs only on a
+    route that fails, for the verdict the error carries.
     """
-    if not force:
-        verdict = validate(route)
-        if not verdict.valid:
-            raise InvalidRouteError("route failed validation", verdict=verdict)
+    if not force and not _is_valid(route):
+        raise InvalidRouteError("route failed validation", verdict=validate(route))
     tr, h, tol = route.transversal, route.h, route.tol
     if tr.kind == TransversalKind.HOROCYCLE:
         # A vertical line within tol of 0, else a circle centred on the line.
@@ -266,6 +279,18 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     ``leaves.upper_contact`` (ideal tangencies are fine); gaps up to
     ``leaves.TANGENCY_TOL`` count as tangencies.  A slice ``leaf_table``
     refuses raises the same error (``_slice_carriers``).
+
+    The verdict is also the one in H^n, which the paper asks about: the
+    transversal lies in a vertical 2-plane P of the upper half-space,
+    and each leaf is the hypersurface whose trace in P is its carrier.  A
+    leaf crosses the transversal orthogonally, so a sphere's centre lies
+    on the transversal's tangent line at the crossing and a hyperplane's
+    normal points along it; both lie in P, so every leaf is symmetric
+    about P.  Two leaves meet, if at all, in an (n-2)-sphere centred in P
+    within a hyperplane whose normal lies in P, or in a flat of constant
+    height through a point of P; either way their highest common point
+    lies in P.  So they meet in the upper half-space exactly when their
+    traces meet in the upper half-plane.
 
     Each pair is intersected after scaling both leaves by 2**-k, where
     2**k is the scale of the lower leaf: its crossing with the

@@ -445,15 +445,9 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     """
     if tt.size < 2:
         return [], math.inf, math.inf, None
-    g = ff - L * tt
+    guard, low, fail = _one_sided_bounds(tt, ff, L, tol)
     w = ff + L * tt
-    scale = L * np.abs(tt).max() + np.abs(ff).max()
-    guard = 16 * np.finfo(float).eps * scale + np.finfo(float).tiny
-    low = np.minimum.accumulate(g)[:-1] - g[1:]
     low2 = w[1:] - np.maximum.accumulate(w)[:-1]
-
-    # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
-    fail = ~(low >= guard - tol)
     one = fail | (low <= low.min() + 2 * guard)
     holds = math.isfinite(guard) and bool((low2 >= guard - tol).all())
     two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
@@ -461,9 +455,7 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     best = (math.inf, 0, 0)
     rows, cols, slacks = [], [], []
     for j in np.flatnonzero(one | two) + 1:
-        rise = tt[j] - tt[:j]
-        rise *= L
-        df = ff[j] - ff[:j]
+        rise, df = _column(tt, ff, L, j)
         if two[j - 1]:
             other = rise + df
             i = int(other.argmin())
@@ -489,6 +481,59 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
         return pairs, worst, None, None
     worst_two_sided, a, b = best
     return pairs, worst, worst_two_sided, (float(tt[a]), float(tt[b]))
+
+
+def _one_sided_bounds(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
+    """``_pair_scan``'s rounding guard, its one-sided column bounds ``low``
+    (column j's bound at index j - 1) and the ``fail`` mask of the columns
+    whose bound comes within the guard of -tol, the only ones that can
+    hold a pair below -tol.  Call under ``np.errstate(invalid="ignore")``:
+    an infinite F makes inf - inf."""
+    g = ff - L * tt
+    scale = L * np.abs(tt).max() + np.abs(ff).max()
+    guard = 16 * np.finfo(float).eps * scale + np.finfo(float).tiny
+    low = np.minimum.accumulate(g)[:-1] - g[1:]
+    # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
+    return guard, low, ~(low >= guard - tol)
+
+
+def _column(tt: np.ndarray, ff: np.ndarray, L: float, j: int):
+    """Column j of the pair slacks, over the pairs (i, j) with i < j, as
+    its rise ``L (t_j - t_i)`` and growth ``F_j - F_i``: the one-sided
+    slacks are rise - growth, the two-sided ones rise + growth.  The rise
+    is a new array, which the caller may overwrite."""
+    rise = tt[j] - tt[:j]
+    rise *= L
+    return rise, ff[j] - ff[:j]
+
+
+def _is_valid(route: Route) -> bool:
+    """``validate(route).valid``, bit for bit, without the verdict.
+
+    On a geodesic or hypercycle it runs ``validate_c0``'s structure checks
+    and ``_pair_scan``'s bounds, then recomputes only the columns whose
+    bound can fail (``fail``), returning at the first that holds a slack
+    below -tol.  So it costs O(n + the rows of those columns): O(n) on a
+    valid route unless some of its pairs come within the rounding guard
+    of -tol, also where the columns tie and ``validate_c0`` pays O(n^2)
+    for the worst slack.  A horocycle route's verdict is O(n) and is
+    taken whole.
+    """
+    if route.transversal.kind == TransversalKind.HOROCYCLE:
+        return validate_horocycle(route).valid
+    bound = route.transversal.curvature_bound
+    parts, interior, _ = _structure_columns(route, bound)
+    tt = route.t[interior]
+    if parts or tt.size < 2:
+        return not parts
+    ff = lipschitz_profile(_effective_phi(route.transversal), route.h[interior])
+    with np.errstate(invalid="ignore"):
+        _, _, fail = _one_sided_bounds(tt, ff, bound, route.tol)
+        for j in np.flatnonzero(fail) + 1:
+            rise, df = _column(tt, ff, bound, j)
+            if (rise - df < -route.tol).any():
+                return False
+    return True
 
 
 def validate_c1(route: Route) -> Verdict:

@@ -22,6 +22,8 @@ from umbilic import (
     leaf_orthogonal_to_hypercycle,
     upper_contact,
 )
+from umbilic.foliation import _leaf_map
+from umbilic.halfplane import Transversal
 from umbilic.leaves import BOUNDARY_TOL
 
 # Frozen expected values for the hypercycle leaf (phi=pi/4, s=1, beta=2pi/3),
@@ -507,3 +509,140 @@ class TestCarrierContact:
             "transverse",
             ((5e148, 9.987492177719088e149), (5e148, -9.987492177719088e149)),
         )
+
+
+def _vertical_plane(rng, m):
+    """A random vertical 2-plane P of the upper half-space R^(m-1) x (0, inf):
+    a point on the boundary, a unit horizontal direction e, and a unit
+    horizontal direction f normal to P."""
+    origin = np.append(rng.normal(0.0, 3.0, m - 1), 0.0)
+    e, f = np.zeros((2, m))
+    e[:-1] = rng.normal(size=m - 1)
+    e /= np.linalg.norm(e)
+    f[:-1] = rng.normal(size=m - 1)
+    f -= (f @ e) * e
+    return origin, e, f / np.linalg.norm(f)
+
+
+def _hypersurface(leaf, plane, off=0.0):
+    """The leaf's hypersurface of H^m, whose trace in P is the leaf: the
+    sphere about the embedded centre, as ``("sphere", centre, radius)``, or
+    the hyperplane through the embedded line that holds every horizontal
+    direction normal to P, as ``("plane", unit normal, offset)``.  ``off``
+    moves a centre off P by that many radii along f."""
+    origin, e, f = plane
+    up = np.eye(origin.size)[-1]
+    s = leaf.shape
+    if isinstance(s, Circle):
+        return "sphere", origin + s.cx * e + s.cy * up + off * s.radius * f, s.radius
+    normal = s.dx * up - s.dy * e
+    return "plane", normal, normal @ (origin + s.x0 * e + s.y0 * up)
+
+
+def _hn_contact(first, second):
+    """Whether two hypersurfaces of R^m meet, whether they meet at a height
+    above ``BOUNDARY_TOL``, and the margin: how far the data lie from
+    changing either answer.  The formulas hold in any dimension and read
+    no plane: two spheres meet in the (m-2)-sphere about c1 + a u, u the
+    unit line of centres, whose highest point lies rho sqrt(1 - u_m^2)
+    above its centre; a sphere meets a hyperplane in the one about the
+    foot of its centre.  The lines of one transversal are parallel, so
+    two hyperplanes meet only when they coincide."""
+    if first[0] == "plane" and second[0] == "sphere":
+        first, second = second, first
+    if first[0] == "plane":
+        (_, n1, o1), (_, n2, o2) = first, second
+        assert abs(abs(n1 @ n2) - 1.0) <= 1e-15
+        gap = abs(o1 - np.sign(n1 @ n2) * o2)
+        return (True, True, math.inf) if gap == 0.0 else (False, False, gap)
+    _, c1, r1 = first
+    if second[0] == "sphere":
+        _, c2, r2 = second
+        d = np.linalg.norm(c2 - c1)
+        if d == 0.0 and r1 == r2:
+            return True, True, math.inf
+        margin = min(abs(d - abs(r1 - r2)), abs(r1 + r2 - d))
+        if not abs(r1 - r2) < d < r1 + r2:
+            return False, False, margin
+        u = (c2 - c1) / d
+        a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    else:
+        _, normal, offset = second
+        a = offset - normal @ c1  # the centre's signed distance to the plane
+        margin = abs(abs(a) - r1)
+        if not abs(a) < r1:
+            return False, False, margin
+        u = normal
+    rho = math.sqrt(max(r1 * r1 - a * a, 0.0))  # 0 within rounding of a tangency
+    top = c1[-1] + a * u[-1] + rho * math.sqrt(max(1.0 - u[-1] ** 2, 0.0))
+    return True, top > BOUNDARY_TOL, min(margin, abs(top - BOUNDARY_TOL))
+
+
+def _drawn_leaves(rng, kind, count):
+    """``count`` leaf pairs orthogonal to one transversal of the kind, with
+    lines, horospheres, totally geodesic leaves and equal pairs drawn
+    often; circles keep their angle 1e-3 from the line end, so radii stay
+    below about 1e7."""
+    if kind == "horocycle":
+        leaf = _leaf_map(Transversal.horocycle(math.exp(rng.uniform(-1.0, 1.0))))
+
+        def draw():
+            level = rng.choice([0.0, -1.0, rng.uniform(-1.0, -0.05)])
+            return leaf(rng.uniform(-3.0, 3.0), level)
+
+    else:
+        phi = math.pi / 2 if kind == "geodesic" else rng.uniform(0.2, 1.4)
+        lo, hi = math.pi / 2 - phi, math.pi / 2 + phi
+
+        def draw():
+            s = math.exp(rng.uniform(-2.0, 2.0))
+            beta = rng.choice([lo, math.pi / 2, hi, *rng.uniform(lo, hi - 1e-3, 3)])
+            if kind == "geodesic":
+                return leaf_orthogonal_to_geodesic(s, beta)
+            return leaf_orthogonal_to_hypercycle(phi, s, beta)
+
+    for _ in range(count):
+        first = draw()
+        yield first, first if rng.random() < 0.05 else draw()
+
+
+class TestHnReduction:
+    """The library's answers are the H^n answers (README, *The question in
+    H^n*).  A referee embeds drawn leaf pairs of each transversal in a
+    random vertical 2-plane P of H^3 and H^4 and intersects their
+    hypersurfaces there; outside a rounding band, whether they meet is
+    ``carrier_contact``'s answer and whether they meet above the boundary
+    is ``upper_contact``'s."""
+
+    def _compare(self, m, kind, off=0.0, count=400):
+        """(pairs compared, pairs meeting above the boundary, mismatches)."""
+        rng = np.random.default_rng([m, ("geodesic", "hypercycle", "horocycle").index(kind)])
+        plane = _vertical_plane(rng, m)
+        compared = above = 0
+        mismatches = []
+        for pair in _drawn_leaves(rng, kind, count):
+            meet, meet_above, margin = _hn_contact(
+                _hypersurface(pair[0], plane, off), _hypersurface(pair[1], plane)
+            )
+            scale = max(1.0, *(abs(x) for leaf in pair for x in vars(leaf.shape).values()))
+            if margin <= 1e-7 * scale:
+                continue
+            contact = carrier_contact(*pair)
+            compared += 1
+            above += meet_above
+            if (meet, meet_above) != (contact.kind != "none", upper_contact(contact) is not None):
+                mismatches.append(pair)
+        return compared, above, mismatches
+
+    @pytest.mark.parametrize("kind", ["geodesic", "hypercycle", "horocycle"])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_verdicts_match_the_plane(self, m, kind):
+        compared, above, mismatches = self._compare(m, kind)
+        assert mismatches == []
+        assert compared >= 300 and 30 <= above <= compared - 30
+
+    @pytest.mark.parametrize("kind", ["geodesic", "hypercycle", "horocycle"])
+    def test_a_centre_off_the_plane_fails_the_referee(self, kind):
+        # The reduction needs every centre in P: moved off it by half a
+        # radius, a sphere misses spheres whose traces cross.
+        assert self._compare(4, kind, off=0.5)[2]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from umbilic import (
     DomainError,
+    InvalidRouteError,
     Route,
     Transversal,
     builtin_route,
@@ -16,16 +17,21 @@ from umbilic import (
     min_curvature_rate,
     perturbed_invalid_route,
     profile_inverse,
+    random_valid_route,
+    synthesize,
+    validate,
     validate_c0,
     validate_c1,
     validate_horocycle,
 )
+from umbilic import validation
 from umbilic.validation import (
     _WINDOW_NOTE,
     Verdict,
     Violation,
     Violations,
     _effective_phi,
+    _is_valid,
     _pair_scan,
     _structure_columns,
 )
@@ -709,6 +715,116 @@ class TestPairScanWork:
         route = geodesic_route(t, -np.tanh(2 * t))
         (pairs, *_), _, listed = self._scan(route, monkeypatch)
         assert pairs and listed > 0
+
+
+@st.composite
+def pinned_routes(draw):
+    """Routes whose levels sit at the pins, within the tolerance of them or
+    just past them, anywhere in the route: legal leading and trailing runs
+    and misplaced pins (zone violations) alike."""
+    phi = draw(st.sampled_from([math.pi / 2, 0.5, 0.9, 1.1]))
+    tr = _transversal(phi)
+    b = tr.curvature_bound
+    pool = [-b, b, -b + 5e-10, b - 5e-10, b + 5e-10, b + 2e-9, -0.5 * b, 0.0, 0.5 * b]
+    h = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    return Route(tr, np.linspace(-2.0, 2.0, len(h)), np.array(h))
+
+
+@st.composite
+def drawn_routes(draw):
+    """``random_valid_route`` and ``perturbed_invalid_route`` draws on the
+    geodesic and on hypercycles, on windows shifted in t."""
+    tr = _transversal(draw(st.sampled_from([math.pi / 2, 0.5, 0.9, 1.1])))
+    shift = draw(st.sampled_from([-40.0, 0.0, 40.0]))
+    kwargs = dict(
+        window=(shift - 2.0, shift + 2.0),
+        n=draw(st.integers(12, 241)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    if draw(st.booleans()):
+        return random_valid_route(tr, **kwargs)
+    return perturbed_invalid_route(tr, **kwargs)[0]
+
+
+@st.composite
+def horocycle_routes(draw):
+    """Horocycle routes whose levels are 0, within the tolerance of it, or
+    off it."""
+    pool = [0.0, 5e-10, -5e-10, 2e-9, -0.3, -1.0, 0.5]
+    h = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    tr = Transversal.horocycle(draw(st.sampled_from([1e-3, 1.0, 7.5])))
+    return Route(tr, np.linspace(-2.0, 2.0, len(h)), np.array(h))
+
+
+class TestValidityTest:
+    """``_is_valid`` answers as ``validate(route).valid`` does, and
+    ``synthesize`` refuses with ``validate``'s verdict."""
+
+    @settings(max_examples=400)
+    @example(_edge_route(0.5, [0.0, float(np.nextafter(-math.sin(0.5), 0.0)), 0.0]))
+    @given(
+        st.one_of(
+            c0_routes(),
+            tied_routes(),
+            edge_of_band_routes(),
+            pinned_routes(),
+            drawn_routes(),
+            horocycle_routes(),
+        )
+    )
+    def test_matches_the_verdict(self, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = validate(route)
+            assert _is_valid(route) is verdict.valid
+            try:
+                synthesize(route)
+            except InvalidRouteError as exc:
+                assert not verdict.valid
+                assert repr(exc.verdict) == repr(verdict)
+            else:
+                assert verdict.valid
+
+
+class TestSynthesizeWork:
+    """``synthesize`` builds a valid route's family without evaluating a
+    single pair column, where ``validate`` evaluates every tied one."""
+
+    @pytest.fixture
+    def columns(self, monkeypatch):
+        """A list that records each pair column evaluated."""
+        seen = []
+        column = validation._column
+        monkeypatch.setattr(validation, "_column", lambda *a: seen.append(a[-1]) or column(*a))
+        return seen
+
+    ROUTES = {
+        "totally_geodesic": lambda n: builtin_route("totally_geodesic", n=n),
+        "totally_geodesic_phi": lambda n: builtin_route(
+            "totally_geodesic", Transversal.hypercycle(0.9), n=n
+        ),
+        "constant": lambda n: builtin_route("constant", Transversal.hypercycle(0.9), n=n, c=0.5),
+        "pencil": lambda n: builtin_route("pencil", n=n),
+    }
+
+    @pytest.mark.parametrize("n", [1000, 4000, 16000])
+    @pytest.mark.parametrize("family", sorted(ROUTES))
+    def test_valid_tied_routes_evaluate_no_column(self, family, n, columns):
+        slice_ = synthesize(self.ROUTES[family](n))
+        assert slice_.t.size == n
+        assert columns == []
+
+    @pytest.mark.parametrize("family", sorted(ROUTES))
+    def test_the_verdict_evaluates_every_tied_column(self, family, columns):
+        # What the contract above rules out: validate recomputes each tied
+        # column for the worst slack, so a synthesize that called it fails.
+        assert validate(self.ROUTES[family](1000)).valid
+        assert len(columns) == 999
+
+    def test_an_invalid_route_stops_at_its_first_failing_column(self, columns):
+        route = perturbed_invalid_route(Transversal.hypercycle(0.9), n=241, seed=4)[0]
+        assert not _is_valid(route)
+        assert len(columns) == 1
 
 
 class TestValidateC1:
