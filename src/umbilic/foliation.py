@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidRouteError
-from .halfplane import Transversal, TransversalKind
+from .halfplane import Transversal, TransversalKind, _crossing
 from .leaves import (
     _TANGENT,
     BOUNDARY_TOL,
@@ -175,23 +175,15 @@ def _leaf_map(transversal: Transversal):
     return lambda t, h: leaf_orthogonal_to_hypercycle(phi, _crossing(t, L), math.acos(-h))
 
 
-def _crossing(t: float, L: float) -> float:
-    """e^(t L), where the leaf at t crosses a geodesic or hypercycle;
-    ``DomainError`` where ``math.exp`` overflows."""
-    try:
-        return math.exp(t * L)
-    except OverflowError:
-        raise DomainError(f"the crossing at t={t!r} leaves the float range") from None
-
-
 def _slice_carriers(slice_: FoliationSlice, k):
     """The leaves ``all_entries`` builds, each row p scaled by 2**-k[p]
     (``k`` an int column, or 0 for the leaves themselves, bit for bit),
     as carrier columns ``(cx, cy, radius, x0, y0, dx, dy)``, nan on the
     rows of the other shape (see ``LeafTable``), with each leaf's angle
-    beta and cos beta: acos(-h), and pi on a geodesic's lines.  A row is
-    built from the crossing (or the horocycle's height, and t) scaled by
-    2**-k[p], so a crossing below the normal float range keeps its bits.
+    beta = acos(-h) and cos beta (a geodesic's line rows have h = 1, so
+    beta = pi, as the constructor gives them).  A row is built from the
+    crossing (or the horocycle's height, and t) scaled by 2**-k[p], so a
+    crossing below the normal float range keeps its bits.
     A line's direction is one unit ``Line`` per transversal, normalised
     once, and is not scaled.
 
@@ -219,14 +211,11 @@ def _slice_carriers(slice_: FoliationSlice, k):
                 s = np.full(h.size, math.inf)
             ray = _ray(tr.phi)
             unit = _line_direction(ray)
-            columns = _orthogonal_leaves(np.ldexp(s, -k), beta, cbeta, ray)
+            columns = _orthogonal_leaves(np.ldexp(s, -k), cbeta, ray)
         unscaled = (*(np.ldexp(c, k) for c in columns[:5]), *columns[5:])
     line = np.isnan(columns[2])
     refused = np.zeros(h.size, dtype=bool)
-    if tr.kind == TransversalKind.GEODESIC:  # a line leaf is horizontal, with beta = pi
-        beta = np.where(line, math.pi, beta)
-        cbeta = np.where(line, math.cos(math.pi), cbeta)
-    elif tr.kind == TransversalKind.HYPERCYCLE:
+    if tr.kind == TransversalKind.HYPERCYCLE:
         refused = _beyond_bound(cbeta, math.sin(tr.phi))
     # A crossing that is not positive leaves a circle of radius 0 and a
     # line with a nan point, both of which _refused_leaves refuses.
@@ -623,10 +612,12 @@ def builtin_route(
     combinations that would break that (a constant beyond the bound, the
     horospherical family off the geodesic) are rejected.  The sampled
     pencil is the exception on wide windows: storing h = -tanh t rounds
-    its exact zero slack to about -1e-9, so it fails ``validate_c0`` once
-    the window reaches |t| ~ 10, and past |t| ~ 10.7 its samples lie
-    within the tolerance of h = +-1 and fail both validators as
-    misplaced pins.
+    its exact zero slack to about -1e-9, so it fails ``validate_c0``
+    sooner the more samples it has.  At n = 121 the window (-9, 9)
+    passes and (-9.5, 9.5) fails; at n = 1 000 (-8.7, 8.7) passes and
+    (-9, 9) fails; from n = 4 000 on (-8.6, 8.6) passes and (-8.7, 8.7)
+    fails.  Past |t| ~ 10.7 its samples lie within the tolerance of
+    h = +-1 and fail both validators as misplaced pins.
     """
     if name not in BUILTIN_FAMILIES:
         raise DomainError(
@@ -780,10 +771,10 @@ def run_disjointness_agreement(
         else:
             ray = None
             tan1, tan2 = np.tan(beta1 / 2.0), np.tan(beta2 / 2.0)
-            slack = _geodesic_slack(s1, beta1, s2, beta2, tan1, tan2)
+            slack = _geodesic_slack(s1, s2, cbeta1, cbeta2, tan1, tan2)
         margin = np.isfinite(slack) & (np.abs(slack) < _SLACK_MARGIN)
-        first = _orthogonal_leaves(s1, beta1, cbeta1, ray)
-        second = _orthogonal_leaves(s2, beta2, cbeta2, ray)
+        first = _orthogonal_leaves(s1, cbeta1, ray)
+        second = _orthogonal_leaves(s2, cbeta2, ray)
         disjoint, crossing = _screen(*first, *second)
         tangent = np.zeros_like(margin)
         rows = np.flatnonzero(~margin & ~disjoint & ~crossing)

@@ -111,10 +111,21 @@ class Transversal:
         return 0.0
 
     def point(self, t: float) -> HPoint:
-        """The point at parameter t."""
+        """The point at parameter t; ``DomainError`` where it leaves the
+        float range or reaches the boundary (see ``_crossing``)."""
+        if self.kind == TransversalKind.HOROCYCLE:
+            return HPoint(t, self.height)
+        r = _crossing(t, self.curvature_bound)
         if self.kind == TransversalKind.GEODESIC:
-            return HPoint(0.0, math.exp(t))
-        if self.kind == TransversalKind.HYPERCYCLE:
-            r = math.exp(t * math.sin(self.phi))
-            return HPoint(r * math.cos(self.phi), r * math.sin(self.phi))
-        return HPoint(t, self.height)
+            return HPoint(0.0, r)
+        return HPoint(r * math.cos(self.phi), r * math.sin(self.phi))
+
+
+def _crossing(t: float, L: float) -> float:
+    """e^(t L), the distance from the origin of the point at t on a
+    geodesic (L = 1) or hypercycle (L = sin phi), where its leaf crosses
+    it; ``DomainError`` where ``math.exp`` overflows."""
+    try:
+        return math.exp(t * L)
+    except OverflowError:
+        raise DomainError(f"the crossing at t={t!r} leaves the float range") from None

@@ -33,10 +33,8 @@ BOUNDARY_TOL = 1e-9
 #: Boundary angles within this of 0, pi/2 or pi take that leaf kind.
 _KIND_TOL = 1e-12
 
-#: A leaf within this of the line limit (pi - beta on the geodesic,
-#: sin phi + cos beta on a hypercycle) is a line.  The constructors and
-#: the pair slacks share it, so the predicates and the contact oracle
-#: agree on which leaves are lines.
+#: A leaf on the phi-ray with sin phi + cos beta at or below this is a
+#: line (see ``_is_line``).
 _LINE_TOL = 1e-12
 
 _ANGLE_MATCH_TOL = 1e-6
@@ -83,7 +81,7 @@ def equidistant_offset(beta: float) -> float:
         return math.inf
     if beta >= math.pi:
         return -math.inf
-    return math.atanh(math.cos(beta))
+    return math.asinh(math.cos(beta) / math.sin(beta))
 
 
 def _check_beta(beta: float) -> None:
@@ -264,9 +262,10 @@ def leaf_orthogonal_to_geodesic(s: float, beta: float) -> Leaf:
     if not s > 0:
         raise DomainError(f"crossing height must be positive, got {s!r}")
     _check_beta(beta)
-    if math.pi - beta <= _LINE_TOL:
+    cbeta = math.cos(beta)
+    if _is_line(cbeta):
         return Leaf(Line(0.0, s, 1.0, 0.0), math.pi)
-    return Leaf(Circle(*_circle_carrier(s, math.cos(beta))), beta)
+    return Leaf(Circle(*_circle_carrier(s, cbeta)), beta)
 
 
 def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
@@ -289,9 +288,23 @@ def leaf_orthogonal_to_hypercycle(phi: float, s: float, beta: float) -> Leaf:
         raise DomainError(f"crossing distance must be positive, got {s!r}")
     sphi, cphi = math.sin(phi), math.cos(phi)
     cbeta = _admissible_cos(phi, sphi, beta)
-    if sphi + cbeta <= _LINE_TOL:
+    if _is_line(cbeta, sphi):
         return Leaf(Line(s * cphi, s * sphi, -sphi, cphi), beta)
     return Leaf(Circle(*_circle_carrier(s, cbeta, (sphi, cphi))), beta)
+
+
+def _is_line(cbeta, sphi=None):
+    """Whether the leaf with cos beta = ``cbeta`` is a line, for a float or
+    an array: where 1 + cos beta rounds to 0 on the geodesic (``sphi``
+    None), and where sin phi + cos beta is at most ``_LINE_TOL`` on the
+    phi-ray with sin phi = ``sphi``.  The one line rule: the constructors,
+    the leaf columns and the pair slacks all take it, so the predicates
+    and the contact oracle agree on which leaves are lines.  On the
+    geodesic it takes in every beta within about 1.05e-8 of pi, where a
+    circle's radius s / (1 + cos beta) would divide by 0."""
+    if sphi is None:
+        return 1.0 + cbeta <= 0.0
+    return sphi + cbeta <= _LINE_TOL
 
 
 def _beyond_bound(level, bound: float, tol: float = _BAND_TOL):
@@ -349,23 +362,20 @@ def _line_direction(ray=None):
     return -sphi / norm, cphi / norm
 
 
-def _orthogonal_leaves(s, beta, cbeta, ray):
+def _orthogonal_leaves(s, cbeta, ray):
     """Columns ``(cx, cy, radius, x0, y0, dx, dy)`` of the leaves that
     ``leaf_orthogonal_to_geodesic`` (``ray`` None) or
     ``leaf_orthogonal_to_hypercycle`` on the ray (sin phi, cos phi, norm) =
-    ``ray`` (see ``_ray``) builds through s with angle beta (cos beta =
-    ``cbeta``): the circles, nan on the line rows, and the lines, nan on
-    the others.  A line runs through (0, s), or s (cos phi, sin phi), along
+    ``ray`` (see ``_ray``) builds through s with cos beta = ``cbeta``: the
+    circles, nan on the line rows, and the lines, nan on the others.  A
+    line runs through (0, s), or s (cos phi, sin phi), along
     ``_line_direction(ray)``.  A line whose s is not positive, which the
     constructors refuse, is nan too.
 
     Only arithmetic: with ``math``'s cos beta and ``_ray``'s values the
     columns are the constructors' bit for bit.
     """
-    if ray is None:
-        line = math.pi - beta <= _LINE_TOL
-    else:
-        line = ray[0] + cbeta <= _LINE_TOL
+    line = _is_line(cbeta, None if ray is None else ray[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         circle = tuple(np.where(line, math.nan, c) for c in _circle_carrier(s, cbeta, ray))
     line = np.isnan(circle[2])
@@ -409,19 +419,19 @@ def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) ->
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     _check_beta(beta1)
     _check_beta(beta2)
+    cbetas = math.cos(beta1), math.cos(beta2)
     tans = math.tan(beta1 / 2.0), math.tan(beta2 / 2.0)
-    return _geodesic_slack(s1, beta1, s2, beta2, *tans) >= 0.0
+    return _geodesic_slack(s1, s2, *cbetas, *tans) >= 0.0
 
 
-def _geodesic_slack(s1, beta1, s2, beta2, tan1, tan2):
+def _geodesic_slack(s1, s2, cbeta1, cbeta2, tan1, tan2):
     """``s2 tan(beta2/2) - s1 tan(beta1/2)``, the gap between the right
-    ideal endpoints, given tan(beta1/2) and tan(beta2/2) (``tan1``,
-    ``tan2``); +inf for a horizontal upper leaf and -inf for a horizontal
-    lower one.  The arguments may be floats or arrays; the result has
-    their shape."""
+    ideal endpoints, given cos beta1, cos beta2, tan(beta1/2) and
+    tan(beta2/2) (``cbeta1``, ``cbeta2``, ``tan1``, ``tan2``); +inf for a
+    horizontal upper leaf and -inf for a horizontal lower one.  The
+    arguments may be floats or arrays; the result has their shape."""
     gap = s2 * tan2 - s1 * tan1
-    line = math.pi - _LINE_TOL
-    slack = np.where(beta2 >= line, math.inf, np.where(beta1 >= line, -math.inf, gap))
+    slack = np.where(_is_line(cbeta2), math.inf, np.where(_is_line(cbeta1), -math.inf, gap))
     return slack if np.ndim(slack) else float(slack)
 
 
@@ -450,12 +460,14 @@ def _hypercycle_gap(s1, s2, sphi, cbeta1, cbeta2, cos1, cos2):
     """``a1- - a2-``, the gap between the left ideal endpoints, given
     sin phi, cos beta1, cos beta2, cos(phi + beta1) and cos(phi + beta2)
     (``sphi``, ``cbeta1``, ``cbeta2``, ``cos1``, ``cos2``); +inf when the
-    upper leaf is a line and -inf when only the lower one is.  The
-    arguments may be floats or arrays; the result has their shape."""
+    upper leaf is a line and -inf when only the lower one is; an endpoint
+    past the float range reads +-inf.  The arguments may be floats or
+    arrays; the result has their shape."""
     den1, den2 = sphi + cbeta1, sphi + cbeta2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gap = np.divide(s1 * cos1, den1) - np.divide(s2 * cos2, den2)
-    slack = np.where(den2 <= _LINE_TOL, math.inf, np.where(den1 <= _LINE_TOL, -math.inf, gap))
+    line1, line2 = _is_line(cbeta1, sphi), _is_line(cbeta2, sphi)
+    slack = np.where(line2, math.inf, np.where(line1, -math.inf, gap))
     return slack if np.ndim(slack) else float(slack)
 
 

@@ -157,37 +157,34 @@ _SEGMENT = f"%sM {_NUM},{_NUM} L {_NUM},{_NUM}%s"
 def _leaf_paths(slice_: FoliationSlice, vp: Viewport) -> list[str]:
     """One path per leaf, in row order, from the slice's ``leaf_table``.
 
-    Pixel coordinates are columns, computed with ``Viewport.to_px``'s
-    operations; ``_fmt``'s finite and zero rules are applied to them
-    whole, and each path is one template call.  Column p of ``v`` holds
-    leaf p's numbers in the order ``_fmt`` met them one path at a time, so
-    the first non-finite one in that order is refused: rx, ry, then the
+    Pixel coordinates are columns, mapped by ``Viewport.to_px``;
+    ``_fmt``'s finite and zero rules are applied to them whole, and each
+    path is one template call.  Column p of ``v`` holds leaf p's numbers
+    in the order ``_fmt`` met them one path at a time, so the first
+    non-finite one in that order is refused: rx, ry, then the
     two points of a circle (an arc's ends, or a loop's lowest and highest
     point); a segment's two ends, the second repeated.
     """
     tb = leaf_table(slice_)
-    xs, ys, x_min = vp.x_scale, vp.y_scale, float(vp.x_min)
-    height, y_max = float(vp.height_px), float(vp.y_max)
     line, root = np.isnan(tb.radius), _half_chord(tb.cy, tb.radius)
     loop, flat = ~line & np.isnan(root), tb.dy == 0.0  # a flat line spans the viewport
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u1, u2 = -tb.y0 / tb.dy, (y_max - tb.y0) / tb.dy
-        sx1 = np.where(flat, vp.to_px(vp.x_min, 0.0)[0], (tb.x0 + u1 * tb.dx - x_min) * xs)
-        sx2 = np.where(flat, vp.to_px(vp.x_max, 0.0)[0], (tb.x0 + u2 * tb.dx - x_min) * xs)
-        sy1, sy2 = (height - np.where(flat, tb.y0, y) * ys for y in (0.0, y_max))
+        u1, u2 = -tb.y0 / tb.dy, (vp.y_max - tb.y0) / tb.dy
+        s1, s2 = (
+            vp.to_px(np.where(flat, x, tb.x0 + u * tb.dx), np.where(flat, tb.y0, y))
+            for x, u, y in ((vp.x_min, u1, 0.0), (vp.x_max, u2, vp.y_max))
+        )
         cx1, cx2 = np.where(loop, tb.cx, tb.cx - root), np.where(loop, tb.cx, tb.cx + root)
         cy1, cy2 = np.where(loop, tb.cy - tb.radius, 0.0), np.where(loop, tb.cy + tb.radius, 0.0)
-        v = np.where(line, [sx1, sy1, sx2, sy2, sx2, sy2], [
-            tb.radius * xs, tb.radius * ys,
-            (cx1 - x_min) * xs, height - cy1 * ys, (cx2 - x_min) * xs, height - cy2 * ys,
-        ])
+        radius = (tb.radius * vp.x_scale, tb.radius * vp.y_scale)
+        v = np.where(line, [*s1, *s2, *s2], [*radius, *vp.to_px(cx1, cy1), *vp.to_px(cx2, cy2)])
     finite = np.isfinite(v.T)
     if not finite.all():
         _fmt(float(v.T.flat[np.argmin(finite)]))
     v = np.vstack((np.where(np.abs(v) < _ROUNDS_TO_ZERO, 0.0, v), tb.cy > 0))
     bound = slice_.transversal.curvature_bound
     style = _STYLES[slice_.extension + 2 * ((bound > 0) & (bound - np.abs(tb.h) <= 1e-9))]
-    arc = _ARC.format(height=_fmt(height))
+    arc = _ARC.format(height=_fmt(float(vp.height_px)))
     groups = []
     for rows, template, order in (
         (~line & ~loop, arc, (2, 0, 1, 6, 4)),  # row 6: an arc's large flag

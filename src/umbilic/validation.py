@@ -368,11 +368,7 @@ def validate_c0(route: Route) -> Verdict:
     which stay columns, adds O(k log k) numpy.  The verdict is
     bit-identical to evaluating every pair by the formula above.
     """
-    phi_eff = _effective_phi(route.transversal)
-    bound = route.transversal.curvature_bound
-    parts, interior, zones = _structure_columns(route, bound)
-    tt = route.t[interior]
-    ff = lipschitz_profile(phi_eff, route.h[interior])
+    parts, zones, tt, ff, bound = _c0_inputs(route)
     pairs, worst, worst_two_sided, two_sided_at = _pair_scan(tt, ff, bound, route.tol)
     parts += pairs
 
@@ -386,6 +382,18 @@ def validate_c0(route: Route) -> Verdict:
     elif worst_two_sided is None or math.isfinite(worst_two_sided):
         notes.append("two-sided Lipschitz estimate also holds on this window")
     return _verdict("c0", zones, worst, parts, notes)
+
+
+def _c0_inputs(route: Route):
+    """What ``validate_c0`` and ``_is_valid`` check, for a geodesic or
+    hypercycle route: the structure violations and zones
+    (``_structure_columns``), the interior samples' t and F, and the rate
+    bound L."""
+    phi_eff = _effective_phi(route.transversal)
+    bound = route.transversal.curvature_bound
+    parts, interior, zones = _structure_columns(route, bound)
+    ff = lipschitz_profile(phi_eff, route.h[interior])
+    return parts, zones, route.t[interior], ff, bound
 
 
 def _verdict(mode: str, zones: Zones, worst: float, parts: list, notes) -> Verdict:
@@ -425,15 +433,16 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
 
     The slack of pair (i, j) is g_i - g_j with g = F - L t, up to
     rounding, so a running minimum of g bounds every column j from below
-    in O(n); a running maximum of w = F + L t does the same for the
-    two-sided slack.  The two ways of rounding differ by at most
-    eps (6A + 4B) with A = L max|t| and B = max|F| (plus underflow,
-    which ``tiny`` covers), well inside ``guard``.  So a column whose
-    bound is at least ``guard - tol`` holds no pair below -tol.  Only the
-    columns whose bound comes within the guard of -tol can hold a
-    violation, and only those within twice the guard of the best column
-    can hold the minimum; those are recomputed with the pairwise formula,
-    so every float matches evaluating all n^2 / 2 pairs.  The two-sided
+    in O(n).  The two-sided slack is the one-sided slack of -F, so
+    ``_one_sided_bounds`` on -F bounds its columns the same way.  The two
+    ways of rounding differ by at most eps (6A + 4B) with A = L max|t|
+    and B = max|F| (plus underflow, which ``tiny`` covers), well inside
+    ``guard``.  So a column whose bound is at least ``guard - tol`` holds
+    no pair below -tol.  Only the columns whose bound comes within the
+    guard of -tol can hold a violation, and only those within twice the
+    guard of the best column can hold the minimum; those are recomputed
+    with the pairwise formula, so every float matches evaluating all
+    n^2 / 2 pairs.  The two-sided
     minimum is only searched for when some column could fail it: with a
     finite guard every F is finite, and if every two-sided bound clears
     ``guard - tol`` the estimate holds, which is all its note says.  An
@@ -446,10 +455,9 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     if tt.size < 2:
         return [], math.inf, math.inf, None
     guard, low, fail = _one_sided_bounds(tt, ff, L, tol)
-    w = ff + L * tt
-    low2 = w[1:] - np.maximum.accumulate(w)[:-1]
+    _, low2, fail2 = _one_sided_bounds(tt, -ff, L, tol)
     one = fail | (low <= low.min() + 2 * guard)
-    holds = math.isfinite(guard) and bool((low2 >= guard - tol).all())
+    holds = math.isfinite(guard) and not fail2.any()
     two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
     worst = math.inf
     best = (math.inf, 0, 0)
@@ -521,12 +529,9 @@ def _is_valid(route: Route) -> bool:
     """
     if route.transversal.kind == TransversalKind.HOROCYCLE:
         return validate_horocycle(route).valid
-    bound = route.transversal.curvature_bound
-    parts, interior, _ = _structure_columns(route, bound)
-    tt = route.t[interior]
+    parts, _, tt, ff, bound = _c0_inputs(route)
     if parts or tt.size < 2:
         return not parts
-    ff = lipschitz_profile(_effective_phi(route.transversal), route.h[interior])
     with np.errstate(invalid="ignore"):
         _, _, fail = _one_sided_bounds(tt, ff, bound, route.tol)
         for j in np.flatnonzero(fail) + 1:

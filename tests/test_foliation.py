@@ -717,7 +717,8 @@ def _reference_run_disjointness_agreement(
         if family == "geodesic":
             beta1, beta2 = _reference_draw_betas(rng, 0.0, math.pi)
             slack = _geodesic_slack(
-                s1, beta1, s2, beta2, math.tan(beta1 / 2.0), math.tan(beta2 / 2.0)
+                s1, s2, math.cos(beta1), math.cos(beta2),
+                math.tan(beta1 / 2.0), math.tan(beta2 / 2.0),
             )
             leaf1 = leaf_orthogonal_to_geodesic(s1, beta1)
             leaf2 = leaf_orthogonal_to_geodesic(s2, beta2)
@@ -831,7 +832,7 @@ class TestAgreementSweepDifferential:
         leaf = leaf_orthogonal_to_geodesic if phi is None else leaf_orthogonal_to_hypercycle
         for s, beta in ((s1, beta1), (s2, beta2)):
             got = np.column_stack(
-                _orthogonal_leaves(s, beta, _math_map(math.cos, beta), _ray(phi))[:3]
+                _orthogonal_leaves(s, _math_map(math.cos, beta), _ray(phi))[:3]
             )
             shapes = [leaf(*row).shape for row in zip(*head, s.tolist(), beta.tolist())]
             want = np.array([

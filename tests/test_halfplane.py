@@ -131,6 +131,15 @@ class TestTransversal:
         d = hyperbolic_distance(tr.point(-eps), tr.point(eps))
         assert d / (2 * eps) == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("tr", [Transversal.geodesic(), Transversal.hypercycle(0.9)])
+    def test_points_past_the_float_range_are_refused(self, tr):
+        # The leaves' own crossing rule, with the message the CLI prints.
+        message = r"^the crossing at t=1500\.0 leaves the float range$"
+        with pytest.raises(DomainError, match=message):
+            tr.point(1500.0)
+        with pytest.raises(DomainError):  # e^(t L) underflows onto the boundary
+            tr.point(-1500.0)
+
     def test_geodesic_points(self):
         tr = Transversal.geodesic()
         p = tr.point(1.0)

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from umbilic import (
     CarrierContact,
     Circle,
     DomainError,
+    GeometryError,
     Leaf,
     LeafKind,
     Line,
@@ -24,7 +26,13 @@ from umbilic import (
 )
 from umbilic.foliation import _leaf_map
 from umbilic.halfplane import Transversal
-from umbilic.leaves import BOUNDARY_TOL
+from umbilic.leaves import (
+    BOUNDARY_TOL,
+    _geodesic_slack,
+    _hypercycle_gap,
+    _orthogonal_leaves,
+    _ray,
+)
 
 # Frozen expected values for the hypercycle leaf (phi=pi/4, s=1, beta=2pi/3),
 # derived from the closed forms R = s sin(phi)/(sin(phi) + cos(beta)) etc.
@@ -63,6 +71,12 @@ class TestEquidistantOffset:
     def test_horospherical_signal(self):
         assert equidistant_offset(0.0) == math.inf
         assert equidistant_offset(math.pi) == -math.inf
+
+    def test_angles_near_the_horospheres(self):
+        # cos beta rounds to +-1 here, so only cot beta = sinh(offset) carries it.
+        assert equidistant_offset(1e-9) == pytest.approx(21.416413017506354, rel=1e-12)
+        assert equidistant_offset(1e-300) == pytest.approx(691.4686750787736, rel=1e-12)
+        assert equidistant_offset(math.pi - 1e-9) == pytest.approx(-21.4164128, rel=1e-8)
 
     @given(interior_angles)
     def test_identities(self, beta):
@@ -346,10 +360,11 @@ class TestDisjointHypercycle:
 
 
 def _reference_disjoint_geodesic(s1, beta1, s2, beta2):
-    """The predicate as an inline comparison of right endpoints."""
-    if beta2 >= math.pi - 1e-12:
+    """The predicate as an inline comparison of right endpoints.  A leaf
+    is a line where 1 + cos beta rounds to 0."""
+    if 1.0 + math.cos(beta2) == 0.0:
         return True
-    if beta1 >= math.pi - 1e-12:
+    if 1.0 + math.cos(beta1) == 0.0:
         return False
     return s1 * math.tan(beta1 / 2.0) <= s2 * math.tan(beta2 / 2.0)
 
@@ -411,6 +426,132 @@ class TestSlackPredicatesMatchReference:
         assert disjoint_along_hypercycle(phi, s1, beta1, s2, beta2) == (
             _reference_disjoint_hypercycle(phi, s1, beta1, s2, beta2)
         )
+
+
+def _ulps(x, k=3):
+    """x and the k doubles on either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return sorted(out)
+
+
+#: Angles where the geodesic's line rule could flip: pi, the doubles
+#: around pi - 1e-12 and around pi - 2**-26.5 (where cos beta stops
+#: rounding to -1), and pi - 1.49e-8, the last circle of a slice
+#: (acos(-0.9999999999999999)).
+GEODESIC_EDGE = [
+    math.pi, *_ulps(math.pi - 1e-12), *_ulps(math.pi - 2**-26.5), math.pi - 1.49e-8,
+]
+#: Per ray angle: the doubles around sin phi + cos beta = 1e-12, and the
+#: line limit pi/2 + phi.
+RAY_EDGE = {
+    phi: [*_ulps(math.acos(1e-12 - math.sin(phi))), math.pi / 2 + phi] for phi in (0.5, 1.5)
+}
+EDGE_S = [5e-324, 1e-300, 1.0, 1e300]
+
+
+class TestLineRule:
+    """The constructors, the leaf columns, the pair slacks and the
+    predicates make one line-or-circle choice, at the doubles where the
+    rule flips, whatever the crossing's scale."""
+
+    def test_the_pools_straddle_the_rule(self):
+        cosines = [math.cos(b) for b in GEODESIC_EDGE]
+        assert {c == -1.0 for c in cosines} == {True, False}
+        # Circles by the angle, but cos beta rounds to -1: no circle exists.
+        assert any(c == -1.0 and math.pi - b > 1e-12 for b, c in zip(GEODESIC_EDGE, cosines))
+        for phi, betas in RAY_EDGE.items():
+            sums = {math.sin(phi) + math.cos(b) <= 1e-12 for b in betas}
+            assert sums == {True, False}
+
+    @staticmethod
+    def _built_line(build):
+        """Whether ``build()`` makes a line: False for a circle, or for a
+        ``GeometryError`` (a circle too large for the float range)."""
+        try:
+            return isinstance(build().shape, Line)
+        except GeometryError:
+            return False
+
+    @staticmethod
+    def _column_line(s, cbeta, ray):
+        """Whether ``_orthogonal_leaves`` makes the leaf a line (nan
+        radius).  A circle past the float range reads inf, as its
+        callers let it."""
+        with np.errstate(over="ignore"):
+            radius = _orthogonal_leaves(np.array([s]), np.array([cbeta]), ray)[2][0]
+        return bool(np.isnan(radius))
+
+    @pytest.mark.parametrize("s", EDGE_S)
+    @pytest.mark.parametrize("beta", GEODESIC_EDGE)
+    def test_geodesic(self, s, beta):
+        cbeta, tan = math.cos(beta), math.tan(beta / 2.0)
+        line = self._column_line(s, cbeta, None)
+        assert self._built_line(lambda: leaf_orthogonal_to_geodesic(s, beta)) is line
+        # The slack's choice does not depend on s.
+        assert (_geodesic_slack(1.0, 2.0, 0.0, cbeta, 1.0, tan) == math.inf) is line
+        assert (_geodesic_slack(1.0, 2.0, cbeta, 0.0, tan, 1.0) == -math.inf) is line
+        # Above the horizontal line at height 1 only a line is clear of it.
+        assert disjoint_along_geodesic(1.0, math.pi, 2.0, beta) is line
+
+    @pytest.mark.parametrize("s", EDGE_S)
+    @pytest.mark.parametrize(
+        "phi, beta", [(phi, beta) for phi, betas in RAY_EDGE.items() for beta in betas]
+    )
+    def test_hypercycle(self, s, phi, beta):
+        sphi, cbeta, cos = math.sin(phi), math.cos(beta), math.cos(phi + beta)
+        line = self._column_line(s, cbeta, _ray(phi))
+        assert self._built_line(lambda: leaf_orthogonal_to_hypercycle(phi, s, beta)) is line
+        flat = math.cos(phi + math.pi / 2)  # the totally geodesic leaf
+        assert (_hypercycle_gap(1.0, 2.0, sphi, 0.0, cbeta, flat, cos) == math.inf) is line
+        assert (_hypercycle_gap(1.0, 2.0, sphi, cbeta, 0.0, cos, flat) == -math.inf) is line
+        # Above a line leaf only a line is clear of it.
+        assert disjoint_along_hypercycle(phi, 1.0, math.pi / 2 + phi, 2.0, beta) is line
+
+
+EDGE_BETAS = sorted({
+    -1e-300, 0.0, 5e-324, 1e-300, 1e-9, math.pi / 2, math.pi - 1e-9, 4.0,
+    *GEODESIC_EDGE, *(beta for betas in RAY_EDGE.values() for beta in betas),
+}) + [math.nan]
+EDGE_CROSSINGS = [0.0, -1.0, *EDGE_S, math.inf, math.nan]
+EDGE_T = [-math.inf, -1e300, -800.0, 0.0, 709.0, 800.0, 1e300, math.inf, math.nan]
+
+
+class TestScalarApiRaisesOnlyGeometryErrors:
+    """On the edge pools the public scalar leaf API returns, or raises a
+    ``GeometryError``; no other exception and no warning escapes."""
+
+    @settings(max_examples=400)
+    @given(
+        st.sampled_from([0.5, 1.5]),
+        st.lists(st.sampled_from(EDGE_CROSSINGS), min_size=2, max_size=2),
+        st.lists(st.sampled_from(EDGE_BETAS), min_size=2, max_size=2),
+        st.sampled_from(EDGE_T),
+    )
+    def test_edge_pools(self, phi, s, beta, t):
+        s1, s2 = sorted(s) if not any(map(math.isnan, s)) else s
+        calls = [
+            lambda: ideal_endpoints(leaf_orthogonal_to_geodesic(s1, beta[0])),
+            lambda: ideal_endpoints(leaf_orthogonal_to_hypercycle(phi, s1, beta[0])),
+            lambda: disjoint_along_geodesic(s1, beta[0], s2, beta[1]),
+            lambda: disjoint_along_hypercycle(phi, s1, beta[0], s2, beta[1]),
+            lambda: equidistant_offset(beta[0]),
+            lambda: classify_leaf(beta[0]),
+            lambda: Transversal.geodesic().point(t),
+            lambda: Transversal.hypercycle(phi).point(t),
+            lambda: Transversal.horocycle(s2).point(t),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    call()
+                except GeometryError:
+                    pass
 
 
 class TestCarrierContact:
