@@ -132,9 +132,9 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
     case the (self-intersecting) family is built anyway for diagnostics.
 
     Building needs only the verdict's yes or no, so the route is checked
-    by ``validation._is_valid``, in O(n + the rows of the columns whose
-    bound can fail): O(n) on a valid route unless some of its pairs come
-    within rounding of -tol, also where its columns tie (the pencil,
+    by ``validation._is_valid``, which evaluates only the pairs that can
+    fail: O(n) on a valid route unless some of its pairs come within
+    rounding of -tol, also where its columns tie (the pencil,
     ``constant``, ``totally_geodesic``).  ``validate`` runs only on a
     route that fails, for the verdict the error carries.
     """

@@ -18,7 +18,8 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class HPoint:
-    """Interior point of the half-plane.  ``y`` must be strictly positive."""
+    """Interior point of the half-plane.  ``y`` must be strictly positive,
+    and both coordinates finite."""
 
     x: float
     y: float
@@ -26,6 +27,10 @@ class HPoint:
     def __post_init__(self) -> None:
         if not self.y > 0:
             raise DomainError(f"interior points need y > 0, got y={self.y!r}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DomainError(
+                f"interior points need finite coordinates, got ({self.x!r}, {self.y!r})"
+            )
 
 
 def hyperbolic_distance(p: HPoint, q: HPoint) -> float:

@@ -74,14 +74,20 @@ def equidistant_offset(beta: float) -> float:
 
     Satisfies cos(beta) = tanh(offset) and cot(beta) = sinh(offset); the
     offset is positive on the side the leaf bends away from.  Horospherical
-    angles return +/-inf as the divergence signal.
+    angles return +/-inf as the divergence signal.  Where cot beta
+    overflows (sin beta subnormal, so cos beta is 1) the offset is still
+    finite, up to about 745.13: asinh x = ln 2 + ln x, its own form for
+    x past 2^28, with ln x = -ln sin beta.
     """
     _check_beta(beta)
     if beta <= 0.0:
         return math.inf
     if beta >= math.pi:
         return -math.inf
-    return math.asinh(math.cos(beta) / math.sin(beta))
+    cot = math.cos(beta) / math.sin(beta)
+    if math.isinf(cot):
+        return math.log(2.0) - math.log(math.sin(beta))
+    return math.asinh(cot)
 
 
 def _check_beta(beta: float) -> None:
@@ -376,7 +382,8 @@ def _orthogonal_leaves(s, cbeta, ray):
     columns are the constructors' bit for bit.
     """
     line = _is_line(cbeta, None if ray is None else ray[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A circle past the float range overflows to inf; ``_refused_leaves`` flags it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         circle = tuple(np.where(line, math.nan, c) for c in _circle_carrier(s, cbeta, ray))
     line = np.isnan(circle[2])
     if not line.any():  # the common case, whose line columns are all nan

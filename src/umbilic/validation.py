@@ -359,11 +359,15 @@ def validate_c0(route: Route) -> Verdict:
     the route is valid when no slack drops below -tol and the pinned
     samples follow the leading/trailing zone pattern.
 
-    Runs in O(n + the rows of the recomputed one-sided columns), see
-    ``_pair_scan``: O(n) for generic routes, O(n^2) only when the pairs
-    of every column tie within rounding (the extremal families on
-    uniform grids), where a tied column that cannot fail costs its slacks
-    and their minimum.  No column is recomputed for the two-sided note
+    Prefix scans bound every column of pairs, and only the candidates,
+    the pairs the bounds cannot clear of the worst slack or of -tol, are
+    evaluated by the formula, see ``_pair_scan``: found in
+    O((n + candidates) log n) by ``_candidates``, which leaves a column
+    dense with candidates to be evaluated whole.  So it runs in O(n) for
+    generic routes and O(n log n) where the columns tie within rounding
+    but hold one candidate each (``constant`` and ``totally_geodesic``
+    on uniform grids); the pencil, whose every pair ties within
+    rounding, stays O(n^2).  No pair is evaluated for the two-sided note
     unless a bound shows that it can fail.  Ordering its k violations,
     which stay columns, adds O(k log k) numpy.  The verdict is
     bit-identical to evaluating every pair by the formula above.
@@ -440,30 +444,59 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     ``guard``.  So a column whose bound is at least ``guard - tol`` holds
     no pair below -tol.  Only the columns whose bound comes within the
     guard of -tol can hold a violation, and only those within twice the
-    guard of the best column can hold the minimum; those are recomputed
-    with the pairwise formula, so every float matches evaluating all
-    n^2 / 2 pairs.  The two-sided
-    minimum is only searched for when some column could fail it: with a
-    finite guard every F is finite, and if every two-sided bound clears
-    ``guard - tol`` the estimate holds, which is all its note says.  An
-    infinite F makes the guard infinite and some bounds nan; then every
-    column is recomputed, a one-sided column whose bound is +inf listing
-    nothing since each of its slacks is +inf too.  The two-sided search
-    skips a pair whose slack is nan (inf - inf) one pair at a time, as
-    the pairwise definition does.
+    guard of the best column can hold the minimum.  By the same argument
+    only their rows i with g_i <= g_j + c can, c the larger of
+    ``guard - tol`` and the best bound plus twice the guard: the
+    candidates (the threshold's own rounding, at most eps (A + B), stays
+    inside the guard's margin).  ``_candidates`` finds them, and the
+    pairwise formula is evaluated on them alone, so every float matches
+    evaluating all n^2 / 2 pairs.  The two-sided minimum is only searched
+    for when some column could fail it: with a finite guard every F is
+    finite, and if every two-sided bound clears ``guard - tol`` the
+    estimate holds, which is all its note says.  Otherwise its candidates
+    are the rows within twice the guard of its best bound.  An infinite F
+    makes the guard infinite and some bounds nan; then every flagged
+    column is recomputed whole, a one-sided column whose bound is +inf
+    listing nothing since each of its slacks is +inf too.  The two-sided
+    search skips a pair whose slack is nan (inf - inf) one pair at a time,
+    as the pairwise definition does.
+
+    Cost: O((n + candidates) log n), see ``_candidates``; a column
+    dense with candidates is evaluated whole, which its candidates pay
+    for.
     """
     if tt.size < 2:
         return [], math.inf, math.inf, None
-    guard, low, fail = _one_sided_bounds(tt, ff, L, tol)
-    _, low2, fail2 = _one_sided_bounds(tt, -ff, L, tol)
-    one = fail | (low <= low.min() + 2 * guard)
+    guard, g, low, fail = _one_sided_bounds(tt, ff, L, tol)
+    _, g2, low2, fail2 = _one_sided_bounds(tt, -ff, L, tol)
+    least = low.min()
+    one = fail | (low <= least + 2 * guard)
     holds = math.isfinite(guard) and not fail2.any()
     two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
     worst = math.inf
     best = (math.inf, 0, 0)
     rows, cols, slacks = [], [], []
+    if math.isfinite(guard):
+        (i, j), one = _candidates(g, one, max(least + 2 * guard, guard - tol))
+        if i.size:
+            rise, df = _pairs(tt, ff, L, i, j)
+            slack = np.subtract(rise, df, out=rise)
+            worst = float(slack.min())
+            bad = slack < -tol
+            if bad.any():
+                rows.append(i[bad])
+                cols.append(j[bad])
+                slacks.append(slack[bad])
+        (i, j), two = _candidates(g2, two, low2.min() + 2 * guard)
+        if i.size:
+            order = np.lexsort((j, i))  # argmin then picks the first pair
+            i, j = i[order], j[order]
+            rise, df = _pairs(tt, ff, L, i, j)
+            other = rise + df
+            k = int(other.argmin())
+            best = (float(other[k]), int(i[k]), int(j[k]))
     for j in np.flatnonzero(one | two) + 1:
-        rise, df = _column(tt, ff, L, j)
+        rise, df = _pairs(tt, ff, L, slice(j), j)
         if two[j - 1]:
             other = rise + df
             i = int(other.argmin())
@@ -492,53 +525,130 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
 
 
 def _one_sided_bounds(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
-    """``_pair_scan``'s rounding guard, its one-sided column bounds ``low``
-    (column j's bound at index j - 1) and the ``fail`` mask of the columns
-    whose bound comes within the guard of -tol, the only ones that can
-    hold a pair below -tol.  Call under ``np.errstate(invalid="ignore")``:
-    an infinite F makes inf - inf."""
+    """``_pair_scan``'s rounding guard, g = F - L t, its one-sided column
+    bounds ``low`` (column j's bound at index j - 1) and the ``fail`` mask
+    of the columns whose bound comes within the guard of -tol, the only
+    ones that can hold a pair below -tol.  Call under
+    ``np.errstate(invalid="ignore")``: an infinite F makes inf - inf."""
     g = ff - L * tt
     scale = L * np.abs(tt).max() + np.abs(ff).max()
     guard = 16 * np.finfo(float).eps * scale + np.finfo(float).tiny
     low = np.minimum.accumulate(g)[:-1] - g[1:]
     # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
-    return guard, low, ~(low >= guard - tol)
+    return guard, g, low, ~(low >= guard - tol)
 
 
-def _column(tt: np.ndarray, ff: np.ndarray, L: float, j: int):
-    """Column j of the pair slacks, over the pairs (i, j) with i < j, as
-    its rise ``L (t_j - t_i)`` and growth ``F_j - F_i``: the one-sided
-    slacks are rise - growth, the two-sided ones rise + growth.  The rise
-    is a new array, which the caller may overwrite."""
-    rise = tt[j] - tt[:j]
+_NO_PAIRS = (np.empty(0, np.intp), np.empty(0, np.intp))
+
+
+def _candidates(g: np.ndarray, cols: np.ndarray, c: float):
+    """The candidate pairs of the columns in the mask ``cols`` (column j
+    at index j - 1): the rows i < j with g_i <= g_j + c, as index arrays
+    (i, j) in no set order, and the mask of the columns left to the
+    column loop, which evaluates them whole.
+
+    A range-minimum descent finds them: a pyramid holds the minimum of g
+    over each aligned block of 2^k rows, and level by level, from the
+    largest block down to single rows, every column keeps the blocks of
+    [0, j) whose minimum is within its threshold, split in halves on the
+    next level.  So each level costs O(n) for the blocks [0, j) adds
+    there plus its frontier, which holds no more blocks than candidates:
+    O((n + candidates) log n) in all.  Columns stay with the loop where
+    that is cheaper: all of them when there are no more than three a
+    level (a column costs the loop about a third of what a level costs
+    the descent), a column whose every row is a candidate (the prefix
+    maximum of g is within its threshold), and a column whose frontier
+    reaches 16 blocks and an eighth of its rows, so it has at least that
+    many candidates.  If the frontier outgrows four blocks a row (plus 2^16)
+    the descent gives up and leaves every column to the loop, so its
+    memory stays O(n).
+    """
+    levels = cols.size.bit_length()
+    if np.count_nonzero(cols) <= 3 * levels:
+        return _NO_PAIRS, cols
+    j = np.nonzero(cols)[0] + 1
+    tau = g[j] + c
+    loop = np.maximum.accumulate(g)[j - 1] <= tau
+    at = np.nonzero(~loop)[0]  # the descending columns' positions in j
+    col, block = _NO_PAIRS
+    mins = [g]
+    for _ in range(levels - 1 if at.size else 0):
+        m = mins[-1]
+        mins.append(np.minimum(m[: m.size - 1 : 2], m[1::2]))
+    for k in range(len(mins) - 1, -1, -1):
+        # The halves of the blocks kept, and the block of [0, j) at this
+        # level where j has bit k set: rows [(j >> k) - 1, j >> k) * 2^k.
+        start = at[(j[at] >> k) & 1 == 1]
+        col = np.concatenate((np.repeat(col, 2), start))
+        block = np.concatenate(((2 * block[:, None] + (0, 1)).ravel(), (j[start] >> k) - 1))
+        kept = mins[k][block] <= tau[col]
+        col, block = col[kept], block[kept]
+        if col.size > 4 * g.size + 2**16:
+            return _NO_PAIRS, cols
+        count = np.bincount(col, minlength=j.size)
+        dense = (count >= 16) & (8 * count >= j)
+        if dense.any():
+            loop |= dense
+            kept = ~dense[col]
+            col, block = col[kept], block[kept]
+            at = at[~dense[at]]
+    rest = np.zeros_like(cols)
+    rest[j[loop] - 1] = True
+    return (block, j[col]), rest
+
+
+def _pairs(tt: np.ndarray, ff: np.ndarray, L: float, i, j):
+    """The pair slacks of rows i and columns j (index arrays, or a slice
+    ``slice(j)`` and an int for the whole column j) as their rise
+    ``L (t_j - t_i)`` and growth ``F_j - F_i``: the one-sided slacks are
+    rise - growth, the two-sided ones rise + growth.  The rise is a new
+    array, which the caller may overwrite."""
+    rise = tt[j] - tt[i]
     rise *= L
-    return rise, ff[j] - ff[:j]
+    return rise, ff[j] - ff[i]
 
 
 def _is_valid(route: Route) -> bool:
     """``validate(route).valid``, bit for bit, without the verdict.
 
     On a geodesic or hypercycle it runs ``validate_c0``'s structure checks
-    and ``_pair_scan``'s bounds, then recomputes only the columns whose
-    bound can fail (``fail``), returning at the first that holds a slack
-    below -tol.  So it costs O(n + the rows of those columns): O(n) on a
-    valid route unless some of its pairs come within the rounding guard
-    of -tol, also where the columns tie and ``validate_c0`` pays O(n^2)
-    for the worst slack.  A horocycle route's verdict is O(n) and is
-    taken whole.
+    and ``_pair_scan``'s bounds, then evaluates only pairs that can fail,
+    in the columns whose bound can (``fail``), returning at the first
+    slack below -tol.  An invalid route mostly fails in its first such
+    column, so the first few, as many as ``_candidates`` has levels, are
+    evaluated whole; the rest give their candidates below ``guard - tol``,
+    then the columns ``_candidates`` leaves to the loop, few or dense with
+    candidates, are evaluated whole.  So it costs
+    O(n) on a valid route unless some of its pairs come within the
+    rounding guard of -tol, also where the columns tie and
+    ``validate_c0`` searches them for the worst slack, and
+    O((n + candidates) log n) at most.  A horocycle route's verdict
+    is O(n) and is taken whole.
     """
     if route.transversal.kind == TransversalKind.HOROCYCLE:
         return validate_horocycle(route).valid
     parts, _, tt, ff, bound = _c0_inputs(route)
     if parts or tt.size < 2:
         return not parts
+
+    def fails(i, j) -> bool:
+        rise, df = _pairs(tt, ff, bound, i, j)
+        return bool((rise - df < -route.tol).any())
+
     with np.errstate(invalid="ignore"):
-        _, _, fail = _one_sided_bounds(tt, ff, bound, route.tol)
-        for j in np.flatnonzero(fail) + 1:
-            rise, df = _column(tt, ff, bound, j)
-            if (rise - df < -route.tol).any():
+        guard, g, _, fail = _one_sided_bounds(tt, ff, bound, route.tol)
+        columns = np.flatnonzero(fail) + 1
+        head = columns[: (tt.size - 1).bit_length()]
+        if any(fails(slice(j), j) for j in head):
+            return False
+        if head.size == columns.size:
+            return True
+        fail[head - 1] = False
+        if math.isfinite(guard):
+            found, fail = _candidates(g, fail, guard - route.tol)
+            if found[0].size and fails(*found):
                 return False
-    return True
+        return not any(fails(slice(j), j) for j in np.flatnonzero(fail) + 1)
 
 
 def validate_c1(route: Route) -> Verdict:

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ def test_hpoint_requires_positive_height():
         HPoint(0.0, 0.0)
     with pytest.raises(DomainError):
         HPoint(1.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Transversal.geodesic().point(math.inf), "(0.0, inf)"),
+        (lambda: Transversal.hypercycle(0.9).point(math.inf), "(inf, inf)"),
+        (lambda: Transversal.horocycle(1.0).point(math.inf), "(inf, 1.0)"),
+        (lambda: Transversal.horocycle(1.0).point(-math.inf), "(-inf, 1.0)"),
+        (lambda: Transversal.horocycle(1.0).point(math.nan), "(nan, 1.0)"),
+        (lambda: HPoint(0.0, math.inf), "(0.0, inf)"),
+    ],
+    ids=["geodesic", "hypercycle", "horocycle", "horocycle-negative", "horocycle-nan", "hpoint"],
+)
+def test_hpoint_requires_finite_coordinates(make, message):
+    # Such a point made hyperbolic_distance return nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            make()
+    assert str(exc.value) == f"interior points need finite coordinates, got {message}"
 
 
 class TestTransversal:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -60,6 +61,15 @@ class TestAngleCurvature:
         assert classify_leaf(math.pi / 2 + 1e-13) == LeafKind.TOTALLY_GEODESIC
 
 
+#: The least angle whose cot beta is finite, one step above 1 / DBL_MAX
+#: (about 5.56e-309): below it cot beta overflows.
+COT_OVERFLOW = math.nextafter(1.0 / sys.float_info.max, 1.0)
+SUBNORMAL_ANGLES = sorted({
+    5e-324, 1e-323, 1e-320, 1e-315, 1e-310, 5e-309, 6e-309, 1e-308,
+    *(COT_OVERFLOW + k * 5e-324 for k in range(-40, 41)),
+})
+
+
 class TestEquidistantOffset:
     def test_frozen(self):
         # cos(pi/3) = 1/2, so the offset is atanh(1/2) = ln(3)/2.
@@ -77,6 +87,25 @@ class TestEquidistantOffset:
         assert equidistant_offset(1e-9) == pytest.approx(21.416413017506354, rel=1e-12)
         assert equidistant_offset(1e-300) == pytest.approx(691.4686750787736, rel=1e-12)
         assert equidistant_offset(math.pi - 1e-9) == pytest.approx(-21.4164128, rel=1e-8)
+
+    def test_subnormal_angles_stay_finite(self):
+        # The offset is ln 2 - ln beta there, not the horosphere's inf.
+        assert equidistant_offset(5e-324) == pytest.approx(745.1332191019411, rel=1e-15)
+        assert equidistant_offset(5e-309) == pytest.approx(710.5825030032859, rel=1e-15)
+        assert all(math.isfinite(equidistant_offset(b)) for b in SUBNORMAL_ANGLES)
+
+    def test_monotone_across_the_overflow(self):
+        offsets = [equidistant_offset(b) for b in SUBNORMAL_ANGLES]
+        assert all(a >= b for a, b in zip(offsets, offsets[1:]))
+        assert offsets[0] > offsets[-1]
+
+    @pytest.mark.parametrize(
+        "beta", [COT_OVERFLOW, 6e-309, 1e-300, 1e-9, 1.0, math.pi / 2, 3.0, math.nextafter(math.pi, 0.0)]
+    )
+    def test_bits_where_cot_is_finite(self, beta):
+        cot = math.cos(beta) / math.sin(beta)
+        assert math.isfinite(cot)
+        assert equidistant_offset(beta) == math.asinh(cot)
 
     @given(interior_angles)
     def test_identities(self, beta):
@@ -480,11 +509,23 @@ class TestLineRule:
     @staticmethod
     def _column_line(s, cbeta, ray):
         """Whether ``_orthogonal_leaves`` makes the leaf a line (nan
-        radius).  A circle past the float range reads inf, as its
-        callers let it."""
-        with np.errstate(over="ignore"):
-            radius = _orthogonal_leaves(np.array([s]), np.array([cbeta]), ray)[2][0]
+        radius)."""
+        radius = _orthogonal_leaves(np.array([s]), np.array([cbeta]), ray)[2][0]
         return bool(np.isnan(radius))
+
+    @pytest.mark.parametrize(
+        "ray, cbeta",
+        [
+            (None, math.nextafter(-1.0, 0.0)),  # 1 + cos beta = 1.1e-16
+            (_ray(0.9), 2e-12 - math.sin(0.9)),  # sin phi + cos beta = 2e-12
+        ],
+    )
+    def test_a_circle_past_the_float_range_reads_inf(self, ray, cbeta):
+        # Overflow, not a warning: the callers refuse the inf radius.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radius = _orthogonal_leaves(np.array([1e300]), np.array([cbeta]), ray)[2][0]
+        assert radius == math.inf
 
     @pytest.mark.parametrize("s", EDGE_S)
     @pytest.mark.parametrize("beta", GEODESIC_EDGE)
