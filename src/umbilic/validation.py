@@ -363,7 +363,7 @@ def validate_c0(route: Route) -> Verdict:
     the pairs the bounds cannot clear of the worst slack or of -tol, are
     evaluated by the formula, see ``_pair_scan``: found in
     O((n + candidates) log n) by ``_candidates``, which leaves a column
-    dense with candidates to be evaluated whole.  So it runs in O(n) for
+    whose every row is a candidate to be evaluated whole.  So it runs in O(n) for
     generic routes and O(n log n) where the columns tie within rounding
     but hold one candidate each (``constant`` and ``totally_geodesic``
     on uniform grids); the pencil, whose every pair ties within
@@ -462,8 +462,8 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     as the pairwise definition does.
 
     Cost: O((n + candidates) log n), see ``_candidates``; a column
-    dense with candidates is evaluated whole, which its candidates pay
-    for.
+    whose every row is a candidate is evaluated whole, which its
+    candidates pay for.
     """
     if tt.size < 2:
         return [], math.inf, math.inf, None
@@ -556,12 +556,11 @@ def _candidates(g: np.ndarray, cols: np.ndarray, c: float):
     O((n + candidates) log n) in all.  Columns stay with the loop where
     that is cheaper: all of them when there are no more than three a
     level (a column costs the loop about a third of what a level costs
-    the descent), a column whose every row is a candidate (the prefix
-    maximum of g is within its threshold), and a column whose frontier
-    reaches 16 blocks and an eighth of its rows, so it has at least that
-    many candidates.  If the frontier outgrows four blocks a row (plus 2^16)
-    the descent gives up and leaves every column to the loop, so its
-    memory stays O(n).
+    the descent), and a column whose every row is a candidate (the prefix
+    maximum of g is within its threshold), as every pencil column is.
+    If the frontier outgrows four blocks a row (plus 2^16) the descent
+    gives up and leaves every column to the loop, so its memory stays
+    O(n).
     """
     levels = cols.size.bit_length()
     if np.count_nonzero(cols) <= 3 * levels:
@@ -585,13 +584,6 @@ def _candidates(g: np.ndarray, cols: np.ndarray, c: float):
         col, block = col[kept], block[kept]
         if col.size > 4 * g.size + 2**16:
             return _NO_PAIRS, cols
-        count = np.bincount(col, minlength=j.size)
-        dense = (count >= 16) & (8 * count >= j)
-        if dense.any():
-            loop |= dense
-            kept = ~dense[col]
-            col, block = col[kept], block[kept]
-            at = at[~dense[at]]
     rest = np.zeros_like(cols)
     rest[j[loop] - 1] = True
     return (block, j[col]), rest
@@ -614,11 +606,9 @@ def _is_valid(route: Route) -> bool:
     On a geodesic or hypercycle it runs ``validate_c0``'s structure checks
     and ``_pair_scan``'s bounds, then evaluates only pairs that can fail,
     in the columns whose bound can (``fail``), returning at the first
-    slack below -tol.  An invalid route mostly fails in its first such
-    column, so the first few, as many as ``_candidates`` has levels, are
-    evaluated whole; the rest give their candidates below ``guard - tol``,
-    then the columns ``_candidates`` leaves to the loop, few or dense with
-    candidates, are evaluated whole.  So it costs
+    slack below -tol: their candidates below ``guard - tol`` in one
+    evaluation, then the columns ``_candidates`` leaves to the loop, few
+    or with every row a candidate, one whole column at a time.  So it costs
     O(n) on a valid route unless some of its pairs come within the
     rounding guard of -tol, also where the columns tie and
     ``validate_c0`` searches them for the worst slack, and
@@ -637,13 +627,6 @@ def _is_valid(route: Route) -> bool:
 
     with np.errstate(invalid="ignore"):
         guard, g, _, fail = _one_sided_bounds(tt, ff, bound, route.tol)
-        columns = np.flatnonzero(fail) + 1
-        head = columns[: (tt.size - 1).bit_length()]
-        if any(fails(slice(j), j) for j in head):
-            return False
-        if head.size == columns.size:
-            return True
-        fail[head - 1] = False
         if math.isfinite(guard):
             found, fail = _candidates(g, fail, guard - route.tol)
             if found[0].size and fails(*found):

@@ -939,7 +939,7 @@ class TestCandidatePairs:
     def test_tolerance_at_a_neighbour_slack(self, phi, n, shift, ulps):
         # Half the columns can fail, one candidate each, so ``_is_valid``
         # finds the one pair below -tol (ulps = -1) among the candidates
-        # unless it lies in the first columns, which it evaluates whole.
+        # unless the failing columns are few enough for the column loop.
         route = _sawtooth(phi, n, shift)
         s = float(_pair_slacks(route).min())
         tol = -s + ulps * math.ulp(s)
