@@ -594,8 +594,7 @@ def _circle_contacts(x1, y1, r1, x2, y2, r2):
 def _circle_line_contacts(cx, cy, r, x0, y0, dx, dy):
     """``_carrier_contacts`` on circle-line pairs: the centre's foot on the
     line decides everything.  With the rows where a square overflows."""
-    u = (cx - x0) * dx + (cy - y0) * dy
-    fx, fy = x0 + u * dx, y0 + u * dy
+    fx, fy = _foot(cx, cy, x0, y0, dx, dy)
     dist = _hypot(cx - fx, cy - fy)
     tangent = np.abs(dist - r) <= TANGENCY_TOL
     transverse = ~tangent & ~(dist >= r)
@@ -609,6 +608,13 @@ def _circle_line_contacts(cx, cy, r, x0, y0, dx, dy):
         fy + half * dy,
     )
     return kind, points, transverse & np.isinf(rr)
+
+
+def _foot(cx, cy, x0, y0, dx, dy):
+    """The foot (fx, fy) of each centre (cx, cy) on its line through
+    (x0, y0) with unit direction (dx, dy)."""
+    u = (cx - x0) * dx + (cy - y0) * dy
+    return x0 + u * dx, y0 + u * dy
 
 
 def _line_contacts(x1, y1, dx1, dy1, x2, y2, dx2, dy2):

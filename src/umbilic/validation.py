@@ -604,16 +604,22 @@ def _is_valid(route: Route) -> bool:
     """``validate(route).valid``, bit for bit, without the verdict.
 
     On a geodesic or hypercycle it runs ``validate_c0``'s structure checks
-    and ``_pair_scan``'s bounds, then evaluates only pairs that can fail,
-    in the columns whose bound can (``fail``), returning at the first
-    slack below -tol: their candidates below ``guard - tol`` in one
-    evaluation, then the columns ``_candidates`` leaves to the loop, few
-    or with every row a candidate, one whole column at a time.  So it costs
-    O(n) on a valid route unless some of its pairs come within the
-    rounding guard of -tol, also where the columns tie and
-    ``validate_c0`` searches them for the worst slack, and
-    O((n + candidates) log n) at most.  A horocycle route's verdict
-    is O(n) and is taken whole.
+    and ``_pair_scan``'s bounds.  A column whose bound is below
+    ``-tol - guard`` proves the route invalid with no pair evaluated: the
+    bound is g_i - g_j for the row i that holds the column's prefix
+    minimum, and by ``_pair_scan``'s rounding argument the pairwise
+    formula's slack of (i, j) differs from it by at most eps (6A + 4B),
+    inside the guard, so that pair's slack is below -tol.  Otherwise it
+    evaluates only pairs that can fail, in the columns whose bound can
+    (``fail``), returning at the first slack below -tol: their
+    candidates below ``guard - tol`` in one evaluation, then the columns
+    ``_candidates`` leaves to the loop, few or with every row a
+    candidate, one whole column at a time.  So it costs O(n) on a valid
+    route unless some of its pairs come within the rounding guard of
+    -tol, also where the columns tie and ``validate_c0`` searches them
+    for the worst slack, O(n) on a route that a bound proves invalid, and
+    O((n + candidates) log n) at most.  A horocycle route's verdict is
+    O(n) and is taken whole.
     """
     if route.transversal.kind == TransversalKind.HOROCYCLE:
         return validate_horocycle(route).valid
@@ -626,7 +632,9 @@ def _is_valid(route: Route) -> bool:
         return bool((rise - df < -route.tol).any())
 
     with np.errstate(invalid="ignore"):
-        guard, g, _, fail = _one_sided_bounds(tt, ff, bound, route.tol)
+        guard, g, low, fail = _one_sided_bounds(tt, ff, bound, route.tol)
+        if (low < -route.tol - guard).any():  # False on a nan bound or an infinite guard
+            return False
         if math.isfinite(guard):
             found, fail = _candidates(g, fail, guard - route.tol)
             if found[0].size and fails(*found):

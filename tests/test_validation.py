@@ -785,6 +785,20 @@ class TestValidityTest:
             else:
                 assert verdict.valid
 
+    @pytest.mark.parametrize("shift", [-40.0, 40.0])
+    @pytest.mark.parametrize("phi", [0.5, 0.9, math.pi / 2])
+    def test_a_bound_within_the_guard_proves_nothing(self, phi, shift):
+        # Near t = +-40 a column bound g_i - g_j rounds ulps of t away from
+        # its pair's slack.  With -tol at the worst pair slack, some bounds
+        # lie below -tol, yet no pair does: the route is valid.
+        route = _sawtooth(phi, 400, shift)
+        tol = -float(_pair_slacks(route).min())
+        route = Route(route.transversal, route.t, route.h, tol=tol)
+        _, _, tt, ff, bound = validation._c0_inputs(route)
+        low = validation._one_sided_bounds(tt, ff, bound, route.tol)[2]
+        assert (low < -route.tol).any()
+        assert _is_valid(route) and validate(route).valid
+
 
 class TestSynthesizeWork:
     """``synthesize`` builds a valid route's family without evaluating a
@@ -839,9 +853,40 @@ class TestSynthesizeWork:
         assert sum(pairs) < 2 * n
 
     def test_an_invalid_route_stops_at_its_first_failing_column(self, pairs):
-        route = perturbed_invalid_route(Transversal.hypercycle(0.9), n=241, seed=4)[0]
+        # A violation within the rounding guard of -tol, which no bound
+        # proves, so _is_valid evaluates pairs, and stops at the first
+        # evaluation with a slack below -tol.
+        route = _sawtooth(0.9, 241, 0.0)
+        s = float(_pair_slacks(route).min())
+        route = Route(route.transversal, route.t, route.h, tol=-s - math.ulp(s))
         assert not _is_valid(route)
         assert len(pairs) == 1
+
+    STEEP = {
+        "tanh": lambda n: geodesic_route(
+            np.linspace(-1.0, 1.0, n), -np.tanh(2 * np.linspace(-1.0, 1.0, n))
+        ),
+        "phi=0.9": lambda n: _steep_burst(0.9, n, 100, seed=1),
+    }
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    @pytest.mark.parametrize("steep", sorted(STEEP))
+    def test_a_bound_past_the_guard_refuses_with_no_pair(self, steep, n, pairs):
+        # A column bound below -tol by more than the rounding guard proves
+        # a violation, so _is_valid evaluates no pair.
+        assert not _is_valid(self.STEEP[steep](n))
+        assert pairs == []
+
+    @pytest.mark.parametrize("steep", sorted(STEEP))
+    def test_synthesize_searches_an_invalid_route_once(self, steep, pairs):
+        # The pairs validate evaluates for the verdict, and no more.
+        route = self.STEEP[steep](300)
+        verdict = validate(route)
+        searched = sum(pairs)
+        with pytest.raises(InvalidRouteError) as refused:
+            synthesize(route)
+        assert repr(refused.value.verdict) == repr(verdict)
+        assert sum(pairs) == 2 * searched > 0
 
 
 def _steep_burst(phi, n, m, seed):
