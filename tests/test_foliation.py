@@ -2091,6 +2091,47 @@ class TestLineScreen:
         assert cleared_lines and sum(cleared_lines) == 0
         assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
 
+    @pytest.mark.parametrize(
+        "make, lines_only",
+        [
+            (lambda: synthesize(builtin_route("custom_constant_max", n=60)), True),
+            (
+                lambda: synthesize(
+                    builtin_route(
+                        "custom_constant_max", transversal=Transversal.hypercycle(0.9), n=60
+                    )
+                ),
+                True,
+            ),
+            (
+                lambda: synthesize(
+                    Route(Transversal.horocycle(1.0), np.linspace(-2, 2, 60), np.zeros(60))
+                ),
+                True,
+            ),
+            (lambda: _forced_slice(Transversal.geodesic(), 3, n=60), False),
+        ],
+        ids=["constant-max-geodesic", "constant-max-0.9", "zero-horocycle", "mixed-geodesic"],
+    )
+    def test_a_family_of_lines_takes_the_line_steps_alone(self, make, lines_only, monkeypatch):
+        # The pair screen of a family of lines runs neither the circle
+        # steps nor the circle-line steps, which settle none of its pairs;
+        # a family with circles runs both.  Links see circle columns only.
+        slice_ = make()
+        calls = set()
+        for name in ("_screen_circles", "_screen_circle_line"):
+
+            def recording(*args, step=getattr(foliation, name), name=name):
+                calls.add((name, args[-1]))  # tangent: the pair screen's
+                return step(*args)
+
+            monkeypatch.setattr(foliation, name, recording)
+        report = verify_disjoint(slice_)
+        monkeypatch.undo()
+        pair_steps = {("_screen_circles", True), ("_screen_circle_line", True)}
+        assert (calls & pair_steps) == (set() if lines_only else pair_steps)
+        assert _report_key(report) == _report_key(_reference_verify_disjoint(slice_))
+
 
 class TestSingleRowRuns:
     """When every run is one row, each probe is the pair itself, so the

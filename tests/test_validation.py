@@ -853,9 +853,23 @@ class TestSynthesizeWork:
         assert sum(pairs) < 2 * n
 
     def test_an_invalid_route_stops_at_its_first_failing_column(self, pairs):
+        # Ten columns within the rounding guard of -tol, few enough for the
+        # column loop, and no bound proves one invalid.  The first column's
+        # pair fails, so the loop evaluates that column and stops.
+        route = _sawtooth(0.9, 21, 0.0)
+        s = float(_pair_slacks(route)[0])  # the pair (0, 1)
+        route = Route(route.transversal, route.t, route.h, tol=-s - math.ulp(s))
+        _, _, tt, ff, bound = validation._c0_inputs(route)
+        guard, _, low, fail = validation._one_sided_bounds(tt, ff, bound, route.tol)
+        assert fail[0] and np.count_nonzero(fail) == 10 <= 3 * fail.size.bit_length()
+        assert not (low < -route.tol - guard).any()
+        assert not _is_valid(route)
+        assert pairs == [1]
+
+    def test_an_invalid_route_evaluates_its_candidates_once(self, pairs):
         # A violation within the rounding guard of -tol, which no bound
-        # proves, so _is_valid evaluates pairs, and stops at the first
-        # evaluation with a slack below -tol.
+        # proves, in one of 120 such columns: too many for the loop, so
+        # _is_valid evaluates their candidate pairs in one call.
         route = _sawtooth(0.9, 241, 0.0)
         s = float(_pair_slacks(route).min())
         route = Route(route.transversal, route.t, route.h, tol=-s - math.ulp(s))
