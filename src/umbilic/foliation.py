@@ -73,6 +73,10 @@ class PairContacts(_RowTable):
         return PairContact(*fields)
 
 
+#: The contacts of an audit that flags nothing, shared: its columns are read-only.
+_NO_CONTACTS = PairContacts(*np.empty((5, 0)))
+
+
 @dataclass(frozen=True)
 class DisjointnessReport:
     clean: bool
@@ -135,13 +139,16 @@ def synthesize(route: Route, force: bool = False) -> FoliationSlice:
     case the (self-intersecting) family is built anyway for diagnostics.
 
     Building needs only the verdict's yes or no, so the route is checked
-    by ``validation._is_valid``, which evaluates only the pairs that can
-    fail: O(n) on a valid route unless some of its pairs come within
-    rounding of -tol, also where its columns tie (the pencil,
-    ``constant``, ``totally_geodesic``).  ``validate`` runs only on a
-    route that fails, for the verdict the error carries.  A route that
-    fails by more than rounding fails a column bound, which ``_is_valid``
-    reads without evaluating a pair, so only ``validate`` searches it.
+    by ``validation._is_valid``.  After ``validate_c0`` (or
+    ``validate_horocycle``) on the same route it checks nothing again: it
+    reads the answer the route recorded (see ``Route``).  Otherwise it
+    evaluates only the pairs that can fail: O(n) on a valid route unless
+    some of its pairs come within rounding of -tol, also where its
+    columns tie (the pencil, ``constant``, ``totally_geodesic``).
+    ``validate`` runs only on a route that fails, for the verdict the
+    error carries.  A route that fails by more than rounding fails a
+    column bound, which ``_is_valid`` reads without evaluating a pair, so
+    only ``validate`` searches it.
     """
     if not force and not _is_valid(route):
         raise InvalidRouteError("route failed validation", verdict=validate(route))
@@ -364,8 +371,10 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
     one ``math.hypot`` off the geodesic and the horocycle, whose centres
     share an axis); O(n^2) numpy when R = n, as on horocycle slices and
     on a family whose every pair crosses or whose every link has a line
-    (a family of lines, apart, makes no kernel call).  A clean family
-    (R = 1) costs O(n).
+    (a family of lines, apart, makes no kernel call).  A family whose
+    links all clear (R = 1) costs its carriers and one link screen,
+    O(n): no probe or pair is screened, and its report shares one empty,
+    read-only table of contacts.
     """
     tr, n = slice_.transversal, slice_.t.size
     if tr.kind == TransversalKind.HOROCYCLE:  # 2**k[i] is the scale of leaf i
@@ -404,11 +413,14 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
             )
         if keep.any():
             found.append((ts[a[keep]], ts[b[keep]], kind[keep], *(v[keep] for v in unscaled)))
-    contacts = [np.concatenate(c) for c in zip(np.empty((5, 0)), *found)]
+    pair_count = n * (n - 1) // 2
+    if not found:
+        return DisjointnessReport(True, pair_count, _NO_CONTACTS, _NO_CONTACTS)
+    contacts = [np.concatenate(c) for c in zip(*found)]
     tangent = contacts[2] == _TANGENT
     return DisjointnessReport(
-        clean=not found,
-        pair_count=n * (n - 1) // 2,
+        clean=False,
+        pair_count=pair_count,
         intersecting=PairContacts(*(c[~tangent] for c in contacts)),
         tangent=PairContacts(*(c[tangent] for c in contacts)),
     )
@@ -436,10 +448,13 @@ def _cleared_links(transversal: Transversal, columns, k) -> np.ndarray:
     alone, each row at its own scale 2**-k (see ``_pair_columns``), so a
     line (nan radius) keeps its links open.
     """
-    links = np.arange(columns[0].size - 1)
+    e = k[1:] - k[:-1]
     if transversal.kind == TransversalKind.HOROCYCLE:
-        return np.zeros(links.size, dtype=bool)
-    return _screen(*_pair_columns(columns, links, links + 1, k), boundary=0.0)[0]
+        return np.zeros(e.size, dtype=bool)
+    # _pair_columns on the links (l, l + 1), as views of the columns.
+    with np.errstate(over="ignore"):
+        upper = [np.ldexp(c[1:], e) for c in columns]
+    return _screen(*(c[:-1] for c in columns), *upper, boundary=0.0)[0]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -466,9 +481,12 @@ def _probed_pairs(columns, k, cleared):
 
     Rows go in blocks of at most ``_AUDIT_BLOCK_CELLS`` probes, or of one
     row.  When each run is one row, every probe is the pair itself and
-    stays open, unscreened.  ``columns`` are the circle columns alone,
-    each row at its own scale, so a line keeps its probes open.
+    stays open, unscreened; when every link clears there is one run, and
+    no pair.  ``columns`` are the circle columns alone, each row at its
+    own scale, so a line keeps its probes open.
     """
+    if cleared.all():
+        return
     is_last = np.append(~cleared, True)[: k.size]
     last = np.flatnonzero(is_last)  # the last row of each run
     run = np.cumsum(is_last) - is_last
@@ -702,10 +720,7 @@ def builtin_route(
         )
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n!r}")
-    if not window[0] < window[1]:
-        raise DomainError(f"window must be increasing, got {window!r}")
-    if not math.isfinite(float(window[1]) - float(window[0])):
-        raise DomainError(f"window must span a finite length, got {window!r}")
+    _check_window(window)
     tr = transversal if transversal is not None else Transversal.geodesic()
     if name in ("horospherical", "pencil") and tr.kind != TransversalKind.GEODESIC:
         raise DomainError(f"the {name} family lives on the geodesic")
@@ -733,6 +748,14 @@ def builtin_route(
     return Route(tr, t, h, dh=dh, tol=tol)
 
 
+def _check_window(window) -> None:
+    """Refuse a window that is not increasing or not of finite span."""
+    if not window[0] < window[1]:
+        raise DomainError(f"window must be increasing, got {window!r}")
+    if not math.isfinite(float(window[1]) - float(window[0])):
+        raise DomainError(f"window must span a finite length, got {window!r}")
+
+
 def random_valid_route(
     transversal: Transversal,
     window: tuple[float, float] = (-2.0, 2.0),
@@ -746,6 +769,9 @@ def random_valid_route(
     then pull back through the profile inverse.  Any slope distribution
     below the cap gives a valid route; the range used here keeps the
     profile values moderate so no sample lands on a pin by accident.
+    ``n`` must be at least 1, ``margin`` must lie in (0, 1.8 L), so that
+    the slope range (-0.8 L, L - margin) is not empty, and ``window``
+    must be increasing over a finite span.
     """
     return _drawn_route(transversal, window, n, margin, seed, burst=False)[0]
 
@@ -761,7 +787,8 @@ def perturbed_invalid_route(
 
     Returns the route and the parameter window of the injected burst; the
     burst pushes local slopes to L + 0.5, so validation must fail with a
-    violating pair inside (or overlapping) that window.
+    violating pair inside (or overlapping) that window.  The arguments
+    are checked as ``random_valid_route``'s, but ``n`` must be at least 2.
     """
     return _drawn_route(transversal, window, n, margin, seed, burst=True)
 
@@ -771,6 +798,11 @@ def _drawn_route(transversal, window, n, margin, seed, burst):
     is set (else None).  Draws the slopes, the burst's start and length,
     then the offset."""
     phi_eff, L = _effective_phi(transversal), transversal.curvature_bound
+    if n < 1 + burst:
+        raise DomainError(f"n must be at least {1 + burst}, got {n!r}")
+    if not 0.0 < margin < 1.8 * L:
+        raise DomainError(f"margin must lie in (0, {1.8 * L!r}), got {margin!r}")
+    _check_window(window)
     rng = np.random.default_rng(seed)
     t = np.linspace(window[0], window[1], n)
     slopes = rng.uniform(-0.8 * L, L - margin, n - 1)
@@ -781,8 +813,7 @@ def _drawn_route(transversal, window, n, margin, seed, burst):
         slopes[start:stop] = L + 0.5
         span = (float(t[start]), float(t[stop]))
     g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
-    h = np.array([profile_inverse(phi_eff, y) for y in g])
-    return Route(transversal, t, h), span
+    return Route(transversal, t, profile_inverse(phi_eff, g)), span
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,8 @@ def _refused_leaves(line, columns, beta, cbeta, unit):
             | (cy + r < -BOUNDARY_TOL)
             | (np.abs(cy - r * cbeta) > _ANGLE_MATCH_TOL * np.maximum(1.0, r))
         )
+        if not line.any():
+            return circle_refused
         mismatch = np.abs(math.atan2(unit[1], unit[0]) - np.fmod(beta, math.pi))
         line_refused = ~(np.isfinite(x0) & np.isfinite(y0)) | (
             np.minimum(mismatch, np.abs(mismatch - math.pi)) > _ANGLE_MATCH_TOL

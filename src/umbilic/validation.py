@@ -23,6 +23,7 @@ carries a note that behavior outside the window is unchecked.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .halfplane import Transversal, TransversalKind
-from .leaves import _beyond_bound
+from .leaves import _beyond_bound, _math_map
 
 DEFAULT_TOL = 1e-9
 
@@ -58,16 +59,25 @@ def lipschitz_profile(phi: float, h):
     return f if np.ndim(h) else float(f)
 
 
-def profile_inverse(phi: float, y: float) -> float:
+def profile_inverse(phi: float, y):
     """Solve F(phi, h) = y for h in closed form.
 
     With h = -cos(beta), F = y reads -R cos(beta + delta) = sin(phi),
     where R e^{i delta} = 1 + e^{y + i phi}; so beta = arccos(-sin(phi) / R)
     - delta.  For y > 0 the factor e^y is divided out of 1 + e^{y + i phi},
     so only e^{-|y|} is ever formed and no finite y overflows.  The result
-    is clipped to the band [-sin phi, sin phi].
+    is clipped to the band [-sin phi, sin phi].  ``y`` may be a float or a
+    1-d array, whose elements are mapped through the float form by
+    ``leaves._math_map``, so each keeps the bits of ``math``'s functions.
     """
     b = _check_phi(phi)
+    if np.ndim(y):
+        return _math_map(functools.partial(_inverse, phi, b), np.asarray(y, dtype=float))
+    return _inverse(phi, b, y)
+
+
+def _inverse(phi: float, b: float, y: float) -> float:
+    """``profile_inverse`` of one float, with b = sin(phi)."""
     if phi == math.pi / 2:
         return -math.tanh(y)
     if math.isinf(y):
@@ -122,6 +132,13 @@ class Route:
     may hold nan.  ``tol`` must be positive and below ``tol_limit``.
     Curvature bound violations are reported by the validators rather than
     rejected here, so diagnostic routes stay representable.
+
+    A route is a value: its columns are read-only copies of the arguments,
+    so its verdict cannot change after it is built, and routes compare
+    equal by their columns' values.  ``validate_c0`` and
+    ``validate_horocycle`` record whether it is valid, and ``_is_valid``
+    answers from that record, so a route is judged once.  A route built
+    by ``dataclasses.replace`` starts with nothing recorded.
     """
 
     transversal: Transversal
@@ -131,7 +148,7 @@ class Route:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
+        t = np.array(self.t, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise DomainError("t must be a nonempty 1-d array")
         if not np.all(t[1:] > t[:-1]):
@@ -139,17 +156,33 @@ class Route:
         first, last = float(t[0]), float(t[-1])
         if not math.isfinite(last - first):
             raise DomainError(f"t must span a finite length, got [{first!r}, {last!r}]")
-        object.__setattr__(self, "t", t)
+        columns = {"t": t}
         for name in ("h", "dh") if self.dh is not None else ("h",):
-            track = np.asarray(getattr(self, name), dtype=float)
+            track = columns[name] = np.array(getattr(self, name), dtype=float)
             if track.shape != t.shape:
                 raise DomainError(f"{name} has shape {track.shape}, expected {t.shape}")
             if np.isnan(track).any():
                 raise DomainError(f"{name} must not contain nan")
-            object.__setattr__(self, name, track)
         limit = tol_limit(self.transversal)
         if not 0 < self.tol < limit:
             raise DomainError(f"tol must lie in (0, {limit!r}), got {self.tol!r}")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        self._record(None)
+
+    def __eq__(self, other):
+        """Equal transversals, tolerances and columns, sample for sample."""
+        if not isinstance(other, Route):
+            return NotImplemented
+        pairs = zip((self.t, self.h, self.dh), (other.t, other.h, other.dh))
+        return (self.transversal, self.tol) == (other.transversal, other.tol) and all(
+            a is b or a is not None and b is not None and np.array_equal(a, b) for a, b in pairs
+        )
+
+    def _record(self, valid: bool | None) -> None:
+        """Record whether the route is valid (None: not judged yet)."""
+        object.__setattr__(self, "_valid", valid)
 
     @property
     def n(self) -> int:
@@ -312,6 +345,8 @@ def _structure_columns(route: Route, bound: float):
     """
     t, h, tol = route.t, route.h, route.tol
     bad, low, high, interior = _classify_samples(h, bound, tol)
+    if interior.all():  # no pin and nothing beyond the band
+        return [], interior, Zones(-math.inf, math.inf)
     parts = []
     i = np.flatnonzero(bad)
     if i.size:
@@ -385,7 +420,9 @@ def validate_c0(route: Route) -> Verdict:
         )
     elif worst_two_sided is None or math.isfinite(worst_two_sided):
         notes.append("two-sided Lipschitz estimate also holds on this window")
-    return _verdict("c0", zones, worst, parts, notes)
+    verdict = _verdict("c0", zones, worst, parts, notes)
+    route._record(verdict.valid)
+    return verdict
 
 
 def _c0_inputs(route: Route):
@@ -601,7 +638,16 @@ def _pairs(tt: np.ndarray, ff: np.ndarray, L: float, i, j):
 
 
 def _is_valid(route: Route) -> bool:
-    """``validate(route).valid``, bit for bit, without the verdict.
+    """``validate(route).valid``, bit for bit, without the verdict: the
+    answer the route has recorded (see ``Route``), else ``_judge``'s,
+    which it records."""
+    if route._valid is None:
+        route._record(_judge(route))
+    return route._valid
+
+
+def _judge(route: Route) -> bool:
+    """``validate(route).valid``, bit for bit, computed afresh.
 
     On a geodesic or hypercycle it runs ``validate_c0``'s structure checks
     and ``_pair_scan``'s bounds.  A column whose bound is below
@@ -701,4 +747,6 @@ def validate_horocycle(route: Route) -> Verdict:
         "only the zero course is realizable over a horizontal transversal",
     )
     zones = Zones(-math.inf, math.inf)
-    return _verdict("horocycle", zones, float(slack.min()), parts, notes)
+    verdict = _verdict("horocycle", zones, float(slack.min()), parts, notes)
+    route._record(verdict.valid)
+    return verdict

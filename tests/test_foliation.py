@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from umbilic import (
     render_svg,
     run_disjointness_agreement,
     synthesize,
+    validate,
+    validate_c0,
     verify_disjoint,
 )
 from umbilic import foliation, leaves
@@ -585,6 +588,36 @@ class TestRandomRoutes:
     def test_horocycle_has_no_random_family(self):
         with pytest.raises(DomainError):
             random_valid_route(Transversal.horocycle(1.0))
+
+    # Each of these used to end in a numpy error or warning, or, for a
+    # negative margin, in a drawn route that fails validate_c0.
+    @pytest.mark.parametrize(
+        "draw, kwargs, name",
+        [
+            (random_valid_route, dict(n=0), "n"),
+            (perturbed_invalid_route, dict(n=0), "n"),
+            (perturbed_invalid_route, dict(n=1), "n"),
+            (random_valid_route, dict(margin=5.0), "margin"),
+            (perturbed_invalid_route, dict(margin=math.nan), "margin"),
+            (random_valid_route, dict(margin=-1.0, n=61, seed=3), "margin"),
+            (random_valid_route, dict(window=(0.0, math.inf)), "window"),
+            (perturbed_invalid_route, dict(window=(1.0, -1.0)), "window"),
+        ],
+    )
+    def test_arguments_are_checked(self, draw, kwargs, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} "):
+                draw(Transversal.geodesic(), **kwargs)
+
+    @pytest.mark.parametrize("tr", TRANSVERSALS)
+    def test_smallest_draws(self, tr):
+        # One sample for a valid draw, two for a perturbed one, and a
+        # margin just inside 1.8 L, where the slope range is nearly empty.
+        assert random_valid_route(tr, n=1).n == 1
+        assert not validate(perturbed_invalid_route(tr, n=2)[0]).valid
+        L = tr.curvature_bound
+        assert validate(random_valid_route(tr, margin=1.8 * L * (1 - 1e-9))).valid
 
 
 class TestAgreementSweep:
@@ -1600,6 +1633,36 @@ def burst_slices(draw):
     if phi is not None and draw(st.booleans()):
         slice_ = extend_slice(slice_, draw(st.integers(1, 4)))
     return slice_
+
+
+class TestCleanAudit:
+    """A family whose links all clear costs its carriers and one link
+    screen: no probe block, no kernel call, and the shared empty
+    contacts."""
+
+    @pytest.mark.parametrize("tr", TRANSVERSALS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pays_only_for_its_links(self, tr, seed, monkeypatch):
+        route = random_valid_route(tr, seed=seed)
+        assert validate_c0(route).valid
+        slice_ = synthesize(route)
+        called = collections.Counter()
+        for name in ("_blocks", "_carrier_contacts", "_screen"):
+            function = getattr(foliation, name)
+            monkeypatch.setattr(
+                foliation, name,
+                lambda *a, _f=function, _name=name, **kw: called.update([_name]) or _f(*a, **kw),
+            )
+        report = verify_disjoint(slice_)
+        assert report.clean and report.pair_count == route.n * (route.n - 1) // 2
+        assert called == {"_screen": 1}  # the link screen
+        assert report.intersecting is report.tangent is foliation._NO_CONTACTS
+        assert not report.tangent.t1.flags.writeable
+
+    def test_the_empty_report_reads_as_before(self):
+        report = verify_disjoint(synthesize(builtin_route("totally_geodesic", n=50)))
+        assert report == DisjointnessReport(True, 1225, (), ())
+        assert repr(report.intersecting) == "()" and len(report.tangent) == 0
 
 
 class TestRunProbes:

@@ -182,6 +182,23 @@ class TestProfileInverse:
             -math.tanh(1.3), abs=1e-15
         )
 
+    @given(
+        st.sampled_from([0.05, 0.5, 0.9, 1.1, math.pi / 2]),
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_array_form_matches_the_float_form(self, phi, ys):
+        # Bit for bit, signed zeros and infinities included.
+        ys = np.array(ys, dtype=float)
+        each = np.array([profile_inverse(phi, y) for y in ys.tolist()], dtype=float)
+        assert profile_inverse(phi, ys).tobytes() == each.tobytes()
+        assert all(type(profile_inverse(phi, y)) is float for y in ys.tolist())
+
 
 class TestCurvatureRate:
     def test_geodesic_specialization(self):
@@ -287,6 +304,27 @@ class TestRoute:
     def test_window(self):
         r = Route(Transversal.geodesic(), [-1.0, 0.0, 2.0], [0.0, 0.0, 0.0])
         assert (r.t[0], r.t[-1]) == (-1.0, 2.0)
+
+    def test_columns_are_read_only_copies(self):
+        # The route's verdict cannot change behind the validators' back.
+        t, h, dh = np.linspace(0.0, 1.0, 5), np.zeros(5), np.zeros(5)
+        route = Route(Transversal.geodesic(), t, h, dh=dh)
+        for name in ("t", "h", "dh"):
+            with pytest.raises(ValueError):
+                getattr(route, name)[0] = 0.5
+        t[1], h[0], dh[0] = 2.0, 0.9, 1.0
+        assert route.t.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert route.h.tolist() == route.dh.tolist() == [0.0] * 5
+
+    def test_equality_compares_values(self):
+        # Copied columns compare by value, so a replaced route equals its source.
+        route = random_valid_route(Transversal.hypercycle(0.9), n=7, seed=2)
+        assert route == replace(route) == Route(route.transversal, list(route.t), route.h)
+        assert route != replace(route, tol=1e-10)
+        assert route != replace(route, h=route.h + 1e-3)
+        assert route != replace(route, dh=np.zeros(7))
+        assert replace(route, dh=np.zeros(7)) == replace(route, dh=[0.0] * 7)
+        assert route != Route(Transversal.geodesic(), route.t, route.h)
 
 
 def geodesic_route(t, h, **kw):
@@ -773,10 +811,12 @@ class TestValidityTest:
         )
     )
     def test_matches_the_verdict(self, route):
+        # _is_valid runs first: after validate it reads the recorded answer.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            valid = _is_valid(route)
             verdict = validate(route)
-            assert _is_valid(route) is verdict.valid
+            assert valid is verdict.valid
             try:
                 synthesize(route)
             except InvalidRouteError as exc:
@@ -901,6 +941,76 @@ class TestSynthesizeWork:
             synthesize(route)
         assert repr(refused.value.verdict) == repr(verdict)
         assert sum(pairs) == 2 * searched > 0
+
+
+class TestRecordedVerdict:
+    """A route is judged once: ``validate_c0`` and ``validate_horocycle``
+    record whether it is valid, and ``_is_valid``, so ``synthesize``,
+    answers from that record."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """A counter of the calls to the validity search's inputs and pair
+        formula, and to ``validate_horocycle``."""
+        called = []
+        for name in ("_c0_inputs", "_pairs", "validate_horocycle"):
+            function = getattr(validation, name)
+            monkeypatch.setattr(
+                validation, name,
+                lambda *a, _f=function, _name=name: called.append(_name) or _f(*a),
+            )
+        return called
+
+    ROUTES = {
+        "valid": lambda: random_valid_route(Transversal.hypercycle(0.9), seed=1),
+        "tied": lambda: builtin_route("constant", Transversal.hypercycle(0.9), n=1000, c=0.5),
+        "pencil": lambda: builtin_route("pencil", n=300),
+        "invalid": lambda: perturbed_invalid_route(Transversal.geodesic(), seed=3)[0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    def test_synthesize_after_validate_c0_checks_nothing(self, name, calls):
+        route = self.ROUTES[name]()
+        verdict = validate_c0(route)
+        calls.clear()
+        assert _is_valid(route) is verdict.valid
+        synthesize(route, force=not verdict.valid)
+        assert calls == []
+
+    def test_synthesize_after_validate_horocycle_checks_nothing(self, calls):
+        route = Route(Transversal.horocycle(1.0), [0.0, 1.0, 2.0], [0.0, 5e-10, 0.0])
+        assert validate_horocycle(route).valid
+        calls.clear()
+        synthesize(route)
+        assert calls == []
+
+    def test_is_valid_records_its_answer(self, calls):
+        route = self.ROUTES["tied"]()
+        assert _is_valid(route)
+        assert calls.count("_c0_inputs") == 1
+        assert _is_valid(route) and synthesize(route).t.size == route.n
+        assert calls.count("_c0_inputs") == 1
+
+    def test_validate_c1_records_nothing(self):
+        # Valid by its supplied derivative track, invalid by its pairs.
+        t = np.linspace(-1.0, 1.0, 41)
+        route = geodesic_route(t, -np.tanh(3 * t), dh=np.zeros(41))
+        assert validate_c1(route).valid
+        assert not _is_valid(route)
+        with pytest.raises(InvalidRouteError):
+            synthesize(route)
+
+    def test_a_replaced_tolerance_is_judged_afresh(self):
+        # The worst slack is -5e-10: valid at tol 1e-9, invalid at 1e-10.
+        loose = geodesic_route([0.0, 1.0], [0.0, -math.tanh(1 + 5e-10)])
+        assert validate_c0(loose).valid
+        tight = replace(loose, tol=1e-10)
+        assert not _is_valid(tight)
+        with pytest.raises(InvalidRouteError):
+            synthesize(tight)
+        assert not validate_c0(tight).valid
+        assert _is_valid(replace(tight, tol=1e-9))
+        assert _is_valid(loose) and not _is_valid(tight)
 
 
 def _steep_burst(phi, n, m, seed):
