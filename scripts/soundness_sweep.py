@@ -18,6 +18,7 @@ from umbilic import (
     validate_c0,
     verify_disjoint,
 )
+from umbilic.validation import _judge
 
 
 def sweep_pairs(n: int, seed: int) -> bool:
@@ -36,6 +37,17 @@ def sweep_pairs(n: int, seed: int) -> bool:
     return ok
 
 
+def _searched_otherwise(route, verdict, seed: int) -> bool:
+    """Whether the validity search that ``synthesize`` trusts answers
+    otherwise than the verdict.  ``validate_c0`` records its answer on the
+    route, so ``synthesize`` searches nothing after it: the search runs
+    here, afresh."""
+    if _judge(route) is verdict.valid:
+        return False
+    print(f"  validity search disagrees with validate_c0 (seed {seed})")
+    return True
+
+
 def sweep_routes(n: int, seed: int) -> bool:
     transversals = [
         Transversal.geodesic(),
@@ -46,7 +58,9 @@ def sweep_routes(n: int, seed: int) -> bool:
     for i in range(n):
         tr = transversals[i % len(transversals)]
         route = random_valid_route(tr, seed=seed + i)
-        if not validate_c0(route).valid:
+        verdict = validate_c0(route)
+        bad += _searched_otherwise(route, verdict, seed + i)
+        if not verdict.valid:
             print(f"  valid draw failed validation (seed {seed + i})")
             bad += 1
             continue
@@ -55,7 +69,9 @@ def sweep_routes(n: int, seed: int) -> bool:
             bad += 1
 
         route, window = perturbed_invalid_route(tr, seed=seed + i)
-        if validate_c0(route).valid:
+        verdict = validate_c0(route)
+        bad += _searched_otherwise(route, verdict, seed + i)
+        if verdict.valid:
             print(f"  perturbed draw passed validation (seed {seed + i})")
             bad += 1
             continue

@@ -427,7 +427,8 @@ def verify_disjoint(slice_: FoliationSlice) -> DisjointnessReport:
 
 
 def _pair_columns(columns, i, j, k) -> list[np.ndarray]:
-    """The carrier columns of leaves i, then of leaves j, at the scale
+    """The carrier columns of leaves i, then of leaves j (index arrays,
+    or slices, which give views), at the scale
     2**-k[i] of each pair's lower leaf.  ``columns`` hold each row at its
     own scale 2**-k (see ``_slice_carriers``), so leaf j is scaled by
     2**(k[j] - k[i]), which is exact: all but a line's direction
@@ -448,13 +449,9 @@ def _cleared_links(transversal: Transversal, columns, k) -> np.ndarray:
     alone, each row at its own scale 2**-k (see ``_pair_columns``), so a
     line (nan radius) keeps its links open.
     """
-    e = k[1:] - k[:-1]
     if transversal.kind == TransversalKind.HOROCYCLE:
-        return np.zeros(e.size, dtype=bool)
-    # _pair_columns on the links (l, l + 1), as views of the columns.
-    with np.errstate(over="ignore"):
-        upper = [np.ldexp(c[1:], e) for c in columns]
-    return _screen(*(c[:-1] for c in columns), *upper, boundary=0.0)[0]
+        return np.zeros(k.size - 1, dtype=bool)
+    return _screen(*_pair_columns(columns, np.s_[:-1], np.s_[1:], k), boundary=0.0)[0]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -123,7 +123,7 @@ def _check_phi(phi: float) -> float:
     return math.sin(phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Route:
     """Sampled curvature course along a transversal.
 
@@ -134,11 +134,12 @@ class Route:
     rejected here, so diagnostic routes stay representable.
 
     A route is a value: its columns are read-only copies of the arguments,
-    so its verdict cannot change after it is built, and routes compare
-    equal by their columns' values.  ``validate_c0`` and
-    ``validate_horocycle`` record whether it is valid, and ``_is_valid``
-    answers from that record, so a route is judged once.  A route built
-    by ``dataclasses.replace`` starts with nothing recorded.
+    so its verdict cannot change after it is built.  Routes compare and
+    hash by identity.  ``validate_c0`` and ``validate_horocycle`` record
+    whether it is valid, and ``_is_valid`` answers from that record, so a
+    route is judged once.  A route built by ``dataclasses.replace``,
+    ``copy`` or ``pickle`` goes through the constructor again and starts
+    with nothing recorded.
     """
 
     transversal: Transversal
@@ -171,14 +172,9 @@ class Route:
             object.__setattr__(self, name, column)
         self._record(None)
 
-    def __eq__(self, other):
-        """Equal transversals, tolerances and columns, sample for sample."""
-        if not isinstance(other, Route):
-            return NotImplemented
-        pairs = zip((self.t, self.h, self.dh), (other.t, other.h, other.dh))
-        return (self.transversal, self.tol) == (other.transversal, other.tol) and all(
-            a is b or a is not None and b is not None and np.array_equal(a, b) for a, b in pairs
-        )
+    def __reduce__(self):
+        """Copies and pickles are built again, with nothing recorded."""
+        return Route, (self.transversal, self.t, self.h, self.dh, self.tol)
 
     def _record(self, valid: bool | None) -> None:
         """Record whether the route is valid (None: not judged yet)."""
