@@ -19,8 +19,10 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .routes_io import (
     dumps_document,
     dumps_json,
     load_route,
-    row_template,
     template_rows,
     validate_document,
 )
@@ -81,70 +82,93 @@ def _json_num(x: float) -> str:
     return "null" if num is None else repr(num) if type(num) is float else json.dumps(num)
 
 
+def _number_texts(x: np.ndarray) -> list[str]:
+    """``_json_num`` of each value of the float array ``x``: one conversion
+    a value, ``%.12g`` where ``_plain`` holds."""
+    values = x.tolist()
+    texts = list(map(float.__format__, values, repeat(".12g")))
+    for i in np.flatnonzero(~_plain(x)).tolist():
+        texts[i] = _json_num(values[i])
+    return texts
+
+
 #: The time columns of a pair table (``Violations``, ``PairContacts``):
 #: sample or leaf times, so a long table repeats a few values many times.
 _TIMES = ("t1", "t2")
 
 
-def _time_texts(column: np.ndarray) -> np.ndarray:
-    """``_json_num`` of each value of ``column``, computed once per distinct
-    bit pattern, so 0.0 and -0.0 (and nans of any payload) each get their
-    own text; a plain value (see ``_plain``) is written by ``%.12g``."""
-    bits, where = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(float)
-    texts = [
-        "%.12g" % x if plain else _json_num(x)
-        for x, plain in zip(values.tolist(), _plain(values).tolist())
-    ]
-    return np.array(texts, dtype=object)[where]
+def _time_texts(*columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The texts of the distinct values of ``columns``, and each column's
+    indices into them.  A value is distinct by its bit pattern, so 0.0 and
+    -0.0 (and nans of any payload) each get their own text, and each text
+    is written once, by ``_number_texts``."""
+    bits, where = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
+    texts = np.array(_number_texts(bits.view(float)), dtype=object)
+    return texts, np.split(where, len(columns))
+
+
+#: How ``json.dumps(indent=2)`` opens an item of a top-level list, ends its
+#: fields and items but the last, and closes it.
+_OPEN, _SEP, _CLOSE = "    {\n", ",\n", "\n    }"
 
 
 def _report_items(items, table) -> list[str]:
-    """The report's list items for ``items``, one template call per row.
+    """The pieces of the report's list body for ``items``, for
+    ``dumps_json`` to join once.
 
     ``items`` is a row table of class ``table`` (``Violations``,
     ``PairContacts``) or a sequence of its rows, whose kinds may be any
-    text; each row is written in the order of the table's fields.  The
-    times t1 and t2 are written by ``_num``'s rule once per distinct bit
-    pattern (``_time_texts``) and gathered.  A row whose other numbers
-    are all plain (see ``_plain``) takes one template, with ``%.12g`` for
-    each of them; the numbers of the other rows (a nan, written ``null``,
-    among them) are written one by one by ``_num``'s rule.  The kind is
-    written as a JSON string.  So k rows with d distinct times cost
-    O(k log k) numpy, d number writes and one template call per row."""
+    text; rows become columns first.  Each row is written in the order of
+    the table's fields.  Each distinct kind gets one JSON string, and each
+    distinct t1 or t2 one text (``_time_texts``); the field labels and the
+    item's braces and commas are folded into those texts, the item's
+    opening into the first field's.  Every other number gets one text a
+    row (``_number_texts``).  The pieces are a rows x pieces grid read row
+    by row.  So k rows with d distinct times cost O(k log k) numpy, d + k
+    number writes for a verdict (d + 2k for an audit), and one join."""
     if not len(items):
         return []
     fields = table.__slots__
     if isinstance(items, table):
-        columns = dict(zip(fields, items.columns))
-        kinds = np.array(list(map(json.dumps, table._kinds)), dtype=object)
-        columns["kind"] = kinds[columns["kind"]]
+        columns, kinds = dict(zip(fields, items.columns)), table._kinds
     else:
         rows = tuple(items)
-        columns = {name: np.array([getattr(r, name) for r in rows], dtype=float)
-                   for name in fields if name != "kind"}
-        columns["kind"] = np.array([json.dumps(r.kind) for r in rows], dtype=object)
-    for name in _TIMES:
-        columns[name] = _time_texts(columns[name])
-    numbers = [name for name in fields if name not in ("kind", *_TIMES)]
-    plain = np.all([_plain(columns[name]) for name in numbers], axis=0)
-    template = row_template(fields)
-    specs = tuple("%.12g" if f in numbers else "%s" for f in fields)
-    rest = np.flatnonzero(~plain)
-    texts = [
-        np.array(list(map(_json_num, columns[f][rest].tolist())), dtype=object)
-        if f in numbers else columns[f][rest]
-        for f in fields
-    ]
-    groups = [
-        (np.flatnonzero(plain), template % specs, [columns[f][plain] for f in fields]),
-        (rest, template, texts),
-    ]
-    return template_rows(plain.size, groups)
+        columns = {
+            name: np.array([getattr(r, name) for r in rows], dtype=object if name == "kind" else float)
+            for name in fields
+        }
+        kinds, columns["kind"] = np.unique(columns["kind"], return_inverse=True)
+    times, where = _time_texts(*(columns[name] for name in _TIMES))
+    distinct = {name: (times, codes) for name, codes in zip(_TIMES, where)}
+    distinct["kind"] = (np.array(list(map(json.dumps, kinds)), dtype=object), columns["kind"])
+    # [texts, codes]: the column of pieces texts[codes], or texts (one text,
+    # or one a row) where codes is None.
+    pieces = []
+
+    def put(text):  # onto the texts of a distinct column just before, or alone
+        if pieces and pieces[-1][1] is not None:
+            pieces[-1][0] = pieces[-1][0] + text
+        else:
+            pieces.append([text, None])
+
+    for k, name in enumerate(fields):
+        text = f"{_SEP if k else _OPEN}      {json.dumps(name)}: "
+        if name in distinct:
+            texts, codes = distinct[name]
+            pieces.append([text + texts, codes])
+        else:
+            put(text)
+            pieces.append([_number_texts(columns[name]), None])
+    put(_CLOSE + _SEP)
+    grid = np.empty((columns["kind"].size, len(pieces)), dtype=object)
+    for j, (texts, codes) in enumerate(pieces):
+        grid[:, j] = texts if codes is None else texts[codes]
+    grid[-1, -1] = grid[-1, -1][: -len(_SEP)]  # no comma after the last item
+    return grid.ravel().tolist()
 
 
 def _verdict_report(verdict) -> str:
-    """The verdict as report text, one template call per violation."""
+    """The verdict as report text; its violations as ``_report_items``."""
     head = {
         "schema": REPORT_SCHEMA,
         "report": "verdict",
@@ -162,7 +186,7 @@ def _verdict_report(verdict) -> str:
 
 
 def _audit_report(report) -> str:
-    """The audit as report text, one template call per flagged pair."""
+    """The audit as report text; its flagged pairs as ``_report_items``."""
     head = {
         "schema": REPORT_SCHEMA,
         "report": "audit",
@@ -183,6 +207,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that starts with a negative number, such as the viewport
+        # -3,3,3,800,400, is a value: no option here starts with a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would sys.exit(2); we want 1
         raise _UsageError(message)
 

@@ -365,19 +365,20 @@ def row_template(fields: Iterable[str]) -> str:
     return "    {\n" + lines + "\n    }"
 
 
-def dumps_json(doc: dict, **rows: Iterable[str]) -> str:
+def dumps_json(doc: dict, **bodies: Iterable[str]) -> str:
     """``json.dumps(doc, indent=2)``, with each top-level list named in
-    ``rows`` given as the texts of its items: item k of ``doc[key]`` is
-    ``rows[key][k]``, and ``doc[key]`` itself only holds the key's place
-    (its value is ignored).
+    ``bodies`` given as the pieces of its text: ``"".join(bodies[key])`` is
+    what ``json`` writes for the list's items, each opening at four spaces'
+    indent, with ``",\\n"`` between them.  ``doc[key]`` itself only holds
+    the key's place (its value is ignored).
 
-    The head is written by ``json.dumps``; each list's texts are then
-    spliced in at its key.  So writing is O(rows), and the text is
-    byte-identical whenever each item's text is the one ``json`` writes
-    for it at that depth."""
-    text = json.dumps({**doc, **dict.fromkeys(rows, [])}, indent=2)
-    for key, items in rows.items():
-        body = ",\n".join(items)
+    The head is written by ``json.dumps``; each body is joined once and
+    spliced in at its key.  So writing is O(size of the text), and the
+    text is byte-identical whenever each body is the one ``json`` writes
+    at that depth."""
+    text = json.dumps({**doc, **dict.fromkeys(bodies, [])}, indent=2)
+    for key, pieces in bodies.items():
+        body = "".join(pieces)
         if body:
             # Only top-level keys start a line with two spaces, and json
             # escapes every newline inside a string, so the key is found once.
@@ -414,7 +415,8 @@ def dumps_document(doc: dict) -> str:
 
     A ``samples`` list of finite floats under the canonical keys is written
     one template call per sample, since ``json`` writes a finite float as
-    its ``repr``; any other document is written by ``json.dumps`` alone."""
+    its ``repr``, and its rows are joined here; any other document is
+    written by ``json.dumps`` alone."""
     samples = doc.get("samples")
     template = None
     if type(samples) is list and samples and set(map(type, samples)) == {dict}:
@@ -423,7 +425,7 @@ def dumps_document(doc: dict) -> str:
     if template is not None:
         rows = list(map(tuple, map(dict.values, samples)))
         if set(map(type, chain.from_iterable(rows))) == {float} and np.isfinite(rows).all():
-            return dumps_json(doc, samples=map(template.__mod__, rows)) + "\n"
+            return dumps_json(doc, samples=[",\n".join(map(template.__mod__, rows))]) + "\n"
     return dumps_json(doc) + "\n"
 
 

@@ -1,13 +1,18 @@
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from umbilic import Transversal, dumps_document, perturbed_invalid_route, route_to_document
 from umbilic import cli
 from umbilic.cli import _build_parser, main
-from umbilic.foliation import AgreementStats
+from umbilic.foliation import BUILTIN_FAMILIES, AgreementStats
 
 
 @pytest.fixture
@@ -209,6 +214,16 @@ class TestRender:
         assert code == 0
         svg = (tmp_path / "fig.svg").read_text(encoding="utf-8")
         assert 'width="400" height="200"' in svg
+
+    def test_viewport_as_a_separate_value(self, route_file, tmp_path, capsys):
+        # README's form: a value after --viewport may start with a minus.
+        svgs = []
+        for k, argv in enumerate((["--viewport", "-3,3,3,800,400"], ["--viewport=-3,3,3,800,400"])):
+            out_path = tmp_path / f"fig{k}.svg"
+            code, _, err = run(capsys, ["render", route_file(PENCIL), "--out", str(out_path), *argv])
+            assert (code, err) == (0, "")
+            svgs.append(out_path.read_text(encoding="utf-8"))
+        assert svgs[0] == svgs[1] and 'width="800" height="400"' in svgs[0]
 
     def test_viewport_with_infinite_scale_is_rejected(self, route_file, tmp_path, capsys):
         out_path = tmp_path / "fig.svg"
@@ -869,3 +884,85 @@ class TestRefusalsStayShort:
         doc = {"transversal": {"kind": "geodesic"}, "samples": [{"t": "1", "h": 0.0}]}
         _, _, err = run(capsys, ["validate", route_file(doc)])
         assert err == "umbilic: route file invalid: samples[0].t: expected a number, got '1'\n"
+
+
+#: Edge pools of the subcommand fuzzer: t near where e^|t| overflows and
+#: near the float range, with the least spacings; h at the curvature bound
+#: and far past it; phi near 0 and pi/2; horocycle heights over the float
+#: range; tolerances at their limits.
+FUZZ_T = [709.78, -709.78, 710.63, 1e308, -1e308, 1.7e308, 0.0, 5e-324, 1.0]
+FUZZ_H = [1 + 1e-12, 1 - 1e-12, -1 - 1e-12, -1 + 1e-12, 1e300, -1e300, 0.0, 0.5]
+FUZZ_PHI = [5e-324, 1e-300, 1e-12, math.pi / 2 - 1e-12, math.nextafter(math.pi / 2, 0.0), 0.9]
+FUZZ_HEIGHT = [1e-300, 1e-12, 1.0, 1e300, 1.7e308]
+FUZZ_TOL = [5e-324, 1e-300, 1e-9, 0.5, math.nextafter(1.0, 0.0), 1.0, 1e300]
+FUZZ_COMMANDS = (
+    ["validate"], ["validate", "--c1"], ["leaves"], ["audit", "--force"],
+    ["render", "--force", "--extend", "2"], ["render"],
+)
+
+
+@st.composite
+def fuzz_documents(draw):
+    kind = draw(st.sampled_from(["geodesic", "hypercycle", "horocycle"]))
+    doc = {"transversal": {"kind": kind}}
+    if kind == "hypercycle":
+        doc["transversal"]["phi"] = draw(st.sampled_from(FUZZ_PHI))
+    elif kind == "horocycle":
+        doc["transversal"]["height"] = draw(st.sampled_from(FUZZ_HEIGHT))
+    if draw(st.booleans()):
+        doc["closed_form"] = {"name": draw(st.sampled_from(sorted(BUILTIN_FAMILIES)))}
+        if draw(st.booleans()):
+            doc["closed_form"]["params"] = {"c": draw(st.sampled_from(FUZZ_H))}
+        t0 = draw(st.sampled_from(FUZZ_T))
+        doc["window"] = [t0, t0 + draw(st.sampled_from([1e-300, 1.0, 100.0, 1e308]))]
+        doc["n"] = draw(st.integers(2, 50))
+    else:
+        t = draw(st.sampled_from(FUZZ_T))
+        samples = []
+        for _ in range(draw(st.integers(1, 6))):
+            samples.append({"t": t, "h": draw(st.sampled_from(FUZZ_H))})
+            t = draw(st.sampled_from([math.nextafter(t, math.inf), t + 1.0, t * 2 + 1.0]))
+        doc["samples"] = samples
+    if draw(st.booleans()):
+        doc["tol"] = draw(st.sampled_from(FUZZ_TOL))
+    return doc
+
+
+class TestFuzzSubcommands:
+    """Every subcommand on edge documents: it exits 0, 1 or 2, an exit 1
+    prints one ``umbilic:`` line, and no exception or warning escapes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(fuzz_documents())
+    @example({"transversal": {"kind": "geodesic"}, "samples": [{"t": 710.63, "h": 0.0}]})
+    @example({"transversal": {"kind": "geodesic"},
+              "samples": [{"t": 1.7e308, "h": 0.0}, {"t": 1.75e308, "h": 0.0}]})
+    @example({"transversal": {"kind": "geodesic"},
+              "samples": [{"t": 0.0, "h": 1 + 1e-12}, {"t": 5e-324, "h": -1 + 1e-12}]})
+    @example({"transversal": {"kind": "hypercycle", "phi": 1e-300},
+              "samples": [{"t": 0.0, "h": 0.0}, {"t": 1.0, "h": 1e300}], "tol": 5e-324})
+    @example({"transversal": {"kind": "hypercycle", "phi": math.nextafter(math.pi / 2, 0.0)},
+              "closed_form": {"name": "pencil"}, "window": [-709.78, -708.78], "n": 50})
+    @example({"transversal": {"kind": "horocycle", "height": 1e-300},
+              "samples": [{"t": 0.0, "h": 0.0}, {"t": 1.0, "h": -1e300}]})
+    @example({"transversal": {"kind": "horocycle", "height": 1.7e308},
+              "samples": [{"t": -1e308, "h": 0.5}, {"t": 1e308, "h": 0.0}], "tol": 1e300})
+    @example({"transversal": {"kind": "geodesic"}, "closed_form": {"name": "constant"},
+              "window": [709.78, 709.78 + 1e-300], "n": 2, "tol": math.nextafter(1.0, 0.0)})
+    def test_exit_codes(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "route.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for command in FUZZ_COMMANDS:
+                argv = [*command, path]
+                if command[0] == "render":
+                    argv += ["--out", os.path.join(tmp, "fig.svg")]
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, code)
+                if code == 1:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("umbilic: "), (argv, lines)

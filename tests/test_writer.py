@@ -1,8 +1,10 @@
 """The JSON writer and the column-wise sample check against their references.
 
 Reports are written by ``umbilic.cli`` and documents by
-``routes_io.dumps_document``, both through ``routes_io.dumps_json`` with
-one row template per list item.  Their text must equal
+``routes_io.dumps_document``, both through ``routes_io.dumps_json``,
+which joins each long list once: a report's list from one text per
+distinct time and kind and one per other number (``TestWriterWork``
+counts them), a document's samples from one row template per sample.  Their text must equal
 ``json.dumps(reference, indent=2)``, where the reference is the dict the
 report stands for, built as below: these builders are the ones the CLI
 printed through ``json.dumps`` before it had a writer.
@@ -22,12 +24,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from itertools import zip_longest
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from umbilic import routes_io
+from umbilic import Transversal, cli, routes_io, validation
 from umbilic.cli import REPORT_SCHEMA, _audit_report, _verdict_report
 from umbilic.errors import RouteParseError
 from umbilic.foliation import DisjointnessReport, PairContact, PairContacts
@@ -435,3 +439,52 @@ class TestLoadsRoute:
         for got, want in ((route.t, t), (route.h, h), (route.dh, dh)):
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+
+def steep_route(n=1000, start=500, m=100, seed=1008):
+    """A route over the hypercycle phi = 0.9 drawn in profile coordinates,
+    with slopes past the rate bound over the m steps from sample ``start``
+    (long-route's steep document at seed 1): its verdict lists 15 160 rows
+    over a few hundred distinct times at n = 1 000."""
+    tr = Transversal.hypercycle(0.9)
+    rate = tr.curvature_bound
+    rng = np.random.default_rng(seed)
+    t = np.linspace(-4.0, 4.0, n)
+    slopes = rng.uniform(-0.8 * rate, rate - 1e-3, n - 1)
+    slopes[start:start + m] = rate + 0.5
+    g = np.concatenate(([0.0], np.cumsum(slopes * np.diff(t)))) + rng.uniform(-1, 1)
+    return validation.Route(tr, t, validation.profile_inverse(0.9, g))
+
+
+class TestWriterWork:
+    """A verdict table is written as one text per distinct time and kind,
+    one text a row for each other number, and one join."""
+
+    def test_steep_verdict(self, monkeypatch):
+        verdict = validation.validate(steep_route())
+        table = verdict.violations
+        written = []
+        number_texts = cli._number_texts
+
+        def counted(x):
+            written.append(x.size)
+            return number_texts(x)
+
+        monkeypatch.setattr(cli, "_number_texts", counted)
+        joins = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__qualname__", "") == "str.join":
+                if frame.f_code.co_filename.startswith(os.path.dirname(cli.__file__)):
+                    joins.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            text = _verdict_report(verdict)
+        finally:
+            sys.setprofile(None)
+        times = np.unique(np.concatenate((table.t1, table.t2)).view(np.int64)).size
+        assert len(table) == 15160 and times < 400
+        assert written == [times, len(table)]
+        assert joins == ["dumps_json"]
+        assert first_difference(text, json.dumps(reference_verdict_report(verdict), indent=2)) is None
