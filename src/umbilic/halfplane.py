@@ -67,8 +67,8 @@ class Transversal:
       ``t -> e^(t sin phi) (cos phi, sin phi)``, with phi in (0, pi/2).
       Its points keep constant distance atanh(cos phi) from the vertical axis.
     * ``horocycle(a)``    -- the horizontal line ``t -> (t, a)`` at height
-      a > 0.  Note this chart is unit-speed only at a = 1; the geodesic
-      and hypercycle charts are unit-speed everywhere.
+      a > 0, which must be finite.  Note this chart is unit-speed only at
+      a = 1; the geodesic and hypercycle charts are unit-speed everywhere.
     """
 
     kind: TransversalKind
@@ -81,9 +81,9 @@ class Transversal:
             if self.height is not None:
                 raise DomainError("height applies to horocycles only")
         elif self.kind == TransversalKind.HOROCYCLE:
-            if self.height is None or not self.height > 0:
+            if self.height is None or not 0 < self.height < math.inf:
                 raise DomainError(
-                    f"horocycle height must be positive, got {self.height!r}"
+                    f"horocycle height must be positive and finite, got {self.height!r}"
                 )
             if self.phi is not None:
                 raise DomainError("phi applies to hypercycles only")

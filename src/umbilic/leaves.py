@@ -414,7 +414,7 @@ def _math_map(f, *xs):
 
 def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) -> bool:
     """Whether the axis-orthogonal leaves (s1, beta1) and (s2, beta2) with
-    0 < s1 < s2 avoid each other in the open half-plane.
+    0 < s1 < s2 < inf avoid each other in the open half-plane.
 
     Decided by comparing right ideal endpoints: disjoint iff
     ``s1 tan(beta1/2) <= s2 tan(beta2/2)``, equivalently
@@ -424,7 +424,7 @@ def disjoint_along_geodesic(s1: float, beta1: float, s2: float, beta2: float) ->
     horospheres at the origin (beta1 = beta2 = 0) touch only at the
     boundary and count as disjoint.
     """
-    if not 0.0 < s1 < s2:
+    if not 0.0 < s1 < s2 < math.inf:
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     _check_beta(beta1)
     _check_beta(beta2)
@@ -448,7 +448,7 @@ def disjoint_along_hypercycle(
     phi: float, s1: float, beta1: float, s2: float, beta2: float
 ) -> bool:
     """Whether two leaves orthogonal to the phi-ray, crossing it at
-    0 < s1 < s2 with admissible angles beta1, beta2, avoid each other.
+    0 < s1 < s2 < inf with admissible angles beta1, beta2, avoid each other.
 
     Decided by comparing left ideal endpoints: disjoint iff
     ``a2- <= a1-`` where ``a- = s cos(phi + beta) / (sin phi + cos beta)``.
@@ -457,7 +457,7 @@ def disjoint_along_hypercycle(
     leaf is always clear of it.
     """
     _check_ray_angle(phi)
-    if not 0.0 < s1 < s2:
+    if not 0.0 < s1 < s2 < math.inf:
         raise DomainError(f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}")
     sphi = math.sin(phi)
     cbeta1, cbeta2 = _admissible_cos(phi, sphi, beta1), _admissible_cos(phi, sphi, beta2)

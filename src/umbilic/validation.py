@@ -105,7 +105,7 @@ def min_curvature_rate(phi: float, h):
     array; the result has the same shape.
     """
     b = _check_phi(phi)
-    worst = float(np.max(np.abs(h)))
+    worst = float(np.max(np.abs(h), initial=0.0))
     if _beyond_bound(worst, b):
         raise DomainError(f"|h| must not exceed sin(phi)={b!r}, got |h|={worst!r}")
     hc = np.clip(h, -b, b)
@@ -475,24 +475,34 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     ways of rounding differ by at most eps (6A + 4B) with A = L max|t|
     and B = max|F| (plus underflow, which ``tiny`` covers), well inside
     ``guard``.  So a column whose bound is at least ``guard - tol`` holds
-    no pair below -tol.  Only the columns whose bound comes within the
-    guard of -tol can hold a violation, and only those within twice the
-    guard of the best column can hold the minimum.  By the same argument
-    only their rows i with g_i <= g_j + c can, c the larger of
-    ``guard - tol`` and the best bound plus twice the guard: the
-    candidates (the threshold's own rounding, at most eps (A + B), stays
-    inside the guard's margin).  ``_candidates`` finds them, and the
-    pairwise formula is evaluated on them alone, so every float matches
-    evaluating all n^2 / 2 pairs.  The two-sided minimum is only searched
-    for when some column could fail it: with a finite guard every F is
-    finite, and if every two-sided bound clears ``guard - tol`` the
-    estimate holds, which is all its note says.  Otherwise its candidates
-    are the rows within twice the guard of its best bound.  An infinite F
-    makes the guard infinite and some bounds nan; then every flagged
-    column is recomputed whole, a one-sided column whose bound is +inf
-    listing nothing since each of its slacks is +inf too.  The two-sided
-    search skips a pair whose slack is nan (inf - inf) one pair at a time,
-    as the pairwise definition does.
+    no pair below -tol, a column more than twice the guard above the best
+    bound cannot hold the minimum, and in the columns left only the rows
+    i with g_i <= g_j + c can hold a slack below a threshold c that has
+    the guard added: the candidates (the threshold's own rounding, at
+    most eps (A + B), stays inside the guard's margin).  Each search
+    walks ``_pair_chunks`` over its columns and c, and evaluates the
+    pairwise formula on those chunks alone, so every float matches
+    evaluating all n^2 / 2 pairs:
+
+    * the one-sided search, over the columns that can fail or hold the
+      minimum, with c the larger of ``guard - tol`` and the best bound
+      plus twice the guard, folds each chunk's minimum into the worst
+      slack and lists the slacks below -tol;
+    * the two-sided search, over the columns within twice the guard of
+      its best bound, with c that bound plus twice the guard, keeps the
+      first minimum.
+      It runs only when some column could fail: with a finite guard
+      every F is finite, and if every two-sided bound clears
+      ``guard - tol`` the estimate holds, which is all its note says;
+    * ``_judge``, over the columns that can fail, with c = guard - tol,
+      stops at the first slack below -tol.
+
+    An infinite F makes the guard infinite and some bounds nan; then c is
+    not finite and every column is evaluated whole.  A one-sided column
+    whose bound is +inf lists nothing, since each of its slacks is +inf
+    too.  A slack that is nan (inf - inf) is skipped one pair at a time,
+    as the pairwise definition does: the worst slack's fold keeps its
+    value at a nan minimum, and the two-sided search skips the nans.
 
     Cost: O((n + candidates) log n), see ``_candidates``; a column
     whose every row is a candidate is evaluated whole, which its
@@ -501,58 +511,40 @@ def _pair_scan(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     if tt.size < 2:
         return [], math.inf, math.inf, None
     guard, g, low, fail = _one_sided_bounds(tt, ff, L, tol)
-    _, g2, low2, fail2 = _one_sided_bounds(tt, -ff, L, tol)
-    least = low.min()
-    one = fail | (low <= least + 2 * guard)
-    holds = math.isfinite(guard) and not fail2.any()
-    two = np.zeros_like(one) if holds else ~(low2 > low2.min() + 2 * guard)
+    top = low.min() + 2 * guard
     worst = math.inf
+    found = []
+    for i, j in _pair_chunks(g, fail | (low <= top), max(top, guard - tol)):
+        rise, df = _pairs(tt, ff, L, i, j)
+        slack = np.subtract(rise, df, out=rise)
+        least = float(slack.min())
+        worst = min(worst, least)
+        if not least >= -tol:  # a nan minimum too: list what is below -tol
+            k = np.flatnonzero(slack < -tol)
+            if k.size:
+                found.append((*_pair_at(i, j, k), slack[k]))
+    pairs = []
+    if found:
+        i, j, s = (np.concatenate(x) for x in zip(*found))
+        pairs.append(_part(_PAIR, tt[i], tt[j], s))
+    _, g2, low2, fail2 = _one_sided_bounds(tt, -ff, L, tol)
+    if math.isfinite(guard) and not fail2.any():
+        return pairs, worst, None, None
     best = (math.inf, 0, 0)
-    rows, cols, slacks = [], [], []
-    if math.isfinite(guard):
-        (i, j), one = _candidates(g, one, max(least + 2 * guard, guard - tol))
-        if i.size:
-            rise, df = _pairs(tt, ff, L, i, j)
-            slack = np.subtract(rise, df, out=rise)
-            worst = float(slack.min())
-            bad = slack < -tol
-            if bad.any():
-                rows.append(i[bad])
-                cols.append(j[bad])
-                slacks.append(slack[bad])
-        (i, j), two = _candidates(g2, two, low2.min() + 2 * guard)
-        if i.size:
+    top = low2.min() + 2 * guard
+    for i, j in _pair_chunks(g2, ~(low2 > top), top):
+        if not isinstance(i, slice):
             order = np.lexsort((j, i))  # argmin then picks the first pair
             i, j = i[order], j[order]
-            rise, df = _pairs(tt, ff, L, i, j)
-            other = rise + df
-            k = int(other.argmin())
-            best = (float(other[k]), int(i[k]), int(j[k]))
-    for j in np.flatnonzero(one | two) + 1:
-        rise, df = _pairs(tt, ff, L, slice(j), j)
-        if two[j - 1]:
-            other = rise + df
-            i = int(other.argmin())
-            if other[i] != other[i]:  # argmin picks a nan first: skip the nans
-                kept = np.flatnonzero(other == other)
-                i = int(kept[other[kept].argmin()]) if kept.size else None
-            if i is not None:
-                best = min(best, (float(other[i]), i, int(j)))
-        if one[j - 1]:
-            slack = np.subtract(rise, df, out=rise)
-            worst = min(worst, float(slack.min()))
-            if fail[j - 1]:
-                i = np.flatnonzero(slack < -tol)
-                if i.size:
-                    rows.append(i)
-                    cols.append(np.full(i.size, j))
-                    slacks.append(slack[i])
-    pairs = []
-    if rows:
-        i, j, s = (np.concatenate(x) for x in (rows, cols, slacks))
-        pairs.append(_part(_PAIR, tt[i], tt[j], s))
-    if holds:
-        return pairs, worst, None, None
+        rise, df = _pairs(tt, ff, L, i, j)
+        other = np.add(rise, df, out=rise)
+        k = int(other.argmin())
+        if other[k] != other[k]:  # argmin picks a nan first: skip the nans
+            kept = np.flatnonzero(other == other)
+            if not kept.size:
+                continue
+            k = int(kept[other[kept].argmin()])
+        best = min(best, (float(other[k]), *map(int, _pair_at(i, j, k))))
     worst_two_sided, a, b = best
     return pairs, worst, worst_two_sided, (float(tt[a]), float(tt[b]))
 
@@ -569,6 +561,28 @@ def _one_sided_bounds(tt: np.ndarray, ff: np.ndarray, L: float, tol: float):
     low = np.minimum.accumulate(g)[:-1] - g[1:]
     # ~(low >= ...) keeps a column whose bound is nan, which only a nan F makes.
     return guard, g, low, ~(low >= guard - tol)
+
+
+def _pair_chunks(g: np.ndarray, cols: np.ndarray, c: float):
+    """The pairs of ``_pair_scan``'s searches in chunks (i, j): the
+    candidates of the columns in the mask ``cols`` under threshold c (see
+    ``_candidates``) as one chunk of index arrays, if there are any, then
+    each column left to the loop whole, as ``(slice(j), j)``.  A threshold
+    that is not finite, from an infinite guard, sends every column whole."""
+    if math.isfinite(c):
+        (i, j), cols = _candidates(g, cols, c)
+        if i.size:
+            yield i, j
+    for j in (np.flatnonzero(cols) + 1).tolist():
+        yield slice(j), j
+
+
+def _pair_at(i, j, k):
+    """The rows and columns at positions k of a chunk (i, j) of
+    ``_pair_chunks``."""
+    if isinstance(i, slice):
+        return k, np.full(np.shape(k), j)
+    return i[k], j[k]
 
 
 _NO_PAIRS = (np.empty(0, np.intp), np.empty(0, np.intp))
@@ -652,13 +666,11 @@ def _judge(route: Route) -> bool:
     minimum, and by ``_pair_scan``'s rounding argument the pairwise
     formula's slack of (i, j) differs from it by at most eps (6A + 4B),
     inside the guard, so that pair's slack is below -tol.  Otherwise it
-    evaluates only pairs that can fail, in the columns whose bound can
-    (``fail``), returning at the first slack below -tol: their
-    candidates below ``guard - tol`` in one evaluation, then the columns
-    ``_candidates`` leaves to the loop, few or with every row a
-    candidate, one whole column at a time.  So it costs O(n) on a valid
-    route unless some of its pairs come within the rounding guard of
-    -tol, also where the columns tie and ``validate_c0`` searches them
+    walks ``_pair_chunks`` over the columns whose bound can fail
+    (``fail``) with the threshold ``guard - tol``, see ``_pair_scan``,
+    and returns at the first slack below -tol.  So it costs O(n) on a
+    valid route unless some of its pairs come within the rounding guard
+    of -tol, also where the columns tie and ``validate_c0`` searches them
     for the worst slack, O(n) on a route that a bound proves invalid, and
     O((n + candidates) log n) at most.  A horocycle route's verdict is
     O(n) and is taken whole.
@@ -668,20 +680,14 @@ def _judge(route: Route) -> bool:
     parts, _, tt, ff, bound = _c0_inputs(route)
     if parts or tt.size < 2:
         return not parts
-
-    def fails(i, j) -> bool:
-        rise, df = _pairs(tt, ff, bound, i, j)
-        return bool((rise - df < -route.tol).any())
-
     with np.errstate(invalid="ignore"):
         guard, g, low, fail = _one_sided_bounds(tt, ff, bound, route.tol)
         if (low < -route.tol - guard).any():  # False on a nan bound or an infinite guard
             return False
-        if math.isfinite(guard):
-            found, fail = _candidates(g, fail, guard - route.tol)
-            if found[0].size and fails(*found):
-                return False
-        return not any(fails(slice(j), j) for j in np.flatnonzero(fail) + 1)
+        return not any(
+            (np.subtract(*_pairs(tt, ff, bound, i, j)) < -route.tol).any()
+            for i, j in _pair_chunks(g, fail, guard - route.tol)
+        )
 
 
 def validate_c1(route: Route) -> Verdict:

@@ -118,6 +118,12 @@ class TestTransversal:
         with pytest.raises(DomainError):
             Transversal(Transversal.geodesic().kind, phi=0.3)
 
+    @pytest.mark.parametrize("height", [math.inf, math.nan])
+    def test_horocycle_height_must_be_finite(self, height):
+        # The document schema refuses these heights too, at transversal.height.
+        with pytest.raises(DomainError, match="horocycle height must be positive and finite"):
+            Transversal.horocycle(height)
+
     @pytest.mark.parametrize(
         "kind, message",
         [

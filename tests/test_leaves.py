@@ -311,6 +311,13 @@ class TestDisjointGeodesic:
         with pytest.raises(DomainError):
             disjoint_along_geodesic(2.0, 1.0, 1.0, 1.0)
 
+    def test_needs_finite_crossings(self):
+        # The leaf at s = inf cannot be built, so no predicate answers for it.
+        with pytest.raises(DomainError, match="need 0 < s1 < s2, got s1=1.0, s2=inf"):
+            disjoint_along_geodesic(1.0, 1.0, math.inf, 1.0)
+        with pytest.raises(DomainError):
+            leaf_orthogonal_to_geodesic(math.inf, 1.0)
+
     def test_matches_carrier_oracle(self):
         rng = np.random.default_rng(7)
         checked = 0
@@ -354,6 +361,12 @@ class TestDisjointHypercycle:
         with pytest.raises(DomainError) as exc:
             disjoint_along_hypercycle(0.5, s1, 1.5, s2, 1.5)
         assert str(exc.value) == f"need 0 < s1 < s2, got s1={s1!r}, s2={s2!r}"
+
+    def test_needs_finite_crossings(self):
+        with pytest.raises(DomainError, match="need 0 < s1 < s2, got s1=1.0, s2=inf"):
+            disjoint_along_hypercycle(0.5, 1.0, 1.5, math.inf, 1.5)
+        with pytest.raises(DomainError):
+            leaf_orthogonal_to_hypercycle(0.5, math.inf, 1.5)
 
     def test_matches_carrier_oracle(self):
         rng = np.random.default_rng(13)

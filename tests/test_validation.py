@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import warnings
@@ -237,6 +238,12 @@ class TestCurvatureRate:
             min_curvature_rate(0.5, 0.9)
         with pytest.raises(DomainError):
             min_curvature_rate(0.5, np.array([0.0, 0.9]))
+
+    @pytest.mark.parametrize("f", [min_curvature_rate, lipschitz_profile, profile_inverse])
+    def test_empty_array(self, f):
+        # The profile, its inverse and the rate bound map an empty array alike.
+        out = f(0.9, np.array([]))
+        assert out.shape == (0,) and out.dtype == float
 
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_duality_with_profile(self, phi):
@@ -1141,6 +1148,52 @@ class TestCandidatePairs:
         verdict = self._check(Route(route.transversal, route.t, route.h, tol=tol))
         assert 0 < np.count_nonzero(near < -tol) < near.size
         assert len(verdict.violations) == np.count_nonzero(slacks < -tol)
+
+
+def _full_precision_routes():
+    """The routes whose verdicts ``TestFullPrecision`` pins: drawn valid and
+    perturbed routes on four transversals, valid draws on a wide window,
+    the closed forms on widening windows, and routes with an infinite F,
+    the last valid with a nan pair slack (inf - inf)."""
+    for phi in (math.pi / 2, 0.5, 0.9, 1.1):
+        tr = _transversal(phi)
+        for n in (12, 61, 241, 1000):
+            for seed in range(4):
+                yield random_valid_route(tr, n=n, seed=seed)
+                yield perturbed_invalid_route(tr, n=n, seed=seed)[0]
+        for n in (241, 1000):
+            for seed in range(2):
+                yield random_valid_route(tr, (-30.0, 30.0), n=n, seed=seed)
+    for a in (3.0, 8.0, 12.0, 30.0):
+        for name, tr, c in (
+            ("pencil", Transversal.geodesic(), None),
+            ("horospherical", Transversal.geodesic(), None),
+            ("totally_geodesic", Transversal.hypercycle(0.9), None),
+            ("constant", Transversal.hypercycle(0.9), 0.5),
+        ):
+            yield builtin_route(name, tr, (-a, a), n=1000, c=c)
+    inside = float(np.nextafter(-math.sin(0.5), 0.0))
+    below = float(np.nextafter(math.sin(0.5), 0.0))
+    for h in ([0.0, inside, 0.0], [below, inside, 0, 0, 0, inside, inside], [inside, inside, 0.0]):
+        yield _edge_route(0.5, h)
+
+
+class TestFullPrecision:
+    """The verdicts and validity answers of a fixed set of routes, pinned
+    by one digest of their ``repr``: every float at full precision, which
+    the golden digests' 12 significant digits cannot see.  It reads the
+    last bits of numpy's and the C library's float functions, so another
+    platform may need the digest computed again on an unchanged tree."""
+
+    DIGEST = "87139260529ed60865b2164fcf2aa5e7a559220a3b2f6ab20d17cd94dbd76579"
+
+    def test_verdicts_are_unchanged(self):
+        texts = []
+        with np.errstate(invalid="ignore"):  # an infinite F makes inf - inf
+            for route in _full_precision_routes():
+                texts.append(f"{validate(route)!r} {_judge(route)}\n")
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestValidateC1:
