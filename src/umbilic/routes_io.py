@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable
@@ -316,7 +317,7 @@ def _walk_samples(obj: list) -> tuple[np.ndarray, ...]:
 def document_to_route(doc: Any) -> Route:
     """Build a Route from a parsed route document, through every check of
     ``validate_document`` (its order, messages and paths) and then
-    ``tol < tol_limit``: ``loads_route``'s path after ``json.loads``.
+    ``tol < tol_limit``: ``loads_route``'s path once the text is parsed.
     The samples, if any, go to the Route as ``_check_document``'s
     columns."""
     ndoc = _check_document(doc)
@@ -429,16 +430,59 @@ def dumps_document(doc: dict) -> str:
     return dumps_json(doc) + "\n"
 
 
+#: Deepest nesting ``loads_route`` lets through to ``orjson``, which recurses
+#: without a limit: 3.8 overflows the C stack somewhere between 10**5 and
+#: 2 * 10**5 levels on an 8 MiB stack, and between 5 000 and 10**4 on a
+#: 512 KiB thread stack.  An accepted document nests 3 deep.
+_ORJSON_DEPTH = 64
+
+_OBJECT_IN_OBJECT = re.compile(r":\s*\{")
+
+
+def _nesting_bound(text: str) -> int:
+    """An upper bound on how deep ``text`` nests, from two C-level scans.
+
+    Below the top, each level is an array, an object that is an array's
+    item (one per array on the way down) or an object that is an object's
+    value, which follows a colon and whitespace.  So the depth is at most
+    1 + 2 * (count of ``[``) + (count of ``:`` then ``{``), counting in
+    strings too, which only raises the bound."""
+    return 1 + 2 * text.count("[") + len(_OBJECT_IN_OBJECT.findall(text))
+
+
 def loads_route(text: str) -> Route:
     """Parse route document text into a Route.
 
-    Past ``json.loads`` it is ``document_to_route``: the checks of
-    ``validate_document``, but no canonical document.  A samples list goes
-    straight to the ``Route``'s columns (``_sample_columns``), so a
-    document of n samples costs O(n) in C-level type sets and numpy
-    passes, with no dict or list per sample; a list the columns refuse is
-    walked sample by sample (``_walk_samples``) to name its first
-    problem."""
+    The text is parsed by ``orjson`` and built by ``document_to_route``:
+    the checks of ``validate_document``, but no canonical document.  A
+    samples list goes straight to the ``Route``'s columns
+    (``_sample_columns``), so a document of n samples costs one ``orjson``
+    parse plus O(n) C-level type sets and numpy passes, with no dict or
+    list per sample; a list the columns refuse is walked sample by sample
+    (``_walk_samples``) to name its first problem.
+
+    A text ``orjson`` refuses, or one that may nest too deep for it
+    (``_nesting_bound``), and a document ``document_to_route`` refuses go
+    through ``_json_loads_route`` instead, so every refusal is the stdlib
+    parser's, with its message and path.  On a text both accept, the two
+    parsers differ only on an integer literal outside [-2**63, 2**64),
+    which ``orjson`` reads as its float: every number field but ``n`` is
+    read as a float anyway, and ``n`` refuses a float, so both give the
+    same Route."""
+    import orjson  # here, so that a caller that reads no document skips its 7 ms import
+
+    if _nesting_bound(text) <= _ORJSON_DEPTH:
+        try:
+            return document_to_route(orjson.loads(text))
+        except (orjson.JSONDecodeError, RouteParseError):
+            pass
+    return _json_loads_route(text)
+
+
+def _json_loads_route(text: str) -> Route:
+    """``loads_route`` with the stdlib parser: ``json.loads``, then
+    ``document_to_route``; text ``json`` refuses is a ``RouteParseError``
+    with ``json``'s message."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

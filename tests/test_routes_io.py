@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_cli import fuzz_documents
 
 from umbilic import (
     Route,
@@ -17,7 +22,8 @@ from umbilic import (
     route_to_document,
     validate_document,
 )
-from umbilic.routes_io import MAX_CLOSED_FORM_N
+from umbilic import routes_io
+from umbilic.routes_io import MAX_CLOSED_FORM_N, _json_loads_route
 
 
 def geodesic_doc(**extra):
@@ -415,3 +421,161 @@ class TestRouteToDocument:
             assert back.dh.tobytes() == route.dh.tobytes()
         assert back.tol == route.tol
         assert back.transversal == route.transversal
+
+
+def parse_outcome(parse, text):
+    """What ``parse(text)`` gives: a route as its transversal, tol and
+    columns' bytes, or a refusal as its class, text and path."""
+    try:
+        route = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+    columns = (route.t, route.h, route.dh)
+    return route.transversal, route.tol, *(c if c is None else c.tobytes() for c in columns)
+
+
+def assert_parity(text):
+    """``loads_route`` answers ``text`` as the stdlib path does."""
+    assert parse_outcome(loads_route, text) == parse_outcome(_json_loads_route, text)
+
+
+#: Number literals json reads as non-finite floats and orjson refuses.
+NONFINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400"]
+#: Integer literals of 20 to 400 digits, which json reads as ints and
+#: orjson as floats past [-2**63, 2**64) (or refuses past the float range).
+big_integer_literals = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.sampled_from("123456789"),
+    st.text("0123456789", min_size=19, max_size=399),
+).map("".join)
+
+
+def number_slots(value):
+    """(container, key) of every number in a parsed JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    slots = []
+    for key, item in items:
+        if isinstance(item, (dict, list)):
+            slots += number_slots(item)
+        elif isinstance(item, (int, float)) and not isinstance(item, bool):
+            slots.append((value, key))
+    return slots
+
+
+#: Characters one edit may put into a document's text: JSON's own, a
+#: form feed, a NUL, a BOM and a lone surrogate.
+EDIT_CHARS = list('[]{}:,"\\ \t\n\r-+.eE019') + ["\x0c", "\x00", "\ufeff", "\ud800"]
+
+
+@st.composite
+def route_texts(draw):
+    """``fuzz_documents``' documents as JSON text, with up to three number
+    fields written as a non-finite or a 20- to 400-digit integer literal,
+    and sometimes one character inserted or replaced."""
+    doc = draw(fuzz_documents())
+    slots = number_slots(doc)
+    picks = draw(st.lists(st.sampled_from(range(len(slots))), max_size=3, unique=True))
+    literals = {}
+    for k in picks:
+        container, key = slots[k]
+        container[key] = mark = f"@{k}@"
+        literals[json.dumps(mark)] = draw(
+            st.sampled_from(NONFINITE_LITERALS) | big_integer_literals
+        )
+    text = json.dumps(doc)
+    for mark, literal in literals.items():
+        text = text.replace(mark, literal)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(EDIT_CHARS)) + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+def samples_text(*rows):
+    """A geodesic samples document with each row's text spliced in."""
+    return '{"transversal": {"kind": "geodesic"}, "samples": [%s]}' % ", ".join(rows)
+
+
+#: Texts the two parsers read differently or one of them refuses.
+PINNED_TEXTS = {
+    "n-30-digits": '{"transversal": {"kind": "geodesic"}, "closed_form": {"name": "pencil"}, '
+                   '"window": [-3.0, 3.0], "n": 123456789012345678901234567890}',
+    "kind-10**25": '{"transversal": {"kind": %d}, "samples": [{"t": 0, "h": 0}]}' % 10**25,
+    "kind-[10**25]": '{"transversal": {"kind": [%d]}, "samples": [{"t": 0, "h": 0}]}' % 10**25,
+    "t-25-digits": samples_text('{"t": 1234567890123456789012345, "h": 0.5}',
+                                '{"t": 2234567890123456789012345, "h": 0.25}'),
+    "t-25-digits-tied": samples_text('{"t": 1234567890123456789012345, "h": 0.5}',
+                                     '{"t": 1234567890123456789012346, "h": 0.25}'),
+    "t-below-int64": samples_text('{"t": -9223372036854775809, "h": 0}', '{"t": 0, "h": 0}'),
+    "h-nan": samples_text('{"t": 0.0, "h": 0.0}', '{"t": 1.0, "h": NaN}'),
+    "kind-lone-surrogate": '{"transversal": {"kind": "\\ud800"}, "samples": [{"t": 0, "h": 0}]}',
+    "nested-2000": '{"transversal": {"kind": %s}, "samples": [{"t": 0, "h": 0}]}'
+                   % ("[" * 2000 + "]" * 2000),
+    "bom": "\ufeff" + samples_text('{"t": 0.0, "h": 0.0}'),
+    "duplicate-keys": samples_text('{"t": 0.0, "h": 1.0, "h": 0.5}', '{"t": 1.0, "h": 0.25}'),
+    "ci-ints": json.dumps({"transversal": {"kind": "geodesic"},
+                           "samples": [{"h": 0, "t": k, "dh": 0} for k in range(50)]}),
+}
+
+
+#: Characters that open, close or separate JSON values, for strings that
+#: imitate them.
+JSON_MARKS = "[]{}:,\\\" "
+
+
+class TestOrjsonParity:
+    """``loads_route`` parses with ``orjson`` and sends a text orjson
+    refuses or may nest too deep for, or a document ``document_to_route``
+    refuses, through the stdlib path: so on any text it gives the stdlib
+    path's route or its exception."""
+
+    @settings(max_examples=300)
+    @given(route_texts())
+    def test_same_route_or_same_refusal(self, text):
+        assert_parity(text)
+
+    @pytest.mark.parametrize("text", PINNED_TEXTS.values(), ids=PINNED_TEXTS.keys())
+    def test_pinned_texts(self, text):
+        assert_parity(text)
+
+    def test_an_accepted_text_is_parsed_once(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("an accepted text reached the stdlib path")
+
+        monkeypatch.setattr(routes_io, "_json_loads_route", refuse)
+        route = loads_route(PINNED_TEXTS["t-25-digits"])
+        assert route.t.tolist() == [1.2345678901234568e24, 2.2345678901234568e24]
+
+    @given(
+        st.recursive(
+            st.none() | st.integers() | st.text(JSON_MARKS),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(JSON_MARKS), inner),
+        ),
+        st.sampled_from([None, 0, 2, "\t"]),
+        st.sampled_from([":", ": ", ":\n\r\t "]),
+    )
+    def test_nesting_bound_holds(self, value, indent, colon):
+        def depth(v):
+            if isinstance(v, dict):
+                v = list(v.values())
+            return 1 + max(map(depth, v), default=0) if isinstance(v, list) else 0
+
+        text = json.dumps(value, indent=indent, separators=(",", colon))
+        assert depth(value) <= routes_io._nesting_bound(text)
+
+    def test_deep_text_is_refused_without_a_crash(self):
+        # orjson recurses without a limit and overflows an 8 MiB stack
+        # before 10**6 levels; the stdlib path refuses the text instead.
+        code = (
+            "from umbilic import RouteParseError, loads_route\n"
+            "try:\n"
+            "    loads_route('[' * 10**6 + ']' * 10**6)\n"
+            "except RouteParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(routes_io.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("JSON text not readable: maximum recursion depth exceeded")
